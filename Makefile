@@ -1,8 +1,9 @@
 # Developer / CI entry points for the ATS-Go reproduction.
 #
-#   make check   — everything CI runs: vet, build, tests (incl. -race),
-#                  and the regression smoke against the committed seed
-#                  baseline under testdata/regress-store.
+#   make check   — everything CI runs: vet (go vet plus a gofmt gate that
+#                  fails on any unformatted file), build, tests (incl.
+#                  -race), and the regression smoke against the committed
+#                  seed baseline under testdata/regress-store.
 #   make smoke   — just the regression smoke: regenerate the Fig 3.5
 #                  profile and diff it against the committed baseline
 #                  (non-zero exit on drift).
@@ -55,6 +56,8 @@ check: vet build test race smoke docs
 
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .) && if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

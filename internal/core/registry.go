@@ -56,8 +56,8 @@ const (
 // test program accepts on its command line.  The JSON encoding is the wire
 // form used by replayable conformance cases.
 type DistrSpec struct {
-	Name string  `json:"name"`          // distribution function name, e.g. "block2"
-	Low  float64 `json:"low"`           // first descriptor value (Val for "same")
+	Name string  `json:"name"` // distribution function name, e.g. "block2"
+	Low  float64 `json:"low"`  // first descriptor value (Val for "same")
 	High float64 `json:"high,omitempty"`
 	Med  float64 `json:"med,omitempty"`
 	N    int     `json:"n,omitempty"` // peak rank for "peak"

@@ -539,14 +539,22 @@ func (w *World) runEvent(comms []*Comm, errs []error, body func(c *Comm)) (runEr
 // only real time can catch it.  stuck reports that some rank failed to
 // unwind within the grace period, in which case its goroutine may still
 // be running and the trace buffers must not be touched.
+//
+// Both timers are stopped on return: under go 1.22 semantics an unstopped
+// time.After timer stays live on the heap until it fires, so every run
+// would otherwise pin one for the full watchdog period.
 func (w *World) awaitDone(done chan struct{}, errs []error) (runErr error, stuck bool) {
+	watchdog := time.NewTimer(w.opt.Timeout)
+	defer watchdog.Stop()
 	select {
 	case <-done:
-	case <-time.After(w.opt.Timeout):
+	case <-watchdog.C:
 		w.fail(fmt.Errorf("mpi: watchdog timeout after %v (deadlock suspected)", w.opt.Timeout))
+		grace := time.NewTimer(5 * time.Second)
+		defer grace.Stop()
 		select {
 		case <-done:
-		case <-time.After(5 * time.Second):
+		case <-grace.C:
 			return fmt.Errorf("mpi: ranks failed to unwind after abort; giving up"), true
 		}
 	}

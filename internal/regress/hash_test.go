@@ -19,8 +19,8 @@ func TestValidHash(t *testing.T) {
 		{"", false},
 		{good[:63], false},
 		{good + "0", false},
-		{strings.ToUpper(good), false},                  // hashes are lowercase hex
-		{strings.Repeat("g", 64), false},                // non-hex
+		{strings.ToUpper(good), false},   // hashes are lowercase hex
+		{strings.Repeat("g", 64), false}, // non-hex
 		{"../../secret" + strings.Repeat("0", 52), false}, // traversal, right length
 		{"../../secret", false},
 	}

@@ -55,20 +55,47 @@ func (s *Store) Objects() ([]string, error) {
 	return out, nil
 }
 
-// EnsureIndex opens the store's persistent similarity index (creating
-// or rebuilding it when absent or stamped by an incompatible schema)
-// and backfills every stored object the index does not know yet.  After
-// it returns, the index covers the whole store; subsequent Puts keep it
-// current incrementally.  The handle is cached on the Store, so calling
-// it repeatedly is cheap.
+// EnsureIndex returns the store's persistent similarity index, covering
+// every stored object.  The first call on a Store handle opens the log
+// (creating it, or rebuilding it when stamped by an incompatible
+// schema), lists objects/ once, and backfills every object the log does
+// not hold.  Later calls are cheap — O(entries appended since the last
+// call), one os.Stat when there are none: this handle's own Puts index
+// themselves as they land, and Refresh replays just the log tail other
+// handles and processes appended.  Only a log replaced under the handle
+// (another process rebuilt it) costs another listing and backfill.
+//
+// The log is created before the first listing, so an object Put by a
+// process that saw no index yet is caught by that listing; every later
+// Put, in any process, appends to the log and reaches Refresh.
 func (s *Store) EnsureIndex() (*similarity.PersistentIndex, error) {
-	idx, err := s.openIndex()
-	if err != nil {
+	s.simMu.Lock()
+	defer s.simMu.Unlock()
+	if s.sim == nil {
+		idx, err := similarity.OpenIndex(s.similarityDir(), similarity.DefaultParams, profile.SchemaVersion)
+		if err != nil {
+			return nil, err
+		}
+		s.sim = idx
+	} else if stale, err := s.sim.Refresh(); err != nil {
 		return nil, err
+	} else if stale {
+		s.simFilled = false
 	}
+	if !s.simFilled {
+		if err := s.backfill(s.sim); err != nil {
+			return nil, err
+		}
+		s.simFilled = true
+	}
+	return s.sim, nil
+}
+
+// backfill indexes every stored object the index does not know yet.
+func (s *Store) backfill(idx *similarity.PersistentIndex) error {
 	hashes, err := s.Objects()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, hash := range hashes {
 		if idx.Has(hash) {
@@ -76,13 +103,13 @@ func (s *Store) EnsureIndex() (*similarity.PersistentIndex, error) {
 		}
 		p, err := s.Get(hash)
 		if err != nil {
-			return nil, fmt.Errorf("regress: index backfill: %w", err)
+			return fmt.Errorf("regress: index backfill: %w", err)
 		}
 		if err := idx.Add(hash, similarity.Embed(p)); err != nil {
-			return nil, fmt.Errorf("regress: index backfill: %w", err)
+			return fmt.Errorf("regress: index backfill: %w", err)
 		}
 	}
-	return idx, nil
+	return nil
 }
 
 // openIndex returns the cached index handle, opening the log on first

@@ -16,9 +16,10 @@
 // migrates a flat object into its shard when it touches one.
 //
 // A Store is safe for concurrent use by multiple goroutines (the analysis
-// server runs many analyses against one store): objects are immutable and
-// written atomically, and the refs.json read-modify-write cycle is
-// serialized by an internal mutex.
+// server runs many analyses against one store), and several handles or
+// processes may share one directory: objects are immutable and written
+// atomically, and the refs.json read-modify-write cycle is serialized by
+// an exclusive flock on refs.lock (plus an in-process mutex).
 package regress
 
 import (
@@ -75,12 +76,15 @@ func ValidHash(hash string) bool {
 // Store is an on-disk profile store.
 type Store struct {
 	dir string
-	// mu serializes the refs.json read-modify-write cycle.  Object writes
+	// mu serializes this handle's refs.json read-modify-writes before they
+	// contend for the cross-process refs lock (lockRefs).  Object writes
 	// need no lock: they are content-addressed, atomic, and idempotent.
 	mu sync.Mutex
-	// simMu guards the lazily opened similarity-index handle (similar.go).
-	simMu sync.Mutex
-	sim   *similarity.PersistentIndex
+	// simMu guards the lazily opened similarity-index handle and whether
+	// it has been backfilled from a full object listing (similar.go).
+	simMu     sync.Mutex
+	sim       *similarity.PersistentIndex
+	simFilled bool
 }
 
 // Open opens (creating if necessary) the store rooted at dir.  An empty
@@ -145,18 +149,46 @@ func (s *Store) loadRefs() (*refsFile, error) {
 	return refs, nil
 }
 
-// saveRefs writes the index atomically (temp file + rename).
+// saveRefs writes the index atomically: a temp file unique to this call,
+// then a rename, so a concurrent writer never shares (and truncates) our
+// half-written temp file.
 func (s *Store) saveRefs(refs *refsFile) error {
 	blob, err := json.MarshalIndent(refs, "", "  ")
 	if err != nil {
 		return fmt.Errorf("regress: marshal refs: %w", err)
 	}
-	blob = append(blob, '\n')
-	tmp := s.refsPath() + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
+	f, err := os.CreateTemp(s.dir, "refs.json.*.tmp")
+	if err != nil {
 		return fmt.Errorf("regress: write refs: %w", err)
 	}
-	return os.Rename(tmp, s.refsPath())
+	_, err = f.Write(append(blob, '\n'))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), s.refsPath())
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("regress: write refs: %w", err)
+	}
+	return nil
+}
+
+// lockRefs takes the store-wide refs lock: an exclusive flock on
+// refs.lock, which serializes the refs read-modify-write across Store
+// handles and processes (atsd beside a concurrent `atsregress save`).
+// The returned func releases it.
+func (s *Store) lockRefs() (func(), error) {
+	f, err := os.OpenFile(filepath.Join(s.dir, "refs.lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("regress: lock refs: %w", err)
+	}
+	if err := lockFile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("regress: lock refs: %w", err)
+	}
+	return func() { f.Close() }, nil // closing the descriptor drops the flock
 }
 
 // Put stores p as an immutable object and returns its content hash.  An
@@ -264,10 +296,16 @@ func (s *Store) SetBaseline(experiment, hash string) error {
 	return s.setBaseline(experiment, hash)
 }
 
-// setBaseline performs the refs read-modify-write under the store mutex.
+// setBaseline performs the refs read-modify-write under the store mutex
+// and the cross-process refs lock.
 func (s *Store) setBaseline(name, hash string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	unlock, err := s.lockRefs()
+	if err != nil {
+		return err
+	}
+	defer unlock()
 	refs, err := s.loadRefs()
 	if err != nil {
 		return err

@@ -287,12 +287,19 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	matches, probed, err := s.cfg.Store.Similar(hash, k)
+	// Store.Similar, with the one EnsureIndex call's handle kept for the
+	// indexed count.
+	p, err := s.cfg.Store.Get(hash)
 	if err != nil {
 		httpError(w, storeErrorCode(err), "%v", err)
 		return
 	}
 	idx, err := s.cfg.Store.EnsureIndex()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	matches, probed, err := idx.Query(similarity.Embed(p), k)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -95,7 +96,7 @@ func TestPersistentIndexRebuildEqualsIncremental(t *testing.T) {
 }
 
 // TestPersistentIndexTornTail: a torn final write (partial last line)
-// is dropped on reopen; the intact prefix survives and the next Add
+// is skipped on reopen; the intact prefix survives and the next Add
 // lands cleanly after it.
 func TestPersistentIndexTornTail(t *testing.T) {
 	dir := t.TempDir()
@@ -143,6 +144,156 @@ func TestPersistentIndexTornTail(t *testing.T) {
 	if re2.Len() != 10 {
 		t.Fatalf("Len after repair = %d, want 10", re2.Len())
 	}
+}
+
+// refresh calls Refresh and fails the test on error.
+func refresh(t *testing.T, pi *PersistentIndex) (stale bool) {
+	t.Helper()
+	stale, err := pi.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stale
+}
+
+// TestPersistentIndexRefreshSeesOtherWriters: entries another handle
+// appends to the shared log reach this handle through Refresh, and only
+// through the tail — this handle's own entries are not replayed twice.
+func TestPersistentIndexRefreshSeesOtherWriters(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	if err := a.Add(fakeHash(0), Embed(SyntheticProfile(9, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if refresh(t, a) || a.off != fileSize(t, a.Path()) {
+		t.Fatal("own append left unreplayed bytes or reported stale")
+	}
+	for i := 1; i < 4; i++ {
+		if err := b.Add(fakeHash(i), Embed(SyntheticProfile(9, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.Has(fakeHash(2)) {
+		t.Fatal("other writer's entry visible before Refresh")
+	}
+	if refresh(t, a) {
+		t.Fatal("a grown log reported stale")
+	}
+	if a.Len() != 4 || !a.Has(fakeHash(3)) {
+		t.Fatalf("after Refresh Len = %d, want 4", a.Len())
+	}
+	// b has not seen a's first entry yet; its own three stay single.
+	if refresh(t, b) || b.Len() != 4 {
+		t.Fatalf("b after Refresh Len = %d, want 4", b.Len())
+	}
+	if refresh(t, a) || a.Len() != 4 {
+		t.Fatal("a no-op Refresh changed the index")
+	}
+}
+
+// TestPersistentIndexRefreshTornLine: a line another writer has only
+// partly appended is left unread until it is complete, then indexed.
+func TestPersistentIndexRefreshTornLine(t *testing.T) {
+	dir := t.TempDir()
+	pi, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pi.Close()
+	vec := Embed(SyntheticProfile(4, 1))
+	for i := range vec {
+		vec[i] = float64(float32(vec[i]))
+	}
+	blob, err := json.Marshal(indexEntry{Hash: fakeHash(1), Vec: vec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := append(blob, '\n')
+	half := len(line) / 2
+
+	f, err := os.OpenFile(pi.Path(), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.Write(line[:half]); err != nil {
+		t.Fatal(err)
+	}
+	if refresh(t, pi) || pi.Has(fakeHash(1)) {
+		t.Fatal("half-written line was indexed or reported stale")
+	}
+	if _, err := f.Write(line[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if refresh(t, pi) || !pi.Has(fakeHash(1)) {
+		t.Fatal("completed line not indexed")
+	}
+	if got := queryTop(t, pi, vec, 1); len(got) != 1 || got[0] != fakeHash(1) {
+		t.Fatalf("query after completion = %v", got)
+	}
+}
+
+// TestPersistentIndexRefreshReplacedLog: a log deleted and recreated by
+// another handle is reloaded, Refresh reports stale (the caller must
+// backfill), and later appends land in the new log, not the orphan.
+func TestPersistentIndexRefreshReplacedLog(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	for i := 0; i < 3; i++ {
+		if err := a.Add(fakeHash(i), Embed(SyntheticProfile(6, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(a.Path()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenIndex(dir, Params{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Add(fakeHash(7), Embed(SyntheticProfile(6, 7))); err != nil {
+		t.Fatal(err)
+	}
+
+	if !refresh(t, a) {
+		t.Fatal("Refresh over a replaced log did not report stale")
+	}
+	if a.Len() != 1 || !a.Has(fakeHash(7)) || a.Has(fakeHash(0)) {
+		t.Fatalf("reloaded index Len = %d, want just the new log's entry", a.Len())
+	}
+	if refresh(t, a) {
+		t.Fatal("stale reported twice for one replacement")
+	}
+	if err := a.Add(fakeHash(0), Embed(SyntheticProfile(6, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if refresh(t, b) || !b.Has(fakeHash(0)) {
+		t.Fatal("append after reload missed the live log")
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Size()
 }
 
 // TestPersistentIndexStampInvalidation: a log written under different

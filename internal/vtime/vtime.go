@@ -166,8 +166,9 @@ func spinChunk(iters int64) int64 {
 	return acc
 }
 
-// spinSink defeats dead-code elimination of spinChunk.
-var spinSink int64
+// spinSink defeats dead-code elimination of spinChunk.  It is atomic
+// because Real-mode ranks spin concurrently.
+var spinSink atomic.Int64
 
 // Calibrate measures the spin-loop rate.  It is called automatically on the
 // first Spin but may be invoked explicitly (e.g. at world start) so the
@@ -178,9 +179,9 @@ func Calibrate() {
 	calOnce.Do(func() {
 		const probe = 1 << 21
 		// Warm up, then time a probe batch.
-		spinSink += spinChunk(probe / 4)
+		spinSink.Add(spinChunk(probe / 4))
 		start := time.Now()
-		spinSink += spinChunk(probe)
+		spinSink.Add(spinChunk(probe))
 		elapsed := time.Since(start)
 		if elapsed <= 0 {
 			elapsed = time.Nanosecond
@@ -209,7 +210,7 @@ func Spin(d float64) {
 		if chunkNs > maxChunkNs {
 			chunkNs = maxChunkNs
 		}
-		spinSink += spinChunk(int64(chunkNs * itersPerNs))
+		spinSink.Add(spinChunk(int64(chunkNs * itersPerNs)))
 		remainingNs = float64(time.Until(deadline).Nanoseconds())
 	}
 }
