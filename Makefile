@@ -37,6 +37,9 @@
 #                  run it on both rank engines (traces and reports must
 #                  be byte-identical), check the declared detection, and
 #                  sweep it through `atsfuzz run/diff -asl`.
+#   make atsperf-test — vet and test the benchmark module under atsperf/
+#                  (its own go.mod, so the root `go test ./...` never
+#                  compiles it against the packages it drives).
 #   make bench-diff — compare the two newest committed BENCH_*.json
 #                  snapshots; non-zero exit if any benchmark regressed
 #                  more than 25% (override with TOL=<pct>).
@@ -50,7 +53,7 @@ BENCH_DIR := testdata/bench
 
 TOL ?= 25
 
-.PHONY: check vet build test race smoke fuzz baseline bench-json bench-diff docs server-smoke cache-smoke similar-smoke asl-smoke
+.PHONY: check vet build test race smoke fuzz baseline bench-json bench-diff docs server-smoke cache-smoke similar-smoke asl-smoke atsperf-test
 
 check: vet build test race smoke docs
 
@@ -108,3 +111,6 @@ similar-smoke:
 
 asl-smoke:
 	GO="$(GO)" sh scripts/asl-smoke.sh
+
+atsperf-test:
+	cd atsperf && $(GO) vet ./... && $(GO) test ./...

@@ -11,9 +11,12 @@ package conformance
 // differential — shares it.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/perturb"
 	"repro/internal/profile"
@@ -37,17 +40,38 @@ func ResultCache() *rescache.Store { return resultCache.Load() }
 // calibration cache historically omitted exactly this and is the
 // cautionary tale), and an engine change invalidates by version bump.
 type checkKeyDoc struct {
-	Kind            string          `json:"kind"`
-	Case            Case            `json:"case"`
-	NoiseFloor      float64         `json:"noise_floor"`
-	RelTol          float64         `json:"rel_tol"`
-	AbsTol          float64         `json:"abs_tol"`
-	SkipDeterminism bool            `json:"skip_determinism"`
-	DropProperty    string          `json:"drop_property,omitempty"`
-	Perturb         perturb.Profile `json:"perturb"`
-	Engine          string          `json:"engine"`
-	EngineVersion   int             `json:"engine_version"`
-	ProfileSchema   int             `json:"profile_schema"`
+	Kind            string            `json:"kind"`
+	Case            Case              `json:"case"`
+	NoiseFloor      float64           `json:"noise_floor"`
+	RelTol          float64           `json:"rel_tol"`
+	AbsTol          float64           `json:"abs_tol"`
+	SkipDeterminism bool              `json:"skip_determinism"`
+	DropProperty    string            `json:"drop_property,omitempty"`
+	Perturb         perturb.Profile   `json:"perturb"`
+	Engine          string            `json:"engine"`
+	EngineVersion   int               `json:"engine_version"`
+	ProfileSchema   int               `json:"profile_schema"`
+	Defs            map[string]string `json:"defs,omitempty"`
+}
+
+// caseDefs maps each case property compiled from an ASL scenario to the
+// SHA-256 of its source, so redefining a scenario under the same name
+// changes the key.  Built-in properties are pinned by the engine and
+// schema versions and add nothing: their cases keep their keys.
+func caseDefs(cs Case) map[string]string {
+	var defs map[string]string
+	for _, p := range cs.Props {
+		spec, ok := core.Get(p.Name)
+		if !ok || spec.ASL == "" {
+			continue
+		}
+		if defs == nil {
+			defs = make(map[string]string)
+		}
+		sum := sha256.Sum256([]byte(spec.ASL))
+		defs[p.Name] = hex.EncodeToString(sum[:])
+	}
+	return defs
 }
 
 // checkKey derives the content key of one oracle invocation.
@@ -66,6 +90,7 @@ func checkKey(cs Case, opt CheckOptions) (string, error) {
 		Engine:          eng.String(),
 		EngineVersion:   eng.Version(),
 		ProfileSchema:   profile.SchemaVersion,
+		Defs:            caseDefs(cs),
 	})
 }
 
@@ -104,12 +129,13 @@ func CheckCached(cs Case, opt CheckOptions) (Outcome, error) {
 // diffKeyDoc keys an engine-differential outcome: it depends on both
 // engines, so both versions are part of the key.
 type diffKeyDoc struct {
-	Kind             string          `json:"kind"`
-	Case             Case            `json:"case"`
-	Perturb          perturb.Profile `json:"perturb"`
-	EventVersion     int             `json:"event_version"`
-	GoroutineVersion int             `json:"goroutine_version"`
-	ProfileSchema    int             `json:"profile_schema"`
+	Kind             string            `json:"kind"`
+	Case             Case              `json:"case"`
+	Perturb          perturb.Profile   `json:"perturb"`
+	EventVersion     int               `json:"event_version"`
+	GoroutineVersion int               `json:"goroutine_version"`
+	ProfileSchema    int               `json:"profile_schema"`
+	Defs             map[string]string `json:"defs,omitempty"`
 }
 
 // DiffEnginesCached is DiffEngines behind the process-wide result cache.
@@ -127,6 +153,7 @@ func DiffEnginesCached(cs Case, prof perturb.Profile) (DiffOutcome, error) {
 		EventVersion:     mpi.EngineEvent.Version(),
 		GoroutineVersion: mpi.EngineGoroutine.Version(),
 		ProfileSchema:    profile.SchemaVersion,
+		Defs:             caseDefs(cs),
 	})
 	if kerr != nil {
 		return DiffEngines(cs, prof)

@@ -3,8 +3,10 @@ package conformance
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/asl"
 	"repro/internal/mpi"
 	"repro/internal/perturb"
 	"repro/internal/rescache"
@@ -210,5 +212,28 @@ func TestCheckRobustUsesCachePerLevel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold.Outcomes, warm.Outcomes) {
 		t.Fatal("warm robust outcomes diverge from cold")
+	}
+}
+
+// TestCheckCachedASLRedefinitionMisses: re-registering an ASL scenario
+// under the same name with a different closed form must not replay the
+// verdict cached for the old definition.
+func TestCheckCachedASLRedefinitionMisses(t *testing.T) {
+	s := withCache(t)
+	name := registerProbe(t, conformanceScenario)
+	cs := probeCase(name, 4)
+	opt := CheckOptions{SkipDeterminism: true}
+	if _, err := CheckCached(cs, opt); err != nil {
+		t.Fatal(err)
+	}
+	asl.Unregister(name)
+	registerProbe(t, strings.Replace(conformanceScenario,
+		"severity floor(ranks() / 2) * extra * r;",
+		"severity 2 * floor(ranks() / 2) * extra * r;", 1))
+	if _, err := CheckCached(cs, opt); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("stats = %+v; the redefined scenario was served the old verdict", st)
 	}
 }

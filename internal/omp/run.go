@@ -128,8 +128,9 @@ func Run(opt RunOptions, body func(ctx *xctx.Ctx, opt Options)) (*trace.Trace, e
 	})
 	buffers := append([]*trace.Buffer{tb}, adopted...)
 	tr := trace.Merge(buffers...)
-	// The merge copies everything it needs; recycle the buffers for the
-	// next run (all team threads joined before the body returned).
+	// Merge consumes the buffers (it remaps their event ids in place), so
+	// they must be released now, to be recycled for the next run (all
+	// team threads joined before the body returned).
 	for _, b := range buffers {
 		b.Release()
 	}

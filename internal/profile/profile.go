@@ -355,9 +355,8 @@ func (p *Profile) Encode(w io.Writer) error {
 }
 
 // WriteFile writes the canonical encoding to path.  The write is atomic
-// (temp file + rename in the same directory): readers — and in particular
-// the content-addressed regression store, whose existence fast-path would
-// make a truncated object permanent — never observe a partial profile.
+// (temp file + rename in the same directory): readers never observe a
+// partial profile.
 func (p *Profile) WriteFile(path string) error {
 	blob, err := p.Marshal()
 	if err != nil {

@@ -41,7 +41,8 @@ func TestLookupRejectsNonHashNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ../../secret resolves (via the legacy flat layout) to dir/secret.json.
+	// A lookup that joined the hash into a path unchecked would resolve
+	// ../../secret to dir/secret.json.
 	secret := filepath.Join(dir, "secret.json")
 	if err := os.WriteFile(secret, []byte(`{"planted": true}`), 0o644); err != nil {
 		t.Fatal(err)

@@ -65,53 +65,36 @@ func TestHistoryOrderingUnderRepeatedSetBaseline(t *testing.T) {
 	}
 }
 
-// TestHistorySetBaselineShardedAndLegacy: SetBaseline must resolve
-// objects in both the sharded layout Put writes today and the flat
-// legacy layout older stores carry, and the history it records must be
-// identical either way.
-func TestHistorySetBaselineShardedAndLegacy(t *testing.T) {
+// TestHistorySetBaselineSharded: SetBaseline must resolve objects Put
+// wrote into their shards, and the history must record every move.
+func TestHistorySetBaselineSharded(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	store, err := regress.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Sharded object: stored through Put.
-	sharded := synthProfile("exp", 0.5)
-	hashSharded, err := store.Put(sharded)
-	if err != nil {
-		t.Fatal(err)
+	var hashes []string
+	for _, wait := range []float64{0.5, 0.75} {
+		hash, err := store.Put(synthProfile("exp", wait))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "objects", hash[:2], hash+".json")); err != nil {
+			t.Fatalf("object not sharded: %v", err)
+		}
+		hashes = append(hashes, hash)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "objects", hashSharded[:2], hashSharded+".json")); err != nil {
-		t.Fatalf("object not sharded: %v", err)
-	}
-
-	// Legacy object: written at the flat path by hand, as an old store
-	// version would have left it.
-	legacy := synthProfile("exp", 0.75)
-	hashLegacy, err := legacy.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.WriteFile(filepath.Join(dir, "objects", hashLegacy+".json")); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := store.SetBaseline("exp", hashSharded); err != nil {
-		t.Fatalf("SetBaseline sharded: %v", err)
-	}
-	if err := store.SetBaseline("exp", hashLegacy); err != nil {
-		t.Fatalf("SetBaseline legacy: %v", err)
-	}
-	if err := store.SetBaseline("exp", hashSharded); err != nil {
-		t.Fatal(err)
+	a, b := hashes[0], hashes[1]
+	for _, hash := range []string{a, b, a} {
+		if err := store.SetBaseline("exp", hash); err != nil {
+			t.Fatalf("SetBaseline %s: %v", hash[:12], err)
+		}
 	}
 	hist, err := store.History("exp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{hashSharded, hashLegacy, hashSharded}
-	if !reflect.DeepEqual(hist, want) {
-		t.Fatalf("history across layouts = %v, want %v", hist, want)
+	if want := []string{a, b, a}; !reflect.DeepEqual(hist, want) {
+		t.Fatalf("history = %v, want %v", hist, want)
 	}
 }

@@ -47,7 +47,7 @@ func TestStoreShardedLayout(t *testing.T) {
 		t.Fatalf("object not at sharded path %s: %v", sharded, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "objects", hash+".json")); err == nil {
-		t.Fatal("object also present at flat legacy path")
+		t.Fatal("object also present at the unsharded path")
 	}
 	got, err := store.Get(hash)
 	if err != nil {
@@ -55,50 +55,6 @@ func TestStoreShardedLayout(t *testing.T) {
 	}
 	if gotHash, _ := got.Hash(); gotHash != hash {
 		t.Fatalf("round-trip hash %s, want %s", gotHash, hash)
-	}
-}
-
-// TestStoreLegacyFallback seeds a flat pre-sharding object and checks that
-// reads fall back to it and that Put migrates it into its shard.
-func TestStoreLegacyFallback(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	store, err := regress.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := synthProfile("legacy_fallback", 0.5)
-	hash, err := p.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat := filepath.Join(dir, "objects", hash+".json")
-	if err := p.WriteFile(flat); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reads see the flat object.
-	if _, err := store.Get(hash); err != nil {
-		t.Fatalf("Get via legacy fallback: %v", err)
-	}
-	r, err := store.ObjectReader(hash)
-	if err != nil {
-		t.Fatalf("ObjectReader via legacy fallback: %v", err)
-	}
-	r.Close()
-
-	// Put migrates it into the shard.
-	if _, err := store.Put(p); err != nil {
-		t.Fatal(err)
-	}
-	sharded := filepath.Join(dir, "objects", hash[:2], hash+".json")
-	if _, err := os.Stat(sharded); err != nil {
-		t.Fatalf("object not migrated to %s: %v", sharded, err)
-	}
-	if _, err := os.Stat(flat); err == nil {
-		t.Fatal("flat object still present after migration")
-	}
-	if _, err := store.Get(hash); err != nil {
-		t.Fatalf("Get after migration: %v", err)
 	}
 }
 

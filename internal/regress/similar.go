@@ -2,10 +2,7 @@ package regress
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/profile"
 	"repro/internal/similarity"
@@ -17,41 +14,17 @@ const similaritySubdir = "similarity"
 
 func (s *Store) similarityDir() string { return filepath.Join(s.dir, similaritySubdir) }
 
-// Objects enumerates every object hash in the store (sharded and legacy
-// flat layouts), sorted ascending.  It reads directory names only — no
-// object is opened — so walking a million-profile store stays cheap.
+// Objects enumerates every object hash in the store, sorted ascending.
+// It reads directory names only — no object is opened — so walking a
+// million-profile store stays cheap.
 func (s *Store) Objects() ([]string, error) {
-	root := filepath.Join(s.dir, "objects")
-	ents, err := os.ReadDir(root)
-	if err != nil {
+	var out []string
+	if err := s.objects.Walk(func(hash string) error {
+		out = append(out, hash)
+		return nil
+	}); err != nil {
 		return nil, fmt.Errorf("regress: list objects: %w", err)
 	}
-	var out []string
-	add := func(name string) {
-		hash := strings.TrimSuffix(name, ".json")
-		if len(hash) < len(name) && ValidHash(hash) {
-			out = append(out, hash)
-		}
-	}
-	for _, ent := range ents {
-		if !ent.IsDir() {
-			add(ent.Name()) // legacy flat object
-			continue
-		}
-		if len(ent.Name()) != 2 {
-			continue
-		}
-		shard, err := os.ReadDir(filepath.Join(root, ent.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("regress: list objects: %w", err)
-		}
-		for _, obj := range shard {
-			if !obj.IsDir() {
-				add(obj.Name())
-			}
-		}
-	}
-	sort.Strings(out)
 	return out, nil
 }
 

@@ -9,11 +9,9 @@
 // carries the mutable experiment → baseline mapping plus per-experiment
 // history (newest first).
 //
-// The object layout is sharded git-style — objects/<first-two-hex>/<hash>.json
-// — so a store holding millions of profiles never concentrates them in one
-// directory.  Stores written by earlier versions used a flat
-// objects/<hash>.json layout; reads fall back to it transparently, and Put
-// migrates a flat object into its shard when it touches one.
+// Objects live in the content-addressed layout of package cas, sharded
+// git-style as objects/<first-two-hex>/<hash>.json, so a store holding
+// millions of profiles never concentrates them in one directory.
 //
 // A Store is safe for concurrent use by multiple goroutines (the analysis
 // server runs many analyses against one store), and several handles or
@@ -26,12 +24,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 
+	"repro/internal/cas"
 	"repro/internal/profile"
 	"repro/internal/similarity"
 )
@@ -58,24 +56,13 @@ var ErrNoBaseline = errors.New("no baseline for experiment")
 
 // ValidHash reports whether hash has the only form the store ever
 // assigns: the 64 lowercase hex characters of profile.Hash.  Lookups
-// reject anything else before building a path, so an attacker-supplied
-// "hash" (../../secret, an absolute path, a %2F-smuggled slash) can
-// never name a file outside objects/.
-func ValidHash(hash string) bool {
-	if len(hash) != 64 {
-		return false
-	}
-	for i := 0; i < len(hash); i++ {
-		if c := hash[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
+// reject anything else before building a path (see cas.ValidKey).
+func ValidHash(hash string) bool { return cas.ValidKey(hash) }
 
 // Store is an on-disk profile store.
 type Store struct {
-	dir string
+	dir     string
+	objects cas.Dir
 	// mu serializes this handle's refs.json read-modify-writes before they
 	// contend for the cross-process refs lock (lockRefs).  Object writes
 	// need no lock: they are content-addressed, atomic, and idempotent.
@@ -93,30 +80,15 @@ func Open(dir string) (*Store, error) {
 	if dir == "" {
 		dir = DefaultStoreDir
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	objects, err := cas.Open(dir)
+	if err != nil {
 		return nil, fmt.Errorf("regress: open store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, objects: objects}, nil
 }
 
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
-
-// objectPath is the sharded location of an object: two hex characters of
-// fan-out keep directory sizes manageable at million-profile scale.
-// Hashes too short to shard (never produced by profile.Hash) stay flat.
-func (s *Store) objectPath(hash string) string {
-	if len(hash) < 2 {
-		return s.legacyObjectPath(hash)
-	}
-	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
-}
-
-// legacyObjectPath is the flat pre-sharding location, still readable (and
-// migrated by Put) for stores written by earlier versions.
-func (s *Store) legacyObjectPath(hash string) string {
-	return filepath.Join(s.dir, "objects", hash+".json")
-}
 
 func (s *Store) refsPath() string { return filepath.Join(s.dir, "refs.json") }
 
@@ -193,34 +165,23 @@ func (s *Store) lockRefs() (func(), error) {
 
 // Put stores p as an immutable object and returns its content hash.  An
 // object that already exists is left untouched (content addressing makes
-// the write idempotent); one found at the flat legacy path is migrated
-// into its shard.  Put does not move any baseline ref.
+// the write idempotent).  Put does not move any baseline ref.
 func (s *Store) Put(p *profile.Profile) (string, error) {
 	hash, err := p.Hash()
 	if err != nil {
 		return "", err
 	}
-	path := s.objectPath(hash)
-	if _, err := os.Stat(path); err == nil {
+	if s.objects.Has(hash) {
 		return hash, nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return "", fmt.Errorf("regress: store object: %w", err)
+	// The write is atomic, which the existence fast-path above depends on:
+	// an interrupted Put must never leave a truncated object that later
+	// calls would treat as already stored.
+	blob, err := p.Marshal()
+	if err == nil {
+		err = s.objects.Write(hash, blob)
 	}
-	if legacy := s.legacyObjectPath(hash); legacy != path {
-		if _, err := os.Stat(legacy); err == nil {
-			// Migrate the flat object into its shard.  Rename is atomic; a
-			// concurrent Put racing on the same hash loses the ENOENT race
-			// benignly — the object is immutable and already in place.
-			if err := os.Rename(legacy, path); err == nil || errors.Is(err, fs.ErrNotExist) {
-				return hash, nil
-			}
-		}
-	}
-	// WriteFile is atomic (temp + rename), which the existence fast-path
-	// above depends on: an interrupted Put must never leave a truncated
-	// object that later calls would treat as already stored.
-	if err := p.WriteFile(path); err != nil {
+	if err != nil {
 		return "", fmt.Errorf("regress: store object: %w", err)
 	}
 	// Keep the similarity index (when the store has one) covering every
@@ -232,21 +193,14 @@ func (s *Store) Put(p *profile.Profile) (string, error) {
 	return hash, nil
 }
 
-// Get loads the object with the given content hash, falling back to the
-// flat legacy layout for stores written before sharding.
+// Get loads the object with the given content hash.
 func (s *Store) Get(hash string) (*profile.Profile, error) {
-	if !ValidHash(hash) {
-		return nil, fmt.Errorf("regress: object %q: not a content hash: %w", shortHash(hash), fs.ErrNotExist)
+	f, err := s.ObjectReader(hash)
+	if err != nil {
+		return nil, err
 	}
-	path := s.objectPath(hash)
-	p, err := profile.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		if legacy := s.legacyObjectPath(hash); legacy != path {
-			if lp, lerr := profile.ReadFile(legacy); lerr == nil {
-				return lp, nil
-			}
-		}
-	}
+	defer f.Close()
+	p, err := profile.Decode(f)
 	if err != nil {
 		return nil, fmt.Errorf("regress: object %s: %w", shortHash(hash), err)
 	}
@@ -255,18 +209,9 @@ func (s *Store) Get(hash string) (*profile.Profile, error) {
 
 // ObjectReader opens the raw canonical encoding of an object for
 // streaming (the server's GET /v1/store/{hash} path), without decoding.
+// A hash that is not a content hash reads as fs.ErrNotExist.
 func (s *Store) ObjectReader(hash string) (*os.File, error) {
-	if !ValidHash(hash) {
-		return nil, fmt.Errorf("regress: object %q: not a content hash: %w", shortHash(hash), fs.ErrNotExist)
-	}
-	f, err := os.Open(s.objectPath(hash))
-	if errors.Is(err, fs.ErrNotExist) {
-		if legacy := s.legacyObjectPath(hash); legacy != s.objectPath(hash) {
-			if lf, lerr := os.Open(legacy); lerr == nil {
-				return lf, nil
-			}
-		}
-	}
+	f, err := s.objects.Open(hash)
 	if err != nil {
 		return nil, fmt.Errorf("regress: object %s: %w", shortHash(hash), err)
 	}

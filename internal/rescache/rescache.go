@@ -9,10 +9,9 @@
 // skips run+trace+analyze entirely while remaining byte-identical to a
 // cold one (the cached value IS the cold value, replayed).
 //
-// Layout follows the regress.Store conventions: immutable JSON entries
-// sharded git-style under objects/<first-two-hex>/<key>.json, written
-// atomically (temp + rename), with keys validated by regress.ValidHash
-// before ever touching a path.  Every entry additionally records the
+// Entries are immutable JSON objects in the content-addressed layout of
+// package cas (objects/<first-two-hex>/<key>.json, written atomically,
+// keys validated before ever touching a path).  Every entry records the
 // environment it was computed under (engine versions, profile schema);
 // Get refuses to serve an entry whose recorded environment no longer
 // matches the running binary, and GC deletes such stale entries.
@@ -35,13 +34,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 
+	"repro/internal/cas"
 	"repro/internal/mpi"
 	"repro/internal/profile"
-	"repro/internal/regress"
 )
 
 // DefaultDir is the conventional cache location inside a repository,
@@ -96,6 +93,7 @@ type Stats struct {
 // Store is an on-disk result cache.  It implements campaign.Cache.
 type Store struct {
 	dir                string
+	objects            cas.Dir
 	hits, misses, puts atomic.Int64
 }
 
@@ -105,10 +103,11 @@ func Open(dir string) (*Store, error) {
 	if dir == "" {
 		dir = DefaultDir
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	objects, err := cas.Open(dir)
+	if err != nil {
 		return nil, fmt.Errorf("rescache: open: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, objects: objects}, nil
 }
 
 // Dir returns the cache root.
@@ -117,13 +116,6 @@ func (s *Store) Dir() string { return s.dir }
 // Stats returns the hit/miss/put counters accumulated on this handle.
 func (s *Store) Stats() Stats {
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
-}
-
-// entryPath shards entries exactly like regress objects: two hex
-// characters of fan-out so million-entry caches never concentrate one
-// directory.
-func (s *Store) entryPath(key string) string {
-	return filepath.Join(s.dir, "objects", key[:2], key+".json")
 }
 
 // Get returns the cached value for key, or ok=false on a miss.  Absent
@@ -144,10 +136,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // load reads and structurally validates one entry, without the
 // environment check (GC needs to see stale entries).
 func (s *Store) load(key string) (*Entry, bool) {
-	if !regress.ValidHash(key) {
-		return nil, false
-	}
-	blob, err := os.ReadFile(s.entryPath(key))
+	blob, err := s.objects.Read(key)
 	if err != nil {
 		return nil, false
 	}
@@ -159,38 +148,20 @@ func (s *Store) load(key string) (*Entry, bool) {
 }
 
 // Put stores value under key, stamped with the current environment.  The
-// write is atomic (temp + rename), so a crashed writer never leaves a
-// truncated entry, and concurrent writers of the same key — equal by
-// content addressing — race benignly.
+// write is atomic, so a crashed writer never leaves a truncated entry, and
+// concurrent writers of the same key — equal by content addressing — race
+// benignly.
 func (s *Store) Put(key string, value []byte) error {
-	if !regress.ValidHash(key) {
+	if !cas.ValidKey(key) {
 		return fmt.Errorf("rescache: put %q: not a content key", key)
 	}
 	e := Entry{Schema: EntrySchema, Key: key, Env: CurrentEnv(), Value: value}
 	blob, err := json.Marshal(&e)
+	if err == nil {
+		err = s.objects.Write(key, blob)
+	}
 	if err != nil {
 		return fmt.Errorf("rescache: put %s: %w", key[:12], err)
-	}
-	path := s.entryPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("rescache: put: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key[:12]+"-*")
-	if err != nil {
-		return fmt.Errorf("rescache: put: %w", err)
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rescache: put: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rescache: put: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rescache: put: %w", err)
 	}
 	s.puts.Add(1)
 	return nil
@@ -213,74 +184,16 @@ type GCResult struct {
 // mis-keyed) files.  Orphaned temp files from crashed writers are
 // removed too.
 func (s *Store) GC() (GCResult, error) {
-	var res GCResult
 	env := CurrentEnv()
-	shards, err := os.ReadDir(filepath.Join(s.dir, "objects"))
+	scanned, removed, err := s.objects.Sweep(func(key string) bool {
+		e, ok := s.load(key)
+		return ok && e.Env.equal(env)
+	})
+	res := GCResult{Scanned: scanned, Removed: removed, Kept: scanned - removed}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return res, nil
-		}
 		return res, fmt.Errorf("rescache: gc: %w", err)
 	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		dir := filepath.Join(s.dir, "objects", shard.Name())
-		files, err := os.ReadDir(dir)
-		if err != nil {
-			return res, fmt.Errorf("rescache: gc: %w", err)
-		}
-		for _, f := range files {
-			if f.IsDir() {
-				continue
-			}
-			path := filepath.Join(dir, f.Name())
-			name := f.Name()
-			if len(name) > 0 && name[0] == '.' {
-				// Orphaned temp file from a crashed writer.
-				os.Remove(path)
-				continue
-			}
-			res.Scanned++
-			key := trimJSON(name)
-			e, ok := s.loadFile(path, key)
-			if ok && e.Env.equal(env) {
-				res.Kept++
-				continue
-			}
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				return res, fmt.Errorf("rescache: gc: %w", err)
-			}
-			res.Removed++
-		}
-	}
 	return res, nil
-}
-
-// loadFile decodes one entry file for GC, validating the key echo.
-func (s *Store) loadFile(path, key string) (*Entry, bool) {
-	if !regress.ValidHash(key) {
-		return nil, false
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	var e Entry
-	if json.Unmarshal(blob, &e) != nil || e.Schema != EntrySchema || e.Key != key {
-		return nil, false
-	}
-	return &e, true
-}
-
-// trimJSON strips the ".json" suffix of an entry file name.
-func trimJSON(name string) string {
-	const ext = ".json"
-	if len(name) > len(ext) && name[len(name)-len(ext):] == ext {
-		return name[:len(name)-len(ext)]
-	}
-	return name
 }
 
 // Len counts the valid, currently servable entries in the store (a full
@@ -288,31 +201,13 @@ func trimJSON(name string) string {
 func (s *Store) Len() (int, error) {
 	n := 0
 	env := CurrentEnv()
-	shards, err := os.ReadDir(filepath.Join(s.dir, "objects"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
+	err := s.objects.Walk(func(key string) error {
+		if e, ok := s.load(key); ok && e.Env.equal(env) {
+			n++
 		}
-		return 0, err
-	}
-	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(s.dir, "objects", shard.Name()))
-		if err != nil {
-			return 0, err
-		}
-		for _, f := range files {
-			if f.IsDir() || f.Name()[0] == '.' {
-				continue
-			}
-			if e, ok := s.loadFile(filepath.Join(s.dir, "objects", shard.Name(), f.Name()), trimJSON(f.Name())); ok && e.Env.equal(env) {
-				n++
-			}
-		}
-	}
-	return n, nil
+		return nil
+	})
+	return n, err
 }
 
 // Key derives the content-addressed cache key for any JSON-marshalable

@@ -92,7 +92,7 @@ func TestInvalidKeysRejected(t *testing.T) {
 // binary reads it).
 func rewriteEnv(t *testing.T, s *Store, key string, mutate func(Env)) {
 	t.Helper()
-	path := s.entryPath(key)
+	path := s.objects.Path(key)
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestStaleEnvironmentNeverServed(t *testing.T) {
 			if res.Scanned != 1 || res.Removed != 1 || res.Kept != 0 {
 				t.Fatalf("GC = %+v; want 1 scanned, 1 removed", res)
 			}
-			if _, err := os.Stat(s.entryPath(key)); !os.IsNotExist(err) {
+			if _, err := os.Stat(s.objects.Path(key)); !os.IsNotExist(err) {
 				t.Fatal("GC left the stale entry file behind")
 			}
 		})
@@ -160,7 +160,7 @@ func TestCorruptEntriesAreMissesAndGCd(t *testing.T) {
 	if err := s.Put(trunc, []byte(`2`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.entryPath(trunc), []byte(`{"schema":1,`), 0o644); err != nil {
+	if err := os.WriteFile(s.objects.Path(trunc), []byte(`{"schema":1,`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,14 +170,20 @@ func TestCorruptEntriesAreMissesAndGCd(t *testing.T) {
 	if err := s.Put(miskeyed, []byte(`3`)); err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := os.ReadFile(s.entryPath(good))
-	if err := os.WriteFile(s.entryPath(miskeyed), blob, 0o644); err != nil {
+	blob, _ := os.ReadFile(s.objects.Path(good))
+	if err := os.WriteFile(s.objects.Path(miskeyed), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	// Orphaned temp file from a crashed writer.
-	tempOrphan := filepath.Join(filepath.Dir(s.entryPath(good)), "."+good[:12]+"-orphan")
+	tempOrphan := filepath.Join(filepath.Dir(s.objects.Path(good)), "."+good[:12]+"-orphan")
 	if err := os.WriteFile(tempOrphan, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A foreign file that names no entry.
+	junk := filepath.Join(filepath.Dir(s.objects.Path(good)), "junk.json")
+	if err := os.WriteFile(junk, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -195,11 +201,13 @@ func TestCorruptEntriesAreMissesAndGCd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Removed != 2 || res.Kept != 1 {
-		t.Fatalf("GC = %+v; want 2 removed, 1 kept", res)
+	if res.Scanned != 4 || res.Removed != 3 || res.Kept != 1 {
+		t.Fatalf("GC = %+v; want 4 scanned, 3 removed, 1 kept", res)
 	}
-	if _, err := os.Stat(tempOrphan); !os.IsNotExist(err) {
-		t.Fatal("GC left the orphaned temp file")
+	for _, left := range []string{tempOrphan, junk} {
+		if _, err := os.Stat(left); !os.IsNotExist(err) {
+			t.Fatalf("GC left %s", filepath.Base(left))
+		}
 	}
 	if n, err := s.Len(); err != nil || n != 1 {
 		t.Fatalf("Len = %d, %v; want 1", n, err)
@@ -212,7 +220,7 @@ func TestPutOverwritesCorruptEntry(t *testing.T) {
 	if err := s.Put(key, []byte(`"first"`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.entryPath(key), []byte("garbage"), 0o644); err != nil {
+	if err := os.WriteFile(s.objects.Path(key), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(key); ok {

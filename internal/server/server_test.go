@@ -435,8 +435,8 @@ func TestPathTraversalRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The legacy flat layout resolves hash "../../secret" to
-	// root/secret.json; a vulnerable server would serve this file.
+	// A lookup that joined hash "../../secret" into a path unchecked would
+	// resolve it to root/secret.json; a vulnerable server would serve it.
 	const marker = `{"planted":"secret"}`
 	if err := os.WriteFile(filepath.Join(root, "secret.json"), []byte(marker), 0o644); err != nil {
 		t.Fatal(err)

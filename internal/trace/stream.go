@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -68,9 +69,9 @@ type sourceState struct {
 	pathMap   []PathID
 }
 
-// Stream is a k-way merge over per-location event streams, delivering
-// events in exactly the order trace.Merge would: (Time, Location), with
-// within-location order preserved.  Region names and call paths are
+// Stream is the k-way merge over per-location event streams, delivering
+// events in (Time, Location) order with within-location order preserved;
+// Merge drains one into a Trace.  Region names and call paths are
 // interned globally and incrementally, so a Stream implements View and the
 // analyzer can consume it in place of a Trace while holding only
 // O(locations + intern tables + one frame per location) memory.
@@ -110,16 +111,18 @@ func NewStream(readers ...*ChunkReader) (*Stream, error) {
 	return newStream(srcs, closers)
 }
 
-// NewBufferStream merges in-memory buffers, mirroring Merge's input shape.
-// It exists for tests and for analyzing without a spool file; the buffers
-// must not be recorded into or released while the stream is live.
+// NewBufferStream merges in-memory buffers (Merge drains one).  Their
+// event slabs are remapped to global ids in place; the buffers must not be
+// recorded into or released while the stream is live.
 func NewBufferStream(buffers ...*Buffer) (*Stream, error) {
-	var srcs []streamSource
+	adapters := make([]bufferSource, 0, len(buffers))
+	srcs := make([]streamSource, 0, len(buffers))
 	for _, b := range buffers {
 		if b == nil {
 			continue
 		}
-		srcs = append(srcs, &bufferSource{b: b})
+		adapters = append(adapters, bufferSource{b: b})
+		srcs = append(srcs, &adapters[len(adapters)-1])
 	}
 	return newStream(srcs, nil)
 }
@@ -135,6 +138,9 @@ func newStream(sources []streamSource, closers []io.Closer) (*Stream, error) {
 		pathRegion: []RegionID{-1},
 		pathStrs:   []string{""},
 		pathChild:  make(map[pathKey]PathID),
+		locs:       make([]Location, 0, len(sources)),
+		srcs:       make([]sourceState, 0, len(sources)),
+		heap:       make([]int, 0, len(sources)),
 		closers:    closers,
 	}
 	for i, src := range sources {
@@ -207,6 +213,8 @@ func (st *Stream) refill(i int) error {
 			return nil
 		}
 		regions, pathParent, pathRegion := s.src.tables()
+		s.regionMap = slices.Grow(s.regionMap, len(regions)-len(s.regionMap))
+		s.pathMap = slices.Grow(s.pathMap, len(pathParent)-len(s.pathMap))
 		for j := len(s.regionMap); j < len(regions); j++ {
 			s.regionMap = append(s.regionMap, st.intern(regions[j]))
 		}
@@ -234,8 +242,7 @@ func (st *Stream) refill(i int) error {
 	}
 }
 
-// less orders heap candidates exactly like Merge: (Time, Location, source
-// index).
+// less orders heap candidates by (Time, Location, source index).
 func (st *Stream) less(a, b int) bool {
 	ea := &st.srcs[a].cur[st.srcs[a].pos]
 	eb := &st.srcs[b].cur[st.srcs[b].pos]

@@ -22,7 +22,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -430,164 +429,44 @@ type Trace struct {
 }
 
 // Merge combines per-location buffers into a single Trace.  Buffers may be
-// nil (ignored).  Events are ordered by (Time, Location); ties at equal
-// time are resolved by location for determinism.
+// nil (ignored).  Events are ordered by (Time, Location), with
+// within-location order preserved.
 //
-// Each buffer belongs to a single executor whose clock never runs
-// backwards, so buffers arrive time-sorted and the merge is a k-way heap
-// merge instead of a global sort — the sort was the dominant cost of the
-// run→trace hot path because the standard library swaps the large Event
-// structs through reflection.  A buffer that is *not* internally sorted
-// (only possible for hand-built inputs) falls back to the original stable
-// sort, so the output ordering contract is identical either way.
+// Merge is a drain of NewBufferStream into one slab, so the materialized
+// and streamed paths share a single k-way merge and intern tables: region
+// and path ids are interned in location order.  Each buffer must be in
+// time order, as every executor's clock never runs backwards; that is
+// the precondition of Stream and ChunkWriter too.  The buffers' event
+// slabs are remapped to global ids in place, so callers Release them
+// afterwards.  Two buffers sharing a location are a caller bug and panic.
 func Merge(buffers ...*Buffer) *Trace {
-	t := &Trace{
-		PathParent: []PathID{-1},
-		PathRegion: []RegionID{-1},
+	st, err := NewBufferStream(buffers...)
+	if err != nil {
+		panic(err)
 	}
-	regionIDs := make(map[string]RegionID)
-	pathChild := make(map[pathKey]PathID)
-	intern := func(name string) RegionID {
-		if id, ok := regionIDs[name]; ok {
-			return id
-		}
-		id := RegionID(len(t.Regions))
-		t.Regions = append(t.Regions, name)
-		regionIDs[name] = id
-		return id
-	}
-	child := func(parent PathID, region RegionID) PathID {
-		k := pathKey{parent, region}
-		if id, ok := pathChild[k]; ok {
-			return id
-		}
-		id := PathID(len(t.PathParent))
-		t.PathParent = append(t.PathParent, parent)
-		t.PathRegion = append(t.PathRegion, region)
-		pathChild[k] = id
-		return id
-	}
-
-	// Remap every buffer's region and path ids to global ids, check
-	// per-buffer time-sortedness, and pre-size the output from the summed
-	// buffer lengths.
-	var total int
-	sorted := true
-	type source struct {
-		b         *Buffer
-		regionMap []RegionID
-		pathMap   []PathID
-		pos       int
-	}
-	srcs := make([]source, 0, len(buffers))
+	total := 0
 	for _, b := range buffers {
-		if b == nil {
-			continue
-		}
-		s := source{b: b}
-		s.regionMap = make([]RegionID, len(b.regions))
-		for i, name := range b.regions {
-			s.regionMap[i] = intern(name)
-		}
-		s.pathMap = make([]PathID, len(b.pathParent))
-		if len(s.pathMap) > 0 {
-			s.pathMap[0] = PathRoot
-		}
-		for i := 1; i < len(b.pathParent); i++ {
-			// Parents always precede children in the local table.
-			s.pathMap[i] = child(s.pathMap[b.pathParent[i]], s.regionMap[b.pathRegion[i]])
-		}
-		for i := 1; i < len(b.events); i++ {
-			if b.events[i].Time < b.events[i-1].Time {
-				sorted = false
-				break
-			}
-		}
-		total += len(b.events)
-		srcs = append(srcs, s)
-		t.Locations = append(t.Locations, b.Loc)
+		total += b.Len()
 	}
-	t.Events = make([]Event, 0, total)
-
-	remap := func(s *source, ev Event) Event {
-		if ev.Kind == KindEnter || ev.Kind == KindExit {
-			ev.Region = s.regionMap[ev.Region]
+	events := make([]Event, 0, total)
+	for {
+		ev, err := st.Next()
+		if err != nil {
+			panic(err)
 		}
-		ev.Path = s.pathMap[ev.Path]
-		return ev
+		if ev == nil {
+			break
+		}
+		events = append(events, *ev)
 	}
-
-	if !sorted {
-		// Fallback: flatten and stable-sort, exactly as the pre-merge
-		// implementation did.
-		for i := range srcs {
-			for _, ev := range srcs[i].b.events {
-				t.Events = append(t.Events, remap(&srcs[i], ev))
-			}
-		}
-		sort.SliceStable(t.Events, func(i, j int) bool {
-			if t.Events[i].Time != t.Events[j].Time {
-				return t.Events[i].Time < t.Events[j].Time
-			}
-			return t.Events[i].Loc.less(t.Events[j].Loc)
-		})
-	} else {
-		// K-way merge.  Heap order is (Time, Location, source index),
-		// which reproduces the stable sort's output exactly: each source
-		// contributes at most one candidate at a time, so within-buffer
-		// insertion order is preserved, and the source index resolves the
-		// (never observed in practice) case of two buffers sharing a
-		// location at the same timestamp the same way stability did.
-		less := func(a, b int) bool {
-			ea := &srcs[a].b.events[srcs[a].pos]
-			eb := &srcs[b].b.events[srcs[b].pos]
-			if ea.Time != eb.Time {
-				return ea.Time < eb.Time
-			}
-			if ea.Loc != eb.Loc {
-				return ea.Loc.less(eb.Loc)
-			}
-			return a < b
-		}
-		// heap holds indices into srcs for sources with events remaining.
-		heap := make([]int, 0, len(srcs))
-		for i := range srcs {
-			if len(srcs[i].b.events) > 0 {
-				heap = append(heap, i)
-			}
-		}
-		siftDown := func(i int) {
-			for {
-				l, r := 2*i+1, 2*i+2
-				small := i
-				if l < len(heap) && less(heap[l], heap[small]) {
-					small = l
-				}
-				if r < len(heap) && less(heap[r], heap[small]) {
-					small = r
-				}
-				if small == i {
-					return
-				}
-				heap[i], heap[small] = heap[small], heap[i]
-				i = small
-			}
-		}
-		for i := len(heap)/2 - 1; i >= 0; i-- {
-			siftDown(i)
-		}
-		for len(heap) > 0 {
-			s := &srcs[heap[0]]
-			t.Events = append(t.Events, remap(s, s.b.events[s.pos]))
-			s.pos++
-			if s.pos == len(s.b.events) {
-				heap[0] = heap[len(heap)-1]
-				heap = heap[:len(heap)-1]
-			}
-			siftDown(0)
-		}
+	t := &Trace{
+		Events:     events,
+		Regions:    st.regions,
+		PathParent: st.pathParent,
+		PathRegion: st.pathRegion,
+		Locations:  st.locs,
 	}
-	sort.Slice(t.Locations, func(i, j int) bool { return t.Locations[i].less(t.Locations[j]) })
+	t.pathStrOnce.Do(func() { t.pathStrs = st.pathStrs })
 	return t
 }
 
