@@ -8,8 +8,9 @@
 #                  profile and diff it against the committed baseline
 #                  (non-zero exit on drift).
 #   make fuzz    — conformance-fuzzer smoke: a fixed-seed atsfuzz run, a
-#                  perturbed (robustness-axis) run, plus a replay of the
-#                  committed corpus (CI's second job).
+#                  perturbed (robustness-axis) run, a replay of the
+#                  committed corpus, and 10 s of native fuzzing of the
+#                  trace event codec (CI's second job).
 #   make baseline— re-seed testdata/regress-store from a fresh run (only
 #                  after an intentional severity change; commit the result).
 #   make bench-json — run the Runtime/Scale/StreamAnalyze benchmark suite
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) run ./cmd/atsfuzz run -seeds $(FUZZ_SEEDS) -start 1
 	$(GO) run ./cmd/atsfuzz run -seeds 20 -start 1 -perturb
 	$(GO) run ./cmd/atsfuzz replay $(CORPUS)/*.json
+	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s ./internal/trace
 
 baseline:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

@@ -454,8 +454,9 @@ func Run(opt Options, body func(c *Comm)) (*trace.Trace, error) {
 	buffers = append(buffers, extra...)
 	tr := trace.Merge(buffers...)
 	// Merge consumes the buffers (it remaps their event ids in place), so
-	// they must be released now, to be recycled for the next world.  Ranks have all exited (wg.Wait above), so no
-	// goroutine can still be recording into them.
+	// they must be released now, to be recycled for the next world.
+	// Ranks have all exited (wg.Wait above), so no goroutine can still
+	// be recording into them.
 	for _, b := range buffers {
 		b.Release()
 	}

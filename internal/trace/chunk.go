@@ -29,7 +29,7 @@ import (
 //	body     varint rank, varint thread            (owning location)
 //	         uvarint nNewRegions, nNewRegions × (uvarint len, bytes)
 //	         uvarint nNewPaths,  nNewPaths × (uvarint parent, uvarint region)
-//	         uvarint nEvents,    nEvents × event   (writeEvent encoding)
+//	         uvarint nEvents,    nEvents × event   (appendEvent encoding)
 //	index    uvarint nStreams, nStreams × stream   (sorted rank-major)
 //	stream   varint rank, varint thread, uvarint totalEvents,
 //	         uvarint nFrames, nFrames × (uvarint bodyOff, uvarint bodyLen)
@@ -113,7 +113,7 @@ type ChunkWriter struct {
 	off       int64
 	threshold int
 	streams   map[Location]*chunkStream
-	scratch   bytes.Buffer
+	scratch   []byte // frame body and index encoding, reused
 	err       error
 	closed    bool
 }
@@ -176,6 +176,12 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	w.streams[b.Loc] = &chunkStream{paths: 1} // the path root is implicit
 	b.sink = w
 	b.spillAt = w.threshold
+	// The slab never holds more than one frame's events.  A pooled buffer
+	// may bring a slab grown by a materialized run; replace it rather
+	// than keep it alive for the whole stream.
+	if cap(b.events) != w.threshold {
+		b.events = append(make([]Event, 0, max(w.threshold, len(b.events))), b.events...)
+	}
 }
 
 // spill flushes b's pending events as one frame.  Called by the buffer's
@@ -205,37 +211,36 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 	if nr == 0 && np == 0 && ne == 0 {
 		return
 	}
-	sc := &w.scratch
-	sc.Reset()
-	// Writes into a bytes.Buffer cannot fail.
-	writeVarint(sc, int64(b.Loc.Rank))
-	writeVarint(sc, int64(b.Loc.Thread))
-	writeUvarint(sc, uint64(nr))
+	sc := w.scratch[:0]
+	sc = binary.AppendVarint(sc, int64(b.Loc.Rank))
+	sc = binary.AppendVarint(sc, int64(b.Loc.Thread))
+	sc = binary.AppendUvarint(sc, uint64(nr))
 	for _, name := range b.regions[s.regions:] {
-		writeString(sc, name)
+		sc = appendString(sc, name)
 	}
-	writeUvarint(sc, uint64(np))
+	sc = binary.AppendUvarint(sc, uint64(np))
 	for i := s.paths; i < len(b.pathParent); i++ {
-		writeUvarint(sc, uint64(b.pathParent[i]))
-		writeUvarint(sc, uint64(b.pathRegion[i]))
+		sc = binary.AppendUvarint(sc, uint64(b.pathParent[i]))
+		sc = binary.AppendUvarint(sc, uint64(b.pathRegion[i]))
 	}
-	writeUvarint(sc, uint64(ne))
+	sc = binary.AppendUvarint(sc, uint64(ne))
 	for i := range b.events {
-		writeEvent(sc, &b.events[i])
+		sc = appendEvent(sc, &b.events[i])
 	}
+	w.scratch = sc
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = chunkTagFrame
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(sc.Len()))
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(sc)))
 	if _, err := w.bw.Write(hdr[:n]); err != nil {
 		w.fail(err)
 		return
 	}
-	if _, err := w.bw.Write(sc.Bytes()); err != nil {
+	if _, err := w.bw.Write(sc); err != nil {
 		w.fail(err)
 		return
 	}
-	s.frames = append(s.frames, frameRef{off: w.off + int64(n), len: int64(sc.Len())})
-	w.off += int64(n) + int64(sc.Len())
+	s.frames = append(s.frames, frameRef{off: w.off + int64(n), len: int64(len(sc))})
+	w.off += int64(n) + int64(len(sc))
 	s.regions += nr
 	s.paths += np
 	s.events += uint64(ne)
@@ -259,7 +264,9 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 		w.spillLocked(b)
 		s.finished = true
 	}
-	b.events = b.events[:0]
+	// Drop the slab instead of parking it in bufferPool with the buffer:
+	// a streamed run's slabs would otherwise outlive it into the merge.
+	b.events = nil
 	b.sink = nil
 	b.spillAt = 0
 	return w.err
@@ -295,22 +302,22 @@ func (w *ChunkWriter) Close() error {
 		locs = append(locs, loc)
 	}
 	sort.Slice(locs, func(i, j int) bool { return locs[i].less(locs[j]) })
-	writeUvarint(w.bw, uint64(len(locs)))
+	idx := binary.AppendUvarint(w.scratch[:0], uint64(len(locs)))
 	for _, loc := range locs {
 		s := w.streams[loc]
-		writeVarint(w.bw, int64(loc.Rank))
-		writeVarint(w.bw, int64(loc.Thread))
-		writeUvarint(w.bw, s.events)
-		writeUvarint(w.bw, uint64(len(s.frames)))
+		idx = binary.AppendVarint(idx, int64(loc.Rank))
+		idx = binary.AppendVarint(idx, int64(loc.Thread))
+		idx = binary.AppendUvarint(idx, s.events)
+		idx = binary.AppendUvarint(idx, uint64(len(s.frames)))
 		for _, fr := range s.frames {
-			writeUvarint(w.bw, uint64(fr.off))
-			writeUvarint(w.bw, uint64(fr.len))
+			idx = binary.AppendUvarint(idx, uint64(fr.off))
+			idx = binary.AppendUvarint(idx, uint64(fr.len))
 		}
 	}
-	var tail [chunkTrailerLen]byte
-	binary.LittleEndian.PutUint64(tail[:8], uint64(indexOff))
-	copy(tail[8:], chunkTrailerMagic[:])
-	w.bw.Write(tail[:])
+	idx = binary.LittleEndian.AppendUint64(idx, uint64(indexOff))
+	idx = append(idx, chunkTrailerMagic[:]...)
+	w.bw.Write(idx)
+	w.scratch = nil
 	if err := w.bw.Flush(); err != nil {
 		w.fail(err)
 		w.f.Close()
@@ -354,8 +361,8 @@ type chunkIndexEntry struct {
 
 // ChunkReader opens an ATSC spool for streaming.  Per-location cursors
 // read frames via ReadAt on the shared file handle, so a k-way merge over
-// all locations holds at most one decoded frame per location.  Obtain a
-// merged event stream with NewStream.
+// all locations holds one raw frame and at most cursorBatch decoded
+// events per location.  Obtain a merged event stream with NewStream.
 type ChunkReader struct {
 	f        *os.File
 	size     int64
@@ -525,10 +532,15 @@ func (r *ChunkReader) Events() int {
 // Close releases the underlying file.
 func (r *ChunkReader) Close() error { return r.f.Close() }
 
+// cursorBatch is the most events a chunk cursor decodes per next call.
+// It bounds the decoded events a merge over every location holds per
+// cursor, beside the cursor's raw frame, whatever the spill threshold.
+const cursorBatch = 8
+
 // chunkCursor iterates one location's frames, maintaining the location's
-// locally-interned region and path tables across frames.  The decoded
-// event slice and read buffer are reused from frame to frame, so a merge
-// over many cursors holds one frame per location at a time.
+// locally-interned region and path tables across frames.  It keeps the
+// current frame's raw bytes and decodes them a batch at a time into a
+// fixed cursorBatch-event slice; both are reused from frame to frame.
 type chunkCursor struct {
 	r          *ChunkReader
 	ent        *chunkIndexEntry
@@ -539,17 +551,24 @@ type chunkCursor struct {
 	pathRegion []RegionID
 	events     []Event
 	buf        []byte
+	rd         bytes.Reader // frame header parse
+	off        int          // next event's offset in buf
+	left       uint64       // events of the current frame not yet decoded
+	evIdx      uint64       // index in the current frame of the next event
 }
 
 func (r *ChunkReader) cursors() []*chunkCursor {
+	slab := make([]chunkCursor, len(r.streams))
+	events := make([]Event, len(r.streams)*cursorBatch)
 	cs := make([]*chunkCursor, len(r.streams))
 	for i := range r.streams {
-		cs[i] = &chunkCursor{
-			r:          r,
-			ent:        &r.streams[i],
-			pathParent: []PathID{-1},
-			pathRegion: []RegionID{-1},
-		}
+		c := &slab[i]
+		c.r = r
+		c.ent = &r.streams[i]
+		c.pathParent = []PathID{-1}
+		c.pathRegion = []RegionID{-1}
+		c.events = events[i*cursorBatch : i*cursorBatch : (i+1)*cursorBatch]
+		cs[i] = c
 	}
 	return cs
 }
@@ -560,10 +579,20 @@ func (c *chunkCursor) tables() (regions []string, pathParent []PathID, pathRegio
 	return c.regions, c.pathParent, c.pathRegion
 }
 
-// next returns the next frame's events (locally interned; valid until the
-// following call), or (nil, nil) once the stream is exhausted.
+func (c *chunkCursor) corrupt(format string, args ...any) error {
+	return fmt.Errorf("trace: chunk stream %v: corrupt frame: %s", c.ent.loc, fmt.Sprintf(format, args...))
+}
+
+// next returns the next batch of at most cursorBatch events (locally
+// interned; valid until the following call), or (nil, nil) once the
+// stream is exhausted.
 func (c *chunkCursor) next() ([]Event, error) {
-	for {
+	for c.left == 0 {
+		// The current frame is fully decoded: nothing may follow its
+		// last event.
+		if rest := len(c.buf) - c.off; rest != 0 {
+			return nil, c.corrupt("%d trailing bytes", rest)
+		}
 		if c.fi == len(c.ent.frames) {
 			if c.delivered != c.ent.events {
 				return nil, fmt.Errorf("trace: chunk stream %v: index records %d events, frames hold %d",
@@ -576,103 +605,103 @@ func (c *chunkCursor) next() ([]Event, error) {
 		if int64(cap(c.buf)) < fr.len {
 			c.buf = make([]byte, fr.len)
 		}
-		buf := c.buf[:fr.len]
-		if _, err := c.r.f.ReadAt(buf, fr.off); err != nil {
+		c.buf = c.buf[:fr.len]
+		if _, err := c.r.f.ReadAt(c.buf, fr.off); err != nil {
 			return nil, fmt.Errorf("trace: chunk stream %v: reading frame at %d: %w", c.ent.loc, fr.off, err)
 		}
-		evs, err := c.parseFrame(buf)
-		if err != nil {
+		if err := c.parseFrameHeader(); err != nil {
 			return nil, err
 		}
-		c.delivered += uint64(len(evs))
-		if len(evs) > 0 {
-			return evs, nil
-		}
 	}
+	evs := c.events[:min(c.left, cursorBatch)]
+	for i := range evs {
+		ev := &evs[i]
+		n, err := decodeEvent(c.buf[c.off:], ev)
+		if err != nil {
+			return nil, c.corrupt("event %d: %v", c.evIdx, err)
+		}
+		c.off += n
+		if ev.Loc != c.ent.loc {
+			return nil, c.corrupt("event %d belongs to %v", c.evIdx, ev.Loc)
+		}
+		if ev.Path < 0 || int(ev.Path) >= len(c.pathParent) {
+			return nil, c.corrupt("event %d references unknown path %d", c.evIdx, ev.Path)
+		}
+		if (ev.Kind == KindEnter || ev.Kind == KindExit) &&
+			(ev.Region < 0 || int(ev.Region) >= len(c.regions)) {
+			return nil, c.corrupt("event %d references unknown region %d", c.evIdx, ev.Region)
+		}
+		c.evIdx++
+	}
+	c.left -= uint64(len(evs))
+	c.delivered += uint64(len(evs))
+	return evs, nil
 }
 
-func (c *chunkCursor) parseFrame(buf []byte) ([]Event, error) {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("trace: chunk stream %v: corrupt frame: %s", c.ent.loc, fmt.Sprintf(format, args...))
-	}
-	br := bytes.NewReader(buf)
+// parseFrameHeader decodes the frame in buf up to its events: it checks
+// the owning location, appends the intern-table deltas, and leaves off
+// and left at the first event and the event count.
+func (c *chunkCursor) parseFrameHeader() error {
+	br := &c.rd
+	br.Reset(c.buf)
 	rank, err := binary.ReadVarint(br)
 	if err != nil {
-		return nil, corrupt("location: %v", err)
+		return c.corrupt("location: %v", err)
 	}
 	thread, err := binary.ReadVarint(br)
 	if err != nil {
-		return nil, corrupt("location: %v", err)
+		return c.corrupt("location: %v", err)
 	}
 	if rank != int64(c.ent.loc.Rank) || thread != int64(c.ent.loc.Thread) {
-		return nil, corrupt("frame belongs to %d.%d", rank, thread)
+		return c.corrupt("frame belongs to %d.%d", rank, thread)
 	}
 	nr, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, corrupt("region count: %v", err)
+		return c.corrupt("region count: %v", err)
 	}
 	if err := checkCount(nr, minRegionBytes, int64(br.Len()), "chunk-frame region"); err != nil {
-		return nil, err
+		return err
 	}
 	for i := uint64(0); i < nr; i++ {
 		s, err := readString(br)
 		if err != nil {
-			return nil, corrupt("region %d: %v", i, err)
+			return c.corrupt("region %d: %v", i, err)
 		}
 		c.regions = append(c.regions, s)
 	}
 	np, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, corrupt("path count: %v", err)
+		return c.corrupt("path count: %v", err)
 	}
 	if err := checkCount(np, minPathBytes, int64(br.Len()), "chunk-frame path"); err != nil {
-		return nil, err
+		return err
 	}
 	for i := uint64(0); i < np; i++ {
 		parent, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, corrupt("path %d: %v", i, err)
+			return c.corrupt("path %d: %v", i, err)
 		}
 		region, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, corrupt("path %d: %v", i, err)
+			return c.corrupt("path %d: %v", i, err)
 		}
 		if parent >= uint64(len(c.pathParent)) || region >= uint64(len(c.regions)) {
-			return nil, corrupt("path table entry %d references parent %d / region %d", i, parent, region)
+			return c.corrupt("path table entry %d references parent %d / region %d", i, parent, region)
 		}
 		c.pathParent = append(c.pathParent, PathID(parent))
 		c.pathRegion = append(c.pathRegion, RegionID(region))
 	}
 	ne, err := binary.ReadUvarint(br)
 	if err != nil {
-		return nil, corrupt("event count: %v", err)
+		return c.corrupt("event count: %v", err)
 	}
 	if err := checkCount(ne, minEventBytes, int64(br.Len()), "chunk-frame event"); err != nil {
-		return nil, err
+		return err
 	}
-	evs := c.events[:0]
-	for i := uint64(0); i < ne; i++ {
-		evs = append(evs, Event{})
-		ev := &evs[len(evs)-1]
-		if err := readEventBody(br, ev); err != nil {
-			return nil, corrupt("event %d: %v", i, err)
-		}
-		if ev.Loc != c.ent.loc {
-			return nil, corrupt("event %d belongs to %v", i, ev.Loc)
-		}
-		if ev.Path < 0 || int(ev.Path) >= len(c.pathParent) {
-			return nil, corrupt("event %d references unknown path %d", i, ev.Path)
-		}
-		if (ev.Kind == KindEnter || ev.Kind == KindExit) &&
-			(ev.Region < 0 || int(ev.Region) >= len(c.regions)) {
-			return nil, corrupt("event %d references unknown region %d", i, ev.Region)
-		}
-	}
-	if br.Len() != 0 {
-		return nil, corrupt("%d trailing bytes", br.Len())
-	}
-	c.events = evs
-	return evs, nil
+	c.off = len(c.buf) - br.Len()
+	c.left = ne
+	c.evIdx = 0
+	return nil
 }
 
 var _ io.Closer = (*ChunkReader)(nil)

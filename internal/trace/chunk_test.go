@@ -313,11 +313,13 @@ func TestChunkCorruption(t *testing.T) {
 		buf.WriteByte(chunkVersion)
 		buf.WriteByte(chunkTagEnd)
 		indexOff := buf.Len()
-		writeUvarint(&buf, 1)             // one stream
-		writeVarint(&buf, 0)              // rank
-		writeVarint(&buf, 0)              // thread
-		writeUvarint(&buf, uint64(1)<<60) // events: implausible
-		writeUvarint(&buf, 0)             // no frames
+		var idx []byte
+		idx = binary.AppendUvarint(idx, 1)             // one stream
+		idx = binary.AppendVarint(idx, 0)              // rank
+		idx = binary.AppendVarint(idx, 0)              // thread
+		idx = binary.AppendUvarint(idx, uint64(1)<<60) // events: implausible
+		idx = binary.AppendUvarint(idx, 0)             // no frames
+		buf.Write(idx)
 		var tail [chunkTrailerLen]byte
 		binary.LittleEndian.PutUint64(tail[:8], uint64(indexOff))
 		copy(tail[8:], chunkTrailerMagic[:])
@@ -448,5 +450,107 @@ func TestChunkEmptyStreams(t *testing.T) {
 	}
 	if ranks, _ := st.Shape(); ranks != 2 {
 		t.Fatalf("Shape ranks = %d, want 2", ranks)
+	}
+}
+
+// handSpool assembles a spool for the single location 0.0 from raw frame
+// bodies, with an index that records events in total.
+func handSpool(t *testing.T, bodies [][]byte, events uint64) string {
+	t.Helper()
+	b := append(chunkMagic[:], chunkVersion)
+	var refs []frameRef
+	for _, body := range bodies {
+		b = append(b, chunkTagFrame)
+		b = binary.AppendUvarint(b, uint64(len(body)))
+		refs = append(refs, frameRef{off: int64(len(b)), len: int64(len(body))})
+		b = append(b, body...)
+	}
+	b = append(b, chunkTagEnd)
+	indexOff := len(b)
+	b = binary.AppendUvarint(b, 1)
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendUvarint(b, events)
+	b = binary.AppendUvarint(b, uint64(len(refs)))
+	for _, fr := range refs {
+		b = binary.AppendUvarint(b, uint64(fr.off))
+		b = binary.AppendUvarint(b, uint64(fr.len))
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(indexOff))
+	b = append(b, chunkTrailerMagic[:]...)
+	path := filepath.Join(t.TempDir(), "hand.atsc")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// handFrame encodes a frame body for location 0.0 holding n events that
+// enter and leave region "r" from time t0 on, followed by extra bytes.
+// The first frame carries the region and its path.
+func handFrame(first bool, t0 float64, n int, extra ...byte) []byte {
+	b := binary.AppendVarint(nil, 0)
+	b = binary.AppendVarint(b, 0)
+	if first {
+		b = binary.AppendUvarint(b, 1)
+		b = appendString(b, "r")
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, 0) // parent: root
+		b = binary.AppendUvarint(b, 0) // region "r"
+	} else {
+		b = binary.AppendUvarint(b, 0)
+		b = binary.AppendUvarint(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(n))
+	for i := 0; i < n; i++ {
+		ev := Event{Time: t0 + float64(i), Kind: KindEnter + Kind(i%2), Path: 1}
+		b = appendEvent(b, &ev)
+	}
+	return append(b, extra...)
+}
+
+// TestChunkFrameTrailingBytes: bytes after a frame's last event are
+// corruption wherever the frame sits and however many decode batches
+// its events take.
+func TestChunkFrameTrailingBytes(t *testing.T) {
+	const n = 2*cursorBatch + 2
+	cases := []struct {
+		name   string
+		bodies [][]byte
+		events uint64
+	}{
+		{"first frame", [][]byte{handFrame(true, 0, n, 0), handFrame(false, n, n)}, 2 * n},
+		{"last frame", [][]byte{handFrame(true, 0, n), handFrame(false, n, n, 0)}, 2 * n},
+		{"event-less frame", [][]byte{handFrame(true, 0, 0, 0), handFrame(false, 0, n)}, n},
+		{"clean", [][]byte{handFrame(true, 0, n), handFrame(false, n, 0), handFrame(false, n, n)}, 2 * n},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := OpenChunkFile(handSpool(t, tc.bodies, tc.events))
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := NewStream(r)
+			if err == nil {
+				defer st.Close()
+				for {
+					var ev *Event
+					if ev, err = st.Next(); err != nil || ev == nil {
+						break
+					}
+				}
+			} else {
+				r.Close()
+			}
+			if tc.name == "clean" {
+				if err != nil || st.Events() != int(tc.events) {
+					t.Fatalf("clean spool: err %v after %d events", err, st.Events())
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+				t.Fatalf("err = %v, want 1 trailing bytes", err)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -21,7 +22,7 @@ import (
 //	locationCount    uvarint
 //	locations        locationCount × (varint rank, varint thread)
 //	eventCount       uvarint
-//	events           eventCount × fixed encoding (see writeEvent)
+//	events           eventCount × fixed encoding (see appendEvent)
 //
 // All multi-byte integers are varint-encoded; floats are IEEE-754 bits in
 // little-endian order.  The format is self-contained: a trace written by
@@ -42,103 +43,118 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func writeUvarint(w io.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
-func writeVarint(w io.Writer, v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
+// fixedEventBytes is the fixed-width prefix of an encoded event: Time and
+// Aux as little-endian IEEE-754 bits, then the Kind, Coll and Flags bytes.
+// maxEventBytes bounds a whole event: the prefix plus ten varints and one
+// uvarint.
+const (
+	fixedEventBytes = 19
+	maxEventBytes   = fixedEventBytes + 11*binary.MaxVarintLen64
+)
+
+// appendEvent appends ev in the event encoding shared by ATS1 and ATSC
+// (doc/FORMATS.md): the fixed prefix, varints rank, thread, region, path,
+// peer, crank, tag, bytes, root, comm, and the uvarint match id.
+func appendEvent(dst []byte, ev *Event) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ev.Time))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ev.Aux))
+	dst = append(dst, byte(ev.Kind), byte(ev.Coll), ev.Flags)
+	dst = binary.AppendVarint(dst, int64(ev.Loc.Rank))
+	dst = binary.AppendVarint(dst, int64(ev.Loc.Thread))
+	dst = binary.AppendVarint(dst, int64(ev.Region))
+	dst = binary.AppendVarint(dst, int64(ev.Path))
+	dst = binary.AppendVarint(dst, int64(ev.Peer))
+	dst = binary.AppendVarint(dst, int64(ev.CRank))
+	dst = binary.AppendVarint(dst, int64(ev.Tag))
+	dst = binary.AppendVarint(dst, ev.Bytes)
+	dst = binary.AppendVarint(dst, int64(ev.Root))
+	dst = binary.AppendVarint(dst, int64(ev.Comm))
+	return binary.AppendUvarint(dst, ev.Match)
 }
 
-func writeFloat(w io.Writer, f float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-	_, err := w.Write(buf[:])
-	return err
-}
+var errVarintOverflow = errors.New("trace: varint overflows a 64-bit integer")
 
-func writeString(w io.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
+// decodeEvent decodes the event at the front of b (the appendEvent
+// encoding) into ev and returns the number of bytes it took.  A buffer
+// that ends inside the event yields io.ErrUnexpectedEOF.  Callers validate
+// the decoded ids against their own tables.
+func decodeEvent(b []byte, ev *Event) (int, error) {
+	if len(b) < fixedEventBytes {
+		return 0, io.ErrUnexpectedEOF
 	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func writeEvent(w io.Writer, ev *Event) error {
-	if err := writeFloat(w, ev.Time); err != nil {
-		return err
-	}
-	if err := writeFloat(w, ev.Aux); err != nil {
-		return err
-	}
-	fixed := []byte{byte(ev.Kind), byte(ev.Coll), ev.Flags}
-	if _, err := w.Write(fixed); err != nil {
-		return err
-	}
-	for _, v := range []int64{
-		int64(ev.Loc.Rank), int64(ev.Loc.Thread),
-		int64(ev.Region), int64(ev.Path),
-		int64(ev.Peer), int64(ev.CRank), int64(ev.Tag),
-		ev.Bytes, int64(ev.Root), int64(ev.Comm),
-	} {
-		if err := writeVarint(w, v); err != nil {
-			return err
+	ev.Time = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	ev.Aux = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
+	ev.Kind, ev.Coll, ev.Flags = Kind(b[16]), CollKind(b[17]), b[18]
+	n := fixedEventBytes
+	var ints [10]int64
+	for j := range ints {
+		v, k := binary.Varint(b[n:])
+		if k <= 0 {
+			return 0, varintErr(k)
 		}
+		ints[j] = v
+		n += k
 	}
-	return writeUvarint(w, ev.Match)
+	match, k := binary.Uvarint(b[n:])
+	if k <= 0 {
+		return 0, varintErr(k)
+	}
+	ev.Loc = Location{Rank: int32(ints[0]), Thread: int32(ints[1])}
+	ev.Region = RegionID(ints[2])
+	ev.Path = PathID(ints[3])
+	ev.Peer, ev.CRank, ev.Tag = int32(ints[4]), int32(ints[5]), int32(ints[6])
+	ev.Bytes = ints[7]
+	ev.Root, ev.Comm = int32(ints[8]), int32(ints[9])
+	ev.Match = match
+	return n + k, nil
+}
+
+// varintErr maps a non-positive binary.Varint/Uvarint length to an error:
+// 0 means the buffer ended inside the value, < 0 an overflow.
+func varintErr(k int) error {
+	if k == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errVarintOverflow
 }
 
 // Write serializes the trace to w.  It returns the number of bytes written.
 func (t *Trace) Write(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
 	bw := bufio.NewWriter(cw)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return cw.n, err
-	}
-	if err := writeUvarint(bw, uint64(len(t.Regions))); err != nil {
-		return cw.n, err
-	}
+	hdr := append([]byte(nil), magic[:]...)
+	hdr = binary.AppendUvarint(hdr, uint64(len(t.Regions)))
 	for _, r := range t.Regions {
-		if err := writeString(bw, r); err != nil {
-			return cw.n, err
-		}
+		hdr = appendString(hdr, r)
 	}
-	if err := writeUvarint(bw, uint64(len(t.PathParent))); err != nil {
-		return cw.n, err
-	}
+	hdr = binary.AppendUvarint(hdr, uint64(len(t.PathParent)))
 	for i := 1; i < len(t.PathParent); i++ {
-		if err := writeUvarint(bw, uint64(t.PathParent[i])); err != nil {
-			return cw.n, err
-		}
-		if err := writeUvarint(bw, uint64(t.PathRegion[i])); err != nil {
-			return cw.n, err
-		}
+		hdr = binary.AppendUvarint(hdr, uint64(t.PathParent[i]))
+		hdr = binary.AppendUvarint(hdr, uint64(t.PathRegion[i]))
 	}
-	if err := writeUvarint(bw, uint64(len(t.Locations))); err != nil {
-		return cw.n, err
-	}
+	hdr = binary.AppendUvarint(hdr, uint64(len(t.Locations)))
 	for _, l := range t.Locations {
-		if err := writeVarint(bw, int64(l.Rank)); err != nil {
-			return cw.n, err
-		}
-		if err := writeVarint(bw, int64(l.Thread)); err != nil {
-			return cw.n, err
-		}
+		hdr = binary.AppendVarint(hdr, int64(l.Rank))
+		hdr = binary.AppendVarint(hdr, int64(l.Thread))
 	}
-	if err := writeUvarint(bw, uint64(len(t.Events))); err != nil {
+	hdr = binary.AppendUvarint(hdr, uint64(len(t.Events)))
+	if _, err := bw.Write(hdr); err != nil {
 		return cw.n, err
 	}
 	for i := range t.Events {
-		if err := writeEvent(bw, &t.Events[i]); err != nil {
-			return cw.n, err
+		// Encode straight into the writer's free space; flushing first
+		// guarantees the event fits, so append never reallocates.
+		if bw.Available() < maxEventBytes {
+			if err := bw.Flush(); err != nil {
+				return cw.n, err
+			}
 		}
+		bw.Write(appendEvent(bw.AvailableBuffer(), &t.Events[i])) // cannot fail after a successful Flush
 	}
 	if err := bw.Flush(); err != nil {
 		return cw.n, err
@@ -170,18 +186,6 @@ func (t *Trace) WriteFile(path string) error {
 		return err
 	}
 	return nil
-}
-
-func readFloat(r io.ByteReader) (float64, error) {
-	var buf [8]byte
-	for i := range buf {
-		b, err := r.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		buf[i] = b
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
 // byteScanner is the reader shape the decoding helpers need; both
@@ -373,50 +377,22 @@ func ReadLimited(r io.Reader, lim Limits) (*Trace, error) {
 	for i := uint64(0); i < nEvents; i++ {
 		t.Events = append(t.Events, Event{})
 		ev := &t.Events[len(t.Events)-1]
-		if err := readEventBody(br, ev); err != nil {
-			return nil, err
+		// Peek returns fewer bytes only at the end of input (or on a read
+		// error), where the last event may be shorter than the bound.
+		b, perr := br.Peek(maxEventBytes)
+		n, err := decodeEvent(b, ev)
+		if err != nil {
+			if perr != nil && perr != io.EOF {
+				err = perr
+			}
+			return nil, fmt.Errorf("trace: event %d: %w", i, err)
 		}
+		br.Discard(n) // n bytes are buffered: cannot fail
 		if int(ev.Path) >= len(t.PathParent) {
 			return nil, fmt.Errorf("trace: event %d references unknown path %d", i, ev.Path)
 		}
 	}
 	return t, nil
-}
-
-// readEventBody decodes one event in the writeEvent encoding.  It is
-// shared by the ATS1 trace reader and the ATSC chunk-frame reader; callers
-// validate the decoded ids against their own tables.
-func readEventBody(r byteScanner, ev *Event) error {
-	var err error
-	if ev.Time, err = readFloat(r); err != nil {
-		return err
-	}
-	if ev.Aux, err = readFloat(r); err != nil {
-		return err
-	}
-	var fixed [3]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return err
-	}
-	ev.Kind, ev.Coll, ev.Flags = Kind(fixed[0]), CollKind(fixed[1]), fixed[2]
-	var ints [10]int64
-	for j := range ints {
-		v, err := binary.ReadVarint(r)
-		if err != nil {
-			return err
-		}
-		ints[j] = v
-	}
-	ev.Loc = Location{Rank: int32(ints[0]), Thread: int32(ints[1])}
-	ev.Region = RegionID(ints[2])
-	ev.Path = PathID(ints[3])
-	ev.Peer, ev.CRank, ev.Tag = int32(ints[4]), int32(ints[5]), int32(ints[6])
-	ev.Bytes = ints[7]
-	ev.Root, ev.Comm = int32(ints[8]), int32(ints[9])
-	if ev.Match, err = binary.ReadUvarint(r); err != nil {
-		return err
-	}
-	return nil
 }
 
 // ReadFile deserializes a trace from the named file.

@@ -31,7 +31,7 @@ var (
 // cursors for spooled runs, buffer adapters for in-memory ones.
 type streamSource interface {
 	loc() Location
-	// next returns the next frame of locally-interned events, or nil at
+	// next returns the next batch of locally-interned events, or nil at
 	// end of stream.  The slice is only valid until the following call.
 	next() ([]Event, error)
 	// tables exposes the source's local intern tables as of the last next
@@ -59,7 +59,7 @@ func (s *bufferSource) tables() ([]string, []PathID, []RegionID) {
 	return s.b.regions, s.b.pathParent, s.b.pathRegion
 }
 
-// sourceState is the per-source merge state: the current remapped frame
+// sourceState is the per-source merge state: the current remapped batch
 // and the local→global id maps, grown as the local tables grow.
 type sourceState struct {
 	src       streamSource
@@ -69,15 +69,35 @@ type sourceState struct {
 	pathMap   []PathID
 }
 
+// heapEntry is one source's merge key — its current event's time and
+// location — kept inline so comparisons never chase a source's events.
+type heapEntry struct {
+	time float64
+	loc  Location
+	src  int
+}
+
+// less orders heap entries by (Time, Location, source index).
+func (a *heapEntry) less(b *heapEntry) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.loc != b.loc {
+		return a.loc.less(b.loc)
+	}
+	return a.src < b.src
+}
+
 // Stream is the k-way merge over per-location event streams, delivering
 // events in (Time, Location) order with within-location order preserved;
 // Merge drains one into a Trace.  Region names and call paths are
 // interned globally and incrementally, so a Stream implements View and the
 // analyzer can consume it in place of a Trace while holding only
-// O(locations + intern tables + one frame per location) memory.
+// O(locations + intern tables) memory: per location one raw frame and at
+// most a small batch of decoded events.
 type Stream struct {
 	srcs []sourceState
-	heap []int
+	heap []heapEntry
 
 	regions    []string
 	regionIDs  map[string]RegionID
@@ -140,7 +160,7 @@ func newStream(sources []streamSource, closers []io.Closer) (*Stream, error) {
 		pathChild:  make(map[pathKey]PathID),
 		locs:       make([]Location, 0, len(sources)),
 		srcs:       make([]sourceState, 0, len(sources)),
-		heap:       make([]int, 0, len(sources)),
+		heap:       make([]heapEntry, 0, len(sources)),
 		closers:    closers,
 	}
 	for i, src := range sources {
@@ -156,8 +176,9 @@ func newStream(sources []streamSource, closers []io.Closer) (*Stream, error) {
 			st.Close()
 			return nil, err
 		}
-		if st.srcs[i].cur != nil {
-			st.heap = append(st.heap, i)
+		if s := &st.srcs[i]; s.cur != nil {
+			ev := &s.cur[0]
+			st.heap = append(st.heap, heapEntry{time: ev.Time, loc: ev.Loc, src: i})
 		}
 	}
 	for i := len(st.heap)/2 - 1; i >= 0; i-- {
@@ -198,8 +219,8 @@ func (st *Stream) child(parent PathID, region RegionID) PathID {
 	return id
 }
 
-// refill loads source i's next non-empty frame, extends its id maps from
-// the grown local tables, and remaps the frame's events to global ids in
+// refill loads source i's next non-empty batch, extends its id maps from
+// the grown local tables, and remaps the batch's events to global ids in
 // place.  cur is nil once the source is exhausted.
 func (st *Stream) refill(i int) error {
 	s := &st.srcs[i]
@@ -242,35 +263,26 @@ func (st *Stream) refill(i int) error {
 	}
 }
 
-// less orders heap candidates by (Time, Location, source index).
-func (st *Stream) less(a, b int) bool {
-	ea := &st.srcs[a].cur[st.srcs[a].pos]
-	eb := &st.srcs[b].cur[st.srcs[b].pos]
-	if ea.Time != eb.Time {
-		return ea.Time < eb.Time
-	}
-	if ea.Loc != eb.Loc {
-		return ea.Loc.less(eb.Loc)
-	}
-	return a < b
-}
-
+// siftDown restores the heap below i, moving the displaced entry down
+// into the hole its smaller children leave.
 func (st *Stream) siftDown(i int) {
+	h := st.heap
+	e := h[i]
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(st.heap) && st.less(st.heap[l], st.heap[small]) {
-			small = l
+		c := 2*i + 1
+		if c >= len(h) {
+			break
 		}
-		if r < len(st.heap) && st.less(st.heap[r], st.heap[small]) {
-			small = r
+		if r := c + 1; r < len(h) && h[r].less(&h[c]) {
+			c = r
 		}
-		if small == i {
-			return
+		if !h[c].less(&e) {
+			break
 		}
-		st.heap[i], st.heap[small] = st.heap[small], st.heap[i]
-		i = small
+		h[i] = h[c]
+		i = c
 	}
+	h[i] = e
 }
 
 // Next returns the next event in merged order, or (nil, nil) at end of
@@ -283,22 +295,27 @@ func (st *Stream) Next() (*Event, error) {
 	if len(st.heap) == 0 {
 		return nil, nil
 	}
-	i := st.heap[0]
-	s := &st.srcs[i]
+	top := &st.heap[0]
+	s := &st.srcs[top.src]
 	// Copy before refilling: the source reuses its frame storage.
 	st.evBuf = s.cur[s.pos]
 	s.pos++
 	if s.pos == len(s.cur) {
-		if err := st.refill(i); err != nil {
+		if err := st.refill(top.src); err != nil {
 			st.err = err
 			return nil, err
 		}
-		if s.cur == nil {
-			st.heap[0] = st.heap[len(st.heap)-1]
-			st.heap = st.heap[:len(st.heap)-1]
-		}
 	}
-	st.siftDown(0)
+	if s.cur != nil {
+		ev := &s.cur[s.pos]
+		top.time, top.loc = ev.Time, ev.Loc
+	} else {
+		*top = st.heap[len(st.heap)-1]
+		st.heap = st.heap[:len(st.heap)-1]
+	}
+	if len(st.heap) > 0 {
+		st.siftDown(0)
+	}
 	if st.events == 0 {
 		st.first = st.evBuf.Time
 	}
