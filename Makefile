@@ -9,8 +9,9 @@
 #                  (non-zero exit on drift).
 #   make fuzz    — conformance-fuzzer smoke: a fixed-seed atsfuzz run, a
 #                  perturbed (robustness-axis) run, a replay of the
-#                  committed corpus, and 10 s of native fuzzing of the
-#                  trace event codec (CI's second job).
+#                  committed corpus, and 10 s each of native fuzzing of
+#                  the trace event codec and of the ATSC spool reader
+#                  (CI's second job).
 #   make baseline— re-seed testdata/regress-store from a fresh run (only
 #                  after an intentional severity change; commit the result).
 #   make bench-json — run the Runtime/Scale/StreamAnalyze benchmark suite
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) run ./cmd/atsfuzz run -seeds 20 -start 1 -perturb
 	$(GO) run ./cmd/atsfuzz replay $(CORPUS)/*.json
 	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkReader$$' -fuzztime 10s ./internal/trace
 
 baseline:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

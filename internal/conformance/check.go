@@ -1,10 +1,11 @@
 package conformance
 
 import (
+	"bytes"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/analyzer"
 	"repro/internal/core"
@@ -25,9 +26,10 @@ const (
 	// AxisNegative: a non-injected property rose above the noise floor.
 	AxisNegative = "negative"
 	// AxisDeterminism: the identical case produced a different profile
-	// hash.  The rerun goes through the streaming pipeline (chunk spool +
-	// incremental analysis), so this axis simultaneously proves that the
-	// streamed and materialized analysis paths are byte-identical.
+	// hash.  The rerun goes through the streaming pipeline (an in-memory
+	// ATSC chunk spool + incremental analysis), so this axis
+	// simultaneously proves that the streamed and materialized analysis
+	// paths are byte-identical.
 	AxisDeterminism = "determinism"
 )
 
@@ -356,24 +358,22 @@ func caseRunInfo(cs Case) profile.RunInfo {
 	}
 }
 
-// streamedCaseHash re-executes the case through the bounded-memory
-// streaming pipeline — events spilled to a temporary chunk spool, analyzed
-// incrementally, never materialized — and returns the resulting profile
-// hash.  Comparing it against the in-memory hash checks determinism and
-// streamed/materialized equivalence in one shot.
-func streamedCaseHash(cs Case, prof perturb.Profile) (string, error) {
-	f, err := os.CreateTemp("", "conformance-spool-*.atsc")
-	if err != nil {
-		return "", err
-	}
-	spool := f.Name()
-	f.Close()
-	defer os.Remove(spool)
+// spoolPool recycles the determinism rerun's in-memory spools: a sweep
+// checks case after case, and each spool would otherwise regrow from empty.
+var spoolPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-	w, err := trace.NewChunkWriter(spool, trace.DefaultSpillEvents)
-	if err != nil {
-		return "", err
-	}
+// streamedCaseHash re-executes the case through the streaming pipeline —
+// events spilled to an ATSC chunk spool, analyzed incrementally, never
+// materialized — and returns the resulting profile hash.  Comparing it
+// against the in-memory hash checks determinism and streamed/materialized
+// equivalence in one shot.  A case is small, so the spool lives in memory:
+// every frame and the index are encoded, validated and decoded exactly as
+// from a spool file, without the file.
+func streamedCaseHash(cs Case, prof perturb.Profile) (string, error) {
+	spool := spoolPool.Get().(*bytes.Buffer)
+	spool.Reset()
+	defer spoolPool.Put(spool)
+	w := trace.NewChunkWriterTo(spool, trace.DefaultSpillEvents)
 	opts := mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Sink: w}
 	if _, err := mpi.Run(opts, caseBody(cs)); err != nil {
 		w.Abort()
@@ -383,13 +383,12 @@ func streamedCaseHash(cs Case, prof perturb.Profile) (string, error) {
 		return "", err
 	}
 
-	r, err := trace.OpenChunkFile(spool)
+	r, err := trace.NewChunkReader(bytes.NewReader(spool.Bytes()), int64(spool.Len()), trace.Limits{})
 	if err != nil {
 		return "", err
 	}
 	st, err := trace.NewStream(r)
 	if err != nil {
-		r.Close()
 		return "", err
 	}
 	defer st.Close()

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // TestStreamedMatchesInMemory pins the streaming pipeline's equivalence
 // claim directly: for every committed corpus case, at every perturbation
 // level of the standard robustness sweep, the profile content hash of the
-// streamed run (chunk spool + incremental analysis, trace never
+// streamed run (in-memory chunk spool + incremental analysis, trace never
 // materialized) equals the in-memory run's.  Cases with legitimately
 // nondeterministic wait attribution are skipped, as in Check.
 func TestStreamedMatchesInMemory(t *testing.T) {
@@ -45,5 +46,42 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 					e.Name, level, got, want)
 			}
 		}
+	}
+}
+
+// TestCheckSpoolsInMemory: the determinism rerun spools in memory.  TMPDIR
+// names a directory that does not exist, so any temporary file the oracle
+// tried to create would fail the check; the parent directory must stay
+// empty, and the profile hashes must be the committed ones.
+func TestCheckSpoolsInMemory(t *testing.T) {
+	golden := map[uint64]string{
+		1: "67f3d6b0f7411e3c983344b72b7cbbf301187709be1479bb8a1faf1981d92b43",
+		2: "e92b3a225521ca3299829ff4779c7cd44c655996e10ae3d47626b3686db94ee3",
+		3: "2042becaf13194e4886745531276ee4f412d2fe7f4609056eccacf819b368a41",
+	}
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", filepath.Join(dir, "tmp"))
+	for seed, want := range golden {
+		cs := Generate(seed, Config{})
+		if hasNondeterministicWaits(cs) {
+			t.Fatalf("seed %d: case skips the determinism axis; pick another seed", seed)
+		}
+		out, err := Check(cs, CheckOptions{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !out.OK() {
+			t.Errorf("seed %d: violations %v", seed, out.Violations)
+		}
+		if out.Hash != want {
+			t.Errorf("seed %d: hash %s, want %s", seed, out.Hash, want)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("Check left %q in the temporary directory", e.Name())
 	}
 }

@@ -196,6 +196,23 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
+// gatherSends concatenates every rank's send buffer in rank order into one
+// buffer allocated at its total size; nil when every buffer is empty.
+func (op *collOp) gatherSends() []byte {
+	total := 0
+	for _, a := range op.args {
+		total += len(a.sendData)
+	}
+	if total == 0 {
+		return nil
+	}
+	all := make([]byte, 0, total)
+	for _, a := range op.args {
+		all = append(all, a.sendData...)
+	}
+	return all
+}
+
 // compute fills exits/out/cores once all participants have arrived.  It
 // runs under the engine lock; all inputs are staged copies, so no rank's
 // memory is touched concurrently.
@@ -333,9 +350,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 				}
 			}
 		} else {
-			for i := 0; i < P; i++ {
-				rootData = append(rootData, op.args[i].sendData...)
-			}
+			rootData = op.gatherSends()
 			rootBytes = len(rootData)
 		}
 		op.out = make([][]byte, P)
@@ -368,10 +383,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 				op.out[i] = append([]byte(nil), acc...)
 			}
 		case trace.CollAllgather, trace.CollAllgatherv:
-			var all []byte
-			for i := 0; i < P; i++ {
-				all = append(all, op.args[i].sendData...)
-			}
+			all := op.gatherSends()
 			for i := range op.out {
 				op.out[i] = append([]byte(nil), all...)
 			}

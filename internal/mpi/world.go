@@ -45,7 +45,8 @@ type Options struct {
 	// execute instead of materializing them: every per-location buffer
 	// is attached to the sink, spills chunk frames while recording, and
 	// is finished as its executor completes.  Run then returns a nil
-	// trace — open the sink's spool with trace.OpenChunkFile /
+	// trace — open the sink's spool with trace.OpenChunkFile (or
+	// trace.NewChunkReader when it was spooled in memory) /
 	// trace.NewStream and analyze with analyzer.AnalyzeStream, which
 	// yields a report byte-identical to the materialized path at
 	// O(locations) memory.  Ignored when Untraced.

@@ -86,6 +86,9 @@ type Server struct {
 	// from its head once the cache exceeds cfg.MaxReports.  Only
 	// completed IDs enter it, so in-flight reports are never evicted.
 	doneOrder []string
+	// jobDone, when set (by tests), runs on the worker after a job's
+	// report is retired and its done channel closed.
+	jobDone func(id string)
 
 	analyses  atomic.Int64 // analyses actually executed (dedup misses)
 	dedupHits atomic.Int64 // submissions served from the report cache
@@ -338,8 +341,15 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, id string, save 
 		err := s.queue.Submit(func() {
 			s.analyses.Add(1)
 			job(rep)
-			close(done)
+			// Retire before waking the waiters: a client that sees
+			// this report done and submits another must find this one
+			// already in the completion order, or the later report
+			// could retire first and be evicted in its place.
 			s.retire(id)
+			close(done)
+			if s.jobDone != nil {
+				s.jobDone(id)
+			}
 		})
 		if err != nil {
 			s.mu.Unlock()

@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -511,6 +513,65 @@ func TestReportEviction(t *testing.T) {
 	}
 	if got := s.AnalysesRun(); got != 3 {
 		t.Errorf("AnalysesRun = %d, want 3 (eviction must force a re-run)", got)
+	}
+}
+
+// TestReportEvictionCompletionOrder forces the interleaving behind a
+// once-flaky eviction: report A's worker is held after A's response is
+// written until report B has completed.  A finished first, so A is the
+// one evicted, however late its worker runs afterwards.
+func TestReportEvictionCompletionOrder(t *testing.T) {
+	_, blobA := corpusCase(t, "seed001.json")
+	_, blobB := corpusCase(t, "seed002.json")
+	s, ts := newTestServer(t, Config{Workers: 2, MaxReports: 1})
+
+	var calls atomic.Int32
+	released := make(chan struct{})
+	s.jobDone = func(id string) {
+		if calls.Add(1) != 1 {
+			return
+		}
+		defer close(released)
+		// Hold the first job's worker until another report retires.
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			s.mu.Lock()
+			other := slices.ContainsFunc(s.doneOrder, func(d string) bool { return d != id })
+			s.mu.Unlock()
+			if other {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	repA, respA := postReport(t, ts.URL+"/v1/cases", "application/json", blobA)
+	if respA.StatusCode != http.StatusOK {
+		t.Fatalf("first submission: %s", respA.Status)
+	}
+	repB, respB := postReport(t, ts.URL+"/v1/cases", "application/json", blobB)
+	if respB.StatusCode != http.StatusOK {
+		t.Fatalf("second submission: %s", respB.Status)
+	}
+	select {
+	case <-released:
+	case <-time.After(10 * time.Second):
+		t.Fatal("first job's worker never released")
+	}
+	// Let the released worker finish whatever follows the hook.
+	time.Sleep(20 * time.Millisecond)
+
+	for _, c := range []struct {
+		id   string
+		want int
+	}{{repA.ID, http.StatusNotFound}, {repB.ID, http.StatusOK}} {
+		resp, err := http.Get(ts.URL + "/v1/reports/" + c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("report %s: status %s, want %d", c.id, resp.Status, c.want)
+		}
 	}
 }
 

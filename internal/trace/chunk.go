@@ -14,13 +14,14 @@ import (
 	"sync"
 )
 
-// Chunked trace spool format ("ATSC") — the on-disk shape of a streaming
-// run.  Where an ATS1 file is one fully merged trace, an ATSC file is a
-// multiplexed spool of per-location chunk frames appended while the run
-// executes, so no executor ever holds more than one chunk of events in
-// memory.  A single file carries every location (one file per rank would
-// exhaust file-descriptor limits at large rank counts); an index footer
-// lets readers walk each location's frames independently via pread.
+// Chunked trace spool format ("ATSC") — the serialized shape of a
+// streaming run, in a file or in memory.  Where an ATS1 file is one fully
+// merged trace, an ATSC spool is a multiplex of per-location chunk frames
+// appended while the run executes, so no executor ever holds more than
+// one chunk of events in memory.  A single spool carries every location
+// (one file per rank would exhaust file-descriptor limits at large rank
+// counts); an index footer lets readers walk each location's frames
+// independently via ReadAt.
 //
 //	header   magic "ATSC", version byte (1)
 //	frames   frame*
@@ -100,47 +101,97 @@ type frameRef struct {
 	off, len int64
 }
 
-// ChunkWriter spools per-location trace buffers into a single ATSC file.
-// It implements Sink.  All methods are safe for concurrent use; a shared
-// buffered writer serializes frame appends.  Like the ATS1 writers, the
-// spool is written to a temporary file and renamed into place on Close, so
-// a crash never leaves a truncated spool at the target path.
+// ChunkWriter spools per-location trace buffers into a single ATSC
+// stream.  It implements Sink.  All methods are safe for concurrent use;
+// frames and the index go, in order, through one io.Writer.
+//
+// NewChunkWriter spools to a file: like the ATS1 writers, it writes a
+// temporary file and renames it into place on Close, so a crash never
+// leaves a truncated spool at the target path.  NewChunkWriterTo spools
+// into any writer, e.g. a bytes.Buffer for a run small enough to hold.
 type ChunkWriter struct {
 	mu        sync.Mutex
-	path, tmp string
-	f         *os.File
-	bw        *bufio.Writer
+	out       io.Writer
+	file      *spoolFile // nil unless the spool lands at a path
 	off       int64
 	threshold int
 	streams   map[Location]*chunkStream
-	scratch   []byte // frame body and index encoding, reused
+	scratch   []byte    // frame body and index encoding, reused
+	slabs     [][]Event // slabs of finished buffers, for the next Attach
 	err       error
 	closed    bool
+}
+
+// spoolFile is the temporary file behind a path-backed ChunkWriter.
+type spoolFile struct {
+	path, tmp string
+	f         *os.File
+	bw        *bufio.Writer
+}
+
+// commit flushes the temporary file and renames it to the target path.
+func (sf *spoolFile) commit() error {
+	if err := sf.bw.Flush(); err != nil {
+		sf.discard()
+		return err
+	}
+	if err := sf.f.Close(); err != nil {
+		os.Remove(sf.tmp)
+		return err
+	}
+	if err := os.Rename(sf.tmp, sf.path); err != nil {
+		os.Remove(sf.tmp)
+		return err
+	}
+	return nil
+}
+
+// discard closes and removes the temporary file.
+func (sf *spoolFile) discard() {
+	sf.f.Close()
+	os.Remove(sf.tmp)
 }
 
 // NewChunkWriter creates a spool that will land at path on Close.
 // spillEvents is the per-location event count that triggers a frame flush;
 // values <= 0 select DefaultSpillEvents.
 func NewChunkWriter(path string, spillEvents int) (*ChunkWriter, error) {
-	if spillEvents <= 0 {
-		spillEvents = DefaultSpillEvents
-	}
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return nil, err
 	}
+	sf := &spoolFile{path: path, tmp: f.Name(), f: f, bw: bufio.NewWriterSize(f, 1<<16)}
+	w := NewChunkWriterTo(sf.bw, spillEvents)
+	w.file = sf
+	return w, nil
+}
+
+// NewChunkWriterTo creates a spool written to dst as the run goes.  Close
+// completes the stream but does not close dst.  A write error is sticky
+// like any other spool error; after one, dst holds no valid spool.
+// spillEvents is as for NewChunkWriter.
+func NewChunkWriterTo(dst io.Writer, spillEvents int) *ChunkWriter {
+	if spillEvents <= 0 {
+		spillEvents = DefaultSpillEvents
+	}
 	w := &ChunkWriter{
-		path:      path,
-		tmp:       f.Name(),
-		f:         f,
-		bw:        bufio.NewWriterSize(f, 1<<16),
-		off:       chunkHeaderLen,
+		out:       dst,
 		threshold: spillEvents,
 		streams:   make(map[Location]*chunkStream),
 	}
-	w.bw.Write(chunkMagic[:]) // bufio errors are sticky; surfaced at Close
-	w.bw.WriteByte(chunkVersion)
-	return w, nil
+	w.write(append(chunkMagic[:], chunkVersion))
+	return w
+}
+
+// write appends b to the spool, recording a write error as sticky.
+func (w *ChunkWriter) write(b []byte) bool {
+	n, err := w.out.Write(b)
+	w.off += int64(n)
+	if err != nil {
+		w.fail(err)
+		return false
+	}
+	return true
 }
 
 // fail records the first error; later operations keep draining buffers so
@@ -178,9 +229,17 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	b.spillAt = w.threshold
 	// The slab never holds more than one frame's events.  A pooled buffer
 	// may bring a slab grown by a materialized run; replace it rather
-	// than keep it alive for the whole stream.
+	// than keep it alive for the whole stream.  A finished buffer's slab
+	// serves the next one attached: short-lived locations, such as the
+	// threads of successive OpenMP parallel regions, share a few slabs.
 	if cap(b.events) != w.threshold {
-		b.events = append(make([]Event, 0, max(w.threshold, len(b.events))), b.events...)
+		var slab []Event
+		if n := len(w.slabs); n > 0 && len(b.events) <= w.threshold {
+			slab, w.slabs = w.slabs[n-1], w.slabs[:n-1]
+		} else {
+			slab = make([]Event, 0, max(w.threshold, len(b.events)))
+		}
+		b.events = append(slab, b.events...)
 	}
 }
 
@@ -231,16 +290,14 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = chunkTagFrame
 	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(sc)))
-	if _, err := w.bw.Write(hdr[:n]); err != nil {
-		w.fail(err)
+	if !w.write(hdr[:n]) {
 		return
 	}
-	if _, err := w.bw.Write(sc); err != nil {
-		w.fail(err)
+	bodyOff := w.off
+	if !w.write(sc) {
 		return
 	}
-	s.frames = append(s.frames, frameRef{off: w.off + int64(n), len: int64(len(sc))})
-	w.off += int64(n) + int64(len(sc))
+	s.frames = append(s.frames, frameRef{off: bodyOff, len: int64(len(sc))})
 	s.regions += nr
 	s.paths += np
 	s.events += uint64(ne)
@@ -264,18 +321,23 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 		w.spillLocked(b)
 		s.finished = true
 	}
-	// Drop the slab instead of parking it in bufferPool with the buffer:
-	// a streamed run's slabs would otherwise outlive it into the merge.
+	// Keep the slab for the next Attach instead of parking it in
+	// bufferPool with the buffer: Close drops it, so a streamed run's
+	// slabs never outlive the run into the merge.
+	if cap(b.events) == w.threshold && !w.closed {
+		w.slabs = append(w.slabs, b.events[:0])
+	}
 	b.events = nil
 	b.sink = nil
 	b.spillAt = 0
 	return w.err
 }
 
-// Close ends the frame section, writes the index and trailer, and renames
-// the spool into place.  Every attached buffer must have been finished.
-// On error (including any sticky spill error) the temporary file is
-// removed and nothing lands at the target path.
+// Close ends the frame section and writes the index and trailer; a
+// path-backed spool is then renamed into place.  Every attached buffer
+// must have been finished.  On error (including any sticky spill error) a
+// path-backed spool's temporary file is removed and nothing lands at the
+// target path.
 func (w *ChunkWriter) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -283,6 +345,7 @@ func (w *ChunkWriter) Close() error {
 		return w.err
 	}
 	w.closed = true
+	w.slabs = nil
 	for loc, s := range w.streams {
 		if !s.finished {
 			w.fail(fmt.Errorf("trace: chunk writer: Close with unfinished stream %v", loc))
@@ -290,19 +353,19 @@ func (w *ChunkWriter) Close() error {
 		}
 	}
 	if w.err != nil {
-		w.f.Close()
-		os.Remove(w.tmp)
+		if w.file != nil {
+			w.file.discard()
+		}
 		return w.err
 	}
-	w.bw.WriteByte(chunkTagEnd)
-	w.off++
-	indexOff := w.off
+	indexOff := w.off + 1 // after the end tag
 	locs := make([]Location, 0, len(w.streams))
 	for loc := range w.streams {
 		locs = append(locs, loc)
 	}
 	sort.Slice(locs, func(i, j int) bool { return locs[i].less(locs[j]) })
-	idx := binary.AppendUvarint(w.scratch[:0], uint64(len(locs)))
+	idx := append(w.scratch[:0], chunkTagEnd)
+	idx = binary.AppendUvarint(idx, uint64(len(locs)))
 	for _, loc := range locs {
 		s := w.streams[loc]
 		idx = binary.AppendVarint(idx, int64(loc.Rank))
@@ -316,30 +379,21 @@ func (w *ChunkWriter) Close() error {
 	}
 	idx = binary.LittleEndian.AppendUint64(idx, uint64(indexOff))
 	idx = append(idx, chunkTrailerMagic[:]...)
-	w.bw.Write(idx)
+	w.write(idx)
 	w.scratch = nil
-	if err := w.bw.Flush(); err != nil {
-		w.fail(err)
-		w.f.Close()
-		os.Remove(w.tmp)
-		return w.err
+	// A path-backed spool's write errors are sticky in its bufio.Writer,
+	// so commit fails and discards the file after any failed write.
+	if w.file != nil {
+		if err := w.file.commit(); err != nil {
+			w.fail(err)
+		}
 	}
-	if err := w.f.Close(); err != nil {
-		w.fail(err)
-		os.Remove(w.tmp)
-		return w.err
-	}
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		w.fail(err)
-		os.Remove(w.tmp)
-		return w.err
-	}
-	return nil
+	return w.err
 }
 
-// Abort discards the spool without landing anything at the target path.
-// Safe to call at any time (including after Close, where it is a no-op);
-// buffers still attached keep draining into the void.
+// Abort discards the spool: a path-backed spool lands nothing at the
+// target path.  Safe to call at any time (including after Close, where it
+// is a no-op); buffers still attached keep draining into the void.
 func (w *ChunkWriter) Abort() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -347,9 +401,11 @@ func (w *ChunkWriter) Abort() {
 		return
 	}
 	w.closed = true
+	w.slabs = nil
 	w.fail(errors.New("trace: chunk writer aborted"))
-	w.f.Close()
-	os.Remove(w.tmp)
+	if w.file != nil {
+		w.file.discard()
+	}
 }
 
 // chunkIndexEntry is the reader-side index of one location's frames.
@@ -360,12 +416,12 @@ type chunkIndexEntry struct {
 }
 
 // ChunkReader opens an ATSC spool for streaming.  Per-location cursors
-// read frames via ReadAt on the shared file handle, so a k-way merge over
-// all locations holds one raw frame and at most cursorBatch decoded
-// events per location.  Obtain a merged event stream with NewStream.
+// read frames via ReadAt on the shared source, so a k-way merge over all
+// locations holds one raw frame and at most cursorBatch decoded events
+// per location.  Obtain a merged event stream with NewStream.
 type ChunkReader struct {
-	f        *os.File
-	size     int64
+	src      io.ReaderAt
+	closer   io.Closer // the spool file OpenChunkFile opened, else nil
 	indexOff int64
 	lim      Limits
 	streams  []chunkIndexEntry
@@ -386,25 +442,30 @@ func OpenChunkFileLimited(path string, lim Limits) (*ChunkReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newChunkReader(f, lim)
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r, err := NewChunkReader(f, st.Size(), lim)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	r.closer = f
 	return r, nil
 }
 
-func newChunkReader(f *os.File, lim Limits) (*ChunkReader, error) {
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	size := st.Size()
+// NewChunkReader validates the size-byte spool in src exactly as
+// OpenChunkFileLimited validates a file, e.g. a spool written into a
+// bytes.Buffer and read back through bytes.NewReader.  The reader does
+// not take ownership of src: its Close does not close src.
+func NewChunkReader(src io.ReaderAt, size int64, lim Limits) (*ChunkReader, error) {
 	if size < chunkHeaderLen+1+chunkTrailerLen {
 		return nil, fmt.Errorf("trace: chunk file too short (%d bytes)", size)
 	}
 	var hdr [chunkHeaderLen]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	if err := readAt(src, hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("trace: reading chunk header: %w", err)
 	}
 	if [4]byte(hdr[:4]) != chunkMagic {
@@ -414,7 +475,7 @@ func newChunkReader(f *os.File, lim Limits) (*ChunkReader, error) {
 		return nil, fmt.Errorf("trace: unsupported chunk version %d (want %d)", hdr[4], chunkVersion)
 	}
 	var tail [chunkTrailerLen]byte
-	if _, err := f.ReadAt(tail[:], size-chunkTrailerLen); err != nil {
+	if err := readAt(src, tail[:], size-chunkTrailerLen); err != nil {
 		return nil, fmt.Errorf("trace: reading chunk trailer: %w", err)
 	}
 	if [4]byte(tail[8:]) != chunkTrailerMagic {
@@ -425,14 +486,27 @@ func newChunkReader(f *os.File, lim Limits) (*ChunkReader, error) {
 		return nil, fmt.Errorf("trace: chunk index offset %d outside file", indexOff)
 	}
 	idx := make([]byte, size-chunkTrailerLen-indexOff)
-	if _, err := f.ReadAt(idx, indexOff); err != nil {
+	if err := readAt(src, idx, indexOff); err != nil {
 		return nil, fmt.Errorf("trace: reading chunk index: %w", err)
 	}
-	r := &ChunkReader{f: f, size: size, indexOff: indexOff, lim: lim}
+	r := &ChunkReader{src: src, indexOff: indexOff, lim: lim}
 	if err := r.parseIndex(idx); err != nil {
 		return nil, err
 	}
 	return r, nil
+}
+
+// readAt fills p from src at off.  A full read is a success even with
+// io.EOF, which the io.ReaderAt contract allows at the end of the source.
+func readAt(src io.ReaderAt, p []byte, off int64) error {
+	n, err := src.ReadAt(p, off)
+	switch {
+	case n == len(p):
+		return nil
+	case err == nil:
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 func (r *ChunkReader) parseIndex(idx []byte) error {
@@ -529,8 +603,14 @@ func (r *ChunkReader) Events() int {
 	return int(n)
 }
 
-// Close releases the underlying file.
-func (r *ChunkReader) Close() error { return r.f.Close() }
+// Close releases the spool file OpenChunkFile opened; for a reader from
+// NewChunkReader it is a no-op.
+func (r *ChunkReader) Close() error {
+	if r.closer == nil {
+		return nil
+	}
+	return r.closer.Close()
+}
 
 // cursorBatch is the most events a chunk cursor decodes per next call.
 // It bounds the decoded events a merge over every location holds per
@@ -606,7 +686,7 @@ func (c *chunkCursor) next() ([]Event, error) {
 			c.buf = make([]byte, fr.len)
 		}
 		c.buf = c.buf[:fr.len]
-		if _, err := c.r.f.ReadAt(c.buf, fr.off); err != nil {
+		if err := readAt(c.r.src, c.buf, fr.off); err != nil {
 			return nil, fmt.Errorf("trace: chunk stream %v: reading frame at %d: %w", c.ent.loc, fr.off, err)
 		}
 		if err := c.parseFrameHeader(); err != nil {
@@ -697,6 +777,10 @@ func (c *chunkCursor) parseFrameHeader() error {
 	}
 	if err := checkCount(ne, minEventBytes, int64(br.Len()), "chunk-frame event"); err != nil {
 		return err
+	}
+	if ne > c.ent.events-c.delivered {
+		return fmt.Errorf("trace: chunk stream %v: index records %d events, frames hold more",
+			c.ent.loc, c.ent.events)
 	}
 	c.off = len(c.buf) - br.Len()
 	c.left = ne

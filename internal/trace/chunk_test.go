@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -266,6 +268,68 @@ func TestChunkWriterAtomic(t *testing.T) {
 	}
 }
 
+// failingWriter accepts limit bytes, then fails every write.
+type failingWriter struct{ limit int }
+
+var errSpoolFull = errors.New("spool full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errSpoolFull
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestChunkWriterToWriteError: a writer error is sticky.  Finish and Close
+// report it, and the writer never writes again after it.
+func TestChunkWriterToWriteError(t *testing.T) {
+	for _, limit := range []int{0, chunkHeaderLen, 100} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) {
+			fw := &failingWriter{limit: limit}
+			w := NewChunkWriterTo(fw, 4)
+			b := NewBuffer(Location{})
+			w.Attach(b)
+			fillBuffer(b, 0, 8)
+			if err := w.Finish(b); !errors.Is(err, errSpoolFull) {
+				t.Fatalf("Finish error = %v, want %v", err, errSpoolFull)
+			}
+			if err := w.Close(); !errors.Is(err, errSpoolFull) {
+				t.Fatalf("Close error = %v, want %v", err, errSpoolFull)
+			}
+		})
+	}
+}
+
+// TestChunkWriterReusesSlabs: a finished buffer's slab serves the next
+// buffer attached, and Close drops the slabs the writer holds.
+func TestChunkWriterReusesSlabs(t *testing.T) {
+	w := NewChunkWriterTo(io.Discard, 4)
+	a := NewBuffer(Location{Rank: 0})
+	w.Attach(a)
+	fillBuffer(a, 0, 3)
+	slab := &a.events[:1][0]
+	if err := w.Finish(a); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuffer(Location{Rank: 1})
+	w.Attach(b)
+	if cap(b.events) != 4 || &b.events[:1][0] != slab {
+		t.Fatal("second buffer did not take the finished buffer's slab")
+	}
+	if err := w.Finish(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.slabs != nil {
+		t.Fatalf("closed writer holds %d slabs", len(w.slabs))
+	}
+}
+
 func TestChunkWriterDuplicateLocation(t *testing.T) {
 	w, err := NewChunkWriter(filepath.Join(t.TempDir(), "run.atsc"), 4)
 	if err != nil {
@@ -382,30 +446,46 @@ func TestChunkCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "corrupt.atsc")
-			if err := os.WriteFile(path, tc.mutate(t), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			r, err := OpenChunkFile(path)
-			if err != nil {
-				return // rejected at open: good
-			}
-			defer r.Close()
-			st, err := NewStream(r)
-			if err != nil {
-				return // rejected while priming: good
-			}
-			for {
-				ev, err := st.Next()
+			blob := tc.mutate(t)
+			forEachBacking(t, blob, func(t *testing.T, r *ChunkReader, err error) {
 				if err != nil {
-					return // rejected while draining: good
+					return // rejected at open: good
 				}
-				if ev == nil {
-					t.Fatal("corrupt spool drained without error")
+				defer r.Close()
+				st, err := NewStream(r)
+				if err != nil {
+					return // rejected while priming: good
 				}
-			}
+				for {
+					ev, err := st.Next()
+					if err != nil {
+						return // rejected while draining: good
+					}
+					if ev == nil {
+						t.Fatal("corrupt spool drained without error")
+					}
+				}
+			})
 		})
 	}
+}
+
+// forEachBacking opens the spool bytes blob through each reader backing
+// in its own subtest: a file through OpenChunkFile, and memory through
+// NewChunkReader.  Both must accept and reject exactly the same spools.
+func forEachBacking(t *testing.T, blob []byte, check func(t *testing.T, r *ChunkReader, err error)) {
+	t.Run("file", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "spool.atsc")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenChunkFile(path)
+		check(t, r, err)
+	})
+	t.Run("memory", func(t *testing.T) {
+		r, err := NewChunkReader(bytes.NewReader(blob), int64(len(blob)), Limits{})
+		check(t, r, err)
+	})
 }
 
 // TestChunkEmptyStreams: locations that never record events still appear
@@ -455,8 +535,7 @@ func TestChunkEmptyStreams(t *testing.T) {
 
 // handSpool assembles a spool for the single location 0.0 from raw frame
 // bodies, with an index that records events in total.
-func handSpool(t *testing.T, bodies [][]byte, events uint64) string {
-	t.Helper()
+func handSpool(bodies [][]byte, events uint64) []byte {
 	b := append(chunkMagic[:], chunkVersion)
 	var refs []frameRef
 	for _, body := range bodies {
@@ -477,12 +556,7 @@ func handSpool(t *testing.T, bodies [][]byte, events uint64) string {
 		b = binary.AppendUvarint(b, uint64(fr.len))
 	}
 	b = binary.LittleEndian.AppendUint64(b, uint64(indexOff))
-	b = append(b, chunkTrailerMagic[:]...)
-	path := filepath.Join(t.TempDir(), "hand.atsc")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return append(b, chunkTrailerMagic[:]...)
 }
 
 // handFrame encodes a frame body for location 0.0 holding n events that
@@ -526,31 +600,123 @@ func TestChunkFrameTrailingBytes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r, err := OpenChunkFile(handSpool(t, tc.bodies, tc.events))
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := NewStream(r)
-			if err == nil {
-				defer st.Close()
-				for {
-					var ev *Event
-					if ev, err = st.Next(); err != nil || ev == nil {
-						break
+			forEachBacking(t, handSpool(tc.bodies, tc.events), func(t *testing.T, r *ChunkReader, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := NewStream(r)
+				if err == nil {
+					defer st.Close()
+					for {
+						var ev *Event
+						if ev, err = st.Next(); err != nil || ev == nil {
+							break
+						}
 					}
+				} else {
+					r.Close()
 				}
-			} else {
-				r.Close()
-			}
-			if tc.name == "clean" {
-				if err != nil || st.Events() != int(tc.events) {
-					t.Fatalf("clean spool: err %v after %d events", err, st.Events())
+				if tc.name == "clean" {
+					if err != nil || st.Events() != int(tc.events) {
+						t.Fatalf("clean spool: err %v after %d events", err, st.Events())
+					}
+					return
 				}
+				if err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+					t.Fatalf("err = %v, want 1 trailing bytes", err)
+				}
+			})
+		})
+	}
+}
+
+// FuzzChunkReader feeds arbitrary bytes to the memory-backed ATSC reader
+// and drains them through NewStream: it must never panic, and a stream
+// must never deliver more events than the spool's index records.
+func FuzzChunkReader(f *testing.F) {
+	var valid bytes.Buffer
+	w := NewChunkWriterTo(&valid, 4)
+	for i := 0; i < 3; i++ {
+		b := NewBuffer(Location{Rank: int32(i)})
+		w.Attach(b)
+		fillBuffer(b, int32(i), 5)
+		if err := w.Finish(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(handSpool([][]byte{handFrame(true, 0, 3), handFrame(false, 3, 2)}, 5))
+	f.Add(handSpool([][]byte{handFrame(true, 0, 9)}, 4)) // frames hold more than the index
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		r, err := NewChunkReader(bytes.NewReader(blob), int64(len(blob)), Limits{})
+		if err != nil {
+			return
+		}
+		indexed := r.Events()
+		st, err := NewStream(r)
+		if err != nil {
+			return
+		}
+		defer st.Close()
+		for n := 0; ; n++ {
+			ev, err := st.Next()
+			if err != nil || ev == nil {
 				return
 			}
-			if err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
-				t.Fatalf("err = %v, want 1 trailing bytes", err)
+			if n >= indexed {
+				t.Fatalf("stream delivered event %d; the index records %d", n+1, indexed)
 			}
-		})
+		}
+	})
+}
+
+// TestStreamRendersPathsOnDemand: draining a stream renders no call-path
+// string, however deep the call tree; PathString renders on request.  A
+// few kilobytes of spool describing a deep chain of long region names
+// would otherwise render gigabytes while being drained.
+func TestStreamRendersPathsOnDemand(t *testing.T) {
+	const depth, name = 64, "region"
+	b := binary.AppendVarint(nil, 0)
+	b = binary.AppendVarint(b, 0)
+	b = binary.AppendUvarint(b, 1)
+	b = appendString(b, name)
+	b = binary.AppendUvarint(b, depth)
+	for i := 0; i < depth; i++ {
+		b = binary.AppendUvarint(b, uint64(i)) // parent: the previous path
+		b = binary.AppendUvarint(b, 0)
+	}
+	b = binary.AppendUvarint(b, 1)
+	b = appendEvent(b, &Event{Kind: KindSend, Path: depth})
+	blob := handSpool([][]byte{b}, 1)
+	r, err := NewChunkReader(bytes.NewReader(blob), int64(len(blob)), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStream(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for n := 0; ; n++ {
+		ev, err := st.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev == nil {
+			if n != 1 {
+				t.Fatalf("drained %d events, want 1", n)
+			}
+			break
+		}
+	}
+	if len(st.pathStrs) != 1 {
+		t.Fatalf("draining rendered %d path strings", len(st.pathStrs)-1)
+	}
+	want := strings.TrimSuffix(strings.Repeat(name+"/", depth), "/")
+	if got := st.PathString(depth); got != want {
+		t.Fatalf("PathString(%d) = %q, want %q", depth, got, want)
 	}
 }

@@ -82,5 +82,19 @@ func TestFormatGoldenFig35(t *testing.T) {
 		if got := sha(atsc); got != want {
 			t.Errorf("ATSC spool of the streamed run (spill %d): sha256 %s, want %s", spill, got, want)
 		}
+
+		// The same run spooled in memory writes the same bytes.
+		var mem bytes.Buffer
+		mw := trace.NewChunkWriterTo(&mem, spill)
+		if _, err := mpi.Run(mpi.Options{Procs: 8, Sink: mw}, fig35Body); err != nil {
+			mw.Abort()
+			t.Fatalf("streamed run into memory: %v", err)
+		}
+		if err := mw.Close(); err != nil {
+			t.Fatalf("Close (memory): %v", err)
+		}
+		if got := sha(mem.Bytes()); got != want {
+			t.Errorf("in-memory ATSC spool of the streamed run (spill %d): sha256 %s, want %s", spill, got, want)
+		}
 	}
 }

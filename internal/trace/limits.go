@@ -3,7 +3,7 @@ package trace
 import "fmt"
 
 // Limits bounds untrusted trace input beyond the structural plausibility
-// checks that Read and OpenChunkFile always apply.  The structural checks
+// checks that Read and NewChunkReader always apply.  The structural checks
 // (checkCount) only reject counts the input *cannot* hold; a network
 // ingest path additionally wants policy caps — a server must be able to
 // say "no upload may carry more than N events", independent of how many

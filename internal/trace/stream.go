@@ -104,7 +104,7 @@ type Stream struct {
 	pathParent []PathID
 	pathRegion []RegionID
 	pathChild  map[pathKey]PathID
-	pathStrs   []string // rendered alongside the path table
+	pathStrs   []string // rendered prefix of the path table (PathString)
 
 	locs   []Location
 	events int
@@ -199,8 +199,7 @@ func (st *Stream) intern(name string) RegionID {
 }
 
 // child returns (creating if needed) the global path node for region under
-// parent, rendering its string form on creation — the same concatenation
-// Trace.PathString caches, so rendered paths are identical.
+// parent.
 func (st *Stream) child(parent PathID, region RegionID) PathID {
 	k := pathKey{parent, region}
 	if id, ok := st.pathChild[k]; ok {
@@ -209,12 +208,6 @@ func (st *Stream) child(parent PathID, region RegionID) PathID {
 	id := PathID(len(st.pathParent))
 	st.pathParent = append(st.pathParent, parent)
 	st.pathRegion = append(st.pathRegion, region)
-	leaf := st.regions[region]
-	if parent > PathRoot {
-		st.pathStrs = append(st.pathStrs, st.pathStrs[parent]+"/"+leaf)
-	} else {
-		st.pathStrs = append(st.pathStrs, leaf)
-	}
 	st.pathChild[k] = id
 	return id
 }
@@ -333,9 +326,22 @@ func (st *Stream) RegionName(id RegionID) string {
 }
 
 // PathString implements View; rendered forms match Trace.PathString.
+// Paths are rendered on first request, not as the stream meets them: a
+// path's string grows with its depth, so rendering every path of a deep
+// call tree costs the square of its depth, which a stream that is only
+// drained must not pay.  Parents precede children in the path table, so
+// each path renders as its parent's string plus one segment.
 func (st *Stream) PathString(p PathID) string {
-	if p <= PathRoot || int(p) >= len(st.pathStrs) {
+	if p <= PathRoot || int(p) >= len(st.pathParent) {
 		return ""
+	}
+	for i := len(st.pathStrs); i <= int(p); i++ {
+		leaf := st.regions[st.pathRegion[i]]
+		if parent := st.pathParent[i]; parent > PathRoot {
+			st.pathStrs = append(st.pathStrs, st.pathStrs[parent]+"/"+leaf)
+		} else {
+			st.pathStrs = append(st.pathStrs, leaf)
+		}
 	}
 	return st.pathStrs[p]
 }

@@ -466,7 +466,6 @@ func Merge(buffers ...*Buffer) *Trace {
 		PathRegion: st.pathRegion,
 		Locations:  st.locs,
 	}
-	t.pathStrOnce.Do(func() { t.pathStrs = st.pathStrs })
 	return t
 }
 
