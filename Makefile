@@ -14,10 +14,6 @@
 #                  (CI's second job).
 #   make baseline— re-seed testdata/regress-store from a fresh run (only
 #                  after an intentional severity change; commit the result).
-#   make bench-json — run the Runtime/Scale/StreamAnalyze benchmark suite
-#                  and drop a machine-readable snapshot at
-#                  testdata/bench/BENCH_<date>.json (commit it to extend
-#                  the perf trajectory).
 #   make docs    — documentation conformance: every relative markdown link
 #                  resolves, and the README command-line reference matches
 #                  the flags the cmd/ binaries define.
@@ -36,26 +32,19 @@
 #                  rebuild == incremental update of the persistent log.
 #   make asl-smoke — ASL scenario-pipeline smoke: register the scenario
 #                  committed in examples/catalog.asl via `atsrun -asl`,
-#                  run it on both rank engines (traces and reports must
-#                  be byte-identical), check the declared detection, and
-#                  sweep it through `atsfuzz run/diff -asl`.
+#                  check the declared detection, and sweep it through
+#                  `atsfuzz run -asl`.
 #   make atsperf-test — vet and test the benchmark module under atsperf/
 #                  (its own go.mod, so the root `go test ./...` never
 #                  compiles it against the packages it drives).
-#   make bench-diff — compare the two newest committed BENCH_*.json
-#                  snapshots; non-zero exit if any benchmark regressed
-#                  more than 25% (override with TOL=<pct>).
 
 GO ?= go
 STORE := testdata/regress-store
 FIG35 := fig35_two_communicators.json
 CORPUS := testdata/conformance-corpus
 FUZZ_SEEDS ?= 100
-BENCH_DIR := testdata/bench
 
-TOL ?= 25
-
-.PHONY: check vet build test race smoke fuzz baseline bench-json bench-diff docs server-smoke cache-smoke similar-smoke asl-smoke atsperf-test
+.PHONY: check vet build test race smoke fuzz baseline docs server-smoke cache-smoke similar-smoke asl-smoke atsperf-test
 
 check: vet build test race smoke docs
 
@@ -90,19 +79,8 @@ baseline:
 	$(GO) run ./cmd/atsbench -only fig35 -profiles "$$tmp" >/dev/null && \
 	$(GO) run ./cmd/atsregress save -store $(STORE) "$$tmp/$(FIG35)"
 
-bench-json:
-	@mkdir -p $(BENCH_DIR)
-	$(GO) test -run '^$$' -bench '^Benchmark(Runtime_|Scale_|StreamAnalyze)' -benchtime 3x . \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_DIR)/BENCH_$$(date +%Y%m%d).json
-
 docs:
 	$(GO) test -run '^TestDocs' .
-
-bench-diff:
-	@old=$$(ls $(BENCH_DIR)/BENCH_*.json | sort | tail -2 | head -1) && \
-	new=$$(ls $(BENCH_DIR)/BENCH_*.json | sort | tail -1) && \
-	[ "$$old" != "$$new" ] || { echo "bench-diff: need two snapshots in $(BENCH_DIR)"; exit 1; } && \
-	$(GO) run ./cmd/benchjson -diff -tol $(TOL) "$$old" "$$new"
 
 server-smoke:
 	GO="$(GO)" sh scripts/server-smoke.sh

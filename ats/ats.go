@@ -91,23 +91,6 @@ const (
 	Real = vtime.Real
 )
 
-// Execution engines (MPIOptions.Engine).  EngineEvent is the Virtual-mode
-// default: a single-stepped virtual-clock event scheduler that scales to
-// 10⁴–10⁵ ranks in one process.  EngineGoroutine is goroutine-per-rank
-// execution, the migration escape hatch and the only engine for Real mode.
-const (
-	EngineAuto      = mpi.EngineAuto
-	EngineEvent     = mpi.EngineEvent
-	EngineGoroutine = mpi.EngineGoroutine
-)
-
-// ParseEngine parses an -engine flag value ("auto", "event", "goroutine").
-func ParseEngine(s string) (mpi.Engine, error) { return mpi.ParseEngine(s) }
-
-// SetDefaultEngine sets the process-wide engine applied to runs whose
-// Engine option is EngineAuto, for CLI tools with a single -engine flag.
-func SetDefaultEngine(e mpi.Engine) { mpi.SetDefaultEngine(e) }
-
 // RunMPI executes body on every rank of a fresh world and returns the
 // merged trace.
 func RunMPI(opt MPIOptions, body func(c *mpi.Comm)) (*Trace, error) {

@@ -555,8 +555,8 @@ func BenchmarkScale_CompositeRanks(b *testing.B) {
 // event-driven scheduler and the streaming pipeline at 4096–65536 simulated
 // ranks in one process.  Reported metrics: trace events, peak sampled
 // HeapAlloc (the O(ranks + pending events) memory claim), and event
-// throughput.  The committed baselines under testdata/bench/ track these
-// numbers release to release; doc/PERFORMANCE.md discusses them.
+// throughput.  doc/PERFORMANCE.md discusses them; the atsperf ledger's
+// scale-stream workload is the tracked end-to-end figure.
 func BenchmarkScale_EventEngineRanks(b *testing.B) {
 	for _, procs := range []int{4096, 16384, 65536} {
 		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {

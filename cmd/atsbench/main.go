@@ -61,18 +61,11 @@ func main() {
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		stream     = flag.Bool("stream", false, "extend the scale experiment to 1024 ranks (streamed vs materialized memory comparison)")
-		engine     = flag.String("engine", "auto", "rank execution engine for virtual-time runs (auto, event, goroutine)")
 		scaleRanks = flag.String("scale-ranks", "4096,16384,65536", "comma-separated rank counts for the scalebig experiment")
 		cacheDir   = flag.String("cache", "", "on-disk result cache directory for memoizable sweeps (empty: no caching)")
 	)
 	flag.Parse()
 	w := os.Stdout
-
-	eng, err := mpi.ParseEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mpi.SetDefaultEngine(eng)
 
 	// -cache memoizes the sweeps that are pure functions of their
 	// coordinates (conformance checks, the perturbed table) in the shared

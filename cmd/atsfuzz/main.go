@@ -7,7 +7,6 @@
 //	atsfuzz replay case.json ...      # re-check saved reproducers
 //	atsfuzz corpus                    # list the committed corpus
 //	atsfuzz gen -seeds 10 -out DIR    # write seed cases as corpus files
-//	atsfuzz diff -seeds 20            # byte-compare the event and goroutine engines
 //	atsfuzz worker                    # campaign worker process (spawned by -procs)
 //	atsfuzz cache gc -dir DIR         # drop stale-version result-cache entries
 package main
@@ -25,7 +24,6 @@ import (
 	"repro/internal/asl"
 	"repro/internal/campaign"
 	"repro/internal/conformance"
-	"repro/internal/mpi"
 	"repro/internal/rescache"
 )
 
@@ -70,11 +68,7 @@ commands:
           list the corpus cases
   gen     -seeds N [-start S] [-out DIR]
           write generated seed cases as corpus files
-  diff    [-seeds N] [-cache DIR] [-v]
-          run generated cases on both execution engines (event and
-          goroutine) and byte-compare the serialized traces and profile
-          hashes — the scheduler migration oracle
-  worker  [-j N] [-cache DIR] [-engine E]
+  worker  [-j N] [-cache DIR]
           serve conformance checks over the campaign worker protocol
           (line-delimited JSON on stdin/stdout; spawned by run -procs)
   cache   gc|stats [-dir DIR]
@@ -96,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdCorpus(args[1:], stdout, stderr)
 	case "gen":
 		return cmdGen(args[1:], stdout, stderr)
-	case "diff":
-		return cmdDiff(args[1:], stdout, stderr)
 	case "worker":
 		return cmdWorker(args[1:], stdout, stderr)
 	case "cache":
@@ -212,16 +204,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	cacheDir := fs.String("cache", "", `on-disk result cache directory ("auto": default location; empty: no caching)`)
 	perturbed := fs.Bool("perturb", false,
 		"sweep every case over the deterministic perturbation ladder (robustness axis)")
-	engine := fs.String("engine", "auto", "rank execution engine (auto, event, goroutine)")
 	aslFile := fs.String("asl", "", "register ASL scenarios from this file into the property pool")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if eng, err := mpi.ParseEngine(*engine); err != nil {
-		fmt.Fprintf(stderr, "atsfuzz: %v\n", err)
-		return 2
-	} else {
-		mpi.SetDefaultEngine(eng)
 	}
 	if !loadASL(*aslFile, stderr) {
 		return 2
@@ -279,7 +264,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	var err error
 	if *procs > 1 {
 		err = dispatchRun(*seeds, *start, cfg, *perturbed, dispatchConfig{
-			procs: *procs, jobs: *jobs, engine: *engine, cache: cache,
+			procs: *procs, jobs: *jobs, cache: cache,
 			aslFile: *aslFile, stderr: stderr,
 		}, sink)
 	} else {
@@ -312,7 +297,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 type dispatchConfig struct {
 	procs   int
 	jobs    int
-	engine  string
 	cache   *rescache.Store
 	aslFile string
 	stderr  io.Writer
@@ -324,7 +308,7 @@ type dispatchConfig struct {
 const workerEnv = "ATSFUZZ_WORKER=1"
 
 // dispatchRun fans the sweep across `atsfuzz worker` processes.  The
-// workers inherit the engine, per-process concurrency, and — crucially —
+// workers inherit the per-process concurrency and — crucially —
 // the cache directory, so every result they compute lands in the same
 // store the next (or a crash-recovering) sweep reads.
 func dispatchRun(seeds int, start uint64, cfg conformance.Config, perturbed bool, dc dispatchConfig, sink func(int, conformance.Case, seedResult) error) error {
@@ -335,9 +319,6 @@ func dispatchRun(seeds int, start uint64, cfg conformance.Config, perturbed bool
 	argv := []string{exe, "worker"}
 	if dc.jobs > 0 {
 		argv = append(argv, "-j", strconv.Itoa(dc.jobs))
-	}
-	if dc.engine != "" && dc.engine != "auto" {
-		argv = append(argv, "-engine", dc.engine)
 	}
 	if dc.cache != nil {
 		argv = append(argv, "-cache", dc.cache.Dir())
@@ -377,16 +358,9 @@ func cmdWorker(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jobs := fs.Int("j", 0, "concurrent jobs inside this worker (0: one per CPU)")
 	cacheDir := fs.String("cache", "", "on-disk result cache directory (empty: no caching)")
-	engine := fs.String("engine", "auto", "rank execution engine (auto, event, goroutine)")
 	aslFile := fs.String("asl", "", "register ASL scenarios from this file into the property pool")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if eng, err := mpi.ParseEngine(*engine); err != nil {
-		fmt.Fprintf(stderr, "atsfuzz: %v\n", err)
-		return 2
-	} else {
-		mpi.SetDefaultEngine(eng)
 	}
 	if !loadASL(*aslFile, stderr) {
 		return 2
@@ -548,47 +522,6 @@ func cmdGen(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote %s: %s\n", path, cs)
 	}
-	return 0
-}
-
-func cmdDiff(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	seeds := fs.Int("seeds", 20, "number of seeded cases to compare across engines")
-	cacheDir := fs.String("cache", "", `on-disk result cache directory ("auto": default location; empty: no caching)`)
-	verbose := fs.Bool("v", false, "print every compared seed, not just the summary")
-	aslFile := fs.String("asl", "", "register ASL scenarios from this file into the property pool")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !loadASL(*aslFile, stderr) {
-		return 2
-	}
-	if *cacheDir != "" {
-		_, report, err := openCache(resolveCacheDir(*cacheDir, ""), stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "atsfuzz: %v\n", err)
-			return 2
-		}
-		defer report()
-	}
-	compared := 0
-	err := conformance.DiffSeeds(*seeds, func(seed uint64, out conformance.DiffOutcome) {
-		compared++
-		if *verbose {
-			mode := "byte-compared"
-			if !out.BytesCompared {
-				mode = "ran on both engines (nondeterministic waits; bytes not compared)"
-			}
-			fmt.Fprintf(stdout, "ok   seed %-4d %8d trace bytes  %s  %s\n",
-				seed, out.TraceBytes, short(out.Hash), mode)
-		}
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "atsfuzz diff: engines diverge: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "diff: %d seeds, event and goroutine engines agree byte for byte\n", compared)
 	return 0
 }
 

@@ -246,8 +246,8 @@ func TestCacheGCAndStats(t *testing.T) {
 // TestWorkerSubcommandRejectsBadFlags keeps the worker's CLI surface
 // honest without speaking the protocol by hand.
 func TestWorkerSubcommandRejectsBadFlags(t *testing.T) {
-	if code, _, errOut := runCmd(t, "worker", "-engine", "warp"); code != 2 || !strings.Contains(errOut, "unknown engine") {
-		t.Fatalf("bad engine: exit %d, stderr: %s", code, errOut)
+	if code, _, errOut := runCmd(t, "worker", "-j", "warp"); code != 2 || !strings.Contains(errOut, "invalid value") {
+		t.Fatalf("bad -j: exit %d, stderr: %s", code, errOut)
 	}
 	if code, _, _ := runCmd(t, "cache"); code != 2 {
 		t.Fatal("bare cache subcommand should exit 2")

@@ -54,18 +54,11 @@ func main() {
 		width     = flag.Int("width", 100, "timeline width in columns")
 		stream    = flag.Bool("stream", false, "stream events through an on-disk spool and analyze incrementally (bounded memory; incompatible with -trace and -timeline)")
 		spoolOut  = flag.String("spool", "", "write the run as an ATSC chunk spool to this file and exit without analyzing (for uploading to atsd)")
-		engine    = flag.String("engine", "auto", "rank execution engine (auto, event, goroutine)")
 		aslFile   = flag.String("asl", "", "register ASL scenario definitions from this file before resolving -property (see doc/ASL.md)")
 	)
 	sets := setFlags{}
 	flag.Var(sets, "set", "set a property parameter: name=value (repeatable)")
 	flag.Parse()
-
-	eng, err := ats.ParseEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ats.SetDefaultEngine(eng)
 
 	if *aslFile != "" {
 		names, err := ats.RegisterASLFile(*aslFile)

@@ -100,9 +100,13 @@ func cmdFlags(t *testing.T, dir string) []string {
 	return names
 }
 
+// rowFlag matches a `-flag` mention (optionally followed by an argument
+// placeholder inside the same code span) in a README table row.
+var rowFlag = regexp.MustCompile("`-([A-Za-z][A-Za-z0-9-]*)")
+
 // TestDocsCLIReference keeps the README's command-line table honest:
-// every cmd/ binary has a table row, and every flag a binary defines is
-// mentioned in that row.
+// every cmd/ binary has a table row, every flag a binary defines is
+// mentioned in that row, and every `-flag` the row names is defined.
 func TestDocsCLIReference(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
@@ -130,9 +134,16 @@ func TestDocsCLIReference(t *testing.T) {
 			t.Errorf("README.md: no command-line table row for %s", tool)
 			continue
 		}
+		defined := map[string]bool{}
 		for _, name := range cmdFlags(t, dir) {
+			defined[name] = true
 			if !strings.Contains(row, "-"+name) {
 				t.Errorf("README.md: %s row does not mention its -%s flag", tool, name)
+			}
+		}
+		for _, m := range rowFlag.FindAllStringSubmatch(row, -1) {
+			if !defined[m[1]] {
+				t.Errorf("README.md: %s row names -%s, which the binary does not define", tool, m[1])
 			}
 		}
 	}

@@ -1,14 +1,13 @@
 package conformance
 
 // Result-cache wiring: the conformance oracle is a pure function of
-// (case, options, engine, engine version, perturbation profile), which
-// makes its verdicts ideal content-addressed cache entries — a warm
-// sweep replays stored Outcomes byte-identically instead of re-running
+// (case, options, engine version, perturbation profile), which makes its
+// verdicts ideal content-addressed cache entries — a warm sweep replays
+// stored Outcomes byte-identically instead of re-running
 // run+trace+analyze.  The cache is process-wide (SetResultCache), like
-// campaign.SetDefaultWorkers and mpi.SetDefaultEngine: CLIs install it
-// once from their -cache flag and every sweep layer — CheckCached,
-// CheckRobust's per-level loop, noise-floor calibration, the engine
-// differential — shares it.
+// campaign.SetDefaultWorkers: CLIs install it once from their -cache flag
+// and every sweep layer — CheckCached, CheckRobust's per-level loop,
+// noise-floor calibration — shares it.
 
 import (
 	"crypto/sha256"
@@ -27,18 +26,17 @@ import (
 var resultCache atomic.Pointer[rescache.Store]
 
 // SetResultCache installs (or, with nil, removes) the process-wide
-// result cache consulted by CheckCached, CheckRobust, DiffEnginesCached
-// and CalibratedNoiseFloor.
+// result cache consulted by CheckCached, CheckRobust and
+// CalibratedNoiseFloor.
 func SetResultCache(s *rescache.Store) { resultCache.Store(s) }
 
 // ResultCache returns the installed result cache, or nil.
 func ResultCache() *rescache.Store { return resultCache.Load() }
 
-// checkKeyDoc is everything a Check outcome depends on.  The engine
-// identity and version are load-bearing: an outcome computed under one
-// engine must never be served to a sweep running another (the
-// calibration cache historically omitted exactly this and is the
-// cautionary tale), and an engine change invalidates by version bump.
+// checkKeyDoc is everything a Check outcome depends on.  Check runs in
+// Virtual mode, which always executes on the event engine, so the key
+// records no engine identity; an engine change invalidates by bumping
+// mpi.EngineVersion.
 type checkKeyDoc struct {
 	Kind            string            `json:"kind"`
 	Case            Case              `json:"case"`
@@ -48,7 +46,6 @@ type checkKeyDoc struct {
 	SkipDeterminism bool              `json:"skip_determinism"`
 	DropProperty    string            `json:"drop_property,omitempty"`
 	Perturb         perturb.Profile   `json:"perturb"`
-	Engine          string            `json:"engine"`
 	EngineVersion   int               `json:"engine_version"`
 	ProfileSchema   int               `json:"profile_schema"`
 	Defs            map[string]string `json:"defs,omitempty"`
@@ -77,7 +74,6 @@ func caseDefs(cs Case) map[string]string {
 // checkKey derives the content key of one oracle invocation.
 func checkKey(cs Case, opt CheckOptions) (string, error) {
 	opt = opt.withDefaults()
-	eng := mpi.EffectiveDefault()
 	return rescache.Key(checkKeyDoc{
 		Kind:            "conformance/check",
 		Case:            cs,
@@ -87,8 +83,7 @@ func checkKey(cs Case, opt CheckOptions) (string, error) {
 		SkipDeterminism: opt.SkipDeterminism,
 		DropProperty:    opt.DropProperty,
 		Perturb:         opt.Perturb,
-		Engine:          eng.String(),
-		EngineVersion:   eng.Version(),
+		EngineVersion:   mpi.EngineVersion,
 		ProfileSchema:   profile.SchemaVersion,
 		Defs:            caseDefs(cs),
 	})
@@ -126,64 +121,14 @@ func CheckCached(cs Case, opt CheckOptions) (Outcome, error) {
 	return out, nil
 }
 
-// diffKeyDoc keys an engine-differential outcome: it depends on both
-// engines, so both versions are part of the key.
-type diffKeyDoc struct {
-	Kind             string            `json:"kind"`
-	Case             Case              `json:"case"`
-	Perturb          perturb.Profile   `json:"perturb"`
-	EventVersion     int               `json:"event_version"`
-	GoroutineVersion int               `json:"goroutine_version"`
-	ProfileSchema    int               `json:"profile_schema"`
-	Defs             map[string]string `json:"defs,omitempty"`
-}
-
-// DiffEnginesCached is DiffEngines behind the process-wide result cache.
-// Only agreeing outcomes are cached: a divergence is a finding about the
-// running binary and must be re-observed, never replayed from disk.
-func DiffEnginesCached(cs Case, prof perturb.Profile) (DiffOutcome, error) {
-	c := ResultCache()
-	if c == nil {
-		return DiffEngines(cs, prof)
-	}
-	key, kerr := rescache.Key(diffKeyDoc{
-		Kind:             "conformance/diff",
-		Case:             cs,
-		Perturb:          prof,
-		EventVersion:     mpi.EngineEvent.Version(),
-		GoroutineVersion: mpi.EngineGoroutine.Version(),
-		ProfileSchema:    profile.SchemaVersion,
-		Defs:             caseDefs(cs),
-	})
-	if kerr != nil {
-		return DiffEngines(cs, prof)
-	}
-	if blob, ok := c.Get(key); ok {
-		var out DiffOutcome
-		if json.Unmarshal(blob, &out) == nil {
-			return out, nil
-		}
-	}
-	out, err := DiffEngines(cs, prof)
-	if err != nil {
-		return out, err
-	}
-	if blob, merr := json.Marshal(out); merr == nil {
-		_ = c.Put(key, blob)
-	}
-	return out, nil
-}
-
 // calKeyDoc keys one noise-floor calibration cell.  The profile's seed
 // is normalized away by the caller (the floor is a property of shape ×
-// disturbance magnitudes alone); the engine identity is not — see the
-// regression test in cache_test.go.
+// disturbance magnitudes alone).
 type calKeyDoc struct {
 	Kind          string          `json:"kind"`
 	Procs         int             `json:"procs"`
 	Threads       int             `json:"threads"`
 	Profile       perturb.Profile `json:"profile"`
-	Engine        string          `json:"engine"`
 	EngineVersion int             `json:"engine_version"`
 }
 
@@ -194,8 +139,7 @@ func calDiskKey(k calKey) (string, error) {
 		Procs:         k.procs,
 		Threads:       k.threads,
 		Profile:       k.prof,
-		Engine:        k.engine,
-		EngineVersion: mpi.EffectiveDefault().Version(),
+		EngineVersion: mpi.EngineVersion,
 	})
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/asl"
-	"repro/internal/mpi"
 	"repro/internal/perturb"
 	"repro/internal/rescache"
 )
@@ -88,71 +87,13 @@ func TestCheckCachedKeySeparatesOptions(t *testing.T) {
 	}
 }
 
-// TestCheckCachedKeySeparatesEngines: the engine identity is part of the
-// key, so a verdict computed under one engine is invisible to the other.
-func TestCheckCachedKeySeparatesEngines(t *testing.T) {
-	prev := mpi.DefaultEngine()
-	defer mpi.SetDefaultEngine(prev)
-	cs := Generate(11, Config{})
-	mpi.SetDefaultEngine(mpi.EngineEvent)
-	kEvent, err := checkKey(cs, CheckOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpi.SetDefaultEngine(mpi.EngineGoroutine)
-	kGo, err := checkKey(cs, CheckOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kEvent == kGo {
-		t.Fatal("event and goroutine engines share a cache key")
-	}
-}
-
-// TestCalibrationCacheKeyedByEngine is the satellite regression test for
-// the calKey engine-identity fix: a calibration floor poisoned into the
-// in-memory cache under one engine's key must NOT be served to a sweep
-// running the other engine.  Before the fix, calKey omitted the engine
-// and this test fails with the sentinel leaking through.
-func TestCalibrationCacheKeyedByEngine(t *testing.T) {
-	prev := mpi.DefaultEngine()
-	defer mpi.SetDefaultEngine(prev)
-
-	const procs, threads = 2, 2
-	prof := perturb.Level(1, 2)
-	prof.Seed = 0
-
-	const sentinel = 123456.0
-	// Poison the event engine's cell...
-	calCache.Store(calKey{procs: procs, threads: threads, engine: mpi.EngineEvent.String(), prof: prof}, sentinel)
-	t.Cleanup(func() {
-		calCache.Delete(calKey{procs: procs, threads: threads, engine: mpi.EngineEvent.String(), prof: prof})
-		calCache.Delete(calKey{procs: procs, threads: threads, engine: mpi.EngineGoroutine.String(), prof: prof})
-	})
-
-	// ...and calibrate under the goroutine engine: the sentinel must not
-	// surface.
-	mpi.SetDefaultEngine(mpi.EngineGoroutine)
-	got := CalibratedNoiseFloor(procs, threads, perturb.Level(1, 2))
-	if got == sentinel {
-		t.Fatal("calibration computed under one engine was served to the other")
-	}
-
-	// The poisoned cell is still served to its own engine — the fix keys
-	// the cache, it does not disable it.
-	mpi.SetDefaultEngine(mpi.EngineEvent)
-	if got := CalibratedNoiseFloor(procs, threads, perturb.Level(1, 2)); got != sentinel {
-		t.Fatalf("event-engine cell = %v; want the sentinel (cache bypassed?)", got)
-	}
-}
-
 // TestCalibrationDiskCacheRoundtrip: with a result cache installed, a
 // calibration computed in one "process" (fresh in-memory cache) is
 // reloaded from disk instead of recomputed.
 func TestCalibrationDiskCacheRoundtrip(t *testing.T) {
 	s := withCache(t)
 	prof := perturb.Level(3, 1)
-	key := calKey{procs: 2, threads: 2, engine: mpi.EffectiveDefault().String(), prof: prof}
+	key := calKey{procs: 2, threads: 2, prof: prof}
 	key.prof.Seed = 0
 
 	floor := CalibratedNoiseFloor(2, 2, prof)
@@ -170,27 +111,6 @@ func TestCalibrationDiskCacheRoundtrip(t *testing.T) {
 		t.Fatal("second calibration did not read the disk cache")
 	}
 	calCache.Delete(key)
-}
-
-// TestDiffEnginesCachedWarmEqualsCold: the engine differential memoizes
-// agreeing outcomes and replays them byte-identically.
-func TestDiffEnginesCachedWarmEqualsCold(t *testing.T) {
-	s := withCache(t)
-	cs := Generate(5, Config{})
-	cold, err := DiffEnginesCached(cs, perturb.Profile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := DiffEnginesCached(cs, perturb.Profile{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().Hits == 0 {
-		t.Fatal("warm differential did not hit the cache")
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("warm diff outcome diverges: %+v vs %+v", cold, warm)
-	}
 }
 
 // TestCheckRobustUsesCachePerLevel: a robust sweep writes one entry per

@@ -1,9 +1,10 @@
 package conformance
 
-// Engine differential harness: the migration oracle for the event-driven
-// virtual-time scheduler.  A case is executed twice — once per execution
-// engine — and the serialized ATS1 traces and canonical profile hashes are
-// compared byte for byte.  Any divergence (message matching, collective
+// Engine differential harness: the test oracle for the event-driven
+// virtual-time scheduler.  A case is executed twice — on the event engine
+// every Virtual-mode run uses, and on the goroutine engine as the
+// reference — and the serialized ATS1 traces and canonical profile hashes
+// are compared byte for byte.  Any divergence (message matching, collective
 // completion times, wildcard resolution order, OMP team scheduling) shows
 // up as a trace or hash mismatch, so the event engine's claim of
 // observational equivalence with the goroutine engine is checked on the
@@ -113,32 +114,6 @@ func DiffEngineBodies(procs int, body func(c *mpi.Comm)) (int, error) {
 			diffOffset(evBytes, goBytes), len(evBytes), len(goBytes))
 	}
 	return len(evBytes), nil
-}
-
-// DiffSeeds runs the generated-seed sweep used by `atsfuzz diff` and the
-// CI scale-smoke job: seeds 1..n, each unperturbed plus one perturbation
-// level (cycling 0..MaxLevel by seed), stopping at the first divergence.
-// Comparisons go through the process-wide result cache when one is
-// installed (agreeing seeds are free on reruns; divergences always
-// re-execute).
-func DiffSeeds(n int, progress func(seed uint64, out DiffOutcome)) error {
-	for seed := uint64(1); seed <= uint64(n); seed++ {
-		cs := Generate(seed, Config{})
-		out, err := DiffEnginesCached(cs, perturb.Profile{})
-		if err != nil {
-			return fmt.Errorf("seed %d (%s): %w", seed, cs, err)
-		}
-		level := int(seed % uint64(perturb.MaxLevel+1))
-		if level > 0 {
-			if _, err := DiffEnginesCached(cs, perturb.Level(seed, level)); err != nil {
-				return fmt.Errorf("seed %d (%s) perturb level %d: %w", seed, cs, level, err)
-			}
-		}
-		if progress != nil {
-			progress(seed, out)
-		}
-	}
-	return nil
 }
 
 // diffOffset returns the first index at which a and b differ.

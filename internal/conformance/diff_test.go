@@ -13,7 +13,7 @@ import (
 )
 
 // TestDiffEnginesCorpus byte-compares both engines over every committed
-// corpus case — the migration oracle on the curated regression surface.
+// corpus case — the engine differential on the curated regression surface.
 func TestDiffEnginesCorpus(t *testing.T) {
 	entries, err := LoadCorpus(filepath.Join("..", "..", "testdata", "conformance-corpus"))
 	if err != nil {
@@ -31,10 +31,10 @@ func TestDiffEnginesCorpus(t *testing.T) {
 	}
 }
 
-// TestDiffEnginesGenerated sweeps generated seeds through the oracle.  The
-// default count keeps `go test` fast; CI's scale-smoke job raises it past
-// the 200-seed acceptance bar with ATS_DIFF_SEEDS (atsfuzz diff -seeds
-// drives the same sweep from the command line).
+// TestDiffEnginesGenerated sweeps generated seeds through the oracle, each
+// unperturbed and at one perturbation level cycling 1..MaxLevel by seed.
+// The default count keeps `go test` fast; CI's scale-smoke job raises it
+// with ATS_DIFF_SEEDS.
 func TestDiffEnginesGenerated(t *testing.T) {
 	n := 12
 	if s := os.Getenv("ATS_DIFF_SEEDS"); s != "" {
@@ -55,6 +55,10 @@ func TestDiffEnginesGenerated(t *testing.T) {
 		}
 		if out.BytesCompared {
 			compared++
+		}
+		level := 1 + int((seed-1)%uint64(perturb.MaxLevel))
+		if _, err := DiffEngines(cs, perturb.Level(seed, level)); err != nil {
+			t.Fatalf("seed %d (%s) perturb level %d: %v", seed, cs, level, err)
 		}
 	}
 	if compared == 0 {
@@ -134,9 +138,9 @@ func TestDiffEngineApps(t *testing.T) {
 	}
 }
 
-// FuzzDiffEngines is the native-fuzzing entry point for the migration
-// oracle: any generatable seed must produce byte-identical traces on both
-// engines (or be a documented nondeterministic case).
+// FuzzDiffEngines is the native-fuzzing entry point for the engine
+// differential: any generatable seed must produce byte-identical traces
+// on both engines (or be a documented nondeterministic case).
 func FuzzDiffEngines(f *testing.F) {
 	for _, seed := range []uint64{1, 42, 1 << 32} {
 		f.Add(seed)

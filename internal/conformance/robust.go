@@ -114,17 +114,11 @@ const (
 	calReps = 3
 )
 
-// calKey caches calibration per shape, per seed-independent profile, and
-// per execution engine.  The engine field is load-bearing: the floor is
-// measured by *running* the clean composite, so it is a fact about the
-// engine that ran it — calibration computed under the event engine must
-// never be served to a `-engine goroutine` sweep (the two are proven
-// byte-identical today, but the cache must not bake that theorem in; a
-// version bump or real divergence would otherwise be masked by a stale
-// floor).  cache_test.go pins this with a poisoned-cache regression test.
+// calKey caches calibration per shape and per seed-independent profile.
+// Every Virtual-mode run executes on the event engine, so the floor
+// needs no engine identity; the on-disk key records the engine version.
 type calKey struct {
 	procs, threads int
-	engine         string
 	prof           perturb.Profile
 }
 
@@ -134,16 +128,16 @@ var calCache sync.Map // calKey -> float64
 // for the given shape under the given perturbation profile: the margin-
 // padded worst spurious wait a correct analysis reports on perturbed
 // clean composites.  The result depends only on the shape, the profile's
-// disturbance magnitudes (the seed is normalized away), and the
-// execution engine, and is cached — in-memory always, and through the
-// process-wide result cache when one is installed (SetResultCache), so a
-// fuzzing campaign pays for each (shape, level, engine) cell once per
-// cache lifetime rather than once per process.
+// disturbance magnitudes (the seed is normalized away), and is cached —
+// in-memory always, and through the process-wide result cache when one is
+// installed (SetResultCache), so a fuzzing campaign pays for each
+// (shape, level) cell once per cache lifetime rather than once per
+// process.
 func CalibratedNoiseFloor(procs, threads int, prof perturb.Profile) float64 {
 	if prof.Zero() {
 		return 0
 	}
-	key := calKey{procs: procs, threads: threads, engine: mpi.EffectiveDefault().String(), prof: prof}
+	key := calKey{procs: procs, threads: threads, prof: prof}
 	key.prof.Seed = 0
 	if v, ok := calCache.Load(key); ok {
 		return v.(float64)

@@ -47,7 +47,6 @@ type perturbedKeyDoc struct {
 	Procs         int    `json:"procs"`
 	Threads       int    `json:"threads"`
 	PerturbSeed   uint64 `json:"perturb_seed"`
-	Engine        string `json:"engine"`
 	EngineVersion int    `json:"engine_version"`
 	ProfileSchema int    `json:"profile_schema"`
 }
@@ -55,7 +54,6 @@ type perturbedKeyDoc struct {
 // perturbedCellKey derives the content key of one cell of the perturbed
 // negative-correctness table.
 func perturbedCellKey(level int, program string, procs, threads int, perturbSeed uint64) (string, error) {
-	eng := mpi.EffectiveDefault()
 	return rescache.Key(perturbedKeyDoc{
 		Kind:          "experiments/perturbed_negative",
 		Level:         level,
@@ -63,8 +61,7 @@ func perturbedCellKey(level int, program string, procs, threads int, perturbSeed
 		Procs:         procs,
 		Threads:       threads,
 		PerturbSeed:   perturbSeed,
-		Engine:        eng.String(),
-		EngineVersion: eng.Version(),
+		EngineVersion: mpi.EngineVersion,
 		ProfileSchema: profile.SchemaVersion,
 	})
 }

@@ -212,8 +212,8 @@ type ScaleBigRow struct {
 // (the materialized pipeline is deliberately absent — holding a 65536-rank
 // trace in memory is the failure mode this experiment demonstrates the
 // absence of).  Memory must stay O(ranks + pending events): the peak-heap
-// column is the evidence, and the committed bench baseline
-// (testdata/bench/) tracks it release to release.
+// column is the evidence, and the atsperf ledger's scale-stream workload
+// tracks it release to release.
 func ScaleStreamed(w io.Writer, ranks []int) ([]ScaleBigRow, error) {
 	fmt.Fprintln(w, "== scalebig: event-engine composite at 10^3..10^5 ranks (streamed) ==")
 	fmt.Fprintf(w, "(%d rounds x %d compute segments + ring exchange per rank; peak = sampled HeapAlloc high-water mark)\n",

@@ -157,11 +157,8 @@ func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) col
 		restore := c.p.blockedSection()
 		for !op.done {
 			if e.w.failed.Load() {
-				e.w.failMu.Lock()
-				err := e.w.failErr
-				e.w.failMu.Unlock()
 				e.mu.Unlock()
-				panic(abortError{cause: err})
+				e.w.checkFailed()
 			}
 			e.cond.Wait()
 		}

@@ -2,46 +2,42 @@ package mpi
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/vtime"
 )
 
-// Engine selects the rank-execution strategy of a World run.
+// Engine selects the rank-execution strategy of a Virtual-mode World run.
+// The clock mode picks the engine: Virtual mode runs on the event engine
+// and Real mode on goroutines.  Options.Engine exists only so the
+// cross-engine differential (engine_diff_test.go, conformance.DiffEngines)
+// can run Virtual mode on the goroutine engine as its test reference.
 //
-// The event engine (the Virtual-mode default) drives ranks as resumable
-// state machines from a central virtual-clock event queue: exactly one
-// rank steps at a time, blocking operations park the rank's goroutine and
-// hand control back to the scheduler, and wildcard receives are resolved
-// at event-queue quiescence instead of by polling.  It produces traces
-// byte-identical to the goroutine engine (the migration oracle in
-// engine_diff_test.go enforces this) while scaling to 10⁴–10⁵ ranks in
-// one process, because no rank ever spins and scheduler state is
+// The event engine drives ranks as resumable state machines from a
+// central virtual-clock event queue: exactly one rank steps at a time,
+// blocking operations park the rank's goroutine and hand control back to
+// the scheduler, and wildcard receives are resolved at event-queue
+// quiescence instead of by polling.  It scales to 10⁴–10⁵ ranks in one
+// process, because no rank ever spins and scheduler state is
 // O(ranks + pending events).
 //
 // The goroutine engine runs every rank as a free-running goroutine with
 // condition-variable blocking and the spoiler poll loop for wildcard
-// receives — the pre-event-queue behaviour, kept as a migration escape
-// hatch and as the only engine for Real (wall-clock) mode, where genuine
-// host parallelism is the point.
+// receives.  It is the only engine for Real (wall-clock) mode, where
+// genuine host parallelism is the point, and the Virtual-mode reference
+// the event engine's traces are byte-compared against.
 type Engine uint8
 
 const (
-	// EngineAuto resolves to the process default (see SetDefaultEngine):
-	// the event engine for Virtual mode, the goroutine engine for Real.
-	EngineAuto Engine = iota
-	// EngineEvent is the single-stepped event-queue scheduler
-	// (Virtual mode only; Real-mode runs fall back to goroutines).
-	EngineEvent
+	// EngineEvent is the single-stepped event-queue scheduler, the zero
+	// value (Virtual mode only; Real-mode runs use goroutines).
+	EngineEvent Engine = iota
 	// EngineGoroutine is goroutine-per-rank execution.
 	EngineGoroutine
 )
 
-// String names the engine for flags and logs.
+// String names the engine for errors and logs.
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
 	case EngineEvent:
 		return "event"
 	case EngineGoroutine:
@@ -51,77 +47,19 @@ func (e Engine) String() string {
 	}
 }
 
-// Engine implementation versions: the invalidation epoch recorded in
-// content-addressed result-cache keys (internal/rescache).  Bump an
-// engine's version whenever a change could alter its observable output —
-// serialized traces, profile hashes, error text surfaced into cached
-// outcomes — even if the change is believed equivalent; a stale bump
-// costs one cold sweep, a missed bump serves wrong results forever.
-const (
-	eventEngineVersion     = 1
-	goroutineEngineVersion = 1
-)
+// EngineVersion is the observable-output version of the execution
+// engines: the invalidation epoch recorded in content-addressed
+// result-cache keys (internal/rescache).  Bump it whenever a change could
+// alter a run's observable output — serialized traces, profile hashes,
+// error text surfaced into cached outcomes — even if the change is
+// believed equivalent; a stale bump costs one cold sweep, a missed bump
+// serves wrong results forever.
+const EngineVersion = 1
 
-// Version returns the engine's observable-output version (see the bump
-// rules above).  EngineAuto reports the version of the engine it would
-// resolve to for a Virtual-mode run.
-func (e Engine) Version() int {
-	switch resolveEngine(e, vtime.Virtual) {
-	case EngineEvent:
-		return eventEngineVersion
-	case EngineGoroutine:
-		return goroutineEngineVersion
-	default:
-		return 0
-	}
-}
-
-// EffectiveDefault returns the concrete engine a Virtual-mode run with
-// Options.Engine == EngineAuto executes on — the engine identity cache
-// keys and calibration keys must record, since "auto" is not an identity.
-func EffectiveDefault() Engine { return resolveEngine(EngineAuto, vtime.Virtual) }
-
-// ParseEngine parses a -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "event":
-		return EngineEvent, nil
-	case "goroutine":
-		return EngineGoroutine, nil
-	default:
-		return EngineAuto, fmt.Errorf("mpi: unknown engine %q (want auto, event or goroutine)", s)
-	}
-}
-
-// defaultEngine is the process-wide engine used when Options.Engine is
-// EngineAuto, itself defaulting to EngineAuto (= event for Virtual mode).
-// Like campaign.SetDefaultWorkers it exists so CLI tools can apply one
-// -engine flag to every run they orchestrate without threading the option
-// through every experiment signature.
-var defaultEngine atomic.Uint32
-
-// SetDefaultEngine sets the process-wide engine applied to runs whose
-// Options.Engine is EngineAuto.
-func SetDefaultEngine(e Engine) { defaultEngine.Store(uint32(e)) }
-
-// DefaultEngine returns the engine set by SetDefaultEngine.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }
-
-// resolveEngine maps the option (and the process default) to the concrete
-// engine for a run in the given clock mode.  The event scheduler is
-// meaningless under wall-clock time — there is no virtual clock to order
-// the event queue by — so Real mode always runs on goroutines.
-func resolveEngine(e Engine, mode vtime.Mode) Engine {
-	if e == EngineAuto {
-		e = DefaultEngine()
-	}
-	if e == EngineAuto {
-		e = EngineEvent
-	}
-	if mode == vtime.Real {
-		return EngineGoroutine
-	}
-	return e
+// eventMode reports whether a run with the given engine option and clock
+// mode executes on the event engine.  The event scheduler is meaningless
+// under wall-clock time — there is no virtual clock to order the event
+// queue by — so Real mode always runs on goroutines.
+func eventMode(e Engine, mode vtime.Mode) bool {
+	return mode != vtime.Real && e == EngineEvent
 }

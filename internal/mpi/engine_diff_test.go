@@ -1,7 +1,7 @@
 package mpi
 
 // Engine differential tests over hand-written communication bodies: the
-// mpi-level half of the migration oracle (the conformance half sweeps
+// mpi-level half of the engine differential (the conformance half sweeps
 // generated cases; see internal/conformance/diff.go).  Each body targets a
 // scheduler mechanism with a known divergence risk — wildcard resolution
 // order, rendezvous handshakes, nonblocking completion, communicator
@@ -10,6 +10,7 @@ package mpi
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/distr"
@@ -48,18 +49,61 @@ func diffEngines(t *testing.T, procs int, body func(c *Comm)) {
 // draining staggered senders must pick messages in virtual-arrival order
 // on both engines, including the ties broken by sender rank.
 func TestEngineDiffWildcard(t *testing.T) {
+	var got []int
 	diffEngines(t, 6, func(c *Comm) {
 		buf := AllocBuf(TypeInt, 1)
 		defer FreeBuf(buf)
 		if c.Rank() == 0 {
 			for i := 1; i < c.Size(); i++ {
-				c.Recv(buf, AnySource, 7)
+				got = append(got, c.Recv(buf, AnySource, 7).Source)
 			}
 		} else {
 			c.Work(float64(c.Rank()%3) * 1e-4) // staggered, with ties
 			c.Send(buf, 0, 7)
 		}
 	})
+	// Senders start at 0 (rank 3), 1e-4 (ranks 1, 4) and 2e-4 (ranks 2,
+	// 5); equal arrivals go to the lower rank.  diffEngines ran the body
+	// once per engine.
+	want := []int{3, 1, 4, 2, 5}
+	if !reflect.DeepEqual(got, append(want, want...)) {
+		t.Fatalf("AnySource order (event, then goroutine) = %v; want %v twice", got, want)
+	}
+}
+
+// TestEngineWildcardQuiescenceOrder pins AnySource resolution in closed
+// form on both engines.  Rank 2's message to rank 0 (sent at 1e-2) is
+// queued before rank 0's receives are granted, but rank 1 — clock behind
+// that arrival, rank 2's first message still unconsumed — can yet answer
+// earlier, and does: a scheduler that ignores such spoilers hands rank 0
+// rank 2's message first.
+func TestEngineWildcardQuiescenceOrder(t *testing.T) {
+	for _, eng := range []Engine{EngineEvent, EngineGoroutine} {
+		var got []int
+		_, err := Run(Options{Procs: 3, Engine: eng}, func(c *Comm) {
+			buf := AllocBuf(TypeInt, 1)
+			defer FreeBuf(buf)
+			switch c.Rank() {
+			case 0:
+				c.Work(1e-3)
+				got = append(got, c.Recv(buf, AnySource, 0).Source)
+				got = append(got, c.Recv(buf, AnySource, 0).Source)
+			case 1:
+				c.Recv(buf, AnySource, 0)
+				c.Send(buf, 0, 0)
+			case 2:
+				c.Send(buf, 1, 0)
+				c.Work(1e-2)
+				c.Send(buf, 0, 0)
+			}
+		})
+		if err != nil {
+			t.Fatalf("engine %s: %v", eng, err)
+		}
+		if want := []int{1, 2}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("engine %s: AnySource order = %v; want %v", eng, got, want)
+		}
+	}
 }
 
 // TestEngineDiffWildcardMutual drives the mutual-wait shape the goroutine

@@ -80,12 +80,9 @@ func TestEventEngineConcurrentWorlds(t *testing.T) {
 }
 
 // TestEventEngineMixedEnginesConcurrent interleaves event and goroutine
-// worlds in one process, sharing the pooled buffers, while the process
-// default engine is flipped concurrently (CLI tools set it once, but it
-// must at minimum be race-clean).
+// worlds in one process, sharing the pooled buffers.
 func TestEventEngineMixedEnginesConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
-	defer SetDefaultEngine(EngineAuto)
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -94,7 +91,6 @@ func TestEventEngineMixedEnginesConcurrent(t *testing.T) {
 			if i%2 == 1 {
 				eng = EngineGoroutine
 			}
-			SetDefaultEngine(eng)
 			if _, err := Run(Options{Procs: 8, Engine: eng}, stressBody); err != nil {
 				t.Error(err)
 			}

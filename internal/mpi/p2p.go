@@ -262,12 +262,7 @@ func (mb *mailbox) match(p *proc, cid int32, src, tag int, remove bool) *message
 				time.Sleep(20 * time.Microsecond)
 				mb.mu.Lock()
 				restore()
-				if mb.w.failed.Load() {
-					mb.w.failMu.Lock()
-					err := mb.w.failErr
-					mb.w.failMu.Unlock()
-					panic(abortError{cause: err})
-				}
+				mb.w.checkFailed()
 				continue
 			}
 		} else {
@@ -281,12 +276,7 @@ func (mb *mailbox) match(p *proc, cid int32, src, tag int, remove bool) *message
 				}
 			}
 		}
-		if mb.w.failed.Load() {
-			mb.w.failMu.Lock()
-			err := mb.w.failErr
-			mb.w.failMu.Unlock()
-			panic(abortError{cause: err})
-		}
+		mb.w.checkFailed()
 		restore := p.blockedSection()
 		mb.cond.Wait()
 		restore()

@@ -51,11 +51,11 @@ type Options struct {
 	// yields a report byte-identical to the materialized path at
 	// O(locations) memory.  Ignored when Untraced.
 	Sink trace.Sink
-	// Engine selects the rank-execution strategy: EngineAuto (the zero
-	// value) resolves to the event-queue scheduler for Virtual mode and
-	// goroutine-per-rank for Real mode; EngineGoroutine forces the
-	// pre-event-queue behaviour as a migration escape hatch.  Both
-	// engines produce byte-identical traces (see engine_diff_test.go).
+	// Engine selects the Virtual-mode rank-execution strategy:
+	// EngineEvent (the zero value) or EngineGoroutine, the reference the
+	// cross-engine differential compares against.  Real mode ignores it
+	// and always runs on goroutines.  Both engines produce byte-identical
+	// traces (see engine_diff_test.go).
 	Engine Engine
 }
 
@@ -335,7 +335,7 @@ func Run(opt Options, body func(c *Comm)) (*trace.Trace, error) {
 		work.CalibrateReal()
 	}
 	w := &World{opt: opt, epoch: time.Now(), failCh: make(chan struct{})}
-	w.eventMode = resolveEngine(opt.Engine, opt.Mode) == EngineEvent
+	w.eventMode = eventMode(opt.Engine, opt.Mode)
 
 	worldCore := &commCore{
 		w:      w,

@@ -53,13 +53,12 @@ const EntrySchema = 1
 // CurrentEnv exactly.
 type Env map[string]int
 
-// CurrentEnv returns the running binary's environment: both execution
-// engines' versions plus the profile wire schema.
+// CurrentEnv returns the running binary's environment: the execution
+// engine version plus the profile wire schema.
 func CurrentEnv() Env {
 	return Env{
-		"engine/event":     mpi.EngineEvent.Version(),
-		"engine/goroutine": mpi.EngineGoroutine.Version(),
-		"profile/schema":   profile.SchemaVersion,
+		"engine":         mpi.EngineVersion,
+		"profile/schema": profile.SchemaVersion,
 	}
 }
 

@@ -117,10 +117,10 @@ func rewriteEnv(t *testing.T, s *Store, key string, mutate func(Env)) {
 // silently mask an engine behavior change.
 func TestStaleEnvironmentNeverServed(t *testing.T) {
 	mutations := map[string]func(Env){
-		"engine_bump":   func(e Env) { e["engine/event"]++ },
+		"engine_bump":   func(e Env) { e["engine"]++ },
 		"schema_bump":   func(e Env) { e["profile/schema"]++ },
 		"component_add": func(e Env) { e["engine/new"] = 1 },
-		"component_del": func(e Env) { delete(e, "engine/goroutine") },
+		"component_del": func(e Env) { delete(e, "engine") },
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {

@@ -4,11 +4,12 @@
 #
 #   1. `atsrun -asl` registers the catalog's scenario next to the
 #      built-ins (visible in -list);
-#   2. the scenario runs on BOTH rank engines and the serialized traces
-#      and analysis reports are byte-identical;
-#   3. the analyzer detects the scenario's declared property and its
-#      companion on the run;
-#   4. `atsfuzz run/diff -asl` accept the catalog into the fuzzed pool.
+#   2. the analyzer detects the scenario's declared property and its
+#      companion on a run;
+#   3. `atsfuzz run -asl` accepts the catalog into the fuzzed pool.
+#
+# Engine byte-identity of ASL scenarios is checked in-tree by
+# TestASLScenarioEngineDiff (internal/conformance).
 #
 # Run via `make asl-smoke`.
 set -eu
@@ -32,21 +33,13 @@ echo "== catalog scenario registers next to the built-ins"
 grep "registered ASL scenarios: $SCENARIO" "$tmp/list.err"
 grep "^$SCENARIO " "$tmp/list.out"
 
-echo "== scenario runs byte-identically on both engines"
-"$bin/atsrun" -asl "$CATALOG" -property "$SCENARIO" -procs 4 \
-    -engine event -trace "$tmp/event.ats" >"$tmp/event.out" 2>/dev/null
-"$bin/atsrun" -asl "$CATALOG" -property "$SCENARIO" -procs 4 \
-    -engine goroutine -trace "$tmp/goroutine.ats" >"$tmp/goroutine.out" 2>/dev/null
-cmp "$tmp/event.ats" "$tmp/goroutine.ats"
-cmp "$tmp/event.out" "$tmp/goroutine.out"
-
 echo "== analyzer detects the declared property and its companion"
-grep 'late_sender' "$tmp/event.out"
-grep 'wait_at_mpi_barrier' "$tmp/event.out"
+"$bin/atsrun" -asl "$CATALOG" -property "$SCENARIO" -procs 4 >"$tmp/run.out" 2>/dev/null
+grep 'late_sender' "$tmp/run.out"
+grep 'wait_at_mpi_barrier' "$tmp/run.out"
 
 echo "== atsfuzz accepts the catalog into the fuzzed pool"
 "$bin/atsfuzz" run -seeds 10 -start 1 -asl "$CATALOG" 2>"$tmp/fuzz.err"
 grep "registered 1 ASL scenario(s)" "$tmp/fuzz.err"
-"$bin/atsfuzz" diff -seeds 5 -asl "$CATALOG" 2>/dev/null
 
 echo "== asl smoke OK"
