@@ -32,8 +32,9 @@
 #                  rebuild == incremental update of the persistent log.
 #   make asl-smoke — ASL scenario-pipeline smoke: register the scenario
 #                  committed in examples/catalog.asl via `atsrun -asl`,
-#                  check the declared detection, and sweep it through
-#                  `atsfuzz run -asl`.
+#                  check the declared detection, read the run's trace
+#                  back through `atsanalyze -asl` and `atstrace`, and
+#                  sweep it through `atsfuzz run -asl`.
 #   make atsperf-test — vet and test the benchmark module under atsperf/
 #                  (its own go.mod, so the root `go test ./...` never
 #                  compiles it against the packages it drives).

@@ -7,8 +7,8 @@
 // Custom ASL-style property catalogs (see internal/asl) can be evaluated
 // against the trace with -asl:
 //
-//	atsanalyze -threshold 0.01 trace.ats
-//	atsanalyze -asl mycatalog.asl trace.ats
+//	atsanalyze -threshold 0.01 trace.atsc
+//	atsanalyze -asl mycatalog.asl trace.atsc
 package main
 
 import (

@@ -4,7 +4,7 @@
 // on directly.
 //
 // Clients submit conformance cases (POST /v1/cases) or serialized
-// traces (POST /v1/traces, ATS1 or ATSC); the server analyzes them
+// traces (POST /v1/traces, ATSC spools); the server analyzes them
 // through the same code path as the CLI tools, stores the canonical
 // profile, compares it against the experiment's baseline, and returns a
 // JSON report with the drift verdict.  See doc/API.md for the full

@@ -50,7 +50,7 @@ func cmdPing(args []string, stdout io.Writer) error {
 }
 
 // cmdSubmit uploads each file to the server — conformance case JSON to
-// /v1/cases, ATS1/ATSC traces to /v1/traces, auto-detected by content —
+// /v1/cases, ATSC traces to /v1/traces, auto-detected by content —
 // and reports drift verdicts.  Returns regressed=true when any
 // submission drifted from its baseline.
 func cmdSubmit(args []string, stdout io.Writer) (bool, error) {
@@ -112,7 +112,7 @@ func submitFile(client *http.Client, base, path, experiment string, save bool, t
 	}
 	var endpoint string
 	switch {
-	case bytes.HasPrefix(blob, []byte("ATS1")), bytes.HasPrefix(blob, []byte("ATSC")):
+	case bytes.HasPrefix(blob, []byte("ATSC")):
 		endpoint = "/v1/traces"
 		if experiment == "" {
 			return nil, fmt.Errorf("trace submissions need -experiment")

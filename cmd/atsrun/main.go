@@ -10,7 +10,7 @@
 //	atsrun -property imbalance_at_mpi_barrier -set distr=linear \
 //	       -set distr_low=0.01 -set distr_high=0.2 -timeline
 //	atsrun -property late_sender -procs 1024 -stream   # bounded memory
-//	atsrun -property late_sender -spool run.atsc       # spool for atsd upload
+//	atsrun -property late_sender -stream -trace run.atsc   # spool for atsd upload
 //	atsrun -asl examples/catalog.asl -property ramped_exchange -procs 4
 package main
 
@@ -23,7 +23,9 @@ import (
 	"strings"
 
 	"repro/ats"
+	"repro/internal/analyzer"
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // setFlags accumulates repeated -set name=value arguments.
@@ -48,12 +50,11 @@ func main() {
 		property  = flag.String("property", "", "property function to run")
 		procs     = flag.Int("procs", 8, "number of MPI processes")
 		threads   = flag.Int("threads", 4, "number of OpenMP threads")
-		traceOut  = flag.String("trace", "", "write the event trace to this file")
+		traceOut  = flag.String("trace", "", "write the event trace to this file (with -stream, spool the run into it while it executes)")
 		timeline  = flag.Bool("timeline", false, "print a Vampir-style timeline")
 		threshold = flag.Float64("threshold", 0.005, "analysis severity threshold")
 		width     = flag.Int("width", 100, "timeline width in columns")
-		stream    = flag.Bool("stream", false, "stream events through an on-disk spool and analyze incrementally (bounded memory; incompatible with -trace and -timeline)")
-		spoolOut  = flag.String("spool", "", "write the run as an ATSC chunk spool to this file and exit without analyzing (for uploading to atsd)")
+		stream    = flag.Bool("stream", false, "stream events through an on-disk spool (the -trace file, else a temporary one) and analyze incrementally (bounded memory; incompatible with -timeline)")
 		aslFile   = flag.String("asl", "", "register ASL scenario definitions from this file before resolving -property (see doc/ASL.md)")
 	)
 	sets := setFlags{}
@@ -89,26 +90,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *spoolOut != "" {
-		if *stream || *traceOut != "" || *timeline {
-			log.Fatalf("-spool only writes the spool; it is incompatible with -stream, -trace and -timeline")
-		}
-		if err := ats.SpoolProperty(spec.Name, *procs, *threads, args, *spoolOut); err != nil {
-			log.Fatalf("run failed: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "spool written to %s\n", *spoolOut)
-		return
-	}
-
 	if *stream {
-		if *traceOut != "" || *timeline {
-			log.Fatalf("-stream never materializes the trace; it is incompatible with -trace and -timeline")
+		if *timeline {
+			log.Fatalf("-stream never materializes the trace; it is incompatible with -timeline")
 		}
-		out, err := ats.RunPropertyStream(spec.Name, *procs, *threads, *threshold, args)
+		var out *ats.StreamOutcome
+		if *traceOut != "" {
+			out, err = spoolAndAnalyze(spec.Name, *procs, *threads, *threshold, args, *traceOut)
+		} else {
+			out, err = ats.RunPropertyStream(spec.Name, *procs, *threads, *threshold, args)
+		}
 		if err != nil {
 			log.Fatalf("run failed: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "streamed %d events (%d ranks x %d threads)\n", out.Events, out.Ranks, out.Threads)
+		if *traceOut != "" {
+			fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
+		}
 		fmt.Print(out.Report.Render())
 		return
 	}
@@ -127,6 +125,30 @@ func main() {
 		fmt.Print(ats.Timeline(tr, *width))
 	}
 	fmt.Print(ats.AnalyzeWithThreshold(tr, *threshold).Render())
+}
+
+// spoolAndAnalyze runs the property with its events spooled into the
+// trace file at path while it executes, then analyzes that file
+// incrementally: the -stream run whose spool is kept.
+func spoolAndAnalyze(name string, procs, threads int, threshold float64, args core.Args, path string) (*ats.StreamOutcome, error) {
+	if err := ats.SpoolProperty(name, procs, threads, args, path); err != nil {
+		return nil, err
+	}
+	r, err := trace.OpenChunkFile(path)
+	if err != nil {
+		return nil, err
+	}
+	st, err := trace.NewStream(r)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	rep, err := analyzer.AnalyzeStream(st, analyzer.Options{Threshold: threshold})
+	if err != nil {
+		return nil, err
+	}
+	ranks, nthreads := st.Shape()
+	return &ats.StreamOutcome{Report: rep, Ranks: ranks, Threads: nthreads, Events: st.Events()}, nil
 }
 
 func paramUsage(p core.Param) string {

@@ -4,9 +4,9 @@
 //
 // Usage:
 //
-//	atstrace trace.ats
-//	atstrace -width 160 -profile trace.ats
-//	atstrace -events trace.ats | head
+//	atstrace trace.atsc
+//	atstrace -width 160 -profile trace.atsc
+//	atstrace -events trace.atsc | head
 package main
 
 import (

@@ -3,8 +3,8 @@ package conformance
 // Engine differential harness: the test oracle for the event-driven
 // virtual-time scheduler.  A case is executed twice — on the event engine
 // every Virtual-mode run uses, and on the goroutine engine as the
-// reference — and the serialized ATS1 traces and canonical profile hashes
-// are compared byte for byte.  Any divergence (message matching, collective
+// reference — and the serialized traces (Trace.Write) and canonical
+// profile hashes are compared byte for byte.  Any divergence (message matching, collective
 // completion times, wildcard resolution order, OMP team scheduling) shows
 // up as a trace or hash mismatch, so the event engine's claim of
 // observational equivalence with the goroutine engine is checked on the
@@ -23,7 +23,7 @@ import (
 type DiffOutcome struct {
 	// Hash is the profile content hash both engines produced.
 	Hash string
-	// TraceBytes is the size of the serialized ATS1 trace compared.
+	// TraceBytes is the size of the serialized trace compared.
 	TraceBytes int
 	// BytesCompared is false for cases containing a property in
 	// NondeterministicWaits: their traces legitimately vary run to run
@@ -78,7 +78,7 @@ func DiffEngines(cs Case, prof perturb.Profile) (DiffOutcome, error) {
 	}
 	if !bytes.Equal(evBytes, goBytes) {
 		off := diffOffset(evBytes, goBytes)
-		return out, fmt.Errorf("conformance: engine divergence: ATS1 traces differ at byte %d (event %dB, goroutine %dB)",
+		return out, fmt.Errorf("conformance: engine divergence: serialized traces differ at byte %d (event %dB, goroutine %dB)",
 			off, len(evBytes), len(goBytes))
 	}
 	return out, nil
@@ -110,7 +110,7 @@ func DiffEngineBodies(procs int, body func(c *mpi.Comm)) (int, error) {
 		return 0, err
 	}
 	if !bytes.Equal(evBytes, goBytes) {
-		return len(evBytes), fmt.Errorf("engine divergence: ATS1 traces differ at byte %d (event %dB, goroutine %dB)",
+		return len(evBytes), fmt.Errorf("engine divergence: serialized traces differ at byte %d (event %dB, goroutine %dB)",
 			diffOffset(evBytes, goBytes), len(evBytes), len(goBytes))
 	}
 	return len(evBytes), nil

@@ -68,11 +68,10 @@ func (s *Server) handleCases(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleTraces accepts a serialized trace — materialized ATS1 or
-// streaming ATSC spool, auto-detected by magic — spools it to disk
-// while hashing, and analyzes it under the configured input limits.
-// ATSC uploads are analyzed by streaming straight off the spool, so
-// server memory stays O(locations) regardless of upload size.
+// handleTraces accepts a serialized trace (an ATSC spool), spools it to
+// disk while hashing, and analyzes it under the configured input limits
+// by streaming straight off the spool, so server memory stays
+// O(locations) regardless of upload size.
 //
 //	POST /v1/traces?experiment=NAME&threshold=0.005&save=1
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
@@ -133,52 +132,39 @@ func spoolBody(r io.Reader) (path, hash string, err error) {
 }
 
 // analyzeSpool analyzes a spooled upload under the server's input
-// limits and returns its canonical profile.  The ATSC path streams: it
-// never materializes the event list.
+// limits and returns its canonical profile.  It streams: the event list
+// is never materialized.
 func (s *Server) analyzeSpool(path, experiment string, threshold float64) (*profile.Profile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
+	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return nil, fmt.Errorf("trace body: %w", err)
 	}
-	opt := analyzer.Options{Threshold: threshold}
-	switch string(magic[:]) {
-	case "ATSC":
-		f.Close()
-		cr, err := trace.OpenChunkFileLimited(path, s.cfg.Limits)
-		if err != nil {
-			return nil, err
-		}
-		st, err := trace.NewStream(cr)
-		if err != nil {
-			cr.Close()
-			return nil, err
-		}
-		defer st.Close()
-		rep, err := analyzer.AnalyzeStream(st, opt)
-		if err != nil {
-			return nil, err
-		}
-		return profile.FromAnalysis(experiment, profile.TraceInfoOfStream(st), rep, profile.RunInfo{})
-	case "ATS1":
-		defer f.Close()
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		tr, err := trace.ReadLimited(f, s.cfg.Limits)
-		if err != nil {
-			return nil, err
-		}
-		rep := analyzer.Analyze(tr, opt)
-		return profile.FromRun(experiment, tr, rep, profile.RunInfo{})
-	default:
-		f.Close()
-		return nil, fmt.Errorf("unrecognized trace format %q (want ATS1 or ATSC)", magic[:])
+	if string(magic[:]) != "ATSC" {
+		return nil, fmt.Errorf("unrecognized trace format %q (want ATSC)", magic[:])
 	}
+	cr, err := trace.NewChunkReader(f, fi.Size(), s.cfg.Limits)
+	if err != nil {
+		return nil, err
+	}
+	st, err := trace.NewStream(cr)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	rep, err := analyzer.AnalyzeStream(st, analyzer.Options{Threshold: threshold})
+	if err != nil {
+		return nil, err
+	}
+	return profile.FromAnalysis(experiment, profile.TraceInfoOfStream(st), rep, profile.RunInfo{})
 }
 
 // fail completes a report with an error.

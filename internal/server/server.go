@@ -2,14 +2,14 @@
 // regression service over the content-addressed profile store.
 //
 // The server accepts two kinds of submissions: conformance cases (JSON,
-// POST /v1/cases) and serialized traces (raw ATS1 or ATSC bytes,
+// POST /v1/cases) and serialized traces (raw ATSC bytes,
 // POST /v1/traces).  Each submission is analyzed through exactly the
 // same code path as the offline CLI tools — conformance.CaseProfile for
-// cases, trace.ReadLimited/OpenChunkFileLimited plus the analyzer for
-// traces — so a server-side report carries the same profile content
-// hash the offline path would produce on the same input.  The resulting
-// profile is stored in a regress.Store, compared against the
-// experiment's baseline, and the verdict served as a JSON report.
+// cases, trace.NewChunkReader plus the streaming analyzer for traces —
+// so a server-side report carries the same profile content hash the
+// offline path would produce on the same input.  The resulting profile
+// is stored in a regress.Store, compared against the experiment's
+// baseline, and the verdict served as a JSON report.
 //
 // Work queues through a bounded campaign.Queue: when every worker is
 // busy and the backlog is full, submissions are rejected with 429 and a

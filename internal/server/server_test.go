@@ -296,6 +296,23 @@ func TestBackpressure(t *testing.T) {
 	}
 }
 
+// TestTraceIngestRejectsATS1: the retired merged trace format is not
+// analyzed; the report names the one format the server reads.
+func TestTraceIngestRejectsATS1(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	// An ATS1 header: one region "main", the root path, one location, no
+	// events.
+	body := append([]byte("ATS1\x01\x04main\x01\x01\x00\x00\x00"), make([]byte, 16)...)
+	rep, resp := postReport(t, ts.URL+"/v1/traces?experiment=x", "application/octet-stream", body)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %s, want %d", resp.Status, http.StatusUnprocessableEntity)
+	}
+	const want = `unrecognized trace format "ATS1" (want ATSC)`
+	if rep.Status != StatusError || !strings.Contains(rep.Error, want) {
+		t.Fatalf("report status %q error %q, want %q naming %s", rep.Status, rep.Error, StatusError, want)
+	}
+}
+
 // TestIngestRejections drives the malformed/oversized table: body cap
 // (413), trace content over policy limits (422), garbage bytes (422),
 // missing parameters and bad JSON (400).

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,14 +13,14 @@ import (
 	"sync"
 )
 
-// Chunked trace spool format ("ATSC") — the serialized shape of a
-// streaming run, in a file or in memory.  Where an ATS1 file is one fully
-// merged trace, an ATSC spool is a multiplex of per-location chunk frames
-// appended while the run executes, so no executor ever holds more than
-// one chunk of events in memory.  A single spool carries every location
-// (one file per rank would exhaust file-descriptor limits at large rank
-// counts); an index footer lets readers walk each location's frames
-// independently via ReadAt.
+// Chunked trace spool format ("ATSC") — the one serialized shape of a
+// trace, in a file or in memory.  A spool is a multiplex of per-location
+// chunk frames appended while a run executes, so no executor ever holds
+// more than one chunk of events in memory; Trace.Write spools a merged
+// trace the same way.  A single spool carries every location (one file
+// per rank would exhaust file-descriptor limits at large rank counts); an
+// index footer lets readers walk each location's frames independently
+// via ReadAt.
 //
 //	header   magic "ATSC", version byte (1)
 //	frames   frame*
@@ -40,8 +39,8 @@ import (
 // buffer; each frame carries the delta of its intern tables since the
 // previous frame, so a reader reconstructs the tables by applying frames
 // in order (parents always precede children).  Every count is validated
-// against the enclosing byte range before allocation, following the ATS1
-// hardening rules.  doc/FORMATS.md is the normative spec.
+// against the enclosing byte range before allocation (checkCount).
+// doc/FORMATS.md is the normative spec.
 
 var (
 	chunkMagic        = [4]byte{'A', 'T', 'S', 'C'}
@@ -105,10 +104,10 @@ type frameRef struct {
 // stream.  It implements Sink.  All methods are safe for concurrent use;
 // frames and the index go, in order, through one io.Writer.
 //
-// NewChunkWriter spools to a file: like the ATS1 writers, it writes a
-// temporary file and renames it into place on Close, so a crash never
-// leaves a truncated spool at the target path.  NewChunkWriterTo spools
-// into any writer, e.g. a bytes.Buffer for a run small enough to hold.
+// NewChunkWriter spools to a file: it writes a temporary file and renames
+// it into place on Close, so a crash never leaves a truncated spool at
+// the target path.  NewChunkWriterTo spools into any writer, e.g. a
+// bytes.Buffer for a run small enough to hold.
 type ChunkWriter struct {
 	mu        sync.Mutex
 	out       io.Writer
@@ -510,8 +509,7 @@ func readAt(src io.ReaderAt, p []byte, off int64) error {
 }
 
 func (r *ChunkReader) parseIndex(idx []byte) error {
-	br := bytes.NewReader(idx)
-	nStreams, err := binary.ReadUvarint(br)
+	nStreams, b, err := cutUvarint(idx)
 	if err != nil {
 		return fmt.Errorf("trace: chunk index: %w", err)
 	}
@@ -525,24 +523,27 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 	var totalEvents uint64
 	r.streams = make([]chunkIndexEntry, 0, sliceCap(nStreams))
 	for i := uint64(0); i < nStreams; i++ {
-		rank, err := binary.ReadVarint(br)
-		if err != nil {
-			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
+		var rank, thread int64
+		var events, nFrames uint64
+		rank, b, err = cutVarint(b)
+		if err == nil {
+			thread, b, err = cutVarint(b)
 		}
-		thread, err := binary.ReadVarint(br)
+		if err == nil {
+			events, b, err = cutUvarint(b)
+		}
+		if err == nil {
+			nFrames, b, err = cutUvarint(b)
+		}
 		if err != nil {
 			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
 		}
 		if rank < math.MinInt32 || rank > math.MaxInt32 || thread < math.MinInt32 || thread > math.MaxInt32 {
-			return fmt.Errorf("trace: chunk index stream %d: location out of range", i)
+			return fmt.Errorf("trace: chunk index stream %d: location %d.%d out of range", i, rank, thread)
 		}
 		loc := Location{Rank: int32(rank), Thread: int32(thread)}
 		if n := len(r.streams); n > 0 && !r.streams[n-1].loc.less(loc) {
 			return fmt.Errorf("trace: chunk index: locations unsorted or duplicated at %v", loc)
-		}
-		events, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
 		}
 		totalEvents += events
 		if err := checkCount(totalEvents, minEventBytes, bodySize, "chunk event"); err != nil {
@@ -551,20 +552,16 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 		if err := r.lim.checkEvents(totalEvents); err != nil {
 			return err
 		}
-		nFrames, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("trace: chunk index stream %d: %w", i, err)
-		}
 		if err := checkCount(nFrames, minFrameBodyBytes+2, bodySize, "chunk frame"); err != nil {
 			return err
 		}
 		frames := make([]frameRef, 0, sliceCap(nFrames))
 		for j := uint64(0); j < nFrames; j++ {
-			off, err := binary.ReadUvarint(br)
-			if err != nil {
-				return fmt.Errorf("trace: chunk index stream %d frame %d: %w", i, j, err)
+			var off, ln uint64
+			off, b, err = cutUvarint(b)
+			if err == nil {
+				ln, b, err = cutUvarint(b)
 			}
-			ln, err := binary.ReadUvarint(br)
 			if err != nil {
 				return fmt.Errorf("trace: chunk index stream %d frame %d: %w", i, j, err)
 			}
@@ -579,10 +576,44 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 		}
 		r.streams = append(r.streams, chunkIndexEntry{loc: loc, events: events, frames: frames})
 	}
-	if br.Len() != 0 {
-		return fmt.Errorf("trace: chunk index: %d trailing bytes", br.Len())
+	if len(b) != 0 {
+		return fmt.Errorf("trace: chunk index: %d trailing bytes", len(b))
 	}
 	return nil
+}
+
+// cutUvarint, cutVarint and cutString decode the value at the front of b
+// and return it with the rest of b.
+func cutUvarint(b []byte) (uint64, []byte, error) {
+	v, k := binary.Uvarint(b)
+	if k <= 0 {
+		return 0, b, varintErr(k)
+	}
+	return v, b[k:], nil
+}
+
+func cutVarint(b []byte) (int64, []byte, error) {
+	v, k := binary.Varint(b)
+	if k <= 0 {
+		return 0, b, varintErr(k)
+	}
+	return v, b[k:], nil
+}
+
+// maxStringBytes caps a region name.
+const maxStringBytes = 1 << 20
+
+func cutString(b []byte) (string, []byte, error) {
+	n, b, err := cutUvarint(b)
+	switch {
+	case err != nil:
+		return "", b, err
+	case n > maxStringBytes:
+		return "", b, fmt.Errorf("trace: implausible string length %d", n)
+	case n > uint64(len(b)):
+		return "", b, io.ErrUnexpectedEOF
+	}
+	return string(b[:n]), b[n:], nil
 }
 
 // Locations returns the spool's locations in rank-major order.
@@ -631,10 +662,9 @@ type chunkCursor struct {
 	pathRegion []RegionID
 	events     []Event
 	buf        []byte
-	rd         bytes.Reader // frame header parse
-	off        int          // next event's offset in buf
-	left       uint64       // events of the current frame not yet decoded
-	evIdx      uint64       // index in the current frame of the next event
+	off        int    // next event's offset in buf
+	left       uint64 // events of the current frame not yet decoded
+	evIdx      uint64 // index in the current frame of the next event
 }
 
 func (r *ChunkReader) cursors() []*chunkCursor {
@@ -722,46 +752,44 @@ func (c *chunkCursor) next() ([]Event, error) {
 // the owning location, appends the intern-table deltas, and leaves off
 // and left at the first event and the event count.
 func (c *chunkCursor) parseFrameHeader() error {
-	br := &c.rd
-	br.Reset(c.buf)
-	rank, err := binary.ReadVarint(br)
+	rank, b, err := cutVarint(c.buf)
 	if err != nil {
 		return c.corrupt("location: %v", err)
 	}
-	thread, err := binary.ReadVarint(br)
+	thread, b, err := cutVarint(b)
 	if err != nil {
 		return c.corrupt("location: %v", err)
 	}
 	if rank != int64(c.ent.loc.Rank) || thread != int64(c.ent.loc.Thread) {
 		return c.corrupt("frame belongs to %d.%d", rank, thread)
 	}
-	nr, err := binary.ReadUvarint(br)
+	nr, b, err := cutUvarint(b)
 	if err != nil {
 		return c.corrupt("region count: %v", err)
 	}
-	if err := checkCount(nr, minRegionBytes, int64(br.Len()), "chunk-frame region"); err != nil {
+	if err := checkCount(nr, minRegionBytes, int64(len(b)), "chunk-frame region"); err != nil {
 		return err
 	}
 	for i := uint64(0); i < nr; i++ {
-		s, err := readString(br)
-		if err != nil {
+		var name string
+		if name, b, err = cutString(b); err != nil {
 			return c.corrupt("region %d: %v", i, err)
 		}
-		c.regions = append(c.regions, s)
+		c.regions = append(c.regions, name)
 	}
-	np, err := binary.ReadUvarint(br)
+	np, b, err := cutUvarint(b)
 	if err != nil {
 		return c.corrupt("path count: %v", err)
 	}
-	if err := checkCount(np, minPathBytes, int64(br.Len()), "chunk-frame path"); err != nil {
+	if err := checkCount(np, minPathBytes, int64(len(b)), "chunk-frame path"); err != nil {
 		return err
 	}
 	for i := uint64(0); i < np; i++ {
-		parent, err := binary.ReadUvarint(br)
-		if err != nil {
-			return c.corrupt("path %d: %v", i, err)
+		var parent, region uint64
+		parent, b, err = cutUvarint(b)
+		if err == nil {
+			region, b, err = cutUvarint(b)
 		}
-		region, err := binary.ReadUvarint(br)
 		if err != nil {
 			return c.corrupt("path %d: %v", i, err)
 		}
@@ -771,18 +799,18 @@ func (c *chunkCursor) parseFrameHeader() error {
 		c.pathParent = append(c.pathParent, PathID(parent))
 		c.pathRegion = append(c.pathRegion, RegionID(region))
 	}
-	ne, err := binary.ReadUvarint(br)
+	ne, b, err := cutUvarint(b)
 	if err != nil {
 		return c.corrupt("event count: %v", err)
 	}
-	if err := checkCount(ne, minEventBytes, int64(br.Len()), "chunk-frame event"); err != nil {
+	if err := checkCount(ne, minEventBytes, int64(len(b)), "chunk-frame event"); err != nil {
 		return err
 	}
 	if ne > c.ent.events-c.delivered {
 		return fmt.Errorf("trace: chunk stream %v: index records %d events, frames hold more",
 			c.ent.loc, c.ent.events)
 	}
-	c.off = len(c.buf) - br.Len()
+	c.off = len(c.buf) - len(b)
 	c.left = ne
 	c.evIdx = 0
 	return nil

@@ -368,29 +368,6 @@ func TestChunkCorruption(t *testing.T) {
 		return blob
 	}
 
-	// Hand-assembled spool whose index claims an absurd event count — the
-	// chunk-format sibling of testdata/corrupt-hugecount.ats: it must be
-	// rejected by the count-vs-size check, not by attempting to allocate.
-	hugeCount := func(t *testing.T) []byte {
-		var buf bytes.Buffer
-		buf.Write(chunkMagic[:])
-		buf.WriteByte(chunkVersion)
-		buf.WriteByte(chunkTagEnd)
-		indexOff := buf.Len()
-		var idx []byte
-		idx = binary.AppendUvarint(idx, 1)             // one stream
-		idx = binary.AppendVarint(idx, 0)              // rank
-		idx = binary.AppendVarint(idx, 0)              // thread
-		idx = binary.AppendUvarint(idx, uint64(1)<<60) // events: implausible
-		idx = binary.AppendUvarint(idx, 0)             // no frames
-		buf.Write(idx)
-		var tail [chunkTrailerLen]byte
-		binary.LittleEndian.PutUint64(tail[:8], uint64(indexOff))
-		copy(tail[8:], chunkTrailerMagic[:])
-		buf.Write(tail[:])
-		return buf.Bytes()
-	}
-
 	cases := []struct {
 		name   string
 		mutate func(t *testing.T) []byte
@@ -442,7 +419,9 @@ func TestChunkCorruption(t *testing.T) {
 			}
 			return b
 		}},
-		{"huge-event-count", hugeCount},
+		// Rejected by the count-vs-size check, not by attempting to
+		// allocate.
+		{"huge-event-count", func(*testing.T) []byte { return hugeCountSpool() }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

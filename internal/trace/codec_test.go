@@ -1,12 +1,17 @@
 package trace
 
 import (
+	"encoding/binary"
 	"math"
 	"path/filepath"
 	"testing"
 )
 
-// FuzzEventCodec checks the one event codec shared by ATS1 and ATSC:
+// maxEventBytes bounds an encoded event: the fixed prefix plus ten
+// varints and one uvarint.
+const maxEventBytes = fixedEventBytes + 11*binary.MaxVarintLen64
+
+// FuzzEventCodec checks the event codec of the trace format:
 // decodeEvent inverts appendEvent exactly, never panics or over-reports
 // on arbitrary input, and rejects every strict prefix of an encoding.
 func FuzzEventCodec(f *testing.F) {

@@ -8,16 +8,23 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/analyzer"
 	"repro/internal/core"
 	"repro/internal/mpi"
+	"repro/internal/omp"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
-// Byte goldens of the two encodings for the Fig 3.4/3.5 two-communicator
+// Byte goldens of the trace format for the Fig 3.4/3.5 two-communicator
 // program at P=8 (the same run as profile's fig35 golden).  They pin the
-// ATS1 and ATSC bytes exactly as doc/FORMATS.md specifies them: any
-// codec change that moves a single byte fails here.
-const goldenFig35ATS1 = "9729130f5fe8c21812bcd8ad540bde58232d2c476da8747ac7845c286aeeb1c6"
+// bytes exactly as doc/FORMATS.md specifies them: any codec change that
+// moves a single byte fails here.
+//
+// goldenFig35Write is Trace.Write of the materialized run.  It differs
+// from the streamed spool at the default threshold only in frame order:
+// Write spools location by location, a run as its executors spill.
+const goldenFig35Write = "1f0f038446c98875af67eda619eeb528c682ef828f44593d8e951c86dd8e2e01"
 
 // goldenFig35ATSC maps a spill threshold to the sha256 of the spool; the
 // small threshold splits every location into many frames.
@@ -33,8 +40,8 @@ func sha(b []byte) string {
 	return hex.EncodeToString(s[:])
 }
 
-// ats1Bytes encodes tr in the ATS1 format.
-func ats1Bytes(t *testing.T, tr *trace.Trace) []byte {
+// writeBytes encodes tr with Trace.Write.
+func writeBytes(t *testing.T, tr *trace.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := tr.Write(&buf); err != nil {
@@ -49,16 +56,8 @@ func TestFormatGoldenFig35(t *testing.T) {
 	if err != nil {
 		t.Fatalf("materialized run: %v", err)
 	}
-	ats1 := ats1Bytes(t, tr)
-	if got := sha(ats1); got != goldenFig35ATS1 {
-		t.Errorf("ATS1 of the materialized run: sha256 %s, want %s", got, goldenFig35ATS1)
-	}
-	back, err := trace.Read(bytes.NewReader(ats1))
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if got := sha(ats1Bytes(t, back)); got != goldenFig35ATS1 {
-		t.Errorf("ATS1 re-encoded after Read: sha256 %s, want %s", got, goldenFig35ATS1)
+	if got := sha(writeBytes(t, tr)); got != goldenFig35Write {
+		t.Errorf("Write of the materialized run: sha256 %s, want %s", got, goldenFig35Write)
 	}
 
 	// Streamed sink: the same run spooled through a ChunkWriter.
@@ -97,4 +96,64 @@ func TestFormatGoldenFig35(t *testing.T) {
 			t.Errorf("in-memory ATSC spool of the streamed run (spill %d): sha256 %s, want %s", spill, got, want)
 		}
 	}
+}
+
+// TestWriteReadRoundTrip: Write(Read(Write(tr))) is Write(tr) byte for
+// byte, and Read(Write(tr)) analyses to tr's profile hash, for a pure MPI
+// run, a hybrid run whose thread buffers start from seeded call paths,
+// and a trace with an event-less location.
+func TestWriteReadRoundTrip(t *testing.T) {
+	fig35, err := mpi.Run(mpi.Options{Procs: 8}, fig35Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, ok := core.Get("hybrid_omp_imbalance_causes_late_sender")
+	if !ok {
+		t.Fatal("hybrid property not registered")
+	}
+	hybrid, err := mpi.Run(mpi.Options{Procs: 4}, func(c *mpi.Comm) {
+		spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: omp.Options{Threads: 3}}, spec.Defaults())
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := trace.NewBuffer(trace.Location{Rank: 0})
+	idle := trace.NewBuffer(trace.Location{Rank: 1})
+	busy.Enter("main", 0)
+	busy.Enter("work", 1)
+	busy.Exit(2)
+	busy.Exit(3)
+	idleLoc := trace.Merge(busy, idle)
+
+	for name, tr := range map[string]*trace.Trace{"fig35": fig35, "hybrid": hybrid, "idle-location": idleLoc} {
+		t.Run(name, func(t *testing.T) {
+			blob := writeBytes(t, tr)
+			back, err := trace.Read(bytes.NewReader(blob))
+			if err != nil {
+				t.Fatalf("Read: %v", err)
+			}
+			if !bytes.Equal(writeBytes(t, back), blob) {
+				t.Error("Write(Read(Write(tr))) differs from Write(tr)")
+			}
+			if len(back.Locations) != len(tr.Locations) {
+				t.Errorf("read %d locations, wrote %d", len(back.Locations), len(tr.Locations))
+			}
+			if got, want := profileHash(t, back), profileHash(t, tr); got != want {
+				t.Errorf("profile hash after the round trip %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+func profileHash(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
+	p, err := profile.FromRun("roundtrip", tr, analyzer.Analyze(tr, analyzer.Options{}), profile.RunInfo{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := p.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

@@ -9,90 +9,61 @@ import (
 	"testing"
 )
 
-// enc builds a trace header byte by byte for corruption tests.
-type enc struct{ bytes.Buffer }
-
-func (e *enc) uvarint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	e.Write(buf[:binary.PutUvarint(buf[:], v)])
+// indexOnlySpool assembles a spool with no frames around the raw index
+// bytes idx, for corrupting index counts.
+func indexOnlySpool(idx []byte) []byte {
+	b := append(chunkMagic[:], chunkVersion, chunkTagEnd)
+	indexOff := len(b)
+	b = append(b, idx...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(indexOff))
+	return append(b, chunkTrailerMagic[:]...)
 }
 
-func (e *enc) varint(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	e.Write(buf[:binary.PutVarint(buf[:], v)])
+// indexEntry encodes the index of one stream at rank.thread with no
+// frames that claims events events.
+func indexEntry(rank, thread int64, events uint64) []byte {
+	idx := binary.AppendUvarint(nil, 1)
+	idx = binary.AppendVarint(idx, rank)
+	idx = binary.AppendVarint(idx, thread)
+	idx = binary.AppendUvarint(idx, events)
+	return binary.AppendUvarint(idx, 0)
 }
 
-func header() *enc {
-	e := &enc{}
-	e.Write(magic[:])
-	return e
+// hugeCountSpool is the reproducer from the wild in spool form: a few
+// bytes whose index claims 2^60 events.
+func hugeCountSpool() []byte { return indexOnlySpool(indexEntry(0, 0, 1<<60)) }
+
+// frameHeader encodes the start of a frame body for location 0.0 up to
+// (not including) its region table.
+func frameHeader() []byte {
+	return binary.AppendVarint(binary.AppendVarint(nil, 0), 0)
 }
 
 // Corrupt and truncated inputs must fail fast with a diagnostic, never
 // with a speculative multi-gigabyte allocation driven by an untrusted
-// header count.
+// count.
 func TestReadRejectsCorruptCounts(t *testing.T) {
 	cases := []struct {
 		name string
-		blob func() []byte
+		blob []byte
 		want string // error substring
 	}{
-		{"huge event count", func() []byte {
-			e := header()
-			e.uvarint(0)       // regions
-			e.uvarint(1)       // paths (root only)
-			e.uvarint(0)       // locations
-			e.uvarint(1 << 60) // events
-			return e.Bytes()
-		}, "implausible event count"},
-		{"huge region count", func() []byte {
-			e := header()
-			e.uvarint(1 << 61)
-			return e.Bytes()
-		}, "implausible region count"},
-		{"huge path count", func() []byte {
-			e := header()
-			e.uvarint(0)
-			e.uvarint(1 << 59)
-			return e.Bytes()
-		}, "implausible path count"},
-		{"huge location count", func() []byte {
-			e := header()
-			e.uvarint(0)
-			e.uvarint(1)
-			e.uvarint(1 << 62)
-			return e.Bytes()
-		}, "implausible location count"},
-		{"location rank out of int32 range", func() []byte {
-			e := header()
-			e.uvarint(0)
-			e.uvarint(1)
-			e.uvarint(1)      // one location
-			e.varint(1 << 40) // rank far beyond int32
-			e.varint(0)       // thread
-			e.uvarint(0)      // events
-			return e.Bytes()
-		}, "rank 1099511627776 out of range"},
-		{"location thread out of int32 range", func() []byte {
-			e := header()
-			e.uvarint(0)
-			e.uvarint(1)
-			e.uvarint(1)
-			e.varint(0)
-			e.varint(-(1 << 40))
-			e.uvarint(0)
-			return e.Bytes()
-		}, "thread -1099511627776 out of range"},
-		{"missing path root", func() []byte {
-			e := header()
-			e.uvarint(0)
-			e.uvarint(0)
-			return e.Bytes()
-		}, "missing path root"},
+		{"huge event count", hugeCountSpool(), "implausible chunk event count"},
+		{"huge region count", handSpool([][]byte{
+			binary.AppendUvarint(frameHeader(), 1<<61),
+		}, 0), "implausible chunk-frame region count"},
+		{"huge path count", handSpool([][]byte{
+			binary.AppendUvarint(binary.AppendUvarint(frameHeader(), 0), 1<<59),
+		}, 0), "implausible chunk-frame path count"},
+		{"huge location count", indexOnlySpool(binary.AppendUvarint(nil, 1<<62)), "implausible chunk stream count"},
+		{"location rank out of int32 range", indexOnlySpool(indexEntry(1<<40, 0, 0)),
+			"location 1099511627776.0 out of range"},
+		{"location thread out of int32 range", indexOnlySpool(indexEntry(0, -(1 << 40), 0)),
+			"location 0.-1099511627776 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Read(bytes.NewReader(tc.blob()))
+			_, err := Read(bytes.NewReader(tc.blob))
 			if err == nil {
 				t.Fatalf("corrupt input accepted")
 			}
@@ -103,35 +74,40 @@ func TestReadRejectsCorruptCounts(t *testing.T) {
 	}
 }
 
-// A count that passes the plausibility bound but overstates the available
-// data must still fail on the short read, without allocating for the full
-// claim (append growth stops at end of input).
+// An event count that passes the plausibility bound but overstates the
+// frame's data must still fail on the short frame.
 func TestReadTruncatedBody(t *testing.T) {
-	e := header()
-	e.uvarint(0)
-	e.uvarint(1)
-	e.uvarint(0)
-	e.uvarint(1 << 30) // plausible only because the reader can't see a size
-	// No event bytes follow.
-	if _, err := Read(bareReader{bytes.NewReader(e.Bytes())}); err == nil {
+	const n = 4
+	body := binary.AppendUvarint(frameHeader(), 0) // no regions
+	body = binary.AppendUvarint(body, 0)           // no paths
+	body = binary.AppendUvarint(body, n)
+	for i := 0; i < n; i++ {
+		// Payloads above the minimum encoding keep the cut frame
+		// plausible for its event count.
+		body = appendEvent(body, &Event{Time: float64(i), Kind: KindSend, Bytes: 1 << 40})
+	}
+	blob := handSpool([][]byte{body[:len(body)-3]}, n)
+	_, err := Read(bytes.NewReader(blob))
+	if err == nil {
 		t.Fatal("truncated body accepted")
+	}
+	if !strings.Contains(err.Error(), "unexpected EOF") {
+		t.Fatalf("error %q does not report the short frame", err)
 	}
 }
 
-// bareReader hides Len/Seek so Read cannot learn the input size and must
-// rely on incremental growth.
-type bareReader struct{ r *bytes.Reader }
-
-func (b bareReader) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-// The committed fixture is the reproducer from the wild: a ~16-byte file
-// whose header claims 2^60 events.
+// ReadFile rejects the huge-count reproducer by its counts, before any
+// event is read.
 func TestReadFileCorruptFixture(t *testing.T) {
-	_, err := ReadFile(filepath.Join("testdata", "corrupt-hugecount.ats"))
-	if err == nil {
-		t.Fatal("corrupt fixture accepted")
+	path := filepath.Join(t.TempDir(), "corrupt-hugecount.atsc")
+	if err := os.WriteFile(path, hugeCountSpool(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "implausible event count") {
+	_, err := ReadFile(path)
+	if err == nil {
+		t.Fatal("corrupt file accepted")
+	}
+	if !strings.Contains(err.Error(), "implausible chunk event count") {
 		t.Fatalf("error %q does not mention the implausible count", err)
 	}
 }
@@ -145,7 +121,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	tr := Merge(b)
 
 	dir := t.TempDir()
-	path := filepath.Join(dir, "out.ats")
+	path := filepath.Join(dir, "out.atsc")
 
 	// Failure injection: the rename target is an occupied directory, so
 	// the final step fails after a complete write.
@@ -167,7 +143,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 
 	// Success path still lands the complete file.
-	ok := filepath.Join(dir, "ok.ats")
+	ok := filepath.Join(dir, "ok.atsc")
 	if err := tr.WriteFile(ok); err != nil {
 		t.Fatal(err)
 	}

@@ -3,24 +3,20 @@ package trace
 import "fmt"
 
 // Limits bounds untrusted trace input beyond the structural plausibility
-// checks that Read and NewChunkReader always apply.  The structural checks
+// checks that NewChunkReader always applies.  The structural checks
 // (checkCount) only reject counts the input *cannot* hold; a network
 // ingest path additionally wants policy caps — a server must be able to
 // say "no upload may carry more than N events", independent of how many
 // bytes the client managed to send.  Zero fields are unlimited, so the
-// zero Limits reproduces the old behavior exactly.
-//
-// Limits extends the PR 4 untrusted-count hardening: those fixes stop a
-// tiny input from *claiming* huge counts; these stop a genuinely huge
-// input from being admitted at all.
+// zero Limits applies the structural checks alone.
 type Limits struct {
-	// MaxEvents caps the total number of events an input may carry (ATS1:
-	// the event section; ATSC: the sum of the index's per-stream counts).
+	// MaxEvents caps the total number of events an input may carry: the
+	// sum of the index's per-stream counts.
 	MaxEvents int64
-	// MaxLocations caps the number of distinct locations (ATS1: the
-	// location table; ATSC: the index's stream count).
+	// MaxLocations caps the number of distinct locations: the index's
+	// stream count.
 	MaxLocations int
-	// MaxFrame caps one ATSC frame body in bytes.  Frames are the unit a
+	// MaxFrame caps one frame body in bytes.  Frames are the unit a
 	// streaming reader materializes, so this bounds per-frame memory even
 	// when the spool as a whole is large.
 	MaxFrame int64
@@ -43,7 +39,7 @@ func (l Limits) checkLocations(n uint64) error {
 	return nil
 }
 
-// checkFrame enforces MaxFrame against one ATSC frame body length.
+// checkFrame enforces MaxFrame against one frame body length.
 func (l Limits) checkFrame(n int64) error {
 	if l.MaxFrame > 0 && n > l.MaxFrame {
 		return fmt.Errorf("trace: chunk frame of %d bytes, limit %d", n, l.MaxFrame)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,9 +23,19 @@ func limitsTrace(t *testing.T) *Trace {
 	return Merge(b0, b1)
 }
 
-// TestReadLimited drives the ATS1 reader through the policy-cap table:
-// inputs that are structurally valid but exceed a configured cap must be
-// rejected, and generous caps must not reject valid input.
+// readLimited is Read under lim: the policy caps of an untrusted ingest.
+func readLimited(blob []byte, lim Limits) (*Trace, error) {
+	cr, err := NewChunkReader(bytes.NewReader(blob), int64(len(blob)), lim)
+	if err != nil {
+		return nil, err
+	}
+	return readChunks(cr)
+}
+
+// TestReadLimited drives the bytes Trace.Write emits through the
+// policy-cap table: inputs that are structurally valid but exceed a
+// configured cap must be rejected, and generous caps must not reject
+// valid input.
 func TestReadLimited(t *testing.T) {
 	tr := limitsTrace(t)
 	var buf bytes.Buffer
@@ -44,13 +55,14 @@ func TestReadLimited(t *testing.T) {
 		{"generous", Limits{MaxEvents: int64(events), MaxLocations: locs, MaxFrame: 1 << 20}, ""},
 		{"events over cap", Limits{MaxEvents: int64(events) - 1}, "events, limit"},
 		{"locations over cap", Limits{MaxLocations: locs - 1}, "locations, limit"},
+		{"frame over cap", Limits{MaxFrame: 8}, "frame"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := ReadLimited(bytes.NewReader(blob), tc.lim)
+			got, err := readLimited(blob, tc.lim)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("ReadLimited: %v", err)
+					t.Fatalf("readLimited: %v", err)
 				}
 				if len(got.Events) != events {
 					t.Fatalf("read %d events, want %d", len(got.Events), events)
@@ -58,27 +70,27 @@ func TestReadLimited(t *testing.T) {
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("ReadLimited err = %v, want substring %q", err, tc.wantErr)
+				t.Fatalf("readLimited err = %v, want substring %q", err, tc.wantErr)
 			}
 		})
 	}
 }
 
-// TestReadLimitedMalformed confirms the limited entry point still applies
-// the structural hardening checks (bad magic, lying counts).
+// TestReadLimitedMalformed confirms that limits compose with the
+// structural hardening checks (bad magic, lying counts).
 func TestReadLimitedMalformed(t *testing.T) {
 	tests := []struct {
 		name string
 		blob []byte
 	}{
 		{"bad magic", []byte("NOPE")},
-		{"truncated header", []byte("ATS1")},
-		// "ATS1" + region count claiming 2^60 entries in an empty body.
-		{"huge region count", append([]byte("ATS1"), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10)},
+		{"truncated header", []byte("ATSC")},
+		// A frame whose region count claims 2^60 entries.
+		{"huge region count", handSpool([][]byte{binary.AppendUvarint(frameHeader(), 1<<60)}, 0)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ReadLimited(bytes.NewReader(tc.blob), Limits{MaxEvents: 10}); err == nil {
+			if _, err := readLimited(tc.blob, Limits{MaxEvents: 10}); err == nil {
 				t.Fatal("malformed input accepted")
 			}
 		})

@@ -317,6 +317,29 @@ func (st *Stream) Next() (*Event, error) {
 	return &st.evBuf, nil
 }
 
+// drain collects the stream's remaining events into a Trace that adopts
+// the stream's intern tables and locations; n presizes the event slab.
+func (st *Stream) drain(n int) (*Trace, error) {
+	events := make([]Event, 0, n)
+	for {
+		ev, err := st.Next()
+		if err != nil {
+			return nil, err
+		}
+		if ev == nil {
+			break
+		}
+		events = append(events, *ev)
+	}
+	return &Trace{
+		Events:     events,
+		Regions:    st.regions,
+		PathParent: st.pathParent,
+		PathRegion: st.pathRegion,
+		Locations:  st.locs,
+	}, nil
+}
+
 // RegionName implements View over the global intern table.
 func (st *Stream) RegionName(id RegionID) string {
 	if id < 0 || int(id) >= len(st.regions) {

@@ -15,9 +15,10 @@
 // dynamic call path at constant cost — the analyzer's "call graph pane"
 // (paper Fig 3.5) is reconstructed from these path ids.
 //
-// Two binary encodings exist: the merged ATS1 trace (Write/Read) and the
-// ATSC chunk spool (ChunkWriter/OpenChunkFile); doc/FORMATS.md is the
-// normative spec of both.
+// One binary encoding exists, the ATSC chunk spool: a streaming run
+// writes it through a ChunkWriter, Trace.Write spools a merged trace into
+// it, and Read and NewStream merge it back.  doc/FORMATS.md is the
+// normative spec.
 package trace
 
 import (
@@ -448,23 +449,9 @@ func Merge(buffers ...*Buffer) *Trace {
 	for _, b := range buffers {
 		total += b.Len()
 	}
-	events := make([]Event, 0, total)
-	for {
-		ev, err := st.Next()
-		if err != nil {
-			panic(err)
-		}
-		if ev == nil {
-			break
-		}
-		events = append(events, *ev)
-	}
-	t := &Trace{
-		Events:     events,
-		Regions:    st.regions,
-		PathParent: st.pathParent,
-		PathRegion: st.pathRegion,
-		Locations:  st.locs,
+	t, err := st.drain(total)
+	if err != nil {
+		panic(err)
 	}
 	return t
 }

@@ -195,8 +195,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 	// Valid magic, truncated body.
-	if _, err := Read(bytes.NewReader([]byte("ATS1"))); err == nil {
+	if _, err := Read(bytes.NewReader([]byte("ATSC\x01"))); err == nil {
 		t.Error("truncated trace accepted")
+	}
+	// The retired merged format.
+	if _, err := Read(bytes.NewReader([]byte("ATS1\x00\x01\x00\x00"))); err == nil {
+		t.Error("ATS1 trace accepted")
 	}
 }
 
@@ -205,7 +209,7 @@ func TestFileRoundTrip(t *testing.T) {
 	b.Enter("x", 0)
 	b.Exit(1)
 	tr := Merge(b)
-	path := t.TempDir() + "/trace.ats"
+	path := t.TempDir() + "/trace.atsc"
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}

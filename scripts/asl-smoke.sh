@@ -6,7 +6,9 @@
 #      built-ins (visible in -list);
 #   2. the analyzer detects the scenario's declared property and its
 #      companion on a run;
-#   3. `atsfuzz run -asl` accepts the catalog into the fuzzed pool.
+#   3. the trace that run wrote with `atsrun -trace` reads back through
+#      `atsanalyze -asl` (same detection) and `atstrace`;
+#   4. `atsfuzz run -asl` accepts the catalog into the fuzzed pool.
 #
 # Engine byte-identity of ASL scenarios is checked in-tree by
 # TestASLScenarioEngineDiff (internal/conformance).
@@ -25,8 +27,8 @@ mkdir -p "$bin"
 cleanup() { rm -rf "$tmp"; }
 trap cleanup EXIT INT TERM
 
-echo "== building atsrun and atsfuzz"
-$GO build -o "$bin" ./cmd/atsrun ./cmd/atsfuzz
+echo "== building atsrun, atsanalyze, atstrace and atsfuzz"
+$GO build -o "$bin" ./cmd/atsrun ./cmd/atsanalyze ./cmd/atstrace ./cmd/atsfuzz
 
 echo "== catalog scenario registers next to the built-ins"
 "$bin/atsrun" -asl "$CATALOG" -list >"$tmp/list.out" 2>"$tmp/list.err"
@@ -34,9 +36,16 @@ grep "registered ASL scenarios: $SCENARIO" "$tmp/list.err"
 grep "^$SCENARIO " "$tmp/list.out"
 
 echo "== analyzer detects the declared property and its companion"
-"$bin/atsrun" -asl "$CATALOG" -property "$SCENARIO" -procs 4 >"$tmp/run.out" 2>/dev/null
+"$bin/atsrun" -asl "$CATALOG" -property "$SCENARIO" -procs 4 -trace "$tmp/run.atsc" >"$tmp/run.out" 2>/dev/null
 grep 'late_sender' "$tmp/run.out"
 grep 'wait_at_mpi_barrier' "$tmp/run.out"
+
+echo "== atsanalyze and atstrace read the trace atsrun wrote"
+"$bin/atsanalyze" -asl "$CATALOG" "$tmp/run.atsc" >"$tmp/analyze.out"
+grep 'late_sender' "$tmp/analyze.out"
+grep 'wait_at_mpi_barrier' "$tmp/analyze.out"
+"$bin/atstrace" "$tmp/run.atsc" >"$tmp/trace.out"
+grep 'timeline:' "$tmp/trace.out"
 
 echo "== atsfuzz accepts the catalog into the fuzzed pool"
 "$bin/atsfuzz" run -seeds 10 -start 1 -asl "$CATALOG" 2>"$tmp/fuzz.err"

@@ -53,14 +53,14 @@ case "$out" in
 esac
 
 echo "== spool a late_sender run, upload the ATSC stream, save as baseline"
-"$bin/atsrun" -property late_sender -procs 4 -spool "$tmp/run.atsc"
+"$bin/atsrun" -property late_sender -procs 4 -stream -trace "$tmp/run.atsc" >/dev/null
 "$bin/atsregress" submit -server "$URL" -experiment smoke_ls -save "$tmp/run.atsc"
 
 echo "== clean resubmission of the same stream must pass"
 "$bin/atsregress" submit -server "$URL" -experiment smoke_ls "$tmp/run.atsc"
 
 echo "== inject drift (5x extrawork): submit must exit 1"
-"$bin/atsrun" -property late_sender -procs 4 -set extrawork=0.25 -spool "$tmp/drift.atsc"
+"$bin/atsrun" -property late_sender -procs 4 -set extrawork=0.25 -stream -trace "$tmp/drift.atsc" >/dev/null
 if "$bin/atsregress" submit -server "$URL" -experiment smoke_ls "$tmp/drift.atsc"; then
     echo "FAIL: drifted submission did not fail" >&2
     exit 1
