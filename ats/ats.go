@@ -39,6 +39,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/omp"
+	"repro/internal/profile"
 	"repro/internal/trace"
 	"repro/internal/vtime"
 	"repro/internal/xctx"
@@ -139,34 +140,32 @@ func streamed(threshold float64, run func(trace.Sink) error) (*StreamOutcome, er
 	f.Close()
 	defer os.Remove(spool)
 
-	w, err := trace.NewChunkWriter(spool, trace.DefaultSpillEvents)
-	if err != nil {
+	if err := spoolTo(spool, run); err != nil {
 		return nil, err
 	}
-	if err := run(w); err != nil {
-		w.Abort()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-
 	r, err := trace.OpenChunkFile(spool)
 	if err != nil {
 		return nil, err
 	}
-	st, err := trace.NewStream(r)
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	defer st.Close()
-	rep, err := analyzer.AnalyzeStream(st, analyzer.Options{Threshold: threshold})
+	rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{Threshold: threshold})
 	if err != nil {
 		return nil, err
 	}
-	ranks, threads := st.Shape()
-	return &StreamOutcome{Report: rep, Ranks: ranks, Threads: threads, Events: st.Events()}, nil
+	return &StreamOutcome{Report: rep, Ranks: info.Ranks, Threads: info.Threads, Events: info.Events}, nil
+}
+
+// spoolTo runs run with its events spilled to an ATSC chunk spool at
+// path; a failed run leaves no spool behind.
+func spoolTo(path string, run func(trace.Sink) error) error {
+	w, err := trace.NewChunkWriter(path, trace.DefaultSpillEvents)
+	if err != nil {
+		return err
+	}
+	if err := run(w); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Close()
 }
 
 // RunMPIStream executes body like RunMPI but never materializes the
@@ -199,18 +198,13 @@ func RunOMPStream(opt OMPOptions, threshold float64, body func(ctx *xctx.Ctx, te
 // pipeline (see RunMPIStream): the property runs with events spilled to a
 // temporary spool and the report is computed incrementally.
 func RunPropertyStream(name string, procs, threads int, threshold float64, a core.Args) (*StreamOutcome, error) {
-	spec, ok := core.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("ats: unknown property %q (have %v)", name, core.Names())
+	spec, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	team := omp.Options{Threads: threads}
-	if spec.Paradigm == core.ParadigmOMP {
-		return RunOMPStream(OMPOptions{Threads: threads}, threshold, func(ctx *xctx.Ctx, _ TeamOptions) {
-			spec.Run(core.Env{Ctx: ctx, OMP: team}, a)
-		})
-	}
-	return RunMPIStream(MPIOptions{Procs: procs}, threshold, func(c *mpi.Comm) {
-		spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: team}, a)
+	return streamed(threshold, func(sink trace.Sink) error {
+		_, err := spec.Exec(procs, threads, a, sink)
+		return err
 	})
 }
 
@@ -221,30 +215,14 @@ func RunPropertyStream(name string, procs, threads int, threshold float64, a cor
 // atsd analysis server).  Analyzing the spool elsewhere yields a report
 // byte-identical to running the property in-process.
 func SpoolProperty(name string, procs, threads int, a core.Args, path string) error {
-	spec, ok := core.Get(name)
-	if !ok {
-		return fmt.Errorf("ats: unknown property %q (have %v)", name, core.Names())
-	}
-	w, err := trace.NewChunkWriter(path, trace.DefaultSpillEvents)
+	spec, err := lookup(name)
 	if err != nil {
 		return err
 	}
-	team := omp.Options{Threads: threads}
-	var runErr error
-	if spec.Paradigm == core.ParadigmOMP {
-		_, runErr = omp.Run(OMPOptions{Threads: threads, Sink: w}, func(ctx *xctx.Ctx, _ TeamOptions) {
-			spec.Run(core.Env{Ctx: ctx, OMP: team}, a)
-		})
-	} else {
-		_, runErr = mpi.Run(MPIOptions{Procs: procs, Sink: w}, func(c *mpi.Comm) {
-			spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: team}, a)
-		})
-	}
-	if runErr != nil {
-		w.Abort()
-		return runErr
-	}
-	return w.Close()
+	return spoolTo(path, func(sink trace.Sink) error {
+		_, err := spec.Exec(procs, threads, a, sink)
+		return err
+	})
 }
 
 // RunProperty runs one registered property function as a single-property
@@ -253,19 +231,20 @@ func SpoolProperty(name string, procs, threads int, a core.Args, path string) er
 // MPI and hybrid properties run on `procs` ranks (hybrid ones fork teams
 // of `threads` threads per rank).
 func RunProperty(name string, procs, threads int, a core.Args) (*Trace, error) {
+	spec, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return spec.Exec(procs, threads, a, nil)
+}
+
+// lookup resolves a registered property name.
+func lookup(name string) (*core.Spec, error) {
 	spec, ok := core.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("ats: unknown property %q (have %v)", name, core.Names())
 	}
-	team := omp.Options{Threads: threads}
-	if spec.Paradigm == core.ParadigmOMP {
-		return RunOMP(OMPOptions{Threads: threads}, func(ctx *xctx.Ctx, _ TeamOptions) {
-			spec.Run(core.Env{Ctx: ctx, OMP: team}, a)
-		})
-	}
-	return RunMPI(MPIOptions{Procs: procs}, func(c *mpi.Comm) {
-		spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: team}, a)
-	})
+	return spec, nil
 }
 
 // RunPropertyDefaults is RunProperty with the spec's default arguments.

@@ -1,6 +1,7 @@
 package ats_test
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/distr"
 	"repro/internal/mpi"
 	"repro/internal/profile"
+	"repro/internal/trace"
 	"repro/internal/xctx"
 )
 
@@ -161,6 +163,61 @@ func TestStreamFacadeOMPAndProperty(t *testing.T) {
 	}
 	if _, err := ats.RunPropertyStream("nope", 2, 2, 0, ats.NewArgs()); err == nil {
 		t.Error("unknown property accepted")
+	}
+}
+
+// TestSpoolPropertyMatchesInMemory: a property spooled to disk by
+// SpoolProperty and analyzed by profile.AnalyzeSpool must produce the
+// same profile hash as RunProperty + Analyze + FromRun, for an MPI
+// world and for a pure-OpenMP team.
+func TestSpoolPropertyMatchesInMemory(t *testing.T) {
+	for _, name := range []string{"late_sender", "imbalance_at_omp_barrier"} {
+		t.Run(name, func(t *testing.T) {
+			spec, ok := core.Get(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			const procs, threads = 4, 3
+			run := profile.RunInfo{Procs: procs, Threads: threads}
+
+			tr, err := ats.RunProperty(name, procs, threads, spec.Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := profile.FromRun(name, tr, ats.Analyze(tr), run)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			path := filepath.Join(t.TempDir(), name+".atsc")
+			if err := ats.SpoolProperty(name, procs, threads, spec.Defaults(), path); err != nil {
+				t.Fatal(err)
+			}
+			r, err := trace.OpenChunkFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := profile.FromAnalysis(name, info, rep, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			wh, err := want.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gh, err := got.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gh != wh {
+				t.Fatalf("spooled profile hash %s != in-memory %s", gh, wh)
+			}
+		})
 	}
 }
 

@@ -78,7 +78,6 @@ func main() {
 			log.Fatalf("cache: %v", err)
 		}
 		conformance.SetResultCache(c)
-		experiments.SetResultCache(c)
 		defer func() {
 			st := c.Stats()
 			fmt.Fprintf(os.Stderr, "rescache: %d hits, %d misses, %d writes at %s\n",

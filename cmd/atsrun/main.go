@@ -25,6 +25,7 @@ import (
 	"repro/ats"
 	"repro/internal/analyzer"
 	"repro/internal/core"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -94,20 +95,15 @@ func main() {
 		if *timeline {
 			log.Fatalf("-stream never materializes the trace; it is incompatible with -timeline")
 		}
-		var out *ats.StreamOutcome
-		if *traceOut != "" {
-			out, err = spoolAndAnalyze(spec.Name, *procs, *threads, *threshold, args, *traceOut)
-		} else {
-			out, err = ats.RunPropertyStream(spec.Name, *procs, *threads, *threshold, args)
-		}
+		rep, info, err := streamProperty(spec.Name, *procs, *threads, args, *traceOut, *threshold)
 		if err != nil {
 			log.Fatalf("run failed: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "streamed %d events (%d ranks x %d threads)\n", out.Events, out.Ranks, out.Threads)
+		fmt.Fprintf(os.Stderr, "streamed %d events (%d ranks x %d threads)\n", info.Events, info.Ranks, info.Threads)
 		if *traceOut != "" {
 			fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
 		}
-		fmt.Print(out.Report.Render())
+		fmt.Print(rep.Render())
 		return
 	}
 
@@ -127,28 +123,27 @@ func main() {
 	fmt.Print(ats.AnalyzeWithThreshold(tr, *threshold).Render())
 }
 
-// spoolAndAnalyze runs the property with its events spooled into the
-// trace file at path while it executes, then analyzes that file
-// incrementally: the -stream run whose spool is kept.
-func spoolAndAnalyze(name string, procs, threads int, threshold float64, args core.Args, path string) (*ats.StreamOutcome, error) {
+// streamProperty runs the property with its events spooled into the
+// trace file at path while it executes — into a temporary file removed
+// afterwards when path is empty — then analyzes the spool incrementally.
+func streamProperty(name string, procs, threads int, args core.Args, path string, threshold float64) (*analyzer.Report, profile.TraceInfo, error) {
+	if path == "" {
+		f, err := os.CreateTemp("", "atsrun-spool-*.atsc")
+		if err != nil {
+			return nil, profile.TraceInfo{}, err
+		}
+		path = f.Name()
+		f.Close()
+		defer os.Remove(path)
+	}
 	if err := ats.SpoolProperty(name, procs, threads, args, path); err != nil {
-		return nil, err
+		return nil, profile.TraceInfo{}, err
 	}
 	r, err := trace.OpenChunkFile(path)
 	if err != nil {
-		return nil, err
+		return nil, profile.TraceInfo{}, err
 	}
-	st, err := trace.NewStream(r)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	rep, err := analyzer.AnalyzeStream(st, analyzer.Options{Threshold: threshold})
-	if err != nil {
-		return nil, err
-	}
-	ranks, nthreads := st.Shape()
-	return &ats.StreamOutcome{Report: rep, Ranks: ranks, Threads: nthreads, Events: st.Events()}, nil
+	return profile.AnalyzeSpool(r, analyzer.Options{Threshold: threshold})
 }
 
 func paramUsage(p core.Param) string {

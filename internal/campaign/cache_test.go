@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// mapCache is the in-memory Cache used by the Memo tests.
+// mapCache is the in-memory Cache used by the Cached tests.
 type mapCache struct {
 	mu      sync.Mutex
 	m       map[string][]byte
@@ -46,13 +46,12 @@ func key(i int) string { return fmt.Sprintf("%064x", i) }
 func TestMemoHitSkipsJob(t *testing.T) {
 	c := newMapCache()
 	runs := 0
-	job := Memo(c, key, func(i int) (int, error) {
-		runs++
-		return i * i, nil
-	})
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < 5; i++ {
-			v, err := job(i)
+			v, err := Cached(c, key(i), func() (int, error) {
+				runs++
+				return i * i, nil
+			})
 			if err != nil || v != i*i {
 				t.Fatalf("pass %d job(%d) = %d, %v", pass, i, v, err)
 			}
@@ -65,18 +64,16 @@ func TestMemoHitSkipsJob(t *testing.T) {
 
 func TestMemoNilCacheAndEmptyKeyPassThrough(t *testing.T) {
 	runs := 0
-	raw := func(i int) (int, error) { runs++; return i, nil }
-	job := Memo(nil, key, raw)
-	job(1)
-	job(1)
+	raw := func() (int, error) { runs++; return 1, nil }
+	Cached(nil, key(1), raw)
+	Cached(nil, key(1), raw)
 	if runs != 2 {
 		t.Fatalf("nil cache memoized: %d runs", runs)
 	}
 	runs = 0
 	c := newMapCache()
-	job = Memo(c, func(int) string { return "" }, raw)
-	job(1)
-	job(1)
+	Cached(c, "", raw)
+	Cached(c, "", raw)
 	if runs != 2 || c.gets != 0 || c.puts != 0 {
 		t.Fatalf("empty key touched the cache: runs=%d gets=%d puts=%d", runs, c.gets, c.puts)
 	}
@@ -85,20 +82,22 @@ func TestMemoNilCacheAndEmptyKeyPassThrough(t *testing.T) {
 func TestMemoErrorsNotCached(t *testing.T) {
 	c := newMapCache()
 	fail := true
-	job := Memo(c, key, func(i int) (int, error) {
-		if fail {
-			return 0, errors.New("transient")
-		}
-		return 7, nil
-	})
-	if _, err := job(0); err == nil {
+	job := func() (int, error) {
+		return Cached(c, key(0), func() (int, error) {
+			if fail {
+				return 0, errors.New("transient")
+			}
+			return 7, nil
+		})
+	}
+	if _, err := job(); err == nil {
 		t.Fatal("expected error")
 	}
 	if len(c.m) != 0 {
 		t.Fatal("failed job was cached")
 	}
 	fail = false
-	if v, err := job(0); err != nil || v != 7 {
+	if v, err := job(); err != nil || v != 7 {
 		t.Fatalf("retry = %d, %v", v, err)
 	}
 	if len(c.m) != 1 {
@@ -110,8 +109,8 @@ func TestMemoCorruptEntryRecomputesAndOverwrites(t *testing.T) {
 	c := newMapCache()
 	c.m[key(3)] = []byte("not json at all")
 	runs := 0
-	job := Memo(c, key, func(i int) (int, error) { runs++; return 42, nil })
-	if v, err := job(3); err != nil || v != 42 {
+	v, err := Cached(c, key(3), func() (int, error) { runs++; return 42, nil })
+	if err != nil || v != 42 {
 		t.Fatalf("job = %d, %v", v, err)
 	}
 	if runs != 1 {
@@ -127,9 +126,9 @@ func TestMemoPutFailureIsIgnored(t *testing.T) {
 	c := newMapCache()
 	c.putErr = errors.New("disk full")
 	runs := 0
-	job := Memo(c, key, func(i int) (int, error) { runs++; return i, nil })
 	for pass := 0; pass < 2; pass++ {
-		if v, err := job(9); err != nil || v != 9 {
+		v, err := Cached(c, key(9), func() (int, error) { runs++; return 9, nil })
+		if err != nil || v != 9 {
 			t.Fatalf("pass %d: %d, %v", pass, v, err)
 		}
 	}
@@ -138,7 +137,7 @@ func TestMemoPutFailureIsIgnored(t *testing.T) {
 	}
 }
 
-// TestMemoUnderStreamInterleavedHits runs a memoized campaign where some
+// TestMemoUnderStreamInterleavedHits runs a campaign of Cached jobs where some
 // indices are warm and others cold: delivery order, values, and the
 // lowest-failing-index contract must be indistinguishable from an
 // unmemoized run.
@@ -152,12 +151,14 @@ func TestMemoUnderStreamInterleavedHits(t *testing.T) {
 	}
 	var mu sync.Mutex
 	runs := 0
-	job := Memo(c, key, func(i int) (int, error) {
-		mu.Lock()
-		runs++
-		mu.Unlock()
-		return i * 10, nil
-	})
+	job := func(i int) (int, error) {
+		return Cached(c, key(i), func() (int, error) {
+			mu.Lock()
+			runs++
+			mu.Unlock()
+			return i * 10, nil
+		})
+	}
 	var got []int
 	err := Stream(n, Options{Workers: 8}, job, func(i int, v int) error {
 		if v != i*10 {
@@ -182,16 +183,19 @@ func TestMemoUnderStreamInterleavedHits(t *testing.T) {
 	}
 }
 
-// TestMemoPanicConfinement: a panic inside a memoized job is confined by
-// the pool exactly as without Memo, and nothing is cached for it.
+// TestMemoPanicConfinement: a panic inside a Cached computation is
+// confined by the pool exactly as without Cached, and nothing is cached
+// for it.
 func TestMemoPanicConfinement(t *testing.T) {
 	c := newMapCache()
-	job := Memo(c, key, func(i int) (int, error) {
-		if i == 2 {
-			panic("boom")
-		}
-		return i, nil
-	})
+	job := func(i int) (int, error) {
+		return Cached(c, key(i), func() (int, error) {
+			if i == 2 {
+				panic("boom")
+			}
+			return i, nil
+		})
+	}
 	_, err := Run(5, Options{Workers: 2}, job)
 	var ce *Error
 	if !errors.As(err, &ce) || ce.Index != 2 {

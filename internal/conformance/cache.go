@@ -7,18 +7,17 @@ package conformance
 // run+trace+analyze.  The cache is process-wide (SetResultCache), like
 // campaign.SetDefaultWorkers: CLIs install it once from their -cache flag
 // and every sweep layer — CheckCached, CheckRobust's per-level loop,
-// noise-floor calibration — shares it.
+// noise-floor calibration, and the experiments' perturbed
+// negative-correctness table — shares it.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"sync/atomic"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/mpi"
 	"repro/internal/perturb"
-	"repro/internal/profile"
 	"repro/internal/rescache"
 )
 
@@ -33,10 +32,10 @@ func SetResultCache(s *rescache.Store) { resultCache.Store(s) }
 // ResultCache returns the installed result cache, or nil.
 func ResultCache() *rescache.Store { return resultCache.Load() }
 
-// checkKeyDoc is everything a Check outcome depends on.  Check runs in
-// Virtual mode, which always executes on the event engine, so the key
-// records no engine identity; an engine change invalidates by bumping
-// mpi.EngineVersion.
+// checkKeyDoc is everything a Check outcome depends on besides the
+// versions of the machinery, which rescache stamps on every entry (see
+// rescache.CurrentEnv): bumping mpi.EngineVersion or the profile schema
+// makes every entry a miss.
 type checkKeyDoc struct {
 	Kind            string            `json:"kind"`
 	Case            Case              `json:"case"`
@@ -46,15 +45,13 @@ type checkKeyDoc struct {
 	SkipDeterminism bool              `json:"skip_determinism"`
 	DropProperty    string            `json:"drop_property,omitempty"`
 	Perturb         perturb.Profile   `json:"perturb"`
-	EngineVersion   int               `json:"engine_version"`
-	ProfileSchema   int               `json:"profile_schema"`
 	Defs            map[string]string `json:"defs,omitempty"`
 }
 
 // caseDefs maps each case property compiled from an ASL scenario to the
 // SHA-256 of its source, so redefining a scenario under the same name
-// changes the key.  Built-in properties are pinned by the engine and
-// schema versions and add nothing: their cases keep their keys.
+// changes the key.  Built-in properties are pinned by the environment
+// stamp and add nothing: their cases keep their keys.
 func caseDefs(cs Case) map[string]string {
 	var defs map[string]string
 	for _, p := range cs.Props {
@@ -83,8 +80,6 @@ func checkKey(cs Case, opt CheckOptions) (string, error) {
 		SkipDeterminism: opt.SkipDeterminism,
 		DropProperty:    opt.DropProperty,
 		Perturb:         opt.Perturb,
-		EngineVersion:   mpi.EngineVersion,
-		ProfileSchema:   profile.SchemaVersion,
 		Defs:            caseDefs(cs),
 	})
 }
@@ -97,84 +92,31 @@ func checkKey(cs Case, opt CheckOptions) (string, error) {
 // as an ok one, and a warm rerun of a failing sweep must print the same
 // bytes.
 func CheckCached(cs Case, opt CheckOptions) (Outcome, error) {
+	check := func() (Outcome, error) { return Check(cs, opt) }
 	c := ResultCache()
 	if c == nil {
-		return Check(cs, opt)
+		return check()
 	}
-	key, err := checkKey(cs, opt)
-	if err != nil {
-		return Check(cs, opt)
-	}
-	if blob, ok := c.Get(key); ok {
-		var out Outcome
-		if json.Unmarshal(blob, &out) == nil {
-			return out, nil
-		}
-	}
-	out, err := Check(cs, opt)
-	if err != nil {
-		return out, err
-	}
-	if blob, merr := json.Marshal(out); merr == nil {
-		_ = c.Put(key, blob) // best-effort write-through
-	}
-	return out, nil
+	key, _ := checkKey(cs, opt) // an unkeyable case ("" key) recomputes
+	return campaign.Cached(c, key, check)
 }
 
 // calKeyDoc keys one noise-floor calibration cell.  The profile's seed
 // is normalized away by the caller (the floor is a property of shape ×
 // disturbance magnitudes alone).
 type calKeyDoc struct {
-	Kind          string          `json:"kind"`
-	Procs         int             `json:"procs"`
-	Threads       int             `json:"threads"`
-	Profile       perturb.Profile `json:"profile"`
-	EngineVersion int             `json:"engine_version"`
+	Kind    string          `json:"kind"`
+	Procs   int             `json:"procs"`
+	Threads int             `json:"threads"`
+	Profile perturb.Profile `json:"profile"`
 }
 
 // calDiskKey derives the on-disk key of one calibration cell.
 func calDiskKey(k calKey) (string, error) {
 	return rescache.Key(calKeyDoc{
-		Kind:          "conformance/calibration",
-		Procs:         k.procs,
-		Threads:       k.threads,
-		Profile:       k.prof,
-		EngineVersion: mpi.EngineVersion,
+		Kind:    "conformance/calibration",
+		Procs:   k.procs,
+		Threads: k.threads,
+		Profile: k.prof,
 	})
-}
-
-// calCacheLoad consults the on-disk store for a calibration cell.
-func calCacheLoad(k calKey) (float64, bool) {
-	c := ResultCache()
-	if c == nil {
-		return 0, false
-	}
-	key, err := calDiskKey(k)
-	if err != nil {
-		return 0, false
-	}
-	blob, ok := c.Get(key)
-	if !ok {
-		return 0, false
-	}
-	var floor float64
-	if json.Unmarshal(blob, &floor) != nil {
-		return 0, false
-	}
-	return floor, true
-}
-
-// calCacheStore writes a calibration cell through to the on-disk store.
-func calCacheStore(k calKey, floor float64) {
-	c := ResultCache()
-	if c == nil {
-		return
-	}
-	key, err := calDiskKey(k)
-	if err != nil {
-		return
-	}
-	if blob, merr := json.Marshal(floor); merr == nil {
-		_ = c.Put(key, blob)
-	}
 }

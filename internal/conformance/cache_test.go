@@ -1,12 +1,15 @@
 package conformance
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/asl"
+	"repro/internal/mpi"
 	"repro/internal/perturb"
 	"repro/internal/rescache"
 )
@@ -56,6 +59,61 @@ func TestCheckCachedWarmEqualsCold(t *testing.T) {
 	}
 	if warm.Hash != plain.Hash || warm.Events != plain.Events {
 		t.Fatalf("cached outcome diverges from Check: %+v vs %+v", warm, plain)
+	}
+}
+
+// TestCheckCachedStaleEngineMisses: the engine version reaches a
+// CheckCached entry only through the store's environment stamp, so an
+// entry whose on-disk env records another engine version must miss, be
+// recomputed, and be overwritten with the current stamp.
+func TestCheckCachedStaleEngineMisses(t *testing.T) {
+	s := withCache(t)
+	cs := Generate(11, Config{})
+	cold, err := CheckCached(cs, CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := checkKey(cs, CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(s.Dir(), "objects", key[:2], key+".json")
+	readEntry := func() rescache.Entry {
+		t.Helper()
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e rescache.Entry
+		if err := json.Unmarshal(blob, &e); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := readEntry()
+	e.Env["engine"] = mpi.EngineVersion + 1
+	blob, err := json.Marshal(&e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := s.Stats()
+	again, err := CheckCached(cs, CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	if after.Hits != before.Hits || after.Misses != before.Misses+1 || after.Puts != before.Puts+1 {
+		t.Fatalf("stats %+v -> %+v; want one miss and one recomputed write", before, after)
+	}
+	if !reflect.DeepEqual(cold, again) {
+		t.Fatalf("recomputed outcome diverges:\ncold:  %+v\nagain: %+v", cold, again)
+	}
+	if e := readEntry(); e.Env["engine"] != mpi.EngineVersion {
+		t.Fatalf("entry env %v not restamped with engine %d", e.Env, mpi.EngineVersion)
 	}
 }
 

@@ -387,16 +387,11 @@ func streamedCaseHash(cs Case, prof perturb.Profile) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	st, err := trace.NewStream(r)
+	rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{Threshold: cs.Threshold})
 	if err != nil {
 		return "", err
 	}
-	defer st.Close()
-	rep, err := analyzer.AnalyzeStream(st, analyzer.Options{Threshold: cs.Threshold})
-	if err != nil {
-		return "", err
-	}
-	p, err := profile.FromAnalysis("conformance", profile.TraceInfoOfStream(st), rep, caseRunInfo(cs))
+	p, err := profile.FromAnalysis("conformance", info, rep, caseRunInfo(cs))
 	if err != nil {
 		return "", err
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/analyzer"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/omp"
@@ -116,7 +117,8 @@ const (
 
 // calKey caches calibration per shape and per seed-independent profile.
 // Every Virtual-mode run executes on the event engine, so the floor
-// needs no engine identity; the on-disk key records the engine version.
+// needs no engine identity; the result cache stamps each entry with the
+// engine version.
 type calKey struct {
 	procs, threads int
 	prof           perturb.Profile
@@ -142,28 +144,32 @@ func CalibratedNoiseFloor(procs, threads int, prof perturb.Profile) float64 {
 	if v, ok := calCache.Load(key); ok {
 		return v.(float64)
 	}
-	if floor, ok := calCacheLoad(key); ok {
-		calCache.Store(key, floor)
-		return floor
-	}
-	var worst float64
-	for s := uint64(1); s <= calSeeds; s++ {
-		p := prof
-		p.Seed = s
-		w, err := spuriousWait(procs, threads, p)
-		if err != nil {
-			// The clean composite cannot deadlock; treat a failed
-			// calibration run as contributing nothing rather than
-			// wedging the oracle.
-			continue
+	calibrate := func() (float64, error) {
+		var worst float64
+		for s := uint64(1); s <= calSeeds; s++ {
+			p := prof
+			p.Seed = s
+			w, err := spuriousWait(procs, threads, p)
+			if err != nil {
+				// The clean composite cannot deadlock; treat a failed
+				// calibration run as contributing nothing rather than
+				// wedging the oracle.
+				continue
+			}
+			if w > worst {
+				worst = w
+			}
 		}
-		if w > worst {
-			worst = w
-		}
+		return calMargin * worst, nil
 	}
-	floor := calMargin * worst
+	var floor float64
+	if c := ResultCache(); c != nil {
+		diskKey, _ := calDiskKey(key) // an unkeyable cell ("" key) recomputes
+		floor, _ = campaign.Cached(c, diskKey, calibrate)
+	} else {
+		floor, _ = calibrate()
+	}
 	calCache.Store(key, floor)
-	calCacheStore(key, floor)
 	return floor
 }
 

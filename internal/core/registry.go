@@ -8,6 +8,7 @@ import (
 	"repro/internal/distr"
 	"repro/internal/mpi"
 	"repro/internal/omp"
+	"repro/internal/trace"
 	"repro/internal/xctx"
 )
 
@@ -200,6 +201,25 @@ func (s *Spec) Defaults() Args {
 		}
 	}
 	return a
+}
+
+// Exec runs the property function as a single-property test program
+// (paper §3.2) in a fresh environment.  Pure-OpenMP properties run on a
+// standalone team of threads threads; MPI and hybrid properties run on
+// procs ranks (hybrid ones fork teams of threads threads per rank).  A
+// nil sink materializes and returns the trace; a non-nil one receives
+// the events as they are recorded and the returned trace is nil (see
+// mpi.Options.Sink).
+func (s *Spec) Exec(procs, threads int, a Args, sink trace.Sink) (*trace.Trace, error) {
+	team := omp.Options{Threads: threads}
+	if s.Paradigm == ParadigmOMP {
+		return omp.Run(omp.RunOptions{Threads: threads, Sink: sink}, func(ctx *xctx.Ctx, _ omp.Options) {
+			s.Run(Env{Ctx: ctx, OMP: team}, a)
+		})
+	}
+	return mpi.Run(mpi.Options{Procs: procs, Sink: sink}, func(c *mpi.Comm) {
+		s.Run(Env{Comm: c, Ctx: c.Ctx(), OMP: team}, a)
+	})
 }
 
 // registry state.

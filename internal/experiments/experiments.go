@@ -93,7 +93,7 @@ func Fig32(w io.Writer, procs int) (Fig32Result, error) {
 		a := spec.Defaults()
 		a.Distr["distr"] = cfg.ds
 		a.Int["r"] = cfg.reps
-		tr, err := runSpec(spec, a, procs, 1)
+		tr, err := spec.Exec(procs, 1, a, nil)
 		if err != nil {
 			return res, err
 		}
@@ -108,13 +108,13 @@ func Fig32(w io.Writer, procs int) (Fig32Result, error) {
 	ds := small.Distr["distr"]
 	ds.Low, ds.High = 0.0005, 0.001
 	small.Distr["distr"] = ds
-	trSmall, err := runSpec(spec, small, procs, 1)
+	trSmall, err := spec.Exec(procs, 1, small, nil)
 	if err != nil {
 		return res, err
 	}
 	large := spec.Defaults()
 	large.Int["r"] = 50
-	trLarge, err := runSpec(spec, large, procs, 1)
+	trLarge, err := spec.Exec(procs, 1, large, nil)
 	if err != nil {
 		return res, err
 	}
@@ -126,19 +126,6 @@ func Fig32(w io.Writer, procs int) (Fig32Result, error) {
 		res.InitOverheadSmall*100, res.InitOverheadLarge*100)
 	fmt.Fprintln(w, "(the paper notes this property is hard to avoid for small test programs)")
 	return res, nil
-}
-
-// runSpec executes a property spec in a fresh environment.
-func runSpec(spec *core.Spec, a core.Args, procs, threads int) (*trace.Trace, error) {
-	team := omp.Options{Threads: threads}
-	if spec.Paradigm == core.ParadigmOMP {
-		return omp.Run(omp.RunOptions{Threads: threads}, func(ctx *xctx.Ctx, _ omp.Options) {
-			spec.Run(core.Env{Ctx: ctx, OMP: team}, a)
-		})
-	}
-	return mpi.Run(mpi.Options{Procs: procs}, func(c *mpi.Comm) {
-		spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: team}, a)
-	})
 }
 
 // Fig33Result summarizes the composite experiment of Figure 3.3.
@@ -300,7 +287,7 @@ func PositiveCorrectness(w io.Writer, procs, threads int) ([]CorrectnessRow, err
 		campaign.Options{},
 		func(i int) (outcome, error) {
 			spec := specs[i]
-			tr, err := runSpec(spec, spec.Defaults(), procs, threads)
+			tr, err := spec.Exec(procs, threads, spec.Defaults(), nil)
 			if err != nil {
 				return outcome{}, fmt.Errorf("%s: %w", spec.Name, err)
 			}

@@ -6,10 +6,12 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/campaign"
+	"repro/internal/conformance"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/omp"
 	"repro/internal/perturb"
+	"repro/internal/rescache"
 	"repro/internal/trace"
 	"repro/internal/xctx"
 )
@@ -80,34 +82,27 @@ func PerturbedNegativeCorrectness(w io.Writer, procs, threads int, levels []int)
 	var rows []PerturbedNegativeRow
 
 	// Each cell's job computes the finished row — a pure, serializable
-	// function of (level, program, shape, engine) — so the sweep can be
-	// memoized through the process-wide result cache (SetResultCache): a
-	// warm rerun replays the rows without executing a single world.  The
-	// trace and report ride along unserialized for the profile sink; while
-	// a sink is installed the key function returns "" (memoization off),
-	// because a cache hit cannot re-emit them.
+	// function of (level, program, shape) — so the sweep is memoized
+	// through the process-wide result cache (conformance.SetResultCache):
+	// a warm rerun replays the rows without executing a single world.
+	// The trace and report ride along unserialized for the profile sink;
+	// while a sink is installed the sweep bypasses the cache, because a
+	// cache hit cannot re-emit them.
 	type outcome struct {
 		Row PerturbedNegativeRow `json:"row"`
 		tr  *trace.Trace
 		rep *analyzer.Report
 	}
-	sinkInstalled := profileSink != nil
-	job := campaign.Memo(memoCache(),
-		func(i int) string {
-			if sinkInstalled {
-				return ""
-			}
-			c := cells[i]
-			key, err := perturbedCellKey(levels[c.level], programs[c.prog].name, procs, threads, perturbSeed)
-			if err != nil {
-				return ""
-			}
-			return key
-		},
-		func(i int) (outcome, error) {
-			c := cells[i]
-			lvl := levels[c.level]
-			name := programs[c.prog].name
+	var cache campaign.Cache // stays a nil interface without a store
+	if s := conformance.ResultCache(); s != nil && profileSink == nil {
+		cache = s
+	}
+	job := func(i int) (outcome, error) {
+		c := cells[i]
+		lvl := levels[c.level]
+		name := programs[c.prog].name
+		key, _ := perturbedCellKey(lvl, name, procs, threads, perturbSeed) // "" recomputes
+		return campaign.Cached(cache, key, func() (outcome, error) {
 			m := perturb.NewModel(perturb.Level(perturbSeed, lvl))
 			tr, err := programs[c.prog].run(m)
 			if err != nil {
@@ -129,6 +124,7 @@ func PerturbedNegativeCorrectness(w io.Writer, procs, threads int, levels []int)
 			}
 			return outcome{Row: row, tr: tr, rep: rep}, nil
 		})
+	}
 	err := campaign.Stream(len(cells),
 		campaign.Options{},
 		job,
@@ -153,4 +149,29 @@ func PerturbedNegativeCorrectness(w io.Writer, procs, threads int, levels []int)
 	fmt.Fprintln(w, "\n(a finding at level > 0 is a real consequence of the injected disturbance;")
 	fmt.Fprintln(w, " robust oracles must widen their noise floor with the level, not go blind)")
 	return rows, nil
+}
+
+// perturbedKeyDoc is everything one perturbed negative-correctness cell
+// depends on besides the versions of the machinery, which the result
+// cache stamps on every entry: the sweep coordinates and the shape.
+type perturbedKeyDoc struct {
+	Kind        string `json:"kind"`
+	Level       int    `json:"level"`
+	Program     string `json:"program"`
+	Procs       int    `json:"procs"`
+	Threads     int    `json:"threads"`
+	PerturbSeed uint64 `json:"perturb_seed"`
+}
+
+// perturbedCellKey derives the content key of one cell of the perturbed
+// negative-correctness table.
+func perturbedCellKey(level int, program string, procs, threads int, perturbSeed uint64) (string, error) {
+	return rescache.Key(perturbedKeyDoc{
+		Kind:        "experiments/perturbed_negative",
+		Level:       level,
+		Program:     program,
+		Procs:       procs,
+		Threads:     threads,
+		PerturbSeed: perturbSeed,
+	})
 }

@@ -3,7 +3,11 @@ package experiments
 import (
 	"bytes"
 	"io"
+	"path/filepath"
 	"testing"
+
+	"repro/internal/conformance"
+	"repro/internal/rescache"
 )
 
 func TestPerturbedNegativeCorrectnessTable(t *testing.T) {
@@ -41,5 +45,41 @@ func TestPerturbedNegativeCorrectnessDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatalf("perturbed table not reproducible:\n%s\n----\n%s", b1.String(), b2.String())
+	}
+}
+
+// With a result cache installed, a warm rerun of the table replays every
+// row from the cache — no cell misses, so no world executes — and prints
+// the cold run's bytes.
+func TestPerturbedNegativeCorrectnessWarmReplay(t *testing.T) {
+	store, err := rescache.Open(filepath.Join(t.TempDir(), "rescache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conformance.SetResultCache(store)
+	defer conformance.SetResultCache(nil)
+
+	levels := []int{0, 2}
+	var cold, warm bytes.Buffer
+	coldRows, err := PerturbedNegativeCorrectness(&cold, 4, 2, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterCold := store.Stats()
+	if afterCold.Puts != int64(len(coldRows)) {
+		t.Fatalf("cold run wrote %d entries; want one per row (%d)", afterCold.Puts, len(coldRows))
+	}
+	if _, err := PerturbedNegativeCorrectness(&warm, 4, 2, levels); err != nil {
+		t.Fatal(err)
+	}
+	afterWarm := store.Stats()
+	if afterWarm.Misses != afterCold.Misses || afterWarm.Puts != afterCold.Puts {
+		t.Fatalf("warm run executed worlds: stats %+v -> %+v", afterCold, afterWarm)
+	}
+	if hits := afterWarm.Hits - afterCold.Hits; hits != int64(len(coldRows)) {
+		t.Fatalf("warm run hit %d cells; want %d", hits, len(coldRows))
+	}
+	if !bytes.Equal(cold.Bytes(), warm.Bytes()) {
+		t.Fatalf("warm table diverges from cold:\n%s\n----\n%s", cold.String(), warm.String())
 	}
 }

@@ -127,23 +127,16 @@ func runScaleStreamed(procs int, body func(c *mpi.Comm)) (int, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	st, err := trace.NewStream(r)
-	if err != nil {
-		r.Close()
-		return 0, "", err
-	}
-	defer st.Close()
-	rep, err := analyzer.AnalyzeStream(st, analyzer.Options{})
+	rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{})
 	if err != nil {
 		return 0, "", err
 	}
-	prof, err := profile.FromAnalysis("scale", profile.TraceInfoOfStream(st), rep,
-		profile.RunInfo{Procs: procs, Threads: 1})
+	prof, err := profile.FromAnalysis("scale", info, rep, profile.RunInfo{Procs: procs, Threads: 1})
 	if err != nil {
 		return 0, "", err
 	}
 	hash, err := prof.Hash()
-	return st.Events(), hash, err
+	return info.Events, hash, err
 }
 
 // runScaleMaterialized executes the same program through the classic

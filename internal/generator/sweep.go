@@ -8,10 +8,6 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/mpi"
-	"repro/internal/omp"
-	"repro/internal/trace"
-	"repro/internal/xctx"
 )
 
 // SweepPoint is one experiment configuration: the property arguments plus
@@ -53,7 +49,7 @@ func Sweep(name string, points []SweepPoint) ([]SweepResult, error) {
 	want := analyzer.ExpectedDetection[name]
 	out, err := campaign.Run(len(points), campaign.Options{}, func(i int) (SweepResult, error) {
 		pt := points[i]
-		tr, err := runPoint(spec, pt)
+		tr, err := spec.Exec(pt.Procs, pt.Threads, pt.Args, nil)
 		if err != nil {
 			return SweepResult{}, fmt.Errorf("generator: point %q: %w", pt.Label, err)
 		}
@@ -78,21 +74,6 @@ func Sweep(name string, points []SweepPoint) ([]SweepResult, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// runPoint executes the spec in a fresh environment (mirrors
-// ats.RunProperty, reimplemented here to avoid an import cycle with the
-// facade package).
-func runPoint(spec *core.Spec, pt SweepPoint) (*trace.Trace, error) {
-	team := omp.Options{Threads: pt.Threads}
-	if spec.Paradigm == core.ParadigmOMP {
-		return omp.Run(omp.RunOptions{Threads: pt.Threads}, func(ctx *xctx.Ctx, _ omp.Options) {
-			spec.Run(core.Env{Ctx: ctx, OMP: team}, pt.Args)
-		})
-	}
-	return mpi.Run(mpi.Options{Procs: pt.Procs}, func(c *mpi.Comm) {
-		spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: team}, pt.Args)
-	})
 }
 
 // GridFloat builds sweep points varying one float parameter over values,

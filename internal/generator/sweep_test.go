@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 )
 
-// TestSweepOMPParadigm drives the pure-OpenMP branch of runPoint: the
+// TestSweepOMPParadigm drives the pure-OpenMP branch of Spec.Exec: the
 // sweep must execute on a thread team (no MPI world) and still detect the
 // property.
 func TestSweepOMPParadigm(t *testing.T) {

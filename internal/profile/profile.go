@@ -162,6 +162,24 @@ func TraceInfoOfStream(st *trace.Stream) TraceInfo {
 	return TraceInfo{Ranks: ranks, Threads: threads, Events: st.Events()}
 }
 
+// AnalyzeSpool merges the chunk spool behind cr into one stream, drains
+// it through analyzer.AnalyzeStream, and returns the report with the
+// stream's shape metadata: the whole streamed analysis, never
+// materializing the event list.  The stream, and with it cr, is closed
+// on every path.
+func AnalyzeSpool(cr *trace.ChunkReader, opt analyzer.Options) (*analyzer.Report, TraceInfo, error) {
+	st, err := trace.NewStream(cr)
+	if err != nil {
+		return nil, TraceInfo{}, err
+	}
+	defer st.Close()
+	rep, err := analyzer.AnalyzeStream(st, opt)
+	if err != nil {
+		return nil, TraceInfo{}, err
+	}
+	return rep, TraceInfoOfStream(st), nil
+}
+
 // FromRun extracts the canonical profile of one analyzed run.  Zero
 // fields of run are filled from the trace (Procs/Threads from the
 // location grid, Clock defaulting to "virtual").  A report carrying

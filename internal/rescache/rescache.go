@@ -1,24 +1,25 @@
 // Package rescache is an on-disk, content-addressed memoization layer
 // for analysis and conformance results: the piece that makes repeated
-// sweeps free.  A fuzzing campaign, a calibration pass, or an engine
-// differential recomputes byte-identical (case, engine, perturbation)
-// work on every invocation; rescache stores each such result once, keyed
-// by a content hash over everything the result depends on — the full
-// case, the effective execution engine and its version, the perturbation
-// profile, the oracle options, and the profile schema — so a warm run
-// skips run+trace+analyze entirely while remaining byte-identical to a
-// cold one (the cached value IS the cold value, replayed).
+// sweeps free.  A fuzzing campaign or a calibration pass recomputes
+// byte-identical (case, perturbation) work on every invocation; rescache
+// stores each such result once, keyed by a content hash over the inputs
+// the result depends on — the full case, the perturbation profile, the
+// oracle options — so a warm run skips run+trace+analyze entirely while
+// remaining byte-identical to a cold one (the cached value IS the cold
+// value, replayed).
 //
 // Entries are immutable JSON objects in the content-addressed layout of
 // package cas (objects/<first-two-hex>/<key>.json, written atomically,
 // keys validated before ever touching a path).  Every entry records the
-// environment it was computed under (engine versions, profile schema);
-// Get refuses to serve an entry whose recorded environment no longer
-// matches the running binary, and GC deletes such stale entries.
+// environment it was computed under (CurrentEnv: the engine version and
+// the profile schema); Get refuses to serve an entry whose recorded
+// environment no longer matches the running binary, and GC deletes such
+// stale entries.
 //
-// Invalidation rules: the environment is the *full* set of versioned
-// components, not just the one the entry used — bumping any engine
-// version or the profile schema invalidates every entry.  That is
+// Invalidation rules: the environment is the single place the versions
+// of the machinery enter — keys carry none — and it is the *full* set
+// of versioned components, not just the one the entry used: bumping the
+// engine version or the profile schema invalidates every entry.  That is
 // deliberately conservative: correctness of a memoized oracle verdict is
 // worth a cold sweep, and the versions move rarely (see the bump rules
 // in internal/mpi/engine.go).
@@ -213,8 +214,9 @@ func (s *Store) Len() (int, error) {
 // key document: the SHA-256 of its canonical encoding (Go's json.Marshal
 // sorts map keys and preserves struct field order, so equal documents
 // hash equally across processes and runs).  Callers must include every
-// input the cached result depends on — including the engine identity and
-// version — in the document; Key itself adds nothing.
+// input the cached result depends on in the document; Key itself adds
+// nothing.  The versions of the machinery stay out of it: the store
+// stamps them on every entry (CurrentEnv).
 func Key(doc any) (string, error) {
 	blob, err := json.Marshal(doc)
 	if err != nil {

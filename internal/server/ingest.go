@@ -155,16 +155,11 @@ func (s *Server) analyzeSpool(path, experiment string, threshold float64) (*prof
 	if err != nil {
 		return nil, err
 	}
-	st, err := trace.NewStream(cr)
+	rep, info, err := profile.AnalyzeSpool(cr, analyzer.Options{Threshold: threshold})
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	rep, err := analyzer.AnalyzeStream(st, analyzer.Options{Threshold: threshold})
-	if err != nil {
-		return nil, err
-	}
-	return profile.FromAnalysis(experiment, profile.TraceInfoOfStream(st), rep, profile.RunInfo{})
+	return profile.FromAnalysis(experiment, info, rep, profile.RunInfo{})
 }
 
 // fail completes a report with an error.

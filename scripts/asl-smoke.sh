@@ -8,7 +8,10 @@
 #      companion on a run;
 #   3. the trace that run wrote with `atsrun -trace` reads back through
 #      `atsanalyze -asl` (same detection) and `atstrace`;
-#   4. `atsfuzz run -asl` accepts the catalog into the fuzzed pool.
+#   4. `atsrun` prints byte-identical reports run plain, with -stream
+#      and with -stream -trace, for the catalog scenario, a pure-OpenMP
+#      and a hybrid property;
+#   5. `atsfuzz run -asl` accepts the catalog into the fuzzed pool.
 #
 # Engine byte-identity of ASL scenarios is checked in-tree by
 # TestASLScenarioEngineDiff (internal/conformance).
@@ -46,6 +49,18 @@ grep 'late_sender' "$tmp/analyze.out"
 grep 'wait_at_mpi_barrier' "$tmp/analyze.out"
 "$bin/atstrace" "$tmp/run.atsc" >"$tmp/trace.out"
 grep 'timeline:' "$tmp/trace.out"
+
+echo "== atsrun stdout is identical plain, -stream and -stream -trace"
+run() { "$bin/atsrun" -asl "$CATALOG" -property "$prop" -procs 4 "$@" 2>/dev/null; }
+for prop in "$SCENARIO" imbalance_at_omp_barrier hybrid_omp_imbalance_causes_late_sender; do
+	run >"$tmp/$prop.plain"
+	run -stream >"$tmp/$prop.stream"
+	run -stream -trace "$tmp/$prop.atsc" >"$tmp/$prop.spool"
+	test -s "$tmp/$prop.plain"
+	test -s "$tmp/$prop.atsc"
+	cmp "$tmp/$prop.plain" "$tmp/$prop.stream"
+	cmp "$tmp/$prop.plain" "$tmp/$prop.spool"
+done
 
 echo "== atsfuzz accepts the catalog into the fuzzed pool"
 "$bin/atsfuzz" run -seeds 10 -start 1 -asl "$CATALOG" 2>"$tmp/fuzz.err"
