@@ -18,6 +18,7 @@ type Buf struct {
 	Count int
 	Data  []byte
 
+	slab  *[]byte // Data's free-list box (see getBytes)
 	freed bool
 }
 
@@ -29,7 +30,8 @@ func AllocBuf(t Datatype, cnt int) *Buf {
 	if cnt < 0 {
 		panic(fmt.Sprintf("mpi: AllocBuf with negative count %d", cnt))
 	}
-	return &Buf{Type: t, Count: cnt, Data: getBytes(cnt*t.Size(), true)}
+	data, slab := getBytes(cnt*t.Size(), true)
+	return &Buf{Type: t, Count: cnt, Data: data, slab: slab}
 }
 
 // FreeBuf releases the buffer (free_mpi_buf): the backing array returns to
@@ -41,8 +43,8 @@ func FreeBuf(b *Buf) {
 	if b == nil {
 		return
 	}
-	putBytes(b.Data)
-	b.Data = nil
+	putBytes(b.Data, b.slab)
+	b.Data, b.slab = nil, nil
 	b.Count = 0
 	b.freed = true
 }

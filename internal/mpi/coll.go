@@ -18,6 +18,7 @@ type collArgs struct {
 	root      int // comm-local root; -1 for unrooted operations
 	op        Op
 	sendData  []byte
+	sendSlab  *[]byte // sendData's free-list box (Allreduce stages from the pool)
 	sendType  Datatype
 	sendCount int   // per-destination element count (regular ops)
 	counts    []int // per-rank counts (v-variants, reduce_scatter)
@@ -27,9 +28,11 @@ type collArgs struct {
 
 // collResult is one participant's outcome.
 type collResult struct {
-	exit    float64 // virtual completion time (ignored in real mode)
-	data    []byte  // output payload (nil if none)
-	id      uint64  // collective instance id (trace match id)
+	exit float64 // virtual completion time (ignored in real mode)
+	// data is the output payload (nil if none).  Participants may share
+	// one payload, so it is read-only: callers copy out of it.
+	data    []byte
+	id      uint64 // collective instance id (trace match id)
 	newCore *commCore
 }
 
@@ -44,8 +47,9 @@ type collOp struct {
 	done    bool
 	err     error
 
-	enter []float64
-	args  []*collArgs
+	enter  []float64
+	args   []collArgs
+	joined []bool // double-join check
 
 	exits []float64
 	out   [][]byte
@@ -106,12 +110,16 @@ func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) col
 	op := e.ops[seq]
 	if op == nil {
 		op = &collOp{
-			kind:  args.kind,
-			id:    collID(c.core.cid, seq),
-			seq:   seq,
-			size:  size,
-			enter: make([]float64, size),
-			args:  make([]*collArgs, size),
+			kind:   args.kind,
+			id:     collID(c.core.cid, seq),
+			seq:    seq,
+			size:   size,
+			enter:  make([]float64, size),
+			args:   make([]collArgs, size),
+			joined: make([]bool, size),
+		}
+		if e.w.eventMode {
+			op.waiters = make([]*proc, 0, size-1)
 		}
 		e.ops[seq] = op
 	}
@@ -120,12 +128,12 @@ func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) col
 			c.core.cid, seq, me, args.kind, op.kind)
 		e.abort(err) // does not return
 	}
-	if op.args[me] != nil {
+	if op.joined[me] {
 		err := fmt.Errorf("mpi: rank %d joined collective seq %d twice", me, seq)
 		e.abort(err)
 	}
-	a := args // copy
-	op.args[me] = &a
+	op.joined[me] = true
+	op.args[me] = args
 	op.enter[me] = enter
 	op.arrived++
 
@@ -197,22 +205,24 @@ func maxOf(xs []float64) float64 {
 // buffer allocated at its total size; nil when every buffer is empty.
 func (op *collOp) gatherSends() []byte {
 	total := 0
-	for _, a := range op.args {
-		total += len(a.sendData)
+	for i := range op.args {
+		total += len(op.args[i].sendData)
 	}
 	if total == 0 {
 		return nil
 	}
 	all := make([]byte, 0, total)
-	for _, a := range op.args {
-		all = append(all, a.sendData...)
+	for i := range op.args {
+		all = append(all, op.args[i].sendData...)
 	}
 	return all
 }
 
 // compute fills exits/out/cores once all participants have arrived.  It
 // runs under the engine lock; all inputs are staged copies, so no rank's
-// memory is touched concurrently.
+// memory is touched concurrently.  Outputs are read-only (see
+// collResult.data), so participants receiving the same bytes share one
+// slice and sub-ranges alias the staged inputs instead of copying them.
 func (e *collEngine) compute(core *commCore, op *collOp) error {
 	P := op.size
 	cost := e.w.opt.Cost
@@ -268,7 +278,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		avail := op.enter[root] + net
 		op.out = make([][]byte, P)
 		for i := 0; i < P; i++ {
-			op.out[i] = append([]byte(nil), data...)
+			op.out[i] = data
 			if i == root {
 				op.exits[i] = op.enter[root] + net + cost.Overhead
 			} else {
@@ -312,7 +322,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		off := 0
 		for i := 0; i < P; i++ {
 			nb := counts[i] * t.Size()
-			op.out[i] = append([]byte(nil), data[off:off+nb]...)
+			op.out[i] = data[off : off+nb]
 			off += nb
 			net := cost.collNet(P, nb)
 			if i == root {
@@ -370,19 +380,23 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		es := t.Size()
 		switch op.kind {
 		case trace.CollAllreduce:
-			acc := append([]byte(nil), op.args[0].sendData...)
+			// Rank 0's staged copy accumulates the result; the others'
+			// go back to the free list once folded in.
+			acc := op.args[0].sendData
 			for i := 1; i < P; i++ {
 				if err := reduceInto(acc, op.args[i].sendData, t, op.args[0].op, n); err != nil {
 					return err
 				}
+				putBytes(op.args[i].sendData, op.args[i].sendSlab)
+				op.args[i].sendData, op.args[i].sendSlab = nil, nil
 			}
 			for i := range op.out {
-				op.out[i] = append([]byte(nil), acc...)
+				op.out[i] = acc
 			}
 		case trace.CollAllgather, trace.CollAllgatherv:
 			all := op.gatherSends()
 			for i := range op.out {
-				op.out[i] = append([]byte(nil), all...)
+				op.out[i] = all
 			}
 		case trace.CollAlltoall:
 			// Rank i receives segment i of every rank's send buffer.
@@ -445,7 +459,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 			off := 0
 			for i := 0; i < P; i++ {
 				nb := counts[i] * es
-				op.out[i] = append([]byte(nil), acc[off:off+nb]...)
+				op.out[i] = acc[off : off+nb]
 				off += nb
 			}
 		}
@@ -691,8 +705,9 @@ func (c *Comm) Allreduce(sbuf, rbuf *Buf, op Op) {
 	ctx.Enter("MPI_Allreduce")
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollAllreduce, root: -1, op: op,
-		sendType: sbuf.Type, sendCount: sbuf.Count,
-		sendData: append([]byte(nil), sbuf.Data...)}
+		sendType: sbuf.Type, sendCount: sbuf.Count}
+	args.sendData, args.sendSlab = getBytes(len(sbuf.Data), false)
+	copy(args.sendData, sbuf.Data)
 	res := c.runColl(args)
 	copy(rbuf.Data, res.data)
 	c.recordColl(trace.CollAllreduce, -1, sbuf.Bytes(), res.id, enter)

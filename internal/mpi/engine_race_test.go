@@ -12,10 +12,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -24,29 +26,45 @@ import (
 // transitions of all kinds interleave: wildcard receives, directed
 // receives, rendezvous sends, nonblocking completion, collectives, and a
 // communicator split.
-func stressBody(c *Comm) {
+func stressBody(c *Comm) { stressSteps(c, func() {}) }
+
+// stressSteps is stressBody calling step in the user code after every
+// operation: each call runs after a possible park and before the rank's
+// next blocking call, and the last one runs just before the rank
+// finishes.
+func stressSteps(c *Comm, step func()) {
 	buf := AllocBuf(TypeDouble, 8)
 	defer FreeBuf(buf)
 	next := (c.Rank() + 1) % c.Size()
 	prev := (c.Rank() - 1 + c.Size()) % c.Size()
 	for round := 0; round < 3; round++ {
 		c.Sendrecv(buf, next, 1, buf, prev, 1)
+		step()
 		if c.Rank() == 0 {
 			for i := 1; i < c.Size(); i++ {
 				c.Recv(buf, AnySource, 2)
+				step()
 			}
 		} else {
 			c.Work(float64(c.Rank()) * 1e-5)
+			step()
 			c.Ssend(buf, 0, 2)
+			step()
 		}
 		r := c.Irecv(buf, prev, 3)
 		c.Wait(c.Isend(buf, next, 3))
+		step()
 		c.Wait(r)
+		step()
 		c.Allreduce(buf, buf, OpSum)
+		step()
 	}
 	sub := c.Split(c.Rank()%2, c.Rank())
+	step()
 	sub.Barrier()
+	step()
 	c.Barrier()
+	step()
 }
 
 // TestEventEngineConcurrentWorlds runs many event-engine worlds at once —
@@ -137,26 +155,167 @@ func TestEventEngineStreamedConcurrent(t *testing.T) {
 	}
 }
 
-// TestEventEngineSingleStepInvariant instruments a run to prove at most
-// one rank executes user code at any instant under the event engine.
+// TestEventEngineSingleStepInvariant instruments runs to prove at most
+// one rank executes user code at any instant under the event engine: in
+// a Barrier loop, and in stressBody's mix, where the run token is handed
+// on from every park site (specific and wildcard receives, rendezvous
+// acks, Irecv/Wait, collectives, split) and from finishing ranks.
 func TestEventEngineSingleStepInvariant(t *testing.T) {
 	var inBody atomic.Int32
 	var violations atomic.Int32
-	_, err := Run(Options{Procs: 16, Engine: EngineEvent}, func(c *Comm) {
-		for round := 0; round < 4; round++ {
-			if inBody.Add(1) > 1 {
-				violations.Add(1)
+	step := func() {
+		if inBody.Add(1) > 1 {
+			violations.Add(1)
+		}
+		runtime.Gosched() // give a wrongly concurrent rank the chance to overlap
+		inBody.Add(-1)
+	}
+	bodies := []struct {
+		name string
+		body func(c *Comm)
+	}{
+		{"barrier", func(c *Comm) {
+			for round := 0; round < 4; round++ {
+				c.Work(1e-5)
+				step()
+				c.Barrier()
 			}
-			c.Work(1e-5)
-			inBody.Add(-1)
-			c.Barrier()
+		}},
+		{"stress", func(c *Comm) { stressSteps(c, step) }},
+	}
+	for _, b := range bodies {
+		t.Run(b.name, func(t *testing.T) {
+			violations.Store(0)
+			if _, err := Run(Options{Procs: 16, Engine: EngineEvent}, b.body); err != nil {
+				t.Fatal(err)
+			}
+			if v := violations.Load(); v > 0 {
+				t.Fatalf("%d instants with more than one rank running", v)
+			}
+		})
+	}
+}
+
+// TestEventEngineAbortWhileParked fails a world while ranks wait at every
+// kind of park site and pins that the failure unwinds them all: Run
+// returns the right error and every rank goroutine and the scheduler
+// goroutine exit.
+func TestEventEngineAbortWhileParked(t *testing.T) {
+	t.Run("rank panic", func(t *testing.T) {
+		// Ranks 0–4 and 8 park first (lowest clocks); rank 5 parks behind
+		// them until rank 6 sends, ranks 6 and 7 return from their bodies
+		// into MPI_Finalize's barrier, and rank 5 then readies rank 0 and
+		// panics.  At the failure rank 0 is ready, rank 1 waits in a
+		// wildcard receive, 2, 3, 6 and 7 in a collective, 4 on a
+		// rendezvous ack and 8 in a specific receive; rank 5 has finished.
+		err := runCountingGoroutines(t, Options{Procs: 9, Timeout: 5 * time.Second}, func(c *Comm) {
+			buf := AllocBuf(TypeInt, 1)
+			defer FreeBuf(buf)
+			switch c.Rank() {
+			case 0:
+				c.Recv(buf, 5, 5)
+			case 1:
+				c.Recv(buf, AnySource, 9)
+			case 2, 3:
+				c.Barrier()
+			case 4:
+				c.Ssend(buf, 8, 7)
+			case 5:
+				c.Work(1e-3)
+				c.Recv(buf, 6, 11)
+				c.Send(buf, 0, 5)
+				want := []int32{evReady, evRecv, evColl, evColl, evAck, evRunning, evColl, evColl, evRecv}
+				for i, p := range c.p.w.procs {
+					if got := p.evState.Load(); got != want[i] {
+						t.Errorf("rank %d in state %d at the panic, want %d", i, got, want[i])
+					}
+				}
+				panic("kaboom")
+			case 6:
+				c.Send(buf, 5, 11)
+			case 8:
+				c.Recv(buf, 4, 3)
+			}
+		})
+		var re *RankError
+		if !errors.As(err, &re) || re.Rank != 5 {
+			t.Fatalf("error %v, want a RankError naming rank 5", err)
 		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	t.Run("watchdog", func(t *testing.T) {
+		// Rank 0 holds the run token in a real sleep past the watchdog
+		// while the others wait in a barrier.
+		err := runCountingGoroutines(t, Options{Procs: 4, Timeout: 50 * time.Millisecond}, func(c *Comm) {
+			buf := AllocBuf(TypeInt, 1)
+			defer FreeBuf(buf)
+			switch c.Rank() {
+			case 0:
+				c.Recv(buf, 1, 1)
+				for _, p := range c.p.w.procs[1:] {
+					if got := p.evState.Load(); got != evColl {
+						t.Errorf("rank %d in state %d during the sleep, want %d", p.rank, got, evColl)
+					}
+				}
+				time.Sleep(200 * time.Millisecond)
+			case 1:
+				c.Send(buf, 0, 1)
+			}
+			c.Barrier()
+		})
+		if err == nil || !strings.Contains(err.Error(), "watchdog timeout after 50ms") {
+			t.Fatalf("error %v, want the watchdog timeout", err)
+		}
+	})
+}
+
+// runCountingGoroutines runs a world that must fail and checks that the
+// goroutine count returns to its value before the run within a second.
+func runCountingGoroutines(t *testing.T, opt Options, body func(c *Comm)) error {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	_, err := Run(opt, body)
+	if err == nil {
+		t.Fatal("world did not fail")
 	}
-	if v := violations.Load(); v > 0 {
-		t.Fatalf("%d instants with more than one rank running", v)
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return err
+}
+
+// TestEventEngineSchedulerWakes pins baton passing: in a ring + Barrier
+// world with no wildcard receive the ready heap never drains while ranks
+// are live, so the scheduler goroutine is handed the token a constant
+// number of times, not once per step.
+func TestEventEngineSchedulerWakes(t *testing.T) {
+	wakes := func(procs int) int {
+		var s *evScheduler
+		_, err := Run(Options{Procs: procs, Untraced: true}, func(c *Comm) {
+			if c.Rank() == 0 {
+				s = c.p.w.sched
+			}
+			buf := AllocBuf(TypeDouble, 4)
+			defer FreeBuf(buf)
+			next := (c.Rank() + 1) % c.Size()
+			prev := (c.Rank() - 1 + c.Size()) % c.Size()
+			for round := 0; round < 3; round++ {
+				c.Sendrecv(buf, next, 1, buf, prev, 1)
+				c.Barrier()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.wakes
+	}
+	small, large := wakes(16), wakes(1024)
+	t.Logf("scheduler wakes: %d at 16 ranks, %d at 1024", small, large)
+	if small != large || large > 1 {
+		t.Fatalf("scheduler woke %d times at 16 ranks and %d at 1024, want the same constant <= 1", small, large)
 	}
 }
 

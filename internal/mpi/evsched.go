@@ -12,16 +12,19 @@ package mpi
 // events).  What changes relative to the goroutine engine is the
 // execution discipline:
 //
-//   - At most one rank steps at a time.  The scheduler pops the ready
-//     rank with the minimum (virtual clock, rank) key, hands it the run
-//     token, and blocks until the rank reports back — either "parked at
-//     a blocking operation" or "finished".  Because the scheduler is
-//     idle while a rank runs, the running rank may mutate scheduler
-//     state (readying the peers its sends, collective completions and
-//     rendezvous acks unblock) without locks; the resume/notes channel
-//     pair provides the happens-before edges, which is why the -race
-//     stress tests can enforce the single-threaded dispatch invariant
-//     rather than assume it.
+//   - At most one rank steps at a time: the one holding the run token.
+//     A rank that parks at a blocking operation, or finishes, pops the
+//     ready rank with the minimum (virtual clock, rank) key itself and
+//     resumes it over that rank's resume channel — one goroutine switch
+//     per step.  The scheduler goroutine is handed the token only when
+//     the ready heap drains (quiescence or deadlock); it also wakes when
+//     the last rank finishes and when the world fails.  Because exactly
+//     one goroutine holds the token, the holder may mutate scheduler
+//     state (the ready heap, the wildcard-waiter list, the peers its
+//     sends, collective completions and rendezvous acks unblock) without
+//     locks; the token's channel hand-offs provide the happens-before
+//     edges, which is why the -race stress tests can enforce the
+//     single-threaded dispatch invariant rather than assume it.
 //
 //   - Blocking operations park instead of spinning: a specific-source
 //     receive parks until the matching post readies it; a collective
@@ -48,10 +51,10 @@ package mpi
 //     instead of waiting out the real-time watchdog.
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // proc.evState values.  Transitions: evReady -> evRunning (dispatch),
@@ -59,7 +62,7 @@ import (
 // parked -> evReady (post/completion/grant or abort resume).
 const (
 	evRunning int32 = iota // holds the run token (or is being dispatched)
-	evReady                // in the scheduler's ready heap
+	evReady                // in the ready heap
 	evRecv                 // parked in mailbox.matchEvent
 	evColl                 // parked in collEngine.join
 	evAck                  // parked in waitAck (rendezvous sender)
@@ -82,12 +85,6 @@ func evWaitName(st int32) string {
 	}
 }
 
-// evNote is a stepped rank's report back to the scheduler.
-type evNote struct {
-	p    *proc
-	done bool
-}
-
 // evItem orders the ready heap by (virtual clock at ready time, rank).
 // The clock of a parked rank cannot change (only the owning goroutine
 // advances it), so the key is stable while queued.
@@ -96,88 +93,160 @@ type evItem struct {
 	rank int
 }
 
+// evHeap is a binary min-heap of ready ranks.  (key, rank) is a strict
+// total order — a rank is queued at most once — so the pop sequence is a
+// function of the pushes alone, whatever the heap's internal layout.
 type evHeap []evItem
 
-func (h evHeap) Len() int { return len(h) }
-func (h evHeap) Less(i, j int) bool {
+func (h evHeap) less(i, j int) bool {
 	if h[i].key != h[j].key {
 		return h[i].key < h[j].key
 	}
 	return h[i].rank < h[j].rank
 }
-func (h evHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *evHeap) Push(x any)   { *h = append(*h, x.(evItem)) }
-func (h *evHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *evHeap) push(it evItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
 }
 
-// evScheduler is the per-World event dispatcher.  All fields are owned
-// by the scheduler goroutine except during a rank's step, when the
-// running rank may push to ready via readyProc (the scheduler is blocked
-// on notes for the duration, so access never overlaps).
+func (h *evHeap) pop() evItem {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q.less(r, j) {
+			j = r
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
+}
+
+// evScheduler is the per-World event dispatcher.  ready and wild belong
+// to whichever goroutine holds the run token — the running rank, or the
+// scheduler goroutine while it resolves quiescence — and the token's
+// channel hand-offs order every access.  A goroutine that has seen the
+// world fail no longer touches them.
 type evScheduler struct {
 	w     *World
 	ready evHeap
-	notes chan evNote
-	live  int
+	// notes hands the run token to the scheduler goroutine when the ready
+	// heap drains.  One slot suffices: the token is unique, so at most one
+	// hand-off is outstanding, and the scheduler stops receiving only once
+	// it has stopped dispatching.
+	notes chan struct{}
+	// finished is closed by the last rank to finish.
+	finished chan struct{}
+	// live counts unfinished ranks; finishing ranks decrement it, so it
+	// is atomic.
+	live atomic.Int32
 	// wild tracks procs parked in wildcard receives so quiesce never
 	// scans all ranks to find its waiters; stale entries (granted or
 	// re-parked elsewhere) are compacted away on each quiescence.
 	wild []*proc
+	// wakes counts the hand-offs the scheduler goroutine has handled.
+	wakes int
 }
 
 func newEvScheduler(w *World) *evScheduler {
-	return &evScheduler{
-		w:     w,
-		ready: make(evHeap, 0, len(w.procs)),
-		notes: make(chan evNote, len(w.procs)+1),
+	s := &evScheduler{
+		w:        w,
+		ready:    make(evHeap, 0, len(w.procs)),
+		notes:    make(chan struct{}, 1),
+		finished: make(chan struct{}),
 	}
+	s.live.Store(int32(len(w.procs)))
+	return s
 }
 
 // readyProc moves a parked (or fresh) proc into the ready heap.  Called
-// by the scheduler itself (initial fill, wildcard grants, abort) or by
-// the currently running rank (message post, collective completion,
-// rendezvous ack) — never concurrently.
+// by the token holder: the running rank (message post, collective
+// completion, rendezvous ack) or the scheduler (initial fill, wildcard
+// grants).  Once the world has failed the heap is dead: abort resumes
+// every parked rank, and storing evReady first lets its scan see this
+// one (see park).
 func (s *evScheduler) readyProc(p *proc) {
 	p.evState.Store(evReady)
-	heap.Push(&s.ready, evItem{key: p.ctx.Clock.Now(), rank: p.rank})
+	if s.w.failed.Load() {
+		return
+	}
+	s.ready.push(evItem{key: p.ctx.Clock.Now(), rank: p.rank})
 }
 
-// loop dispatches ranks until all have finished.  It runs on its own
-// goroutine; Run waits for it under the real-time watchdog.
+// resume hands p the run token.  The send never blocks: p's one-slot
+// resume channel can only be full if abort already woke it, and a second
+// token would wake it no further.
+func (p *proc) resume() {
+	select {
+	case p.evResume <- struct{}{}:
+	default:
+	}
+}
+
+// passOn hands the run token from the calling rank, which has just
+// parked or finished, to the next ready rank, or to the scheduler
+// goroutine when the heap has drained.
+func (s *evScheduler) passOn() {
+	if len(s.ready) == 0 {
+		s.notes <- struct{}{}
+		return
+	}
+	s.dispatch()
+}
+
+// dispatch pops the next ready rank and resumes it.
+func (s *evScheduler) dispatch() {
+	p := s.w.procs[s.ready.pop().rank]
+	p.evState.Store(evRunning)
+	p.resume()
+}
+
+// loop starts the first rank, then resolves each quiescence the ranks
+// hand it until the last rank finishes.  It runs on its own goroutine;
+// Run waits for it under the real-time watchdog.
 func (s *evScheduler) loop() {
-	for s.live > 0 {
-		if len(s.ready) == 0 {
-			if s.quiesce() {
-				continue
-			}
+	s.dispatch()
+	for {
+		select {
+		case <-s.notes:
+		case <-s.w.failCh:
+			// Failure (rank panic, OMP thread failure, watchdog): stop
+			// dispatching and unwind everyone.
+			s.abort()
+			return
+		case <-s.finished:
+			return
+		}
+		s.wakes++
+		if !s.quiesce() {
 			// Nothing runnable and no wildcard receive can be released:
 			// the program is structurally deadlocked.
 			s.w.fail(s.deadlockError())
 			s.abort()
 			return
 		}
-		it := heap.Pop(&s.ready).(evItem)
-		p := s.w.procs[it.rank]
-		p.evState.Store(evRunning)
-		p.evResume <- struct{}{}
-		select {
-		case n := <-s.notes:
-			if n.done {
-				s.live--
-			} else if !n.p.evInWild && n.p.evState.Load() == evRecv && n.p.evSrc == AnySource {
-				n.p.evInWild = true
-				s.wild = append(s.wild, n.p)
-			}
-		case <-s.w.failCh:
-			// Failure while a rank runs (rank panic, OMP thread failure,
-			// watchdog): stop dispatching and unwind everyone.
-			s.abort()
-			return
+		if len(s.ready) > 0 { // empty only if the world failed meanwhile
+			s.dispatch()
 		}
 	}
 }
@@ -286,52 +355,55 @@ func (s *evScheduler) deadlockError() error {
 
 // abort resumes every parked or ready rank so it observes the recorded
 // failure (park panics with an abortError once World.failed is set) and
-// unwinds, then drains completion notes.  Resume sends are non-blocking:
-// a rank that raced into park around the failure instant may already
-// hold an unconsumed token, which is all it needs to wake and unwind.  A
-// rank stuck in user code never reports done; Run's watchdog grace
-// period gives up on the world in that case, exactly as the goroutine
-// engine does.
+// unwinds, then waits for every rank to finish.  A rank that parks after
+// the scan sees the failure itself: park stores its state before it
+// reads World.failed and the scan reads states after fail set it, so
+// one of the two sees the other.  A rank stuck in user code never
+// finishes; Run's watchdog grace period gives up on the world in that
+// case, exactly as the goroutine engine does.
 func (s *evScheduler) abort() {
 	for _, p := range s.w.procs {
 		switch p.evState.Load() {
 		case evReady, evRecv, evColl, evAck:
-			select {
-			case p.evResume <- struct{}{}:
-			default:
-			}
+			p.resume()
 		}
 	}
-	for s.live > 0 {
-		n := <-s.notes
-		if n.done {
-			s.live--
-			continue
-		}
-		// Parked in the instant between the failure and its resume; wake
-		// it (again) so the park observes the failure and unwinds.
-		select {
-		case n.p.evResume <- struct{}{}:
-		default:
-		}
-	}
+	<-s.finished
 }
 
-// park blocks the calling rank until the scheduler resumes it: the
-// rank's half of the handoff protocol, called from every event-engine
-// blocking point with no locks held.  kind records why the rank is
-// parked (deadlock diagnostics, abort scans); receive parks additionally
-// set evCid/evSrc/evTag first.  On a failed world park panics with the
-// abort error instead of blocking, so unwinding never stalls.
+// park blocks the calling rank until it is resumed: the rank's half of
+// the hand-off protocol, called from every event-engine blocking point
+// with no locks held.  kind records why the rank is parked (deadlock
+// diagnostics, abort scans); receive parks additionally set
+// evCid/evSrc/evTag first.  The parking rank passes the run token on
+// itself.  On a failed world park panics with the abort error instead of
+// blocking, so unwinding never stalls.
 func (p *proc) park(kind int32) {
 	w := p.w
+	p.evState.Store(kind)
 	if w.failed.Load() {
 		panic(abortError{cause: w.failError()})
 	}
-	p.evState.Store(kind)
-	w.sched.notes <- evNote{p: p}
+	s := w.sched
+	if kind == evRecv && p.evSrc == AnySource && !p.evInWild {
+		p.evInWild = true
+		s.wild = append(s.wild, p)
+	}
+	s.passOn()
 	<-p.evResume
 	if w.failed.Load() {
 		panic(abortError{cause: w.failError()})
+	}
+}
+
+// finish retires the calling rank once its body has returned or
+// unwound, passing the run token on unless the world has failed.
+func (s *evScheduler) finish(p *proc) {
+	p.evState.Store(evDone)
+	switch {
+	case s.live.Add(-1) == 0:
+		close(s.finished)
+	case !s.w.failed.Load():
+		s.passOn()
 	}
 }

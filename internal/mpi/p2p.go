@@ -28,6 +28,7 @@ type message struct {
 	dtype Datatype
 	count int
 	data  []byte
+	slab  *[]byte // data's free-list box (see getBytes)
 
 	sendEnter float64 // time the sender entered the send operation
 	avail     float64 // virtual arrival time (eager protocol)
@@ -66,7 +67,8 @@ type mailbox struct {
 	cond *sync.Cond
 	// q[head:] holds the pending messages; consuming from the front only
 	// advances head (amortized O(1) even under large backlogs — a sender
-	// racing ahead of its receiver must not make matching quadratic).
+	// racing ahead of its receiver must not make matching quadratic), and
+	// an emptied queue rewinds to q[:0].
 	q     []*message
 	head  int
 	w     *World
@@ -103,8 +105,13 @@ func (mb *mailbox) removeAt(i int) {
 		mb.q[mb.head] = nil
 		mb.head++
 	}
-	// Compact once the dead prefix dominates, bounding memory.
-	if mb.head > 1024 && mb.head*2 > len(mb.q) {
+	// Rewind once the queue drains, so the next post reuses the array
+	// instead of appending past a dead prefix; compact once the dead
+	// prefix dominates a backlog, bounding memory.
+	if mb.head == len(mb.q) {
+		mb.q = mb.q[:0]
+		mb.head = 0
+	} else if mb.head > 1024 && mb.head*2 > len(mb.q) {
 		mb.q = append([]*message(nil), mb.q[mb.head:]...)
 		mb.head = 0
 	}
@@ -361,7 +368,7 @@ func (c *Comm) postSend(buf *Buf, dest, tag int, mode sendMode, enter float64, f
 	// The payload copy comes from the free list (no zeroing: copy
 	// overwrites every byte) and is recycled by completeRecv once the
 	// receiver has copied it out.
-	payload := getBytes(bytes, false)
+	payload, slab := getBytes(bytes, false)
 	copy(payload, buf.Data)
 	m := &message{
 		cid:       c.core.cid,
@@ -370,6 +377,7 @@ func (c *Comm) postSend(buf *Buf, dest, tag int, mode sendMode, enter float64, f
 		dtype:     buf.Type,
 		count:     buf.Count,
 		data:      payload,
+		slab:      slab,
 		sendEnter: enter,
 		sync:      isSync,
 		match:     matchID(c.p),
@@ -471,8 +479,8 @@ func (c *Comm) completeRecv(buf *Buf, m *message, enter float64, flags uint8) St
 	copy(buf.Data, m.data)
 	// The message is off the queue for good (Probe never reaches here);
 	// its payload can carry the next send.
-	putBytes(m.data)
-	m.data = nil
+	putBytes(m.data, m.slab)
+	m.data, m.slab = nil, nil
 	ctx := c.p.ctx
 	w := c.p.w
 	bytes := m.count * m.dtype.Size()

@@ -183,10 +183,10 @@ type proc struct {
 	// matchID).  Owned by the rank's goroutine.
 	sendCount uint64
 
-	// Event-engine state (see evsched.go).  evResume carries the
-	// scheduler's run token (capacity 1).  evState is written by
-	// whichever side owns the rank at the time and read by the
-	// scheduler's abort and quiescence scans, hence atomic.
+	// Event-engine state (see evsched.go).  evResume carries the run
+	// token (capacity 1).  evState is written by whichever goroutine owns
+	// the rank at the time and read by the scheduler's abort and
+	// quiescence scans, hence atomic.
 	evResume   chan struct{}
 	evState    atomic.Int32
 	evCid      int32 // parked receive spec, valid when evState == evRecv
@@ -194,7 +194,7 @@ type proc struct {
 	evTag      int
 	evGrant    bool // scheduler granted the parked wildcard receive
 	evGrantIdx int  // queue index of the granted candidate (evScheduler.quiesce)
-	evInWild   bool // on the scheduler's wildcard-waiter list (scheduler-owned)
+	evInWild   bool // on the scheduler's wildcard-waiter list (token holder's)
 
 	// base default buffer (set_base_comm); per-rank so writes stay local.
 	baseType  Datatype
@@ -507,23 +507,20 @@ func (w *World) runGoroutine(comms []*Comm, errs []error, body func(c *Comm)) (r
 }
 
 // runEvent executes the world on the event engine: rank goroutines gate
-// on their resume channels and the scheduler single-steps them in
+// on their resume channels and pass the run token among themselves in
 // virtual-clock order (see evsched.go).
 func (w *World) runEvent(comms []*Comm, errs []error, body func(c *Comm)) (runErr error, stuck bool) {
 	s := newEvScheduler(w)
 	w.sched = s
-	s.live = len(w.procs)
 	for _, p := range w.procs {
 		p.evResume = make(chan struct{}, 1)
 		s.readyProc(p)
 	}
 	for i := range comms {
 		go func(c *Comm) {
-			p := c.p
-			<-p.evResume // first dispatch
+			<-c.p.evResume // first dispatch
 			w.runRank(c, body, errs)
-			p.evState.Store(evDone)
-			s.notes <- evNote{p: p, done: true}
+			s.finish(c.p)
 		}(comms[i])
 	}
 	done := make(chan struct{})

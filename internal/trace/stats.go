@@ -44,11 +44,17 @@ func ComputeStats(t *Trace) *Stats {
 // floats — the regression store's content-addressed identity depends on
 // that.
 //
-// Per-location state lives in dense slices indexed by a location index
-// resolved once per event, instead of the three map lookups per event the
-// original implementation paid.
+// Per-location state lives in dense slices.  A thread-0 location is found
+// through rankSlot, a slice indexed by rank, with no hashing; other
+// locations (threads, negative ranks, ranks far beyond the count seen so
+// far) fall back to the locIndex map.  Each location also remembers the
+// RegionStats it has completed, so an Exit for a pair seen before skips
+// both region maps.
 type StatsBuilder struct {
-	names    RegionNamer
+	names RegionNamer
+	// rankSlot[r] is 1 + the perLoc index of Location{r, 0}, or 0.  It
+	// grows only to maxDenseRank, so a hostile rank number cannot size it.
+	rankSlot []int32
 	locIndex map[Location]int32
 	locs     []Location // insertion order of first appearance
 	perLoc   []locState
@@ -61,16 +67,23 @@ type statsFrame struct {
 	child  float64 // accumulated nested time
 }
 
+// maxCachedRegions bounds locState.seen, so a location visiting many
+// regions pays a map lookup instead of an ever longer scan.
+const maxCachedRegions = 8
+
 type locState struct {
 	first, last float64
 	stack       []statsFrame
+	// seen[:nseen] are this location's first completed RegionStats, held
+	// inline so a new location costs no allocation.
+	seen  [maxCachedRegions]*RegionStat
+	nseen int
 }
 
 // NewStatsBuilder returns a builder for events of t.
 func NewStatsBuilder(t *Trace) *StatsBuilder {
 	sb := NewStatsBuilderFor(t)
 	n := len(t.Locations)
-	sb.locIndex = make(map[Location]int32, n)
 	sb.locs = make([]Location, 0, n)
 	sb.perLoc = make([]locState, 0, n)
 	return sb
@@ -88,13 +101,30 @@ func NewStatsBuilderFor(names RegionNamer) *StatsBuilder {
 	}
 }
 
+// maxDenseRank is the largest rank rankSlot may cover once n locations
+// are known: twice the count seen plus slack keeps it O(locations) while
+// ranks met roughly in order stay on the dense path.
+func maxDenseRank(n int) int { return 2*n + 64 }
+
 func (sb *StatsBuilder) locState(loc Location, time float64) *locState {
-	i, ok := sb.locIndex[loc]
-	if !ok {
-		i = int32(len(sb.perLoc))
+	if loc.Thread == 0 && loc.Rank >= 0 && int(loc.Rank) < len(sb.rankSlot) {
+		if i := sb.rankSlot[loc.Rank]; i > 0 {
+			return &sb.perLoc[i-1]
+		}
+	}
+	if i, ok := sb.locIndex[loc]; ok {
+		return &sb.perLoc[i]
+	}
+	i := int32(len(sb.perLoc))
+	sb.locs = append(sb.locs, loc)
+	sb.perLoc = append(sb.perLoc, locState{first: time, last: time})
+	if r := int(loc.Rank); loc.Thread == 0 && r >= 0 && r <= maxDenseRank(len(sb.perLoc)) {
+		if r >= len(sb.rankSlot) {
+			sb.rankSlot = append(sb.rankSlot, make([]int32, r+1-len(sb.rankSlot))...)
+		}
+		sb.rankSlot[r] = i + 1
+	} else {
 		sb.locIndex[loc] = i
-		sb.locs = append(sb.locs, loc)
-		sb.perLoc = append(sb.perLoc, locState{first: time, last: time})
 	}
 	return &sb.perLoc[i]
 }
@@ -119,20 +149,43 @@ func (sb *StatsBuilder) Add(ev *Event) {
 		if len(ls.stack) > 0 {
 			ls.stack[len(ls.stack)-1].child += incl
 		}
-		byLoc := sb.regions[f.region]
-		if byLoc == nil {
-			byLoc = make(map[Location]*RegionStat)
-			sb.regions[f.region] = byLoc
-		}
-		rs := byLoc[ev.Loc]
+		rs := ls.regionStat(f.region)
 		if rs == nil {
-			rs = &RegionStat{Region: f.region, Loc: ev.Loc}
-			byLoc[ev.Loc] = rs
+			rs = sb.regionStat(f.region, ev.Loc)
+			if ls.nseen < maxCachedRegions {
+				ls.seen[ls.nseen] = rs
+				ls.nseen++
+			}
 		}
 		rs.Count++
 		rs.Inclusive += incl
 		rs.Exclusive += excl
 	}
+}
+
+// regionStat returns the location's cached RegionStat for region, or nil.
+func (ls *locState) regionStat(region string) *RegionStat {
+	for _, rs := range ls.seen[:ls.nseen] {
+		if rs.Region == region {
+			return rs
+		}
+	}
+	return nil
+}
+
+// regionStat returns the RegionStat of (region, loc), creating it.
+func (sb *StatsBuilder) regionStat(region string, loc Location) *RegionStat {
+	byLoc := sb.regions[region]
+	if byLoc == nil {
+		byLoc = make(map[Location]*RegionStat)
+		sb.regions[region] = byLoc
+	}
+	rs := byLoc[loc]
+	if rs == nil {
+		rs = &RegionStat{Region: region, Loc: loc}
+		byLoc[loc] = rs
+	}
+	return rs
 }
 
 // Finish computes the per-location spans and returns the profile.
@@ -143,12 +196,15 @@ func (sb *StatsBuilder) Finish() *Stats {
 	}
 	// Sum spans in location order: TotalTime normalizes every severity,
 	// so its float accumulation order must not depend on map iteration.
-	order := append([]Location(nil), sb.locs...)
-	sort.Slice(order, func(i, j int) bool { return order[i].less(order[j]) })
-	for _, loc := range order {
-		ls := &sb.perLoc[sb.locIndex[loc]]
+	order := make([]int32, len(sb.locs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.Slice(order, func(i, j int) bool { return sb.locs[order[i]].less(sb.locs[order[j]]) })
+	for _, i := range order {
+		ls := &sb.perLoc[i]
 		span := ls.last - ls.first
-		s.PerLocation[loc] = span
+		s.PerLocation[sb.locs[i]] = span
 		s.TotalTime += span
 	}
 	return s
