@@ -13,11 +13,14 @@ import (
 // identical, so the two paths produce byte-identical reports (and
 // therefore identical content-addressed profile hashes).
 //
-// Memory is O(locations + open regions + unmatched compound state): the
-// pattern matchers keep compact pending records (a PathID instead of a
-// rendered string, ~40 bytes each) for sends awaiting their receive and
-// collective instances awaiting their last participant, and drop them at
-// Finish.  Matched state never accumulates with the event count.
+// Memory is O(locations + open regions + messages + collective parts):
+// the pattern matchers keep a compact record (a PathID instead of a
+// rendered string, ~40 bytes each) for every send and receive half and
+// every collective participant, matched or not, because the reductions
+// run in sorted match-key order at Finish.  This state grows with the
+// event count: ~16 MiB at the end of a 16384-rank scale-stream world.
+// ROADMAP.md ("A streaming analyzer that is actually bounded") plans to
+// reduce pairs and instances in stream order instead.
 
 // p2pEnd is the pending half of a point-to-point match: for sends the
 // operation's enter time, for receives the receive's enter time (Aux).
@@ -305,8 +308,8 @@ func (a *StreamAnalyzer) nxnWaits(parts []collPart, prop string) {
 
 // AnalyzeStream drains a merged chunk stream through a StreamAnalyzer.
 // The report is byte-identical to Analyze on the materialized trace of the
-// same run; peak memory is O(locations + open regions + pending compound
-// state) instead of O(events).
+// same run; peak memory is O(locations + open regions + messages +
+// collective parts) instead of the whole event list.
 func AnalyzeStream(src *trace.Stream, opt Options) (*Report, error) {
 	a := NewStreamAnalyzer(src, opt)
 	for {

@@ -48,8 +48,8 @@ type Options struct {
 	// trace — open the sink's spool with trace.OpenChunkFile (or
 	// trace.NewChunkReader when it was spooled in memory) /
 	// trace.NewStream and analyze with analyzer.AnalyzeStream, which
-	// yields a report byte-identical to the materialized path at
-	// O(locations) memory.  Ignored when Untraced.
+	// yields a report byte-identical to the materialized path without
+	// materializing the event list.  Ignored when Untraced.
 	Sink trace.Sink
 	// Engine selects the Virtual-mode rank-execution strategy:
 	// EngineEvent (the zero value) or EngineGoroutine, the reference the

@@ -70,8 +70,8 @@ func (s *Server) handleCases(w http.ResponseWriter, r *http.Request) {
 
 // handleTraces accepts a serialized trace (an ATSC spool), spools it to
 // disk while hashing, and analyzes it under the configured input limits
-// by streaming straight off the spool, so server memory stays
-// O(locations) regardless of upload size.
+// by streaming straight off the spool, so server memory never holds the
+// upload's event list (see analyzer.AnalyzeStream for the bound).
 //
 //	POST /v1/traces?experiment=NAME&threshold=0.005&save=1
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {

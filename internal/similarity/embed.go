@@ -155,16 +155,10 @@ func hashDim(name string, dims int) int {
 	return int(h % uint64(dims))
 }
 
-// cosineSim is cos(a, b) with zero-vector conventions mirroring
-// cosineDistance (embeddings carry a bias dimension and are never zero,
-// but the helper stays total).
-func cosineSim(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
+// cosine is cos(a, b) from the dot product and squared norms of a and b,
+// with zero-vector conventions mirroring cosineDistance (embeddings carry
+// a bias dimension and are never zero, but the helper stays total).
+func cosine(dot, na, nb float64) float64 {
 	switch {
 	case na == 0 && nb == 0:
 		return 1

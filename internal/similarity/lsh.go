@@ -224,9 +224,10 @@ func (ix *Index) Query(vec []float64, k int) ([]Match, int, error) {
 			}
 		}
 	}
+	nb := sqNorm(vec)
 	matches := make([]Match, 0, len(seen))
 	for id := range seen {
-		matches = append(matches, Match{Hash: ix.hashes[id], Similarity: ix.sim(id, vec)})
+		matches = append(matches, Match{Hash: ix.hashes[id], Similarity: ix.sim(id, vec, nb)})
 	}
 	return topK(matches, k), len(seen), nil
 }
@@ -238,36 +239,84 @@ func (ix *Index) Scan(vec []float64, k int) ([]Match, error) {
 	if len(vec) != ix.params.Dims {
 		return nil, fmt.Errorf("similarity: embedding has %d dims (index wants %d)", len(vec), ix.params.Dims)
 	}
+	nb := sqNorm(vec)
 	matches := make([]Match, 0, len(ix.hashes))
 	for id := range ix.hashes {
-		matches = append(matches, Match{Hash: ix.hashes[id], Similarity: ix.sim(int32(id), vec)})
+		matches = append(matches, Match{Hash: ix.hashes[id], Similarity: ix.sim(int32(id), vec, nb)})
 	}
 	return topK(matches, k), nil
 }
 
-// sim is the exact cosine similarity of stored entry id against vec.
-func (ix *Index) sim(id int32, vec []float64) float64 {
+// sim is the exact cosine similarity of stored entry id against vec, whose
+// squared norm is nb.  The stored float32 values widen one at a time, in
+// the order a float64 copy of the row would be summed.
+func (ix *Index) sim(id int32, vec []float64, nb float64) float64 {
 	row := ix.vecs[int(id)*ix.params.Dims : (int(id)+1)*ix.params.Dims]
-	stored := make([]float64, len(row))
+	vec = vec[:len(row)]
+	var dot, na float64
 	for i, x := range row {
-		stored[i] = float64(x)
+		s := float64(x)
+		dot += s * vec[i]
+		na += s * s
 	}
-	return cosineSim(stored, vec)
+	return cosine(dot, na, nb)
 }
 
-// topK orders matches (similarity desc, hash asc) and truncates to k.
+// sqNorm is the squared Euclidean norm of v, summed in index order.
+func sqNorm(v []float64) float64 {
+	var n float64
+	for _, x := range v {
+		n += x * x
+	}
+	return n
+}
+
+// ranksBefore orders matches by similarity descending, then hash ascending.
+func ranksBefore(a, b *Match) bool {
+	if a.Similarity != b.Similarity {
+		return a.Similarity > b.Similarity
+	}
+	return a.Hash < b.Hash
+}
+
+// topK orders the best k matches (similarity desc, hash asc) and drops
+// the rest.  It selects them with a size-k heap whose root is the worst
+// match kept, so only the k survivors are sorted.
 func topK(matches []Match, k int) []Match {
 	if k <= 0 {
 		k = 10
 	}
-	sort.Slice(matches, func(i, j int) bool {
-		if matches[i].Similarity != matches[j].Similarity {
-			return matches[i].Similarity > matches[j].Similarity
-		}
-		return matches[i].Hash < matches[j].Hash
-	})
 	if len(matches) > k {
-		matches = matches[:k]
+		kept := matches[:k]
+		for i := k/2 - 1; i >= 0; i-- {
+			siftWorst(kept, i)
+		}
+		for i := k; i < len(matches); i++ {
+			if ranksBefore(&matches[i], &kept[0]) {
+				kept[0] = matches[i]
+				siftWorst(kept, 0)
+			}
+		}
+		matches = kept
 	}
+	sort.Slice(matches, func(i, j int) bool { return ranksBefore(&matches[i], &matches[j]) })
 	return matches
+}
+
+// siftWorst restores the heap order of h below i: every match ranks
+// before its parent, so h[0] is the worst.
+func siftWorst(h []Match, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && ranksBefore(&h[worst], &h[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }

@@ -2,6 +2,10 @@ package similarity
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -183,6 +187,82 @@ func TestEmbedDeterministic(t *testing.T) {
 		}
 		if len(a) != Dims {
 			t.Fatalf("embedding has %d dims, want %d", len(a), Dims)
+		}
+	}
+}
+
+// sortTopK is the reference topK: sort every match, then truncate.
+func sortTopK(matches []Match, k int) []Match {
+	if k <= 0 {
+		k = 10
+	}
+	sort.Slice(matches, func(i, j int) bool {
+		if matches[i].Similarity != matches[j].Similarity {
+			return matches[i].Similarity > matches[j].Similarity
+		}
+		return matches[i].Hash < matches[j].Hash
+	})
+	if len(matches) > k {
+		matches = matches[:k]
+	}
+	return matches
+}
+
+// TestTopKMatchesSort: the heap selection returns exactly what sorting
+// every candidate returned, including the hash order among tied
+// similarities.
+func TestTopKMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		in := make([]Match, n)
+		for i, p := range rng.Perm(n) {
+			// Few distinct similarities, so most matches tie.
+			in[i] = Match{Hash: fakeHash(p), Similarity: float64(rng.Intn(4)) / 4}
+		}
+		for _, k := range []int{-1, 0, 1, 2, 3, 10, n - 1, n, n + 5} {
+			want := sortTopK(append([]Match(nil), in...), k)
+			got := topK(append([]Match(nil), in...), k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, n=%d, k=%d:\n got %v\nwant %v", trial, n, k, got, want)
+			}
+		}
+	}
+}
+
+// TestSimMatchesWidenedRow: sim, which widens the stored float32 row one
+// value at a time, is bit-identical to the cosine of a float64 copy of
+// the row.
+func TestSimMatchesWidenedRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ix := NewIndex(Params{Dims: 24, Bits: 8, Tables: 2})
+	vec := func() []float64 {
+		v := make([]float64, 24)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	for i := 0; i < 50; i++ {
+		if err := ix.Add(fakeHash(i), vec()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := vec()
+	for id := range ix.hashes {
+		stored := make([]float64, 24)
+		for i, x := range ix.vecs[id*24 : (id+1)*24] {
+			stored[i] = float64(x)
+		}
+		var dot, na, nb float64
+		for i := range stored {
+			dot += stored[i] * q[i]
+			na += stored[i] * stored[i]
+			nb += q[i] * q[i]
+		}
+		want := cosine(dot, na, nb)
+		if got := ix.sim(int32(id), q, sqNorm(q)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("entry %d: sim %v, widened copy %v", id, got, want)
 		}
 	}
 }

@@ -62,10 +62,18 @@ const (
 )
 
 // DefaultSpillEvents is the per-location event count that triggers a chunk
-// flush when a Buffer is attached to a Sink.  It bounds run-phase memory
-// at roughly locations × DefaultSpillEvents events while keeping frames
-// large enough that the table-delta and envelope overhead stays marginal.
+// flush when a Buffer is attached to a Sink.  A streamed buffer holds its
+// pending events encoded, so run-phase memory is at most locations ×
+// DefaultSpillEvents × max(frameEventBytes, the largest encoded event):
+// 2560 bytes per location unless a frame's events average more than
+// 40 B, while frames stay large enough that the table-delta and envelope
+// overhead is marginal.
 const DefaultSpillEvents = 64
+
+// frameEventBytes is the encoded event size a fresh frame makes room for.
+// Events take 30 B at least and 34 B on average at 16384 ranks, so most
+// frames never grow.
+const frameEventBytes = 40
 
 // Sink consumes per-location event buffers while a run executes, in place
 // of materializing every event in memory.  The runtime attaches each
@@ -115,8 +123,8 @@ type ChunkWriter struct {
 	off       int64
 	threshold int
 	streams   map[Location]*chunkStream
-	scratch   []byte    // frame body and index encoding, reused
-	slabs     [][]Event // slabs of finished buffers, for the next Attach
+	scratch   []byte   // frame envelope and index encoding, reused
+	frames    [][]byte // frame bytes of finished buffers, for the next Attach
 	err       error
 	closed    bool
 }
@@ -226,24 +234,27 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	w.streams[b.Loc] = &chunkStream{paths: 1} // the path root is implicit
 	b.sink = w
 	b.spillAt = w.threshold
-	// The slab never holds more than one frame's events.  A pooled buffer
-	// may bring a slab grown by a materialized run; replace it rather
-	// than keep it alive for the whole stream.  A finished buffer's slab
-	// serves the next one attached: short-lived locations, such as the
-	// threads of successive OpenMP parallel regions, share a few slabs.
-	if cap(b.events) != w.threshold {
-		var slab []Event
-		if n := len(w.slabs); n > 0 && len(b.events) <= w.threshold {
-			slab, w.slabs = w.slabs[n-1], w.slabs[:n-1]
-		} else {
-			slab = make([]Event, 0, max(w.threshold, len(b.events)))
-		}
-		b.events = append(slab, b.events...)
+	// The buffer holds one frame's events, encoded.  A finished buffer's
+	// frame bytes serve the next one attached: short-lived locations,
+	// such as the threads of successive OpenMP parallel regions, share a
+	// few.  A fresh frame has room for frameEventBytes per event and only
+	// grows for larger events (Buffer.encode).
+	if n := len(w.frames); n > 0 {
+		b.frame, w.frames = w.frames[n-1], w.frames[:n-1]
+	} else {
+		b.frame = make([]byte, 0, w.threshold*frameEventBytes)
 	}
+	// A pooled buffer may bring a slab grown by a materialized run: encode
+	// any events it holds and drop it rather than keep it alive for the
+	// whole stream.
+	for i := range b.events {
+		b.encode(&b.events[i])
+	}
+	b.events = nil
 }
 
 // spill flushes b's pending events as one frame.  Called by the buffer's
-// owning goroutine whenever the slab reaches the spill threshold.
+// owning goroutine whenever the frame reaches the spill threshold.
 func (w *ChunkWriter) spill(b *Buffer) {
 	w.mu.Lock()
 	w.spillLocked(b)
@@ -251,7 +262,8 @@ func (w *ChunkWriter) spill(b *Buffer) {
 	// Always drop the events, even on a sticky error: the point of
 	// streaming is bounding memory, and the run's result is discarded
 	// anyway once Finish/Close report the error.
-	b.events = b.events[:0]
+	b.frame = b.frame[:0]
+	b.pending = 0
 }
 
 func (w *ChunkWriter) spillLocked(b *Buffer) {
@@ -265,7 +277,7 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 	}
 	nr := len(b.regions) - s.regions
 	np := len(b.pathParent) - s.paths
-	ne := len(b.events)
+	ne := b.pending
 	if nr == 0 && np == 0 && ne == 0 {
 		return
 	}
@@ -282,21 +294,20 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 		sc = binary.AppendUvarint(sc, uint64(b.pathRegion[i]))
 	}
 	sc = binary.AppendUvarint(sc, uint64(ne))
-	for i := range b.events {
-		sc = appendEvent(sc, &b.events[i])
-	}
 	w.scratch = sc
+	// The events follow the envelope as the buffer encoded them.
+	bodyLen := len(sc) + len(b.frame)
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = chunkTagFrame
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(sc)))
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(bodyLen))
 	if !w.write(hdr[:n]) {
 		return
 	}
 	bodyOff := w.off
-	if !w.write(sc) {
+	if !w.write(sc) || !w.write(b.frame) {
 		return
 	}
-	s.frames = append(s.frames, frameRef{off: bodyOff, len: int64(len(sc))})
+	s.frames = append(s.frames, frameRef{off: bodyOff, len: int64(bodyLen)})
 	s.regions += nr
 	s.paths += np
 	s.events += uint64(ne)
@@ -320,13 +331,15 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 		w.spillLocked(b)
 		s.finished = true
 	}
-	// Keep the slab for the next Attach instead of parking it in
-	// bufferPool with the buffer: Close drops it, so a streamed run's
-	// slabs never outlive the run into the merge.
-	if cap(b.events) == w.threshold && !w.closed {
-		w.slabs = append(w.slabs, b.events[:0])
+	// Keep the frame bytes for the next Attach instead of parking them in
+	// bufferPool with the buffer: Close drops them, so a streamed run's
+	// frames never outlive the run into the merge.
+	if b.frame != nil && !w.closed {
+		w.frames = append(w.frames, b.frame[:0])
 	}
 	b.events = nil
+	b.frame = nil
+	b.pending = 0
 	b.sink = nil
 	b.spillAt = 0
 	return w.err
@@ -344,7 +357,7 @@ func (w *ChunkWriter) Close() error {
 		return w.err
 	}
 	w.closed = true
-	w.slabs = nil
+	w.frames = nil
 	for loc, s := range w.streams {
 		if !s.finished {
 			w.fail(fmt.Errorf("trace: chunk writer: Close with unfinished stream %v", loc))
@@ -400,7 +413,7 @@ func (w *ChunkWriter) Abort() {
 		return
 	}
 	w.closed = true
-	w.slabs = nil
+	w.frames = nil
 	w.fail(errors.New("trace: chunk writer aborted"))
 	if w.file != nil {
 		w.file.discard()

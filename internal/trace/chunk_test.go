@@ -177,8 +177,8 @@ func TestBufferStreamMatchesMerge(t *testing.T) {
 	compareToTrace(t, want, drainStream(t, st))
 }
 
-// TestBufferSpillKeepsTables verifies that spilling clears only the event
-// slab: the intern tables (and therefore StackNames for OMP forks) survive.
+// TestBufferSpillKeepsTables verifies that spilling clears only the pending
+// frame: the intern tables (and therefore StackNames for OMP forks) survive.
 func TestBufferSpillKeepsTables(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.atsc")
 	w, err := NewChunkWriter(path, 2)
@@ -189,8 +189,11 @@ func TestBufferSpillKeepsTables(t *testing.T) {
 	w.Attach(b)
 	b.Enter("outer", 0.1) // spill threshold 2 triggers inside Enter/Exit
 	b.Enter("inner", 0.2)
-	if got := b.Len(); got >= 2 {
-		t.Fatalf("buffer holds %d events; expected spill to have drained it", got)
+	if b.pending != 0 {
+		t.Fatalf("buffer holds %d pending events; expected spill to have drained it", b.pending)
+	}
+	if got := b.Len(); got != 2 {
+		t.Fatalf("Len = %d after spilling; want the 2 events recorded", got)
 	}
 	if got := strings.Join(b.StackNames(), "/"); got != "outer/inner" {
 		t.Fatalf("StackNames after spill = %q", got)
@@ -303,21 +306,21 @@ func TestChunkWriterToWriteError(t *testing.T) {
 	}
 }
 
-// TestChunkWriterReusesSlabs: a finished buffer's slab serves the next
-// buffer attached, and Close drops the slabs the writer holds.
+// TestChunkWriterReusesSlabs: a finished buffer's frame bytes serve the
+// next buffer attached, and Close drops the frames the writer holds.
 func TestChunkWriterReusesSlabs(t *testing.T) {
 	w := NewChunkWriterTo(io.Discard, 4)
 	a := NewBuffer(Location{Rank: 0})
 	w.Attach(a)
 	fillBuffer(a, 0, 3)
-	slab := &a.events[:1][0]
+	frame := &a.frame[:1][0]
 	if err := w.Finish(a); err != nil {
 		t.Fatal(err)
 	}
 	b := NewBuffer(Location{Rank: 1})
 	w.Attach(b)
-	if cap(b.events) != 4 || &b.events[:1][0] != slab {
-		t.Fatal("second buffer did not take the finished buffer's slab")
+	if len(b.frame) != 0 || &b.frame[:1][0] != frame {
+		t.Fatal("second buffer did not take the finished buffer's frame bytes")
 	}
 	if err := w.Finish(b); err != nil {
 		t.Fatal(err)
@@ -325,8 +328,61 @@ func TestChunkWriterReusesSlabs(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.slabs != nil {
-		t.Fatalf("closed writer holds %d slabs", len(w.slabs))
+	if w.frames != nil {
+		t.Fatalf("closed writer holds %d frames", len(w.frames))
+	}
+}
+
+// TestAttachSpoolsRecordedEvents: events a buffer recorded before Attach
+// reach the spool, ahead of those recorded after it, whether or not they
+// already exceed the spill threshold.
+func TestAttachSpoolsRecordedEvents(t *testing.T) {
+	steps := []func(b *Buffer){
+		func(b *Buffer) { b.Enter("main", 1) },
+		func(b *Buffer) { b.Enter("a", 2) },
+		func(b *Buffer) { b.Record(Event{Time: 3, Kind: KindSend, Peer: 1, Tag: 7, Bytes: 64, Match: 5}) },
+		func(b *Buffer) { b.Exit(4) },
+		func(b *Buffer) { b.Enter("b", 5) },
+		func(b *Buffer) { b.Record(Event{Time: 6, Aux: 5.5, Kind: KindColl, Coll: CollBarrier, Root: -1}) },
+		func(b *Buffer) { b.Exit(7) },
+		func(b *Buffer) { b.Enter("a", 8) },
+		func(b *Buffer) { b.Exit(9) },
+		func(b *Buffer) { b.Record(Event{Time: 10, Kind: KindMarker}) },
+		func(b *Buffer) { b.Exit(11) },
+	}
+	for _, before := range []int{2, 9} {
+		want := NewBuffer(Location{Rank: 0})
+		for _, step := range steps {
+			step(want)
+		}
+		var spool bytes.Buffer
+		w := NewChunkWriterTo(&spool, 4)
+		b := NewBuffer(Location{Rank: 0})
+		for _, step := range steps[:before] {
+			step(b)
+		}
+		w.Attach(b)
+		for _, step := range steps[before:] {
+			step(b)
+		}
+		if err := w.Finish(b); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewChunkReader(bytes.NewReader(spool.Bytes()), int64(spool.Len()), Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := NewStream(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compareToTrace(t, Merge(want), drainStream(t, st))
+		st.Close()
+		want.Release()
 	}
 }
 

@@ -1,15 +1,10 @@
 package trace
 
 import (
-	"encoding/binary"
 	"math"
 	"path/filepath"
 	"testing"
 )
-
-// maxEventBytes bounds an encoded event: the fixed prefix plus ten
-// varints and one uvarint.
-const maxEventBytes = fixedEventBytes + 11*binary.MaxVarintLen64
 
 // FuzzEventCodec checks the event codec of the trace format:
 // decodeEvent inverts appendEvent exactly, never panics or over-reports
@@ -65,31 +60,44 @@ func FuzzEventCodec(f *testing.F) {
 }
 
 // TestStreamMemoryBound pins the O(locations) memory claim of the
-// streaming path: a cursor holds one raw frame plus at most cursorBatch
-// decoded events however long its frames are, and a finished buffer
-// keeps no event slab.
+// streaming path.  While recording, a buffer's pending frame never takes
+// more than the spill threshold times the largest encoded event, here
+// larger than frameEventBytes; a pooled materialized slab does not
+// survive Attach, and a finished buffer keeps no frame.  While merging, a cursor holds one raw frame plus at most
+// cursorBatch decoded events however long its frames are.
 func TestStreamMemoryBound(t *testing.T) {
-	const nLocs, rounds, spill = 4, 40, 64 // 162 events per location
+	const nLocs, rounds, spill = 4, 40, 64 // 162 events, 3 frames per location
 	path := filepath.Join(t.TempDir(), "run.atsc")
 	w, err := NewChunkWriter(path, spill)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nLocs; i++ {
-		b := NewBuffer(Location{Rank: int32(i)})
+	frameCap := make([]int, nLocs)
+	for i := range frameCap {
+		// Rank and thread ids this large make every event at least 38
+		// bytes and the frames' average just above frameEventBytes, so
+		// the frames have to grow.
+		b := NewBuffer(Location{Rank: 1<<28 + int32(i), Thread: 1 << 28})
 		// A pooled buffer may arrive with a slab grown by a
-		// materialized run; the sink sizes it to one frame.
+		// materialized run; the sink drops it.
 		b.events = make([]Event, 0, 4*spill)
 		w.Attach(b)
-		if cap(b.events) != spill {
-			t.Fatalf("attached slab cap %d, want the spill threshold %d", cap(b.events), spill)
+		if b.events != nil {
+			t.Fatalf("attached buffer keeps a materialized slab of cap %d", cap(b.events))
 		}
-		fillBuffer(b, int32(i), rounds)
+		fillBuffer(b, b.Loc.Rank, rounds)
+		// Spills only reset the frame's length, so its capacity now is
+		// the most it held.
+		frameCap[i] = cap(b.frame)
+		if b.events != nil {
+			t.Fatalf("streamed buffer keeps an event slab of cap %d", cap(b.events))
+		}
 		if err := w.Finish(b); err != nil {
 			t.Fatal(err)
 		}
-		if b.events != nil {
-			t.Fatalf("finished buffer keeps a slab of cap %d", cap(b.events))
+		if b.frame != nil || b.pending != 0 || b.events != nil {
+			t.Fatalf("finished buffer keeps %d pending events in a frame of cap %d and a slab of cap %d",
+				b.pending, cap(b.frame), cap(b.events))
 		}
 		b.Release()
 	}
@@ -102,12 +110,39 @@ func TestStreamMemoryBound(t *testing.T) {
 	}
 	var maxFrame int64
 	for _, ent := range r.streams {
-		if ent.events < 64 {
-			t.Fatalf("location %v has %d events; the test needs >= 64", ent.loc, ent.events)
+		if ent.events < 64 || len(ent.frames) < 3 {
+			t.Fatalf("location %v has %d events in %d frames; the test needs >= 64 in >= 3",
+				ent.loc, ent.events, len(ent.frames))
 		}
 		for _, fr := range ent.frames {
 			maxFrame = max(maxFrame, fr.len)
 		}
+	}
+	// The largest encoded event of the spool bounds every pending frame.
+	largest := 0
+	for _, c := range r.cursors() {
+		for {
+			evs, err := c.next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if evs == nil {
+				break
+			}
+			for k := range evs {
+				largest = max(largest, len(appendEvent(nil, &evs[k])))
+			}
+		}
+	}
+	grew := false
+	for i, c := range frameCap {
+		if c > spill*largest {
+			t.Fatalf("location %d: pending frame reached cap %d bytes, bound %d x %d", i, c, spill, largest)
+		}
+		grew = grew || c > spill*frameEventBytes
+	}
+	if !grew {
+		t.Fatal("no frame grew past its initial size; the test must exercise growth")
 	}
 	st, err := NewStream(r)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // A serialized trace is an ATSC spool (chunk.go): Write and WriteFile
@@ -27,24 +28,35 @@ func appendString(dst []byte, s string) []byte {
 // Aux as little-endian IEEE-754 bits, then the Kind, Coll and Flags bytes.
 const fixedEventBytes = 19
 
+// maxEventBytes bounds an encoded event: the fixed prefix, nine varints
+// of int32 fields, and the int64 Bytes and uint64 Match.
+const maxEventBytes = fixedEventBytes + 9*binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
+
 // appendEvent appends ev in the event encoding (doc/FORMATS.md §1.1):
 // the fixed prefix, varints rank, thread, region, path, peer, crank, tag,
-// bytes, root, comm, and the uvarint match id.
+// bytes, root, comm, and the uvarint match id.  It encodes into room for
+// maxEventBytes at dst's end, so it grows dst only when that room is
+// missing.
 func appendEvent(dst []byte, ev *Event) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ev.Time))
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(ev.Aux))
-	dst = append(dst, byte(ev.Kind), byte(ev.Coll), ev.Flags)
-	dst = binary.AppendVarint(dst, int64(ev.Loc.Rank))
-	dst = binary.AppendVarint(dst, int64(ev.Loc.Thread))
-	dst = binary.AppendVarint(dst, int64(ev.Region))
-	dst = binary.AppendVarint(dst, int64(ev.Path))
-	dst = binary.AppendVarint(dst, int64(ev.Peer))
-	dst = binary.AppendVarint(dst, int64(ev.CRank))
-	dst = binary.AppendVarint(dst, int64(ev.Tag))
-	dst = binary.AppendVarint(dst, ev.Bytes)
-	dst = binary.AppendVarint(dst, int64(ev.Root))
-	dst = binary.AppendVarint(dst, int64(ev.Comm))
-	return binary.AppendUvarint(dst, ev.Match)
+	dst = slices.Grow(dst, maxEventBytes)
+	n := len(dst)
+	b := dst[n : n+maxEventBytes]
+	binary.LittleEndian.PutUint64(b, math.Float64bits(ev.Time))
+	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(ev.Aux))
+	b[16], b[17], b[18] = byte(ev.Kind), byte(ev.Coll), ev.Flags
+	k := fixedEventBytes
+	k += binary.PutVarint(b[k:], int64(ev.Loc.Rank))
+	k += binary.PutVarint(b[k:], int64(ev.Loc.Thread))
+	k += binary.PutVarint(b[k:], int64(ev.Region))
+	k += binary.PutVarint(b[k:], int64(ev.Path))
+	k += binary.PutVarint(b[k:], int64(ev.Peer))
+	k += binary.PutVarint(b[k:], int64(ev.CRank))
+	k += binary.PutVarint(b[k:], int64(ev.Tag))
+	k += binary.PutVarint(b[k:], ev.Bytes)
+	k += binary.PutVarint(b[k:], int64(ev.Root))
+	k += binary.PutVarint(b[k:], int64(ev.Comm))
+	k += binary.PutUvarint(b[k:], ev.Match)
+	return dst[:n+k]
 }
 
 var errVarintOverflow = errors.New("trace: varint overflows a 64-bit integer")
@@ -194,13 +206,12 @@ func (t *Trace) spoolLocations(w *ChunkWriter) error {
 		b = NewBuffer(loc)
 		w.Attach(b)
 		for _, i := range order[start[s]:start[s+1]] {
-			b.events = append(b.events, t.Events[i])
-			ev := &b.events[len(b.events)-1]
+			ev := t.Events[i]
 			ev.Path = localPath(ev.Path)
 			if ev.Kind == KindEnter || ev.Kind == KindExit {
 				ev.Region = localRegion(ev.Region)
 			}
-			b.maybeSpill()
+			b.add(&ev)
 		}
 		err := w.Finish(b)
 		b.Release()

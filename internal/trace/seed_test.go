@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 )
@@ -80,6 +81,31 @@ func TestSeedGuards(t *testing.T) {
 	// Nil buffer: no-op.
 	var nb *Buffer
 	nb.Seed([]string{"x"})
+}
+
+// TestSeedAfterSpillPanics: a streamed buffer whose events have all been
+// spilled, with its stack balanced again, is still not fresh.
+func TestSeedAfterSpillPanics(t *testing.T) {
+	w := NewChunkWriterTo(io.Discard, 2)
+	b := NewBuffer(loc(0, 0))
+	w.Attach(b)
+	b.Enter("a", 0)
+	b.Exit(1) // the second event spills the frame
+	if b.Len() != 2 {
+		t.Fatalf("Len = %d after spilling, want 2 recorded events", b.Len())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Seed on a spilled buffer did not panic")
+			}
+		}()
+		b.Seed([]string{"x"})
+	}()
+	if err := w.Finish(b); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
 }
 
 func TestWriteJSON(t *testing.T) {

@@ -221,13 +221,18 @@ type Buffer struct {
 	cur    PathID
 	seeded int // frames installed by Seed (not matched by Exit)
 
-	// Streaming mode: when sink is non-nil the buffer spills its event
-	// slab as a chunk frame whenever it reaches spillAt events, so memory
-	// stays bounded however long the run is.  The intern tables are never
+	// Streaming mode: when sink is non-nil the buffer keeps no event slab.
+	// frame holds its pending events as they will be spooled, in
+	// appendEvent's encoding (pending counts them), and is spilled as a
+	// chunk frame whenever pending reaches spillAt, so memory stays
+	// bounded however long the run is.  The intern tables are never
 	// spilled away — paths and regions keep their local ids across frames
 	// and the sink writes table deltas per frame.  Set via Sink.Attach.
 	sink    *ChunkWriter
 	spillAt int
+	frame   []byte
+	pending int
+	encoded int // events moved into frames since NewBuffer
 }
 
 type pathKey struct {
@@ -235,11 +240,12 @@ type pathKey struct {
 	region RegionID
 }
 
-// bufferPool recycles Buffer objects — including their event slabs,
-// intern maps and path tables — between runs.  Campaigns execute hundreds
-// of worlds back to back; without the pool every run re-grows every
-// rank's event slab from scratch and the allocator dominates the
-// profile.
+// bufferPool recycles Buffer objects — including their materialized event
+// slabs, intern maps and path tables — between runs.  Campaigns execute
+// hundreds of worlds back to back; without the pool every run re-grows
+// every rank's event slab from scratch and the allocator dominates the
+// profile.  A streamed buffer's frame bytes go back to its ChunkWriter
+// instead (see ChunkWriter.Finish).
 var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
 // NewBuffer returns an empty buffer for the given location.  Buffers are
@@ -278,16 +284,58 @@ func (b *Buffer) Release() {
 	b.seeded = 0
 	b.sink = nil
 	b.spillAt = 0
+	b.frame = nil
+	b.pending = 0
+	b.encoded = 0
 	bufferPool.Put(b)
 }
 
-// maybeSpill hands the event slab to the attached sink once it reaches the
-// spill threshold.  Inlined into every recording path; the nil check keeps
-// the non-streaming fast path a single compare.
-func (b *Buffer) maybeSpill() {
-	if b.sink != nil && len(b.events) >= b.spillAt {
+// add records ev: into the event slab, or, while a sink is attached, into
+// the pending frame.
+func (b *Buffer) add(ev *Event) {
+	if b.sink != nil {
+		b.stream(ev)
+		return
+	}
+	b.events = append(b.events, *ev)
+}
+
+// streamRegion streams a kind event for region r at time t on the current
+// path: the streamed half of Enter and Exit.  Their materialized half
+// builds the event in place in the slab, which add would copy instead.
+func (b *Buffer) streamRegion(kind Kind, t float64, r RegionID) {
+	b.stream(&Event{Time: t, Kind: kind, Loc: b.Loc, Region: r, Path: b.cur})
+}
+
+// stream encodes ev into the pending frame and spills the frame once it
+// holds spillAt events.
+func (b *Buffer) stream(ev *Event) {
+	b.encode(ev)
+	if b.pending >= b.spillAt {
 		b.sink.spill(b)
 	}
+}
+
+// encode appends ev to the pending frame.  The frame only grows when an
+// event does not fit, and then to hold the rest of the frame's events at
+// that event's size.  Every event already in it is at most as large as
+// the largest one encoded so far, so growth never takes the capacity past
+// spillAt times that size.
+func (b *Buffer) encode(ev *Event) {
+	if cap(b.frame)-len(b.frame) < maxEventBytes {
+		var tmp [maxEventBytes]byte
+		enc := appendEvent(tmp[:0], ev)
+		if need := len(b.frame) + len(enc); need > cap(b.frame) {
+			grown := make([]byte, len(b.frame), need+max(b.spillAt-b.pending-1, 0)*len(enc))
+			copy(grown, b.frame)
+			b.frame = grown
+		}
+		b.frame = append(b.frame, enc...)
+	} else {
+		b.frame = appendEvent(b.frame, ev)
+	}
+	b.pending++
+	b.encoded++
 }
 
 // region interns a region name.
@@ -324,10 +372,13 @@ func (b *Buffer) Enter(name string, t float64) {
 	r := b.region(name)
 	b.stack = append(b.stack, b.cur)
 	b.cur = b.child(b.cur, r)
+	if b.sink != nil {
+		b.streamRegion(KindEnter, t, r)
+		return
+	}
 	b.events = append(b.events, Event{
 		Time: t, Kind: KindEnter, Loc: b.Loc, Region: r, Path: b.cur,
 	})
-	b.maybeSpill()
 }
 
 // StackNames returns the names of the currently open regions, outermost
@@ -354,7 +405,7 @@ func (b *Buffer) Seed(names []string) {
 	if b == nil {
 		return
 	}
-	if len(b.events) > 0 || len(b.stack) > 0 {
+	if b.Len() > 0 || len(b.stack) > 0 {
 		panic("trace: Seed on a non-fresh buffer")
 	}
 	for _, name := range names {
@@ -373,13 +424,15 @@ func (b *Buffer) Exit(t float64) {
 	if len(b.stack) <= b.seeded {
 		panic("trace: Exit without matching Enter")
 	}
-	r := b.pathRegion[b.cur]
-	b.events = append(b.events, Event{
-		Time: t, Kind: KindExit, Loc: b.Loc, Region: r, Path: b.cur,
-	})
+	if r := b.pathRegion[b.cur]; b.sink != nil {
+		b.streamRegion(KindExit, t, r)
+	} else {
+		b.events = append(b.events, Event{
+			Time: t, Kind: KindExit, Loc: b.Loc, Region: r, Path: b.cur,
+		})
+	}
 	b.cur = b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
-	b.maybeSpill()
 }
 
 // Depth returns the current region-stack depth, excluding seeded frames.
@@ -397,16 +450,16 @@ func (b *Buffer) Record(ev Event) {
 	}
 	ev.Loc = b.Loc
 	ev.Path = b.cur
-	b.events = append(b.events, ev)
-	b.maybeSpill()
+	b.add(&ev)
 }
 
-// Len reports the number of recorded events.
+// Len reports the number of events recorded since NewBuffer, including
+// those a streamed buffer has already spilled.
 func (b *Buffer) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.events)
+	return len(b.events) + b.encoded
 }
 
 // Trace is a merged, analysis-ready trace: all locations' events ordered by
