@@ -63,16 +63,22 @@ const (
 
 // DefaultSpillEvents is the per-location event count that triggers a chunk
 // flush when a Buffer is attached to a Sink.  A streamed buffer holds its
-// pending events encoded, so run-phase memory is at most locations ×
+// pending events encoded, so its pending frame takes at most
 // DefaultSpillEvents × max(frameEventBytes, the largest encoded event):
-// 2560 bytes per location unless a frame's events average more than
-// 40 B, while frames stay large enough that the table-delta and envelope
-// overhead is marginal.
-const DefaultSpillEvents = 64
+// 640 bytes per location unless a frame's events average more than 40 B.
+// A merge cursor holds one such frame raw.  The frame index is not
+// bounded by locations: the writer keeps a 16-byte frameRef per frame
+// until Close and the reader parses the same refs, O(events / spill) on
+// each side — 1 B per event at 16, about 2 MB for a 16384-rank scale
+// world.  16 is the knee: 64 held four times the frame bytes on both
+// sides, and 8 cost merge throughput (more, shorter ReadAt calls) for
+// little heap.
+const DefaultSpillEvents = 16
 
 // frameEventBytes is the encoded event size a fresh frame makes room for.
 // Events take 30 B at least and 34 B on average at 16384 ranks, so most
-// frames never grow.
+// frames never grow: none of the 98,304 frames of a 16384-rank scale
+// world at the default threshold did.
 const frameEventBytes = 40
 
 // Sink consumes per-location event buffers while a run executes, in place
@@ -430,7 +436,8 @@ type chunkIndexEntry struct {
 // ChunkReader opens an ATSC spool for streaming.  Per-location cursors
 // read frames via ReadAt on the shared source, so a k-way merge over all
 // locations holds one raw frame and at most cursorBatch decoded events
-// per location.  Obtain a merged event stream with NewStream.
+// per location, plus the parsed index: a 16-byte frameRef per frame,
+// O(events / spill).  Obtain a merged event stream with NewStream.
 type ChunkReader struct {
 	src      io.ReaderAt
 	closer   io.Closer // the spool file OpenChunkFile opened, else nil

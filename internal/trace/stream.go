@@ -93,8 +93,9 @@ func (a *heapEntry) less(b *heapEntry) bool {
 // Merge drains one into a Trace.  Region names and call paths are
 // interned globally and incrementally, so a Stream implements View and the
 // analyzer can consume it in place of a Trace while holding only
-// O(locations + intern tables) memory: per location one raw frame and at
-// most a small batch of decoded events.
+// O(locations + intern tables) memory of its own: per location one raw
+// frame and at most a small batch of decoded events.  Over chunk spools,
+// the readers' frame indexes add O(events / spill) (see ChunkReader).
 type Stream struct {
 	srcs []sourceState
 	heap []heapEntry

@@ -224,10 +224,12 @@ type Buffer struct {
 	// Streaming mode: when sink is non-nil the buffer keeps no event slab.
 	// frame holds its pending events as they will be spooled, in
 	// appendEvent's encoding (pending counts them), and is spilled as a
-	// chunk frame whenever pending reaches spillAt, so memory stays
-	// bounded however long the run is.  The intern tables are never
-	// spilled away — paths and regions keep their local ids across frames
-	// and the sink writes table deltas per frame.  Set via Sink.Attach.
+	// chunk frame whenever pending reaches spillAt, so the buffer holds at
+	// most spillAt pending events however long the run is; the sink's
+	// frame index still grows by one 16-byte ref per spilled frame.  The
+	// intern tables are never spilled away — paths and regions keep their
+	// local ids across frames and the sink writes table deltas per frame.
+	// Set via Sink.Attach.
 	sink    *ChunkWriter
 	spillAt int
 	frame   []byte
