@@ -22,9 +22,10 @@
 #                  streamed ATSC upload, verify dedup caching, and verify
 #                  injected drift fails the client with exit 1.
 #   make cache-smoke — result-cache smoke: run a seeded atsfuzz sweep
-#                  twice against one cache (warm pass must hit >=95% and
-#                  print byte-identical stdout), check -procs 2 output
-#                  equality, and exercise `atsfuzz cache gc`.
+#                  and a perturbed one twice each against one cache (warm
+#                  pass must hit >=95% and print byte-identical stdout),
+#                  check -procs 2 output equality, and exercise
+#                  `atsfuzz cache gc`.
 #   make similar-smoke — similarity-index smoke: index a copy of the
 #                  committed seed store plus generated profiles, assert
 #                  `atsregress similar` top-1 self-match, recall >= 0.9

@@ -3,12 +3,14 @@ package conformance
 // Result-cache wiring: the conformance oracle is a pure function of
 // (case, options, engine version, perturbation profile), which makes its
 // verdicts ideal content-addressed cache entries — a warm sweep replays
-// stored Outcomes byte-identically instead of re-running
-// run+trace+analyze.  The cache is process-wide (SetResultCache), like
-// campaign.SetDefaultWorkers: CLIs install it once from their -cache flag
-// and every sweep layer — CheckCached, CheckRobust's per-level loop,
-// noise-floor calibration, and the experiments' perturbed
-// negative-correctness table — shares it.
+// each stored verdict (an Outcome: profile hash, event and finding
+// counts, violations; the case itself is in the key, not the entry)
+// byte-identically instead of re-running run+trace+analyze.  The cache
+// is process-wide (SetResultCache), like campaign.SetDefaultWorkers:
+// CLIs install it once from their -cache flag and every sweep layer —
+// CheckCached, CheckRobust's per-level loop, noise-floor calibration,
+// and the experiments' perturbed negative-correctness table — shares
+// it.
 
 import (
 	"crypto/sha256"

@@ -215,3 +215,47 @@ func TestCheckCachedASLRedefinitionMisses(t *testing.T) {
 		t.Fatalf("stats = %+v; the redefined scenario was served the old verdict", st)
 	}
 }
+
+// TestCheckCachedServesCaseCarryingEntries: cache values written while
+// Outcome still carried the checked Case hold a "Case" object beside the
+// verdict.  Such an entry must still hit and replay its verdict, with no
+// recompute and no rewrite.
+func TestCheckCachedServesCaseCarryingEntries(t *testing.T) {
+	s := withCache(t)
+	cs := Generate(11, Config{})
+	key, err := checkKey(cs, CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sentinel verdict no recompute would produce, in the old layout.
+	old := struct {
+		Case       Case
+		Hash       string
+		Events     int
+		Findings   int
+		Violations []Violation
+	}{cs, "0123456789abcdef", 4242, 7, []Violation{{Axis: AxisNegative, Property: "late_sender", Detail: "sentinel"}}}
+	blob, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(blob), `"Case":{"schema":1`) {
+		t.Fatalf("legacy value lacks the case: %s", blob)
+	}
+	if err := s.Put(key, blob); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	out, err := CheckCached(cs, CheckOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := s.Stats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Puts != before.Puts {
+		t.Fatalf("stats %+v -> %+v; want one hit, no miss, no write", before, after)
+	}
+	if out.Hash != old.Hash || out.Events != old.Events || out.Findings != old.Findings ||
+		!reflect.DeepEqual(out.Violations, old.Violations) {
+		t.Fatalf("replayed %+v, stored %+v", out, old)
+	}
+}

@@ -48,8 +48,12 @@ func (v Violation) String() string {
 }
 
 // Outcome is the oracle verdict for one case.
+//
+// It carries no copy of the case: every caller already holds the case
+// it checked, so a cached Outcome is only the verdict.  Older cache
+// entries whose value still holds a "Case" key decode unchanged:
+// encoding/json skips the unknown key.
 type Outcome struct {
-	Case       Case
 	Hash       string // canonical profile content hash of the run
 	Events     int    // trace size
 	Findings   int    // significant findings reported
@@ -255,7 +259,7 @@ func pathWait(r *analyzer.Result, region string) float64 {
 // as AxisRun violations so the fuzzer can shrink them.
 func Check(cs Case, opt CheckOptions) (Outcome, error) {
 	opt = opt.withDefaults()
-	out := Outcome{Case: cs}
+	var out Outcome
 	if err := cs.Validate(); err != nil {
 		return out, err
 	}

@@ -33,6 +33,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -112,10 +113,12 @@ var ExcludedProperties = map[string]bool{
 	"dominated_by_communication": true,
 }
 
-// DefaultPool returns the default property pool in sorted order.
+// DefaultPool returns the default property pool in sorted order, in a
+// fresh slice the caller may modify.
 func DefaultPool() []string {
-	var pool []string
-	for _, name := range core.Names() {
+	names := core.Names()
+	pool := names[:0]
+	for _, name := range names {
 		if !ExcludedProperties[name] {
 			pool = append(pool, name)
 		}
@@ -123,12 +126,20 @@ func DefaultPool() []string {
 	return pool
 }
 
+// Default candidate shapes; read-only.
+var (
+	defaultProcs   = []int{2, 3, 4, 6, 8}
+	defaultThreads = []int{1, 2, 4}
+)
+
+// withDefaults fills every unset field except Pool, which Generate
+// resolves itself (the default pool comes fresh and sorted).
 func (cfg Config) withDefaults() Config {
 	if len(cfg.Procs) == 0 {
-		cfg.Procs = []int{2, 3, 4, 6, 8}
+		cfg.Procs = defaultProcs
 	}
 	if len(cfg.Threads) == 0 {
-		cfg.Threads = []int{1, 2, 4}
+		cfg.Threads = defaultThreads
 	}
 	if cfg.MinProps <= 0 {
 		cfg.MinProps = 1
@@ -142,9 +153,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = 0.005
 	}
-	if len(cfg.Pool) == 0 {
-		cfg.Pool = DefaultPool()
-	}
 	return cfg
 }
 
@@ -157,12 +165,20 @@ var distrNames = []string{"block2", "cyclic2", "linear", "peak", "block3", "cycl
 // readable and round-trip exactly through JSON.
 func roundArg(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 
+// rngPool recycles generators: (*rand.Rand).Seed resets the source and
+// the read position, so a reseeded generator draws exactly the sequence
+// of a fresh rand.New(rand.NewSource(seed)) without allocating a new
+// ~5 KB source per case.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Generate draws the case for seed deterministically: same seed and
 // config, same case — on any machine and across runs (math/rand's seeded
 // sequence is stable under the Go 1 compatibility promise).
 func Generate(seed uint64, cfg Config) Case {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(int64(seed)))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(int64(seed))
 	cs := Case{
 		Schema:    CaseSchema,
 		Seed:      seed,
@@ -170,8 +186,13 @@ func Generate(seed uint64, cfg Config) Case {
 		Threads:   cfg.Threads[rng.Intn(len(cfg.Threads))],
 		Threshold: cfg.Threshold,
 	}
-	pool := append([]string(nil), cfg.Pool...)
-	sort.Strings(pool)
+	var pool []string // a private copy: the shuffle permutes it
+	if len(cfg.Pool) > 0 {
+		pool = append(pool, cfg.Pool...)
+		sort.Strings(pool)
+	} else {
+		pool = DefaultPool() // fresh and sorted
+	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	k := cfg.MinProps + rng.Intn(cfg.MaxProps-cfg.MinProps+1)
 	if k > len(pool) {

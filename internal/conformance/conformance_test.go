@@ -1,9 +1,13 @@
 package conformance
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -53,6 +57,96 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if len(shapes) < 10 {
 		t.Fatalf("20 seeds produced only %d distinct cases", len(shapes))
+	}
+}
+
+// generateDigest pins Generate's draw sequence: the SHA-256 over the
+// JSON of the cases drawn for seeds 1..5000 under the default config and
+// under a fixed-shape, at-most-two-property config.  Any change to the
+// RNG seeding, the pool order or the argument draws changes every case
+// (and every result-cache key), so it must show up here.
+const generateDigest = "ec6fa633e36e33b281bfce87fa74bbde6f7de1ee6682db96a883731fbb187741"
+
+func TestGenerateDigest(t *testing.T) {
+	// The digest covers the built-in registry only; ASL tests register
+	// scenarios and must have unregistered them again.
+	for _, spec := range core.All() {
+		if spec.ASL != "" {
+			t.Fatalf("scenario %q still registered; the digest covers built-ins only", spec.Name)
+		}
+	}
+	h := sha256.New()
+	for s := uint64(1); s <= 5000; s++ {
+		for _, cfg := range []Config{{}, {Procs: []int{16}, MaxProps: 2}} {
+			blob, err := json.Marshal(Generate(s, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(blob)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != generateDigest {
+		t.Fatalf("Generate digest %s, want %s", got, generateDigest)
+	}
+}
+
+// TestGenerateConcurrent: generators are pooled across goroutines, so
+// concurrent draws (the campaign pool generates on every worker) must
+// each equal the sequential draw for their seed.
+func TestGenerateConcurrent(t *testing.T) {
+	const seeds, workers = 400, 4
+	want := make([]Case, seeds)
+	for i := range want {
+		want[i] = Generate(uint64(i+1), Config{})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < seeds; i += workers {
+				if got := Generate(uint64(i+1), Config{}); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("seed %d: concurrent draw %v, sequential %v", i+1, got, want[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestDefaultPoolFollowsRegistry: the default pool is cached between
+// registry changes, so a spec registered after the first Generate must
+// join it and leave it again on Unregister.
+func TestDefaultPoolFollowsRegistry(t *testing.T) {
+	Generate(1, Config{}) // the pool is built before the registry changes
+	const name = "zz_pool_probe"
+	spec := &core.Spec{Name: name, Paradigm: core.ParadigmMPI, Run: func(core.Env, core.Args) {}}
+	if err := core.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { core.Unregister(name) }) // a no-op once unregistered
+	drawn := func() bool {
+		for s := uint64(1); s <= 200; s++ {
+			for _, p := range Generate(s, Config{}).Props {
+				if p.Name == name {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if !slices.Contains(DefaultPool(), name) {
+		t.Fatalf("%s missing from DefaultPool after Register", name)
+	}
+	if !drawn() {
+		t.Fatalf("no Generate draw in 200 seeds includes %s", name)
+	}
+	core.Unregister(name)
+	if slices.Contains(DefaultPool(), name) {
+		t.Fatalf("%s still in DefaultPool after Unregister", name)
+	}
+	if drawn() {
+		t.Fatalf("Generate still draws %s after Unregister", name)
 	}
 }
 

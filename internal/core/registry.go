@@ -222,11 +222,22 @@ func (s *Spec) Exec(procs, threads int, a Args, sink trace.Sink) (*trace.Trace, 
 	})
 }
 
-// registry state.
+// registry state.  names is the sorted key list of registry, rebuilt
+// under regMu on every change so Names needs no map walk or sort.
 var (
 	regMu    sync.RWMutex
 	registry = map[string]*Spec{}
+	names    []string
 )
+
+// reindexLocked rebuilds names; regMu must be held for writing.
+func reindexLocked() {
+	names = names[:0]
+	for n := range registry {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+}
 
 // Register adds a property spec; duplicate names are rejected.
 func Register(s *Spec) error {
@@ -239,6 +250,7 @@ func Register(s *Spec) error {
 		return fmt.Errorf("core: property %q already registered", s.Name)
 	}
 	registry[s.Name] = s
+	reindexLocked()
 	return nil
 }
 
@@ -254,8 +266,9 @@ func mustRegister(s *Spec) {
 // removed by the shipped tools.
 func Unregister(name string) {
 	regMu.Lock()
+	defer regMu.Unlock()
 	delete(registry, name)
-	regMu.Unlock()
+	reindexLocked()
 }
 
 // Get returns the spec registered under name.
@@ -266,16 +279,12 @@ func Get(name string) (*Spec, bool) {
 	return s, ok
 }
 
-// Names returns the sorted names of all registered properties.
+// Names returns the sorted names of all registered properties in a
+// fresh slice the caller may modify.
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return append([]string(nil), names...)
 }
 
 // ByParadigm returns the sorted specs of one paradigm.

@@ -354,12 +354,19 @@ func (p *Profile) Marshal() ([]byte, error) {
 // canonical encoding.  Identical runs hash identically; any change in a
 // recorded severity, path, or distribution changes the hash.
 func (p *Profile) Hash() (string, error) {
+	_, hash, err := p.MarshalHash()
+	return hash, err
+}
+
+// MarshalHash returns the canonical encoding and its content address
+// (Hash) from a single encoding pass.
+func (p *Profile) MarshalHash() ([]byte, string, error) {
 	blob, err := p.Marshal()
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
+	return blob, hex.EncodeToString(sum[:]), nil
 }
 
 // Encode writes the canonical encoding to w.

@@ -1,6 +1,10 @@
 package regress_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"strings"
 	"testing"
 
@@ -101,6 +105,44 @@ func TestStoreSaveAndRetrieve(t *testing.T) {
 	if len(entries) != 1 || entries[0].Experiment != "barrier_drift" ||
 		entries[0].Versions != 2 || entries[0].TopProperty != analyzer.PropWaitAtBarrier {
 		t.Errorf("list = %+v", entries)
+	}
+}
+
+// TestPutWritesCanonicalBytes: Put encodes a new profile once and both
+// names and writes the object from those bytes, so the object file is
+// exactly p.Marshal() and hashes to the returned name and to p.Hash().
+func TestPutWritesCanonicalBytes(t *testing.T) {
+	store, err := regress.Open(t.TempDir() + "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := barrierProfile(t, 4, 0.06)
+	hash, err := store.Put(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := store.ObjectReader(hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("object bytes differ from p.Marshal():\n%s\nwant:\n%s", got, want)
+	}
+	sum := sha256.Sum256(got)
+	if h := hex.EncodeToString(sum[:]); h != hash {
+		t.Errorf("object bytes hash to %s, Put returned %s", h, hash)
+	}
+	if h, _ := p.Hash(); h != hash {
+		t.Errorf("p.Hash() = %s, Put returned %s", h, hash)
 	}
 }
 

@@ -167,7 +167,7 @@ func (s *Store) lockRefs() (func(), error) {
 // object that already exists is left untouched (content addressing makes
 // the write idempotent).  Put does not move any baseline ref.
 func (s *Store) Put(p *profile.Profile) (string, error) {
-	hash, err := p.Hash()
+	blob, hash, err := p.MarshalHash()
 	if err != nil {
 		return "", err
 	}
@@ -177,11 +177,7 @@ func (s *Store) Put(p *profile.Profile) (string, error) {
 	// The write is atomic, which the existence fast-path above depends on:
 	// an interrupted Put must never leave a truncated object that later
 	// calls would treat as already stored.
-	blob, err := p.Marshal()
-	if err == nil {
-		err = s.objects.Write(hash, blob)
-	}
-	if err != nil {
+	if err := s.objects.Write(hash, blob); err != nil {
 		return "", fmt.Errorf("regress: store object: %w", err)
 	}
 	// Keep the similarity index (when the store has one) covering every

@@ -10,11 +10,14 @@
 //
 // Entries are immutable JSON objects in the content-addressed layout of
 // package cas (objects/<first-two-hex>/<key>.json, written atomically,
-// keys validated before ever touching a path).  Every entry records the
-// environment it was computed under (CurrentEnv: the engine version and
-// the profile schema); Get refuses to serve an entry whose recorded
-// environment no longer matches the running binary, and GC deletes such
-// stale entries.
+// keys validated before ever touching a path).  An entry holds its
+// schema, its key, the environment it was computed under (CurrentEnv:
+// the engine version and the profile schema) and the result alone: the
+// inputs are what the key hashes, and a caller looking a result up
+// already holds them, so a conformance check's entry stores only the
+// verdict (profile hash, event and finding counts, violations), not the
+// case.  Get refuses to serve an entry whose recorded environment no
+// longer matches the running binary, and GC deletes such stale entries.
 //
 // Invalidation rules: the environment is the single place the versions
 // of the machinery enter — keys carry none — and it is the *full* set
@@ -62,6 +65,10 @@ func CurrentEnv() Env {
 		"profile/schema": profile.SchemaVersion,
 	}
 }
+
+// processEnv is CurrentEnv built once: the versions are constants, and Get
+// compares against it on every lookup.  Read-only.
+var processEnv = CurrentEnv()
 
 // equal reports whether two environments record identical versions.
 func (e Env) equal(o Env) bool {
@@ -125,7 +132,7 @@ func (s *Store) Stats() Stats {
 // and the subsequent Put overwrites the bad entry.
 func (s *Store) Get(key string) ([]byte, bool) {
 	e, ok := s.load(key)
-	if !ok || !e.Env.equal(CurrentEnv()) {
+	if !ok || !e.Env.equal(processEnv) {
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -155,7 +162,7 @@ func (s *Store) Put(key string, value []byte) error {
 	if !cas.ValidKey(key) {
 		return fmt.Errorf("rescache: put %q: not a content key", key)
 	}
-	e := Entry{Schema: EntrySchema, Key: key, Env: CurrentEnv(), Value: value}
+	e := Entry{Schema: EntrySchema, Key: key, Env: processEnv, Value: value}
 	blob, err := json.Marshal(&e)
 	if err == nil {
 		err = s.objects.Write(key, blob)
@@ -184,10 +191,9 @@ type GCResult struct {
 // mis-keyed) files.  Orphaned temp files from crashed writers are
 // removed too.
 func (s *Store) GC() (GCResult, error) {
-	env := CurrentEnv()
 	scanned, removed, err := s.objects.Sweep(func(key string) bool {
 		e, ok := s.load(key)
-		return ok && e.Env.equal(env)
+		return ok && e.Env.equal(processEnv)
 	})
 	res := GCResult{Scanned: scanned, Removed: removed, Kept: scanned - removed}
 	if err != nil {
@@ -200,9 +206,8 @@ func (s *Store) GC() (GCResult, error) {
 // walk; for stats and smoke tests, not hot paths).
 func (s *Store) Len() (int, error) {
 	n := 0
-	env := CurrentEnv()
 	err := s.objects.Walk(func(key string) error {
-		if e, ok := s.load(key); ok && e.Env.equal(env) {
+		if e, ok := s.load(key); ok && e.Env.equal(processEnv) {
 			n++
 		}
 		return nil

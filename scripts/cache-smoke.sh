@@ -4,11 +4,14 @@
 #
 #   1. a warm `atsfuzz run -cache` sweep re-serves >=95% of its results
 #      from the cache and prints byte-identical stdout to the cold run;
-#   2. a multi-process sweep (-procs 2) over a fresh cache prints
+#   2. the same holds for a perturbed (-perturb) sweep over a fresh
+#      cache, whose entries are CheckRobust's per-level verdicts and the
+#      noise-floor calibrations;
+#   3. a multi-process sweep (-procs 2) over a fresh cache prints
 #      byte-identical stdout to the in-process cold run;
-#   3. `atsfuzz cache gc` keeps a healthy cache intact and collects a
+#   4. `atsfuzz cache gc` keeps a healthy cache intact and collects a
 #      corrupted entry;
-#   4. a warm run after gc still hits.
+#   5. a warm run after gc still hits.
 #
 # Run via `make cache-smoke`.
 set -eu
@@ -43,15 +46,29 @@ grep 'rescache:' "$tmp/warm.err"
 echo "== warm stdout must be byte-identical to cold"
 cmp "$tmp/cold.out" "$tmp/warm.out"
 
+check_hit_rate() { # stderr-file: the run's hit rate must be >= 95%
+    # stderr line: "rescache: H hits, M misses, P writes (R% hit rate) at DIR"
+    hits=$(sed -n 's/^rescache: \([0-9]*\) hits.*/\1/p' "$1")
+    misses=$(sed -n 's/^rescache: [0-9]* hits, \([0-9]*\) misses.*/\1/p' "$1")
+    total=$((hits + misses))
+    [ "$total" -gt 0 ] || { echo "no cache traffic on warm run" >&2; exit 1; }
+    pct=$((hits * 100 / total))
+    echo "   $hits hits / $total lookups = ${pct}%"
+    [ "$pct" -ge 95 ] || { echo "warm hit rate ${pct}% < 95%" >&2; exit 1; }
+}
+
 echo "== warm hit rate must be >= 95%"
-# stderr line: "rescache: H hits, M misses, P writes (R% hit rate) at DIR"
-hits=$(sed -n 's/^rescache: \([0-9]*\) hits.*/\1/p' "$tmp/warm.err")
-misses=$(sed -n 's/^rescache: [0-9]* hits, \([0-9]*\) misses.*/\1/p' "$tmp/warm.err")
-total=$((hits + misses))
-[ "$total" -gt 0 ] || { echo "no cache traffic on warm run" >&2; exit 1; }
-pct=$((hits * 100 / total))
-echo "   $hits hits / $total lookups = ${pct}%"
-[ "$pct" -ge 95 ] || { echo "warm hit rate ${pct}% < 95%" >&2; exit 1; }
+check_hit_rate "$tmp/warm.err"
+
+echo "== perturbed sweep: cold, then warm over the same fresh cache"
+"$bin/atsfuzz" run -seeds 10 -start 1 -perturb -v -cache "$tmp/cache3" \
+    >"$tmp/pcold.out" 2>"$tmp/pcold.err"
+grep 'rescache:' "$tmp/pcold.err"
+"$bin/atsfuzz" run -seeds 10 -start 1 -perturb -v -cache "$tmp/cache3" \
+    >"$tmp/pwarm.out" 2>"$tmp/pwarm.err"
+grep 'rescache:' "$tmp/pwarm.err"
+cmp "$tmp/pcold.out" "$tmp/pwarm.out"
+check_hit_rate "$tmp/pwarm.err"
 
 echo "== -procs 2 over a fresh cache must match the in-process sweep"
 run_sweep "$tmp/procs.out" "$tmp/procs.err" -procs 2 -j 2 -cache "$tmp/cache2"
