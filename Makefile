@@ -24,8 +24,10 @@
 #   make cache-smoke — result-cache smoke: run a seeded atsfuzz sweep
 #                  and a perturbed one twice each against one cache (warm
 #                  pass must hit >=95% and print byte-identical stdout),
-#                  check -procs 2 output equality, and exercise
-#                  `atsfuzz cache gc`.
+#                  check the cold perturbed write count is the same at
+#                  the default -j and at -j 1, run two concurrent sweeps
+#                  over one shared cache (each stdout byte-identical to
+#                  the cold run), and exercise `atsfuzz cache gc`.
 #   make similar-smoke — similarity-index smoke: index a copy of the
 #                  committed seed store plus generated profiles, assert
 #                  `atsregress similar` top-1 self-match, recall >= 0.9

@@ -3,23 +3,20 @@
 // native fuzz harnesses and the quick-mode unit test.
 //
 //	atsfuzz run -seeds 100            # fuzz 100 seeded cases, shrink failures
-//	atsfuzz run -cache auto -procs 4  # memoized sweep fanned across 4 processes
+//	atsfuzz run -cache auto -j 4      # memoized sweep, 4 cases at a time
 //	atsfuzz replay case.json ...      # re-check saved reproducers
 //	atsfuzz corpus                    # list the committed corpus
 //	atsfuzz gen -seeds 10 -out DIR    # write seed cases as corpus files
-//	atsfuzz worker                    # campaign worker process (spawned by -procs)
 //	atsfuzz cache gc -dir DIR         # drop stale-version result-cache entries
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"repro/internal/asl"
 	"repro/internal/campaign"
@@ -55,10 +52,9 @@ Every fuzzing command accepts -asl FILE to register ASL-defined scenarios
 
 commands:
   run     -seeds N [-start S] [-ranks P] [-threads T] [-corpus DIR] [-j N]
-          [-procs M] [-cache DIR] [-v] [-perturb] [-asl FILE]
+          [-cache DIR] [-v] [-perturb] [-asl FILE]
           generate and check N seeded cases; shrink and save failures
-          (-j runs cases concurrently and -procs fans them across worker
-          processes; output is identical for any -j and -procs;
+          (-j runs cases concurrently; output is identical for any -j;
           -perturb sweeps each case over the deterministic perturbation
           ladder; -cache memoizes verdicts on disk so repeated sweeps
           are free — "auto" picks the default location)
@@ -68,9 +64,6 @@ commands:
           list the corpus cases
   gen     -seeds N [-start S] [-out DIR]
           write generated seed cases as corpus files
-  worker  [-j N] [-cache DIR]
-          serve conformance checks over the campaign worker protocol
-          (line-delimited JSON on stdin/stdout; spawned by run -procs)
   cache   gc|stats [-dir DIR]
           result-cache maintenance: gc drops entries recorded under a
           stale engine version or profile schema; stats counts entries`)
@@ -90,8 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cmdCorpus(args[1:], stdout, stderr)
 	case "gen":
 		return cmdGen(args[1:], stdout, stderr)
-	case "worker":
-		return cmdWorker(args[1:], stdout, stderr)
 	case "cache":
 		return cmdCache(args[1:], stdout, stderr)
 	case "-h", "--help", "help":
@@ -121,10 +112,10 @@ func resolveCacheDir(flagVal, corpusDir string) string {
 // openCache opens the result cache and installs it process-wide.  The
 // returned reporter prints hit/miss statistics to stderr — stderr, not
 // stdout, so a warm sweep's stdout stays byte-identical to a cold one.
-func openCache(dir string, stderr io.Writer) (*rescache.Store, func(), error) {
+func openCache(dir string, stderr io.Writer) (func(), error) {
 	c, err := rescache.Open(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	conformance.SetResultCache(c)
 	report := func() {
@@ -138,27 +129,18 @@ func openCache(dir string, stderr io.Writer) (*rescache.Store, func(), error) {
 		fmt.Fprintf(stderr, "rescache: %d hits, %d misses, %d writes (%.1f%% hit rate) at %s\n",
 			st.Hits, st.Misses, st.Puts, rate, c.Dir())
 	}
-	return c, report, nil
-}
-
-// seedJob is the worker-protocol payload of one conformance sweep job.
-type seedJob struct {
-	Case      conformance.Case `json:"case"`
-	Perturbed bool             `json:"perturbed"`
+	return report, nil
 }
 
 // seedResult is one job's result: the oracle verdict plus, on failure,
 // the shrunken reproducer.
 type seedResult struct {
-	Out conformance.Outcome `json:"out"`
-	Min *conformance.Case   `json:"min,omitempty"`
+	Out conformance.Outcome
+	Min *conformance.Case
 }
 
 // checkSeedCase runs one case through the oracle (the full robustness
-// ladder with perturbed set) and shrinks failures — the unit of work
-// shared verbatim by the in-process pool, the worker protocol, and the
-// result cache, which is what keeps every execution strategy
-// byte-identical.
+// ladder with perturbed set) and shrinks failures: one campaign job.
 func checkSeedCase(cs conformance.Case, opt conformance.CheckOptions, perturbed bool) (seedResult, error) {
 	shrinkOpt := opt
 	var out conformance.Outcome
@@ -199,8 +181,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	threads := fs.Int("threads", 0, "fix the thread count (0: random per case)")
 	corpus := fs.String("corpus", "", "directory to save shrunken reproducers into")
 	verbose := fs.Bool("v", false, "print every case, not just failures")
-	jobs := fs.Int("j", 0, "concurrent cases per process (0: one per CPU)")
-	procs := fs.Int("procs", 1, "worker processes to fan the sweep across (1: in-process)")
+	jobs := fs.Int("j", 0, "concurrent cases (0: one per CPU)")
 	cacheDir := fs.String("cache", "", `on-disk result cache directory ("auto": default location; empty: no caching)`)
 	perturbed := fs.Bool("perturb", false,
 		"sweep every case over the deterministic perturbation ladder (robustness axis)")
@@ -211,14 +192,12 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if !loadASL(*aslFile, stderr) {
 		return 2
 	}
-	var cache *rescache.Store
 	if *cacheDir != "" {
-		c, report, err := openCache(resolveCacheDir(*cacheDir, *corpus), stderr)
+		report, err := openCache(resolveCacheDir(*cacheDir, *corpus), stderr)
 		if err != nil {
 			fmt.Fprintf(stderr, "atsfuzz: %v\n", err)
 			return 2
 		}
-		cache = c
 		defer report()
 	}
 	cfg := conformance.Config{}
@@ -233,8 +212,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	// Each seed is one campaign job: generate, check, and (only on
 	// failure) shrink — all deterministic functions of the seed.  The
 	// sink owns every output byte and all corpus writes, and runs in seed
-	// order, so the output stream is byte-identical for any -j and any
-	// -procs.
+	// order, so the output stream is byte-identical for any -j.
 	failures := 0
 	sink := func(i int, cs conformance.Case, res seedResult) error {
 		seed := *start + uint64(i)
@@ -261,23 +239,15 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		return nil
 	}
 
-	var err error
-	if *procs > 1 {
-		err = dispatchRun(*seeds, *start, cfg, *perturbed, dispatchConfig{
-			procs: *procs, jobs: *jobs, cache: cache,
-			aslFile: *aslFile, stderr: stderr,
-		}, sink)
-	} else {
-		err = campaign.Stream(*seeds,
-			campaign.Options{Workers: *jobs},
-			func(i int) (seedResult, error) {
-				cs := conformance.Generate(*start+uint64(i), cfg)
-				return checkSeedCase(cs, opt, *perturbed)
-			},
-			func(i int, res seedResult) error {
-				return sink(i, conformance.Generate(*start+uint64(i), cfg), res)
-			})
-	}
+	err := campaign.Stream(*seeds,
+		campaign.Options{Workers: *jobs},
+		func(i int) (seedResult, error) {
+			cs := conformance.Generate(*start+uint64(i), cfg)
+			return checkSeedCase(cs, opt, *perturbed)
+		},
+		func(i int, res seedResult) error {
+			return sink(i, conformance.Generate(*start+uint64(i), cfg), res)
+		})
 	if err != nil {
 		var ce *campaign.Error
 		if errors.As(err, &ce) {
@@ -289,109 +259,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "checked %d cases: %d failing\n", *seeds, failures)
 	if failures > 0 {
 		return 1
-	}
-	return 0
-}
-
-// dispatchConfig carries the fan-out parameters of a -procs run.
-type dispatchConfig struct {
-	procs   int
-	jobs    int
-	cache   *rescache.Store
-	aslFile string
-	stderr  io.Writer
-}
-
-// workerEnv marks spawned processes so the test binary's TestMain can
-// route itself into worker mode (the production binary ignores it — its
-// argv already says "worker").
-const workerEnv = "ATSFUZZ_WORKER=1"
-
-// dispatchRun fans the sweep across `atsfuzz worker` processes.  The
-// workers inherit the per-process concurrency and — crucially —
-// the cache directory, so every result they compute lands in the same
-// store the next (or a crash-recovering) sweep reads.
-func dispatchRun(seeds int, start uint64, cfg conformance.Config, perturbed bool, dc dispatchConfig, sink func(int, conformance.Case, seedResult) error) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("locate worker binary: %v", err)
-	}
-	argv := []string{exe, "worker"}
-	if dc.jobs > 0 {
-		argv = append(argv, "-j", strconv.Itoa(dc.jobs))
-	}
-	if dc.cache != nil {
-		argv = append(argv, "-cache", dc.cache.Dir())
-	}
-	if dc.aslFile != "" {
-		argv = append(argv, "-asl", dc.aslFile)
-	}
-	window := dc.jobs
-	if window <= 0 {
-		window = campaign.DefaultWorkers()
-	}
-	return campaign.Dispatch(seeds,
-		campaign.DispatchOptions{
-			Procs:  dc.procs,
-			Window: window,
-			Argv:   argv,
-			Env:    []string{workerEnv},
-			Stderr: dc.stderr,
-		},
-		func(i int) (json.RawMessage, error) {
-			return json.Marshal(seedJob{
-				Case:      conformance.Generate(start+uint64(i), cfg),
-				Perturbed: perturbed,
-			})
-		},
-		func(i int, result json.RawMessage) error {
-			var res seedResult
-			if err := json.Unmarshal(result, &res); err != nil {
-				return fmt.Errorf("worker result: %v", err)
-			}
-			return sink(i, conformance.Generate(start+uint64(i), cfg), res)
-		})
-}
-
-func cmdWorker(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	jobs := fs.Int("j", 0, "concurrent jobs inside this worker (0: one per CPU)")
-	cacheDir := fs.String("cache", "", "on-disk result cache directory (empty: no caching)")
-	aslFile := fs.String("asl", "", "register ASL scenarios from this file into the property pool")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !loadASL(*aslFile, stderr) {
-		return 2
-	}
-	if *cacheDir != "" {
-		_, report, err := openCache(*cacheDir, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "atsfuzz worker: %v\n", err)
-			return 2
-		}
-		defer report()
-	}
-	workers := *jobs
-	if workers <= 0 {
-		workers = campaign.DefaultWorkers()
-	}
-	err := campaign.ServeWorker(os.Stdin, stdout, workers,
-		func(job json.RawMessage) (json.RawMessage, error) {
-			var sj seedJob
-			if err := json.Unmarshal(job, &sj); err != nil {
-				return nil, fmt.Errorf("bad job payload: %v", err)
-			}
-			res, err := checkSeedCase(sj.Case, conformance.CheckOptions{}, sj.Perturbed)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(res)
-		})
-	if err != nil {
-		fmt.Fprintf(stderr, "atsfuzz worker: %v\n", err)
-		return 2
 	}
 	return 0
 }

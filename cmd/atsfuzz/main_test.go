@@ -10,18 +10,6 @@ import (
 	"repro/internal/conformance"
 )
 
-// TestMain lets the test binary stand in for the production one when
-// `run -procs` re-executes itself: dispatchRun spawns os.Executable()
-// with ATSFUZZ_WORKER=1 in the environment, and under `go test` that
-// executable is this test binary — so route straight into the real CLI
-// entry point instead of the test runner.
-func TestMain(m *testing.M) {
-	if os.Getenv("ATSFUZZ_WORKER") == "1" {
-		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-	}
-	os.Exit(m.Run())
-}
-
 func runCmd(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
@@ -135,30 +123,6 @@ func TestReplayRejectsBadCase(t *testing.T) {
 	}
 }
 
-// TestRunMultiProcessOutputMatchesInProcess asserts the tentpole
-// determinism claim at the CLI surface: `-procs 2` (real worker
-// processes over the JSON protocol) must produce byte-identical stdout
-// to `-procs 1` (in-process pool), up to documented-nondeterministic
-// hashes.
-func TestRunMultiProcessOutputMatchesInProcess(t *testing.T) {
-	seeds := "40"
-	if testing.Short() {
-		seeds = "12"
-	}
-	outputs := make(map[string]string)
-	for _, procs := range []string{"1", "2"} {
-		code, out, errOut := runCmd(t, "run", "-seeds", seeds, "-v", "-j", "2", "-procs", procs)
-		if code != 0 {
-			t.Fatalf("-procs %s: exit %d, stderr:\n%s", procs, code, errOut)
-		}
-		outputs[procs] = normalizeNondetHashes(out)
-	}
-	if outputs["1"] != outputs["2"] {
-		t.Fatalf("multi-process output diverges from in-process:\n-procs 1:\n%s\n-procs 2:\n%s",
-			outputs["1"], outputs["2"])
-	}
-}
-
 // TestRunWarmCacheOutputIdentical: a warm `-cache` rerun must hit the
 // cache (stderr reports it) while stdout stays byte-for-byte identical
 // to the cold run.
@@ -243,26 +207,18 @@ func TestCacheGCAndStats(t *testing.T) {
 	}
 }
 
-// TestWorkerSubcommandRejectsBadFlags keeps the worker's CLI surface
-// honest without speaking the protocol by hand.
-func TestWorkerSubcommandRejectsBadFlags(t *testing.T) {
-	if code, _, errOut := runCmd(t, "worker", "-j", "warp"); code != 2 || !strings.Contains(errOut, "invalid value") {
-		t.Fatalf("bad -j: exit %d, stderr: %s", code, errOut)
-	}
-	if code, _, _ := runCmd(t, "cache"); code != 2 {
-		t.Fatal("bare cache subcommand should exit 2")
-	}
-	if code, _, _ := runCmd(t, "cache", "bogus"); code != 2 {
-		t.Fatal("unknown cache subcommand should exit 2")
-	}
-}
-
 func TestUsageAndUnknown(t *testing.T) {
 	if code, _, _ := runCmd(t); code != 2 {
 		t.Fatal("no args should exit 2")
 	}
 	if code, _, _ := runCmd(t, "bogus"); code != 2 {
 		t.Fatal("unknown command should exit 2")
+	}
+	if code, _, _ := runCmd(t, "cache"); code != 2 {
+		t.Fatal("bare cache subcommand should exit 2")
+	}
+	if code, _, _ := runCmd(t, "cache", "bogus"); code != 2 {
+		t.Fatal("unknown cache subcommand should exit 2")
 	}
 	if code, out, _ := runCmd(t, "help"); code != 0 || !strings.Contains(out, "usage:") {
 		t.Fatal("help should print usage and exit 0")

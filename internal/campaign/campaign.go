@@ -16,7 +16,8 @@
 //     index, matching what a sequential loop that stops at the first error
 //     would have surfaced.
 //   - A panic in one job is confined to that job (converted into its
-//     error); it does not poison the pool or abort sibling jobs.
+//     error); it does not poison the pool or abort sibling jobs.  So is
+//     a job that ends its goroutine with runtime.Goexit.
 //
 // Jobs must be independent: they may not communicate, and their work must
 // not depend on execution order.  Everything the suite runs through this
@@ -25,6 +26,7 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -110,13 +112,14 @@ type result[T any] struct {
 	done  bool
 }
 
-// pool coordinates the three roles every campaign shares — producers
-// claiming job indices, producers recording finished results, and the
-// single collector delivering them in strict index order.  It is the
-// common machinery under runPool (goroutine workers in this process) and
-// Dispatch (worker processes on the other end of a pipe): both get
-// identical ordering, lowest-failing-index, and abandoned-suffix
-// semantics because both run through this one implementation.
+// pool coordinates the three roles of runPool — workers claiming job
+// indices, workers recording finished results, and the single collector
+// delivering them in strict index order.
+//
+// Every index below the lowest failure is claimed before it (claims
+// ascend) and every claimed index is recorded (runJob records even a
+// job that panics or exits its goroutine), so the collector never waits
+// on an index that will not complete.
 type pool[T any] struct {
 	n int
 	// next is the dispatch cursor; stopAt is an exclusive upper bound on
@@ -129,10 +132,6 @@ type pool[T any] struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	results []result[T]
-	// prodDone flips when all producers have exited (covers the
-	// abandoned-suffix case, where no completion signal would arrive for
-	// indices that were never started).
-	prodDone atomic.Bool
 }
 
 func newPool[T any](n int) *pool[T] {
@@ -169,14 +168,6 @@ func (p *pool[T]) record(i int, v T, err error) {
 	p.mu.Unlock()
 }
 
-// finish signals that no further results will arrive.
-func (p *pool[T]) finish() {
-	p.mu.Lock()
-	p.prodDone.Store(true)
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
 // collect invokes deliver(i, res) in strict index order as a contiguous
 // prefix of jobs completes.  deliver runs on the collecting goroutine
 // only, never concurrently.  The lowest failing index wins; anything
@@ -186,21 +177,7 @@ func (p *pool[T]) collect(deliver func(int, T) error) error {
 	p.mu.Lock()
 	for i := 0; i < p.n; i++ {
 		for !p.results[i].done {
-			if p.prodDone.Load() {
-				break // abandoned suffix: job was never started
-			}
 			p.cond.Wait()
-		}
-		if !p.results[i].done {
-			if firstErr == nil && p.stopAt.Load() >= int64(p.n) {
-				// Producers quit with work left and no recorded failure.
-				// Impossible for in-process workers (they only exit once
-				// claims run dry), but a dispatch whose worker processes
-				// all exited early lands here; silence would misreport a
-				// truncated sweep as a complete one.
-				firstErr = &Error{Index: i, Err: fmt.Errorf("job abandoned: all workers exited before running it")}
-			}
-			break
 		}
 		r := &p.results[i]
 		if r.err != nil {
@@ -247,15 +224,10 @@ func runPool[T any](n int, opt Options, job func(int) (T, error), deliver func(i
 				if i < 0 {
 					return
 				}
-				v, err := runJob(job, i)
-				p.record(i, v, err)
+				p.runJob(job, i)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		p.finish()
-	}()
 
 	err := p.collect(deliver)
 	// Let any straggling workers finish before returning so no job is
@@ -264,14 +236,23 @@ func runPool[T any](n int, opt Options, job func(int) (T, error), deliver func(i
 	return err
 }
 
-// runJob invokes one job with panic confinement.
-func runJob[T any](job func(int) (T, error), i int) (v T, err error) {
+// errGoexit is the error of a job that ended its goroutine without
+// returning (runtime.Goexit, as t.FailNow does).
+var errGoexit = errors.New("job exited its goroutine without returning")
+
+// runJob invokes one job and records its result.  A panic becomes the
+// job's PanicError; a Goexit records errGoexit before the worker
+// goroutine dies, so the collector is never left waiting on it.
+func (p *pool[T]) runJob(job func(int) (T, error), i int) {
+	var v T
+	err := errGoexit
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r}
 		}
+		p.record(i, v, err)
 	}()
-	return job(i)
+	v, err = job(i)
 }
 
 // Run executes n independent jobs on a bounded pool and returns their

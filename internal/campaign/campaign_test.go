@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,30 +105,43 @@ func TestStreamErrorStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestPanicIsConfinedToItsJob: a job that panics, or ends its goroutine
+// with runtime.Goexit, fails at its own index without stalling the
+// collector or poisoning sibling jobs.
 func TestPanicIsConfinedToItsJob(t *testing.T) {
-	var completed atomic.Int64
-	_, err := Run(64, Options{Workers: 8}, func(i int) (int, error) {
-		if i == 31 {
-			panic("job 31 exploded")
+	for _, tc := range []struct {
+		name  string
+		abort func()
+		want  func(error) bool
+	}{
+		{"panic", func() { panic("job 31 exploded") },
+			func(err error) bool { var pe *PanicError; return errors.As(err, &pe) }},
+		{"goexit", runtime.Goexit,
+			func(err error) bool { return errors.Is(err, errGoexit) }},
+	} {
+		var completed atomic.Int64
+		_, err := Run(64, Options{Workers: 8}, func(i int) (int, error) {
+			if i == 31 {
+				tc.abort()
+			}
+			completed.Add(1)
+			return i, nil
+		})
+		var ce *Error
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: error %v is not a *campaign.Error", tc.name, err)
 		}
-		completed.Add(1)
-		return i, nil
-	})
-	var ce *Error
-	if !errors.As(err, &ce) {
-		t.Fatalf("error %v is not a *campaign.Error", err)
-	}
-	if ce.Index != 31 {
-		t.Fatalf("failure index %d, want 31", ce.Index)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v does not unwrap to *PanicError", err)
-	}
-	// The pool must not have been poisoned: at minimum every job below
-	// the panicking index ran to completion.
-	if completed.Load() < 31 {
-		t.Fatalf("only %d sibling jobs completed", completed.Load())
+		if ce.Index != 31 {
+			t.Fatalf("%s: failure index %d, want 31", tc.name, ce.Index)
+		}
+		if !tc.want(err) {
+			t.Fatalf("%s: error %v does not unwrap to the job's failure", tc.name, err)
+		}
+		// The pool must not have been poisoned: at minimum every job below
+		// the failing index ran to completion.
+		if completed.Load() < 31 {
+			t.Fatalf("%s: only %d sibling jobs completed", tc.name, completed.Load())
+		}
 	}
 }
 

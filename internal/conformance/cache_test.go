@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/asl"
@@ -169,6 +170,41 @@ func TestCalibrationDiskCacheRoundtrip(t *testing.T) {
 		t.Fatal("second calibration did not read the disk cache")
 	}
 	calCache.Delete(key)
+}
+
+// TestCalibrationSingleFlight: concurrent callers that need the same
+// fresh (shape, level) cell share one calibration and one cache write.
+func TestCalibrationSingleFlight(t *testing.T) {
+	s := withCache(t)
+	prof := perturb.Level(3, 1)
+	key := calKey{procs: 2, threads: 2, prof: prof}
+	key.prof.Seed = 0
+	calCache.Delete(key)
+	t.Cleanup(func() { calCache.Delete(key) })
+
+	const n = 8
+	floors := make([]float64, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range floors {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			floors[i] = CalibratedNoiseFloor(2, 2, prof)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, f := range floors {
+		if f != floors[0] {
+			t.Fatalf("caller %d got floor %v, caller 0 got %v", i, f, floors[0])
+		}
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Puts != 1 {
+		t.Fatalf("%d concurrent callers ran %d calibrations and wrote %d entries, want 1 and 1",
+			n, st.Misses, st.Puts)
+	}
 }
 
 // TestCheckRobustUsesCachePerLevel: a robust sweep writes one entry per

@@ -124,7 +124,15 @@ type calKey struct {
 	prof           perturb.Profile
 }
 
-var calCache sync.Map // calKey -> float64
+// calCell is one (shape, level) calibration, computed at most once per
+// process: concurrent campaign workers that need the same cell wait for
+// the first one's result instead of each calibrating and writing it.
+type calCell struct {
+	once  sync.Once
+	floor float64
+}
+
+var calCache sync.Map // calKey -> *calCell
 
 // CalibratedNoiseFloor returns the empirical negative-axis noise floor
 // for the given shape under the given perturbation profile: the margin-
@@ -141,15 +149,33 @@ func CalibratedNoiseFloor(procs, threads int, prof perturb.Profile) float64 {
 	}
 	key := calKey{procs: procs, threads: threads, prof: prof}
 	key.prof.Seed = 0
-	if v, ok := calCache.Load(key); ok {
-		return v.(float64)
+	v, ok := calCache.Load(key)
+	if !ok {
+		v, _ = calCache.LoadOrStore(key, new(calCell))
 	}
+	cell := v.(*calCell)
+	cell.once.Do(func() {
+		done := false
+		defer func() {
+			if !done { // a panicking calibration leaves no cell behind
+				calCache.CompareAndDelete(key, cell)
+			}
+		}()
+		cell.floor = calibrateFloor(key)
+		done = true
+	})
+	return cell.floor
+}
+
+// calibrateFloor computes one calibration cell, through the result cache
+// when one is installed.
+func calibrateFloor(key calKey) float64 {
 	calibrate := func() (float64, error) {
 		var worst float64
 		for s := uint64(1); s <= calSeeds; s++ {
-			p := prof
+			p := key.prof
 			p.Seed = s
-			w, err := spuriousWait(procs, threads, p)
+			w, err := spuriousWait(key.procs, key.threads, p)
 			if err != nil {
 				// The clean composite cannot deadlock; treat a failed
 				// calibration run as contributing nothing rather than
@@ -169,7 +195,6 @@ func CalibratedNoiseFloor(procs, threads int, prof perturb.Profile) float64 {
 	} else {
 		floor, _ = calibrate()
 	}
-	calCache.Store(key, floor)
 	return floor
 }
 

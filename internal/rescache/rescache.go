@@ -28,9 +28,9 @@
 // in internal/mpi/engine.go).
 //
 // A Store is safe for concurrent use by multiple goroutines and by
-// multiple cooperating processes (the campaign worker fan-out): entries
-// are immutable, content-addressed, and written atomically, so
-// concurrent writers of the same key race benignly.
+// multiple processes sharing one directory (concurrent atsfuzz and
+// atsbench runs): entries are immutable, content-addressed, and written
+// atomically, so concurrent writers of the same key race benignly.
 package rescache
 
 import (

@@ -6,9 +6,11 @@
 #      from the cache and prints byte-identical stdout to the cold run;
 #   2. the same holds for a perturbed (-perturb) sweep over a fresh
 #      cache, whose entries are CheckRobust's per-level verdicts and the
-#      noise-floor calibrations;
-#   3. a multi-process sweep (-procs 2) over a fresh cache prints
-#      byte-identical stdout to the in-process cold run;
+#      noise-floor calibrations; its cold run writes as many entries at
+#      the default -j as at -j 1 (each calibration cell is computed and
+#      written once, however many workers need it);
+#   3. two concurrent sweeps sharing one fresh cache each print
+#      byte-identical stdout to the single cold run;
 #   4. `atsfuzz cache gc` keeps a healthy cache intact and collects a
 #      corrupted entry;
 #   5. a warm run after gc still hits.
@@ -70,9 +72,27 @@ grep 'rescache:' "$tmp/pwarm.err"
 cmp "$tmp/pcold.out" "$tmp/pwarm.out"
 check_hit_rate "$tmp/pwarm.err"
 
-echo "== -procs 2 over a fresh cache must match the in-process sweep"
-run_sweep "$tmp/procs.out" "$tmp/procs.err" -procs 2 -j 2 -cache "$tmp/cache2"
-cmp "$tmp/cold.out" "$tmp/procs.out"
+writes() { # stderr-file: the run's cache write count
+    sed -n 's/^rescache: .* misses, \([0-9]*\) writes.*/\1/p' "$1"
+}
+
+echo "== cold perturbed sweep writes as many entries at the default -j as at -j 1"
+"$bin/atsfuzz" run -seeds 10 -start 1 -perturb -v -j 1 -cache "$tmp/cache4" \
+    >"$tmp/pseq.out" 2>"$tmp/pseq.err"
+cmp "$tmp/pcold.out" "$tmp/pseq.out"
+echo "   default -j: $(writes "$tmp/pcold.err") writes, -j 1: $(writes "$tmp/pseq.err") writes"
+[ "$(writes "$tmp/pcold.err")" = "$(writes "$tmp/pseq.err")" ] || {
+    echo "cold perturbed write count depends on -j" >&2; exit 1; }
+
+echo "== two concurrent sweeps over one fresh cache must each match the cold run"
+run_sweep "$tmp/conc1.out" "$tmp/conc1.err" -cache "$tmp/cache2" &
+pid1=$!
+run_sweep "$tmp/conc2.out" "$tmp/conc2.err" -cache "$tmp/cache2" &
+pid2=$!
+wait "$pid1"
+wait "$pid2"
+cmp "$tmp/cold.out" "$tmp/conc1.out"
+cmp "$tmp/cold.out" "$tmp/conc2.out"
 
 echo "== cache gc keeps a healthy cache"
 "$bin/atsfuzz" cache gc -dir "$cache" | tee "$tmp/gc.out"
