@@ -32,7 +32,6 @@ package ats
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/analyzer"
 	"repro/internal/asl"
@@ -131,41 +130,12 @@ type StreamOutcome struct {
 // streamed orchestrates one bounded-memory run: spool events through a
 // temporary chunk file while run executes, then merge and analyze the
 // spool incrementally.  The spool is removed before returning.
-func streamed(threshold float64, run func(trace.Sink) error) (*StreamOutcome, error) {
-	f, err := os.CreateTemp("", "ats-spool-*.atsc")
-	if err != nil {
-		return nil, err
-	}
-	spool := f.Name()
-	f.Close()
-	defer os.Remove(spool)
-
-	if err := spoolTo(spool, run); err != nil {
-		return nil, err
-	}
-	r, err := trace.OpenChunkFile(spool)
-	if err != nil {
-		return nil, err
-	}
-	rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{Threshold: threshold})
+func streamed(threshold float64, run func(*trace.ChunkWriter) error) (*StreamOutcome, error) {
+	rep, info, err := profile.SpoolRun("", analyzer.Options{Threshold: threshold}, run)
 	if err != nil {
 		return nil, err
 	}
 	return &StreamOutcome{Report: rep, Ranks: info.Ranks, Threads: info.Threads, Events: info.Events}, nil
-}
-
-// spoolTo runs run with its events spilled to an ATSC chunk spool at
-// path; a failed run leaves no spool behind.
-func spoolTo(path string, run func(trace.Sink) error) error {
-	w, err := trace.NewChunkWriter(path, trace.DefaultSpillEvents)
-	if err != nil {
-		return err
-	}
-	if err := run(w); err != nil {
-		w.Abort()
-		return err
-	}
-	return w.Close()
 }
 
 // RunMPIStream executes body like RunMPI but never materializes the
@@ -175,7 +145,7 @@ func spoolTo(path string, run func(trace.Sink) error) error {
 // materialized trace of the same run.  threshold zero selects the
 // analyzer default.
 func RunMPIStream(opt MPIOptions, threshold float64, body func(c *mpi.Comm)) (*StreamOutcome, error) {
-	return streamed(threshold, func(sink trace.Sink) error {
+	return streamed(threshold, func(sink *trace.ChunkWriter) error {
 		o := opt
 		o.Sink = sink
 		_, err := mpi.Run(o, body)
@@ -186,7 +156,7 @@ func RunMPIStream(opt MPIOptions, threshold float64, body func(c *mpi.Comm)) (*S
 // RunOMPStream is RunOMP through the bounded-memory streaming pipeline
 // (see RunMPIStream).
 func RunOMPStream(opt OMPOptions, threshold float64, body func(ctx *xctx.Ctx, team TeamOptions)) (*StreamOutcome, error) {
-	return streamed(threshold, func(sink trace.Sink) error {
+	return streamed(threshold, func(sink *trace.ChunkWriter) error {
 		o := opt
 		o.Sink = sink
 		_, err := omp.Run(o, body)
@@ -202,7 +172,7 @@ func RunPropertyStream(name string, procs, threads int, threshold float64, a cor
 	if err != nil {
 		return nil, err
 	}
-	return streamed(threshold, func(sink trace.Sink) error {
+	return streamed(threshold, func(sink *trace.ChunkWriter) error {
 		_, err := spec.Exec(procs, threads, a, sink)
 		return err
 	})
@@ -219,7 +189,7 @@ func SpoolProperty(name string, procs, threads int, a core.Args, path string) er
 	if err != nil {
 		return err
 	}
-	return spoolTo(path, func(sink trace.Sink) error {
+	return trace.WriteSpool(path, func(sink *trace.ChunkWriter) error {
 		_, err := spec.Exec(procs, threads, a, sink)
 		return err
 	})
@@ -249,9 +219,9 @@ func lookup(name string) (*core.Spec, error) {
 
 // RunPropertyDefaults is RunProperty with the spec's default arguments.
 func RunPropertyDefaults(name string, procs, threads int) (*Trace, error) {
-	spec, ok := core.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("ats: unknown property %q", name)
+	spec, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return RunProperty(name, procs, threads, spec.Defaults())
+	return spec.Exec(procs, threads, spec.Defaults(), nil)
 }

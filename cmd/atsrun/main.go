@@ -95,7 +95,7 @@ func main() {
 		if *timeline {
 			log.Fatalf("-stream never materializes the trace; it is incompatible with -timeline")
 		}
-		rep, info, err := streamProperty(spec.Name, *procs, *threads, args, *traceOut, *threshold)
+		rep, info, err := streamProperty(spec, *procs, *threads, args, *traceOut, *threshold)
 		if err != nil {
 			log.Fatalf("run failed: %v", err)
 		}
@@ -126,24 +126,11 @@ func main() {
 // streamProperty runs the property with its events spooled into the
 // trace file at path while it executes — into a temporary file removed
 // afterwards when path is empty — then analyzes the spool incrementally.
-func streamProperty(name string, procs, threads int, args core.Args, path string, threshold float64) (*analyzer.Report, profile.TraceInfo, error) {
-	if path == "" {
-		f, err := os.CreateTemp("", "atsrun-spool-*.atsc")
-		if err != nil {
-			return nil, profile.TraceInfo{}, err
-		}
-		path = f.Name()
-		f.Close()
-		defer os.Remove(path)
-	}
-	if err := ats.SpoolProperty(name, procs, threads, args, path); err != nil {
-		return nil, profile.TraceInfo{}, err
-	}
-	r, err := trace.OpenChunkFile(path)
-	if err != nil {
-		return nil, profile.TraceInfo{}, err
-	}
-	return profile.AnalyzeSpool(r, analyzer.Options{Threshold: threshold})
+func streamProperty(spec *core.Spec, procs, threads int, args core.Args, path string, threshold float64) (*analyzer.Report, profile.TraceInfo, error) {
+	return profile.SpoolRun(path, analyzer.Options{Threshold: threshold}, func(w *trace.ChunkWriter) error {
+		_, err := spec.Exec(procs, threads, args, w)
+		return err
+	})
 }
 
 func paramUsage(p core.Param) string {

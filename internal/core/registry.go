@@ -207,10 +207,10 @@ func (s *Spec) Defaults() Args {
 // (paper §3.2) in a fresh environment.  Pure-OpenMP properties run on a
 // standalone team of threads threads; MPI and hybrid properties run on
 // procs ranks (hybrid ones fork teams of threads threads per rank).  A
-// nil sink materializes and returns the trace; a non-nil one receives
-// the events as they are recorded and the returned trace is nil (see
+// nil sink materializes and returns the trace; a non-nil one spools the
+// events as they are recorded and the returned trace is nil (see
 // mpi.Options.Sink).
-func (s *Spec) Exec(procs, threads int, a Args, sink trace.Sink) (*trace.Trace, error) {
+func (s *Spec) Exec(procs, threads int, a Args, sink *trace.ChunkWriter) (*trace.Trace, error) {
 	team := omp.Options{Threads: threads}
 	if s.Paradigm == ParadigmOMP {
 		return omp.Run(omp.RunOptions{Threads: threads, Sink: sink}, func(ctx *xctx.Ctx, _ omp.Options) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -104,30 +103,10 @@ func measurePeak(f func() error) (peak uint64, elapsed time.Duration, err error)
 // runScaleStreamed executes the scale program through the chunk-spool
 // streaming pipeline and returns (events, profile hash).
 func runScaleStreamed(procs int, body func(c *mpi.Comm)) (int, string, error) {
-	f, err := os.CreateTemp("", "scale-spool-*.atsc")
-	if err != nil {
-		return 0, "", err
-	}
-	spool := f.Name()
-	f.Close()
-	defer os.Remove(spool)
-
-	w, err := trace.NewChunkWriter(spool, trace.DefaultSpillEvents)
-	if err != nil {
-		return 0, "", err
-	}
-	if _, err := mpi.Run(mpi.Options{Procs: procs, Sink: w}, body); err != nil {
-		w.Abort()
-		return 0, "", err
-	}
-	if err := w.Close(); err != nil {
-		return 0, "", err
-	}
-	r, err := trace.OpenChunkFile(spool)
-	if err != nil {
-		return 0, "", err
-	}
-	rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{})
+	rep, info, err := profile.SpoolRun("", analyzer.Options{}, func(w *trace.ChunkWriter) error {
+		_, err := mpi.Run(mpi.Options{Procs: procs, Sink: w}, body)
+		return err
+	})
 	if err != nil {
 		return 0, "", err
 	}

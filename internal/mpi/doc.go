@@ -27,6 +27,6 @@
 //     are deterministic.
 //
 // A run materializes its trace by default; setting Options.Sink streams
-// per-rank buffers to an on-disk spool instead (see trace.Sink and
+// per-rank buffers to an on-disk spool instead (see trace.Recorder and
 // doc/ARCHITECTURE.md) for bounded-memory analysis at large rank counts.
 package mpi

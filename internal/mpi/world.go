@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +49,7 @@ type Options struct {
 	// trace.NewStream and analyze with analyzer.AnalyzeStream, which
 	// yields a report byte-identical to the materialized path without
 	// materializing the event list.  Ignored when Untraced.
-	Sink trace.Sink
+	Sink *trace.ChunkWriter
 	// Engine selects the Virtual-mode rank-execution strategy:
 	// EngineEvent (the zero value) or EngineGoroutine, the reference the
 	// cross-engine differential compares against.  Real mode ignores it
@@ -112,10 +111,6 @@ type World struct {
 	failed   atomic.Bool
 	failCh   chan struct{} // closed on first failure
 	wakeable []waker
-
-	// adopted collects trace buffers of sub-executors (OpenMP threads).
-	adoptMu sync.Mutex
-	adopted []*trace.Buffer
 
 	// clockFloor is a monotone lower bound on the minimum virtual clock
 	// over all unfinished ranks, stored as math.Float64bits.  It lets the
@@ -313,16 +308,6 @@ func (w *World) checkFailed() {
 	}
 }
 
-// adoptBuffer registers a sub-executor trace buffer for the final merge.
-func (w *World) adoptBuffer(b *trace.Buffer) {
-	if b == nil {
-		return
-	}
-	w.adoptMu.Lock()
-	w.adopted = append(w.adopted, b)
-	w.adoptMu.Unlock()
-}
-
 // Run executes body on opt.Procs ranks and returns the merged trace (nil if
 // Untraced).  The body receives each rank's handle on the world
 // communicator.  Any panic on any rank aborts the run and is returned as an
@@ -348,52 +333,19 @@ func Run(opt Options, body func(c *Comm)) (*trace.Trace, error) {
 		worldCore.ranks[i] = i
 	}
 
-	streaming := opt.Sink != nil && !opt.Untraced
-	var sinkMu sync.Mutex
-	var sinkErr error
-	noteSinkErr := func(err error) {
-		if err == nil {
-			return
-		}
-		sinkMu.Lock()
-		if sinkErr == nil {
-			sinkErr = err
-		}
-		sinkMu.Unlock()
+	var rec *trace.Recorder
+	if !opt.Untraced {
+		rec = trace.NewRecorder(opt.Sink)
 	}
-
 	rootRNG := work.NewRNG(opt.Seed)
 	w.procs = make([]*proc, opt.Procs)
 	comms := make([]*Comm, opt.Procs)
 	for i := 0; i < opt.Procs; i++ {
-		loc := trace.Location{Rank: int32(i), Thread: 0}
-		var tb *trace.Buffer
-		if !opt.Untraced {
-			tb = trace.NewBuffer(loc)
-			if streaming {
-				opt.Sink.Attach(tb)
-			}
-		}
 		clock := vtime.NewClock(opt.Mode, w.epoch)
 		if opt.Perturb != nil && opt.Mode == vtime.Virtual {
 			clock.SetPerturber(opt.Perturb.Executor(i, opt.Procs))
 		}
-		ctx := xctx.New(clock, tb, rootRNG.Fork(uint64(i)), loc)
-		if streaming {
-			// Sub-executor buffers stream too: attached at fork, and at
-			// the join (the thread is complete) flushed and recycled
-			// instead of being kept for a final merge.
-			ctx.Spill = opt.Sink.Attach
-			ctx.Adopt = func(b *trace.Buffer) {
-				if b == nil {
-					return
-				}
-				noteSinkErr(opt.Sink.Finish(b))
-				b.Release()
-			}
-		} else if !opt.Untraced {
-			ctx.Adopt = w.adoptBuffer
-		}
+		ctx := xctx.New(clock, rec, rootRNG.Fork(uint64(i)), trace.Location{Rank: int32(i), Thread: 0})
 		p := &proc{
 			w:         w,
 			rank:      i,
@@ -423,43 +375,14 @@ func Run(opt Options, body func(c *Comm)) (*trace.Trace, error) {
 		return nil, runErr
 	}
 
-	if opt.Untraced {
-		return nil, runErr
-	}
-	if streaming {
-		// Flush the rank buffers' tails; adopted thread buffers were
-		// already finished at their joins.  Ranks have all exited
-		// (wg.Wait above), so no goroutine is still recording.
-		for _, p := range w.procs {
-			noteSinkErr(opt.Sink.Finish(p.ctx.TB))
-			p.ctx.TB.Release()
-		}
-		if runErr == nil {
-			runErr = sinkErr
-		}
-		return nil, runErr
-	}
-	buffers := make([]*trace.Buffer, 0, opt.Procs+len(w.adopted))
+	// Ranks have all exited, so no goroutine is still recording; OpenMP
+	// thread buffers were handed back at their joins.
 	for _, p := range w.procs {
-		buffers = append(buffers, p.ctx.TB)
+		rec.Done(p.ctx.TB)
 	}
-	w.adoptMu.Lock()
-	extra := append([]*trace.Buffer(nil), w.adopted...)
-	w.adoptMu.Unlock()
-	sort.Slice(extra, func(i, j int) bool {
-		if extra[i].Loc.Rank != extra[j].Loc.Rank {
-			return extra[i].Loc.Rank < extra[j].Loc.Rank
-		}
-		return extra[i].Loc.Thread < extra[j].Loc.Thread
-	})
-	buffers = append(buffers, extra...)
-	tr := trace.Merge(buffers...)
-	// Merge consumes the buffers (it remaps their event ids in place), so
-	// they must be released now, to be recycled for the next world.
-	// Ranks have all exited (wg.Wait above), so no goroutine can still
-	// be recording into them.
-	for _, b := range buffers {
-		b.Release()
+	tr, err := rec.Trace()
+	if runErr == nil {
+		runErr = err
 	}
 	return tr, runErr
 }

@@ -229,9 +229,7 @@ func Parallel(ctx *xctx.Ctx, opt Options, body func(tc *TC)) {
 			for tcs[i].ctx.TB.Depth() > 0 {
 				tcs[i].ctx.Exit()
 			}
-			if ctx.Adopt != nil {
-				ctx.Adopt(tcs[i].ctx.TB)
-			}
+			ctx.Rec.Done(tcs[i].ctx.TB)
 		}
 		panic(err)
 	}
@@ -257,9 +255,7 @@ func Parallel(ctx *xctx.Ctx, opt Options, body func(tc *TC)) {
 		})
 		if i > 0 {
 			tc.ctx.Exit() // close the child's "omp parallel" region
-			if ctx.Adopt != nil {
-				ctx.Adopt(tc.ctx.TB)
-			}
+			ctx.Rec.Done(tc.ctx.TB)
 		}
 	}
 	ctx.Record(trace.Event{

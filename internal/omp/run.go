@@ -2,8 +2,6 @@ package omp
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/perturb"
@@ -34,7 +32,7 @@ type RunOptions struct {
 	// Sink, when non-nil, streams trace events out of the run as it
 	// executes (see mpi.Options.Sink): buffers spill chunk frames while
 	// recording and Run returns a nil trace.  Ignored when Untraced.
-	Sink trace.Sink
+	Sink *trace.ChunkWriter
 }
 
 // Run executes body as a standalone OpenMP-style program on a fresh
@@ -52,46 +50,15 @@ func Run(opt RunOptions, body func(ctx *xctx.Ctx, opt Options)) (*trace.Trace, e
 		vtime.Calibrate()
 		work.CalibrateReal()
 	}
-	streaming := opt.Sink != nil && !opt.Untraced
-	loc := trace.Location{Rank: 0, Thread: 0}
-	var tb *trace.Buffer
+	var rec *trace.Recorder
 	if !opt.Untraced {
-		tb = trace.NewBuffer(loc)
-		if streaming {
-			opt.Sink.Attach(tb)
-		}
+		rec = trace.NewRecorder(opt.Sink)
 	}
 	clock := vtime.NewClock(opt.Mode, time.Now())
 	if opt.Perturb != nil && opt.Mode == vtime.Virtual {
 		clock.SetPerturber(opt.Perturb.Executor(0, 1))
 	}
-	ctx := xctx.New(clock, tb, work.NewRNG(opt.Seed), loc)
-
-	var mu sync.Mutex
-	var adopted []*trace.Buffer
-	var sinkErr error
-	if streaming {
-		// Thread buffers stream: attached at fork, flushed and recycled
-		// at the join (see mpi.Options.Sink).
-		ctx.Spill = opt.Sink.Attach
-		ctx.Adopt = func(b *trace.Buffer) {
-			if b == nil {
-				return
-			}
-			mu.Lock()
-			if err := opt.Sink.Finish(b); err != nil && sinkErr == nil {
-				sinkErr = err
-			}
-			mu.Unlock()
-			b.Release()
-		}
-	} else if !opt.Untraced {
-		ctx.Adopt = func(b *trace.Buffer) {
-			mu.Lock()
-			adopted = append(adopted, b)
-			mu.Unlock()
-		}
-	}
+	ctx := xctx.New(clock, rec, work.NewRNG(opt.Seed), trace.Location{Rank: 0, Thread: 0})
 
 	var runErr error
 	func() {
@@ -103,36 +70,12 @@ func Run(opt RunOptions, body func(ctx *xctx.Ctx, opt Options)) (*trace.Trace, e
 		body(ctx, Options{Threads: opt.Threads, Cost: opt.Cost})
 	}()
 
-	if opt.Untraced {
-		return nil, runErr
-	}
-	if streaming {
-		// Flush the master buffer's tail (all team threads joined before
-		// the body returned, so every other buffer is already finished).
-		if err := opt.Sink.Finish(tb); err != nil && runErr == nil && sinkErr == nil {
-			sinkErr = err
-		}
-		tb.Release()
-		if runErr == nil {
-			runErr = sinkErr
-		}
-		return nil, runErr
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	sort.Slice(adopted, func(i, j int) bool {
-		if adopted[i].Loc.Rank != adopted[j].Loc.Rank {
-			return adopted[i].Loc.Rank < adopted[j].Loc.Rank
-		}
-		return adopted[i].Loc.Thread < adopted[j].Loc.Thread
-	})
-	buffers := append([]*trace.Buffer{tb}, adopted...)
-	tr := trace.Merge(buffers...)
-	// Merge consumes the buffers (it remaps their event ids in place), so
-	// they must be released now, to be recycled for the next run (all
-	// team threads joined before the body returned).
-	for _, b := range buffers {
-		b.Release()
+	// Every team thread joined, and handed its buffer back, before the
+	// body returned; the master's buffer is the last.
+	rec.Done(ctx.TB)
+	tr, err := rec.Trace()
+	if runErr == nil {
+		runErr = err
 	}
 	return tr, runErr
 }

@@ -180,6 +180,30 @@ func AnalyzeSpool(cr *trace.ChunkReader, opt analyzer.Options) (*analyzer.Report
 	return rep, TraceInfoOfStream(st), nil
 }
 
+// SpoolRun runs run with its events spooled into an ATSC chunk file at
+// path — a temporary file, removed on return, when path is empty — and
+// analyzes the spool with AnalyzeSpool.  A failed run leaves no spool at
+// path.
+func SpoolRun(path string, opt analyzer.Options, run func(*trace.ChunkWriter) error) (*analyzer.Report, TraceInfo, error) {
+	if path == "" {
+		f, err := os.CreateTemp("", "ats-spool-*.atsc")
+		if err != nil {
+			return nil, TraceInfo{}, err
+		}
+		path = f.Name()
+		f.Close()
+		defer os.Remove(path)
+	}
+	if err := trace.WriteSpool(path, run); err != nil {
+		return nil, TraceInfo{}, err
+	}
+	r, err := trace.OpenChunkFile(path)
+	if err != nil {
+		return nil, TraceInfo{}, err
+	}
+	return AnalyzeSpool(r, opt)
+}
+
 // FromRun extracts the canonical profile of one analyzed run.  Zero
 // fields of run are filled from the trace (Procs/Threads from the
 // location grid, Clock defaulting to "virtual").  A report carrying

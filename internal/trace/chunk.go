@@ -62,8 +62,8 @@ const (
 )
 
 // DefaultSpillEvents is the per-location event count that triggers a chunk
-// flush when a Buffer is attached to a Sink.  A streamed buffer holds its
-// pending events encoded, so its pending frame takes at most
+// flush when a Buffer is attached to a ChunkWriter.  A streamed buffer
+// holds its pending events encoded, so its pending frame takes at most
 // DefaultSpillEvents × max(frameEventBytes, the largest encoded event):
 // 640 bytes per location unless a frame's events average more than 40 B.
 // A merge cursor holds one such frame raw.  The frame index is not
@@ -81,25 +81,6 @@ const DefaultSpillEvents = 16
 // world at the default threshold did.
 const frameEventBytes = 40
 
-// Sink consumes per-location event buffers while a run executes, in place
-// of materializing every event in memory.  The runtime attaches each
-// buffer before its executor starts recording and finishes it exactly once
-// after the executor has stopped; Attach and Finish may be called from
-// different goroutines (one per executor) and must be safe to interleave.
-//
-// ChunkWriter is the canonical implementation.  Errors inside a sink are
-// sticky: recording continues (events are dropped) and the first error is
-// reported by Finish and by the writer's Close.
-type Sink interface {
-	// Attach registers b with the sink and arranges for its events to be
-	// spilled as they accumulate.  Attaching two buffers with the same
-	// location is an error (reported at Finish/Close).
-	Attach(b *Buffer)
-	// Finish flushes b's remaining events and intern-table deltas and
-	// detaches it.  The buffer's executor must have stopped recording.
-	Finish(b *Buffer) error
-}
-
 // chunkStream is the writer-side state of one location's frame sequence.
 type chunkStream struct {
 	regions  int // intern-table entries already written
@@ -115,8 +96,8 @@ type frameRef struct {
 }
 
 // ChunkWriter spools per-location trace buffers into a single ATSC
-// stream.  It implements Sink.  All methods are safe for concurrent use;
-// frames and the index go, in order, through one io.Writer.
+// stream.  All methods are safe for concurrent use; frames and the index
+// go, in order, through one io.Writer.
 //
 // NewChunkWriter spools to a file: it writes a temporary file and renames
 // it into place on Close, so a crash never leaves a truncated spool at
@@ -179,6 +160,20 @@ func NewChunkWriter(path string, spillEvents int) (*ChunkWriter, error) {
 	return w, nil
 }
 
+// WriteSpool runs run with a ChunkWriter spooling to path and closes it.
+// When run fails the spool is aborted, so nothing lands at path.
+func WriteSpool(path string, run func(*ChunkWriter) error) error {
+	w, err := NewChunkWriter(path, DefaultSpillEvents)
+	if err != nil {
+		return err
+	}
+	if err := run(w); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.Close()
+}
+
 // NewChunkWriterTo creates a spool written to dst as the run goes.  Close
 // completes the stream but does not close dst.  A write error is sticky
 // like any other spool error; after one, dst holds no valid spool.
@@ -222,7 +217,11 @@ func (w *ChunkWriter) Err() error {
 	return w.err
 }
 
-// Attach implements Sink.
+// Attach registers b with the writer and arranges for its events to be
+// spilled as they accumulate.  Attaching two buffers with the same
+// location is an error (reported at Finish/Close).  Errors inside a
+// writer are sticky: recording continues (events are dropped) and the
+// first error is reported by Finish, Err and Close.
 func (w *ChunkWriter) Attach(b *Buffer) {
 	if b == nil {
 		return
@@ -319,8 +318,9 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 	s.events += uint64(ne)
 }
 
-// Finish implements Sink: it flushes b's tail frame, marks the stream
-// complete, and detaches the buffer.
+// Finish flushes b's tail frame and intern-table deltas, marks the stream
+// complete, and detaches the buffer.  The buffer's executor must have
+// stopped recording.
 func (w *ChunkWriter) Finish(b *Buffer) error {
 	if b == nil {
 		return nil

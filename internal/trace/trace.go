@@ -6,10 +6,10 @@
 // event traces directly: region enter/exit, point-to-point message events,
 // collective-operation events, and thread fork/join.  Each execution
 // location (MPI rank × OpenMP thread) writes to its own Buffer without
-// locking; buffers are merged into a Trace afterwards — or, when a Sink
-// is attached, spilled to an on-disk chunk spool during the run and
-// re-merged incrementally by a Stream, so analysis memory stays bounded
-// at large rank counts.
+// locking.  A Recorder hands the buffers out and merges them into a Trace
+// at the end of the run — or, when it has a ChunkWriter, spills them to an
+// on-disk chunk spool during the run, to be re-merged incrementally by a
+// Stream, so analysis memory stays bounded at large rank counts.
 //
 // Call paths are interned as a tree so that every event carries the full
 // dynamic call path at constant cost — the analyzer's "call graph pane"
@@ -229,7 +229,7 @@ type Buffer struct {
 	// frame index still grows by one 16-byte ref per spilled frame.  The
 	// intern tables are never spilled away — paths and regions keep their
 	// local ids across frames and the sink writes table deltas per frame.
-	// Set via Sink.Attach.
+	// Set via ChunkWriter.Attach (Recorder.Buffer attaches).
 	sink    *ChunkWriter
 	spillAt int
 	frame   []byte

@@ -1,7 +1,9 @@
 // Package xctx defines the per-executor execution context shared by the MPI
-// and OpenMP substrates: a clock, a trace buffer, and a lock-free random
-// generator.  An MPI process owns one context; an OpenMP fork derives one
-// child context per thread and folds the clocks back at the join.
+// and OpenMP substrates: a clock, a trace buffer drawn from the run's
+// trace.Recorder, and a lock-free random generator.  An MPI process owns
+// one context; an OpenMP fork derives one child context per thread, whose
+// buffer comes from the same recorder, and folds the clocks back at the
+// join, where the thread's buffer is handed back with Rec.Done.
 package xctx
 
 import (
@@ -14,7 +16,7 @@ import (
 
 // Ctx is the state of one executor (process or thread).  It is owned by a
 // single goroutine and is not safe for concurrent use (the shared fields
-// ThreadSeq and Adopt are themselves concurrency-safe).
+// ThreadSeq and Rec are themselves concurrency-safe).
 type Ctx struct {
 	Clock *vtime.Clock
 	TB    *trace.Buffer // nil when tracing is disabled
@@ -25,16 +27,10 @@ type Ctx struct {
 	// by all contexts forked from the same root (nested OpenMP teams get
 	// fresh, non-colliding thread ids).
 	ThreadSeq *atomic.Int32
-	// Adopt registers a sub-executor's trace buffer with the run so it
-	// is included in the final merge; nil when tracing is disabled.  In
-	// streaming runs Adopt instead finishes the buffer against the
-	// run's trace.Sink (the thread has joined, so its stream is
-	// complete) and recycles it immediately.
-	Adopt func(*trace.Buffer)
-	// Spill attaches a freshly forked sub-executor's buffer to the
-	// run's trace.Sink so its events are spilled as chunk frames while
-	// the thread executes; nil outside streaming runs.
-	Spill func(*trace.Buffer)
+	// Rec is the run's trace recorder, shared by every context of the
+	// run: Fork draws a thread's buffer from it and the OpenMP join hands
+	// the buffer back with Rec.Done.  Nil when tracing is disabled.
+	Rec *trace.Recorder
 
 	// TeamBase namespaces the OpenMP team ids allocated on this context so
 	// they are a pure function of execution position rather than of global
@@ -49,14 +45,15 @@ type Ctx struct {
 	teamSeq uint32
 }
 
-// New creates a root context for the given location.  The clock must be
-// freshly constructed for this executor; tb may be nil to disable tracing.
-func New(clock *vtime.Clock, tb *trace.Buffer, rng *work.RNG, loc trace.Location) *Ctx {
+// New creates a root context for the given location, recording into a
+// buffer drawn from rec.  The clock must be freshly constructed for this
+// executor; rec may be nil to disable tracing.
+func New(clock *vtime.Clock, rec *trace.Recorder, rng *work.RNG, loc trace.Location) *Ctx {
 	seq := &atomic.Int32{}
 	seq.Store(loc.Thread)
 	return &Ctx{
-		Clock: clock, TB: tb, RNG: rng, Loc: loc, ThreadSeq: seq,
-		TeamBase: uint32(loc.Rank) << 14,
+		Clock: clock, TB: rec.Buffer(loc), RNG: rng, Loc: loc, ThreadSeq: seq,
+		Rec: rec, TeamBase: uint32(loc.Rank) << 14,
 	}
 }
 
@@ -98,9 +95,9 @@ func (c *Ctx) Record(ev trace.Event) {
 
 // Fork derives a child context for a new thread, starting at the parent's
 // current time with an independent random stream and its own trace buffer
-// (nil if the parent is untraced).  The thread number is allocated from the
-// rank-wide ThreadSeq counter, so concurrent and nested teams never share a
-// location.
+// from Rec (nil if the parent is untraced).  The thread number is allocated
+// from the rank-wide ThreadSeq counter, so concurrent and nested teams
+// never share a location.
 func (c *Ctx) Fork() *Ctx {
 	thread := c.ThreadSeq.Add(1)
 	loc := trace.Location{Rank: c.Loc.Rank, Thread: thread}
@@ -109,18 +106,14 @@ func (c *Ctx) Fork() *Ctx {
 		RNG:       c.RNG.Fork(uint64(thread) + 1),
 		Loc:       loc,
 		ThreadSeq: c.ThreadSeq,
-		Adopt:     c.Adopt,
-		Spill:     c.Spill,
+		Rec:       c.Rec,
 		TeamBase:  c.TeamBase + uint32(thread)<<9,
 	}
 	if c.TB != nil {
-		child.TB = trace.NewBuffer(loc)
+		child.TB = c.Rec.Buffer(loc)
 		// The child's events carry the parent's dynamic call path, as in
 		// EXPERT's call-tree model.
 		child.TB.Seed(c.TB.StackNames())
-		if c.Spill != nil {
-			c.Spill(child.TB)
-		}
 	}
 	return child
 }

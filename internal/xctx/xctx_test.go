@@ -11,11 +11,11 @@ import (
 
 func newCtx(traced bool) *Ctx {
 	loc := trace.Location{Rank: 0, Thread: 0}
-	var tb *trace.Buffer
+	var rec *trace.Recorder
 	if traced {
-		tb = trace.NewBuffer(loc)
+		rec = trace.NewRecorder(nil)
 	}
-	return New(vtime.NewClock(vtime.Virtual, time.Now()), tb, work.NewRNG(1), loc)
+	return New(vtime.NewClock(vtime.Virtual, time.Now()), rec, work.NewRNG(1), loc)
 }
 
 func TestWorkAdvancesClock(t *testing.T) {
