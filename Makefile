@@ -11,7 +11,8 @@
 #                  perturbed (robustness-axis) run, a replay of the
 #                  committed corpus, and 10 s each of native fuzzing of
 #                  the trace event codec and of the ATSC spool reader
-#                  (CI's second job).
+#                  (CI's second job), each new input minimized for at
+#                  most 1 s so minimizing cannot eat the 10 s budget.
 #   make baseline— re-seed testdata/regress-store from a fresh run (only
 #                  after an intentional severity change; commit the result).
 #   make docs    — documentation conformance: every relative markdown link
@@ -75,8 +76,8 @@ fuzz:
 	$(GO) run ./cmd/atsfuzz run -seeds $(FUZZ_SEEDS) -start 1
 	$(GO) run ./cmd/atsfuzz run -seeds 20 -start 1 -perturb
 	$(GO) run ./cmd/atsfuzz replay $(CORPUS)/*.json
-	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzChunkReader$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzChunkReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 
 baseline:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

@@ -54,9 +54,15 @@ func Open(root string) (Dir, error) {
 	return d, os.MkdirAll(d.objects, 0o755)
 }
 
-// Path returns the file of a valid key.
+// sep is the path separator as a string.
+const sep = string(os.PathSeparator)
+
+// Path returns the file of a valid key.  It concatenates instead of
+// calling filepath.Join: the objects/ path is already clean, and a valid
+// key holds neither separators nor dots, so the result is the same
+// without the Clean pass a lookup would otherwise pay.
 func (d Dir) Path(key string) string {
-	return filepath.Join(d.objects, key[:2], key+ext)
+	return d.objects + sep + key[:2] + sep + key + ext
 }
 
 // Has reports whether an object is stored under key.
@@ -68,13 +74,20 @@ func (d Dir) Has(key string) bool {
 	return err == nil
 }
 
-// Read returns the object stored under key.  An invalid key reads as
+// ReadInto reads the object stored under key into buf[:0] and returns
+// the filled slice, growing buf only for an object larger than its
+// capacity, so a caller passing a stack buffer reads a small object with
+// one open and one read and no allocation for the bytes.  A read that
+// does not fill the buffer ends the object: a regular file reads short
+// only at its end, and a read cut short anywhere else yields a truncated
+// object, which callers must reject by content (every object here is a
+// self-delimiting JSON document).  An invalid key reads as
 // fs.ErrNotExist.
-func (d Dir) Read(key string) ([]byte, error) {
+func (d Dir) ReadInto(key string, buf []byte) ([]byte, error) {
 	if !ValidKey(key) {
 		return nil, errInvalidKey
 	}
-	return os.ReadFile(d.Path(key))
+	return readInto(d.Path(key), buf)
 }
 
 // Open opens the object stored under key for streaming.  An invalid key

@@ -22,8 +22,8 @@ func TestWriteReadWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, err := d.Read(key("a")); err != nil || string(got) != "a" {
-		t.Fatalf("Read = %q, %v", got, err)
+	if got, err := d.ReadInto(key("a"), nil); err != nil || string(got) != "a" {
+		t.Fatalf("ReadInto = %q, %v", got, err)
 	}
 	if !d.Has(key("b")) || d.Has(key("c")) {
 		t.Fatal("Has disagrees with what was written")
@@ -77,8 +77,8 @@ func TestInvalidKeysNeverTouchTheFilesystem(t *testing.T) {
 		if ValidKey(bad) {
 			t.Errorf("ValidKey(%q) = true", bad)
 		}
-		if _, err := d.Read(bad); !errors.Is(err, fs.ErrNotExist) {
-			t.Errorf("Read(%q) = %v, want fs.ErrNotExist", bad, err)
+		if _, err := d.ReadInto(bad, nil); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("ReadInto(%q) = %v, want fs.ErrNotExist", bad, err)
 		}
 		if _, err := d.Open(bad); !errors.Is(err, fs.ErrNotExist) {
 			t.Errorf("Open(%q) = %v, want fs.ErrNotExist", bad, err)
@@ -86,5 +86,33 @@ func TestInvalidKeysNeverTouchTheFilesystem(t *testing.T) {
 		if err := d.Write(bad, nil); err == nil {
 			t.Errorf("Write(%q) accepted a non-content key", bad)
 		}
+	}
+}
+
+// TestReadIntoGrowsOnlyPastTheBuffer: an object that fits is read into
+// the caller's buffer in place; one of exactly the buffer's size, and one
+// larger than it, come back whole in a grown buffer.
+func TestReadIntoGrowsOnlyPastTheBuffer(t *testing.T) {
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [64]byte
+	for i, size := range []int{0, 1, 63, 64, 65, 64 + 512, 5000} {
+		blob := []byte(strings.Repeat("x", size))
+		k := key(string("0123456789abcdef"[i]))
+		if err := d.Write(k, blob); err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.ReadInto(k, buf[:0])
+		if err != nil || string(got) != string(blob) {
+			t.Fatalf("size %d: ReadInto = %d bytes, %v", size, len(got), err)
+		}
+		if inPlace := size > 0 && &got[0] == &buf[0]; inPlace != (size > 0 && size < len(buf)) {
+			t.Errorf("size %d: read in place = %v", size, inPlace)
+		}
+	}
+	if _, err := d.ReadInto(key("e"), buf[:0]); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("ReadInto of an absent object = %v, want fs.ErrNotExist", err)
 	}
 }

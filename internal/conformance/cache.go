@@ -11,10 +11,28 @@ package conformance
 // CheckCached, CheckRobust's per-level loop, noise-floor calibration,
 // and the experiments' perturbed negative-correctness table — shares
 // it.
+//
+// A CheckCached key is the SHA-256 of a JSON key document that checkKey
+// appends by hand into a pooled buffer, because a warm hit is mostly key
+// and read and json.Marshal's reflection was a third of it.  The bytes
+// are exactly those json.Marshal writes for the same document (sorted
+// map keys, encoding/json's float format, an error on NaN and
+// infinities, and any string needing escapes written by json.Marshal
+// itself), so keys never changed with the encoder.  The oracle is
+// TestCheckKeyMatchesJSON: json.Marshal of the equivalent struct,
+// checkKeyDoc, over thousands of generated cases and hand-made edge
+// cases.  The rarer calibration and perturbed-table keys still go
+// through rescache.Key.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/campaign"
@@ -33,22 +51,6 @@ func SetResultCache(s *rescache.Store) { resultCache.Store(s) }
 
 // ResultCache returns the installed result cache, or nil.
 func ResultCache() *rescache.Store { return resultCache.Load() }
-
-// checkKeyDoc is everything a Check outcome depends on besides the
-// versions of the machinery, which rescache stamps on every entry (see
-// rescache.CurrentEnv): bumping mpi.EngineVersion or the profile schema
-// makes every entry a miss.
-type checkKeyDoc struct {
-	Kind            string            `json:"kind"`
-	Case            Case              `json:"case"`
-	NoiseFloor      float64           `json:"noise_floor"`
-	RelTol          float64           `json:"rel_tol"`
-	AbsTol          float64           `json:"abs_tol"`
-	SkipDeterminism bool              `json:"skip_determinism"`
-	DropProperty    string            `json:"drop_property,omitempty"`
-	Perturb         perturb.Profile   `json:"perturb"`
-	Defs            map[string]string `json:"defs,omitempty"`
-}
 
 // caseDefs maps each case property compiled from an ASL scenario to the
 // SHA-256 of its source, so redefining a scenario under the same name
@@ -70,20 +72,214 @@ func caseDefs(cs Case) map[string]string {
 	return defs
 }
 
-// checkKey derives the content key of one oracle invocation.
+// checkKey derives the content key of one oracle invocation: the
+// SHA-256 of the key document, which holds everything a Check outcome
+// depends on besides the versions of the machinery (rescache stamps those
+// on every entry, see rescache.CurrentEnv):
+//
+//	{"kind":"conformance/check","case":<Case>,"noise_floor":F,
+//	 "rel_tol":F,"abs_tol":F,"skip_determinism":B,"drop_property":S,
+//	 "perturb":<perturb.Profile>,"defs":{name:sha256(ASL source)}}
+//
+// with opt's defaults applied and drop_property and defs omitted when
+// empty.  An unencodable document (a NaN or infinite float) has no key.
 func checkKey(cs Case, opt CheckOptions) (string, error) {
 	opt = opt.withDefaults()
-	return rescache.Key(checkKeyDoc{
-		Kind:            "conformance/check",
-		Case:            cs,
-		NoiseFloor:      opt.NoiseFloor,
-		RelTol:          opt.RelTol,
-		AbsTol:          opt.AbsTol,
-		SkipDeterminism: opt.SkipDeterminism,
-		DropProperty:    opt.DropProperty,
-		Perturb:         opt.Perturb,
-		Defs:            caseDefs(cs),
-	})
+	bp := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(bp)
+	e := keyEnc{buf: (*bp)[:0]}
+	e.raw(`{"kind":"conformance/check","case":`)
+	e.caseDoc(cs)
+	e.raw(`,"noise_floor":`)
+	e.float(opt.NoiseFloor)
+	e.raw(`,"rel_tol":`)
+	e.float(opt.RelTol)
+	e.raw(`,"abs_tol":`)
+	e.float(opt.AbsTol)
+	e.raw(`,"skip_determinism":`)
+	e.buf = strconv.AppendBool(e.buf, opt.SkipDeterminism)
+	if opt.DropProperty != "" {
+		e.raw(`,"drop_property":`)
+		e.str(opt.DropProperty)
+	}
+	e.raw(`,"perturb":`)
+	e.profile(opt.Perturb)
+	if defs := caseDefs(cs); len(defs) > 0 {
+		e.raw(`,"defs":`)
+		encodeMap(&e, defs, e.str)
+	}
+	e.raw("}")
+	*bp = e.buf
+	if e.err != nil {
+		return "", e.err
+	}
+	sum := sha256.Sum256(e.buf)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:]), nil
+}
+
+// keyBufs recycles the buffers checkKey encodes into.
+var keyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+
+// keyEnc appends a key document by hand, byte for byte as json.Marshal
+// writes it: struct fields in declaration order with their tags and
+// omitempty rules, map keys sorted, encoding/json's float format, and its
+// error on NaN and infinities.  The oracle test holds it to json.Marshal
+// of the same document (TestCheckKeyMatchesJSON).
+type keyEnc struct {
+	buf []byte
+	err error
+}
+
+func (e *keyEnc) raw(s string) { e.buf = append(e.buf, s...) }
+
+func (e *keyEnc) int(n int) { e.buf = strconv.AppendInt(e.buf, int64(n), 10) }
+
+// str appends s as a JSON string.  Printable ASCII other than '"', '\\',
+// '<', '>' and '&' is copied between quotes; any other string goes
+// through json.Marshal, so its escaping (HTML-safe, U+2028 and U+2029,
+// invalid UTF-8) is encoding/json's own.
+func (e *keyEnc) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			e.buf = append(e.buf, b...)
+			return
+		}
+	}
+	e.buf = append(e.buf, '"')
+	e.buf = append(e.buf, s...)
+	e.buf = append(e.buf, '"')
+}
+
+// float appends f in encoding/json's float64 format: the shortest
+// decimal, in exponent form below 1e-6 and from 1e21 on, with a
+// two-digit negative exponent shortened (1e-07 becomes 1e-7).
+func (e *keyEnc) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.err == nil {
+			e.err = fmt.Errorf("conformance: check key: unsupported value %v", f)
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
+	if n := len(e.buf); format == 'e' && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
+		e.buf[n-2] = e.buf[n-1]
+		e.buf = e.buf[:n-1]
+	}
+}
+
+func (e *keyEnc) caseDoc(cs Case) {
+	e.raw(`{"schema":`)
+	e.int(cs.Schema)
+	e.raw(`,"seed":`)
+	e.buf = strconv.AppendUint(e.buf, cs.Seed, 10)
+	e.raw(`,"procs":`)
+	e.int(cs.Procs)
+	e.raw(`,"threads":`)
+	e.int(cs.Threads)
+	e.raw(`,"threshold":`)
+	e.float(cs.Threshold)
+	e.raw(`,"props":`)
+	if cs.Props == nil {
+		e.raw("null")
+	} else {
+		e.raw("[")
+		for i, p := range cs.Props {
+			if i > 0 {
+				e.raw(",")
+			}
+			e.prop(p)
+		}
+		e.raw("]")
+	}
+	e.raw("}")
+}
+
+func (e *keyEnc) prop(p CaseProp) {
+	e.raw(`{"name":`)
+	e.str(p.Name)
+	if len(p.Float) > 0 {
+		e.raw(`,"float":`)
+		encodeMap(e, p.Float, e.float)
+	}
+	if len(p.Int) > 0 {
+		e.raw(`,"int":`)
+		encodeMap(e, p.Int, e.int)
+	}
+	if len(p.Distr) > 0 {
+		e.raw(`,"distr":`)
+		encodeMap(e, p.Distr, e.distr)
+	}
+	e.raw("}")
+}
+
+func (e *keyEnc) distr(d core.DistrSpec) {
+	e.raw(`{"name":`)
+	e.str(d.Name)
+	e.raw(`,"low":`)
+	e.float(d.Low)
+	if d.High != 0 {
+		e.raw(`,"high":`)
+		e.float(d.High)
+	}
+	if d.Med != 0 {
+		e.raw(`,"med":`)
+		e.float(d.Med)
+	}
+	if d.N != 0 {
+		e.raw(`,"n":`)
+		e.int(d.N)
+	}
+	e.raw("}")
+}
+
+func (e *keyEnc) profile(p perturb.Profile) {
+	e.raw(`{"level":`)
+	e.int(p.Level)
+	e.raw(`,"seed":`)
+	e.buf = strconv.AppendUint(e.buf, p.Seed, 10)
+	e.raw(`,"skew_max":`)
+	e.float(p.SkewMax)
+	e.raw(`,"stragglers":`)
+	e.int(p.Stragglers)
+	e.raw(`,"straggler_skew":`)
+	e.float(p.StragglerSkew)
+	e.raw(`,"msg_jitter":`)
+	e.float(p.MsgJitter)
+	e.raw(`,"coll_jitter":`)
+	e.float(p.CollJitter)
+	e.raw(`,"noise_rate":`)
+	e.float(p.NoiseRate)
+	e.raw(`,"noise_burst":`)
+	e.float(p.NoiseBurst)
+	e.raw("}")
+}
+
+// encodeMap appends m as a JSON object with its keys in sorted order,
+// each value written by val.
+func encodeMap[V any](e *keyEnc, m map[string]V, val func(V)) {
+	var stack [8]string
+	keys := stack[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.raw("{")
+	for i, k := range keys {
+		if i > 0 {
+			e.raw(",")
+		}
+		e.str(k)
+		e.raw(":")
+		val(m[k])
+	}
+	e.raw("}")
 }
 
 // CheckCached is Check behind the process-wide result cache: a hit

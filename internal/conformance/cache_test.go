@@ -2,6 +2,7 @@ package conformance
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/asl"
+	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/perturb"
 	"repro/internal/rescache"
@@ -143,6 +145,135 @@ func TestCheckCachedKeySeparatesOptions(t *testing.T) {
 	}
 	if k2, _ := checkKey(Generate(12, Config{}), CheckOptions{}); k2 == base {
 		t.Fatal("different cases collide")
+	}
+}
+
+// checkKeyDoc is the document checkKey encodes by hand; json.Marshal of
+// it, through rescache.Key, is the encoder's oracle.
+type checkKeyDoc struct {
+	Kind            string            `json:"kind"`
+	Case            Case              `json:"case"`
+	NoiseFloor      float64           `json:"noise_floor"`
+	RelTol          float64           `json:"rel_tol"`
+	AbsTol          float64           `json:"abs_tol"`
+	SkipDeterminism bool              `json:"skip_determinism"`
+	DropProperty    string            `json:"drop_property,omitempty"`
+	Perturb         perturb.Profile   `json:"perturb"`
+	Defs            map[string]string `json:"defs,omitempty"`
+}
+
+// oracleKey is the key checkKey must derive: the SHA-256 of the
+// json.Marshal encoding of checkKeyDoc.
+func oracleKey(cs Case, opt CheckOptions) (string, error) {
+	opt = opt.withDefaults()
+	return rescache.Key(checkKeyDoc{
+		Kind:            "conformance/check",
+		Case:            cs,
+		NoiseFloor:      opt.NoiseFloor,
+		RelTol:          opt.RelTol,
+		AbsTol:          opt.AbsTol,
+		SkipDeterminism: opt.SkipDeterminism,
+		DropProperty:    opt.DropProperty,
+		Perturb:         opt.Perturb,
+		Defs:            caseDefs(cs),
+	})
+}
+
+// sameKey fails unless checkKey and the json.Marshal oracle agree on
+// (cs, opt): the same key, or both an error.
+func sameKey(t *testing.T, cs Case, opt CheckOptions) {
+	t.Helper()
+	got, gerr := checkKey(cs, opt)
+	want, werr := oracleKey(cs, opt)
+	if got != want || (gerr != nil) != (werr != nil) {
+		t.Fatalf("checkKey(%v, %+v) = %q, %v; json.Marshal oracle %q, %v", cs, opt, got, gerr, want, werr)
+	}
+}
+
+// TestCheckKeyMatchesJSON holds the hand-appended key to the bytes
+// json.Marshal writes for the same document, so every key, and every
+// warm cache filled before the encoder existed, stays valid.
+func TestCheckKeyMatchesJSON(t *testing.T) {
+	for seed := uint64(1); seed <= 5000; seed++ {
+		cs := Generate(seed, Config{})
+		sameKey(t, cs, CheckOptions{})
+		for level := 1; level <= perturb.MaxLevel; level++ {
+			sameKey(t, cs, CheckOptions{Perturb: perturb.Level(seed, level)})
+		}
+		sameKey(t, cs, CheckOptions{DropProperty: cs.Props[0].Name, SkipDeterminism: true})
+	}
+
+	// A property compiled from an ASL scenario adds its source hash.
+	name := registerProbe(t, conformanceScenario)
+	scen := probeCase(name, 4)
+	if len(caseDefs(scen)) == 0 {
+		t.Fatal("the ASL probe case has no defs")
+	}
+	sameKey(t, scen, CheckOptions{})
+	scen.Props = append(scen.Props, scen.Props[0], Generate(3, Config{}).Props[0])
+	sameKey(t, scen, CheckOptions{})
+
+	// Names json.Marshal escapes, the float formats at its thresholds,
+	// omitted zero fields, and an empty versus a nil property list.
+	odd := Case{
+		Schema: CaseSchema, Seed: 1<<64 - 1, Procs: 3, Threads: 2, Threshold: 1e-7,
+		Props: []CaseProp{{
+			Name:  "<late&sender>",
+			Float: map[string]float64{"\u2028": 1e21, "é": -1e-7, "b\"q": 5e-324, "a": 123456789.125, "z": -0.0},
+			Int:   map[string]int{"\x01": -7, "n": 1 << 40},
+			Distr: map[string]core.DistrSpec{
+				"w": {Name: "same", Low: 0},
+				"v": {Name: "peak\\", Low: 1e-6, High: 9.99e-7, Med: 1e20, N: 3},
+			},
+		}, {Name: "\xff\u2029"}},
+	}
+	for _, opt := range []CheckOptions{
+		{},
+		{NoiseFloor: 1e-300, RelTol: 1e300, AbsTol: 0.1 + 0.2, DropProperty: "a<b>&\u2028"},
+		{Perturb: perturb.Profile{Level: -1, Seed: 1 << 63, SkewMax: 1e-6, MsgJitter: 1e21, NoiseBurst: 999999999999999999999}},
+	} {
+		sameKey(t, odd, opt)
+	}
+	for _, c := range []string{"<", ">", "&", `"`, `\\`, "\x01", "\x7f", "\u2028", "\u2029", "é", "\xff"} {
+		sameKey(t, odd, CheckOptions{DropProperty: "p" + c + "q"})
+	}
+	odd.Props = []CaseProp{}
+	sameKey(t, odd, CheckOptions{})
+	odd.Props = nil
+	sameKey(t, odd, CheckOptions{})
+
+	// NaN and infinities have no JSON encoding: both encoders refuse.
+	nan := Generate(1, Config{})
+	nan.Threshold = math.NaN()
+	if _, err := checkKey(nan, CheckOptions{}); err == nil {
+		t.Fatal("checkKey encoded a NaN threshold")
+	}
+	sameKey(t, nan, CheckOptions{})
+	sameKey(t, Generate(2, Config{}), CheckOptions{Perturb: perturb.Profile{SkewMax: math.Inf(1)}})
+	inf := Generate(2, Config{})
+	inf.Props[0].Float = map[string]float64{"x": math.Inf(-1)}
+	sameKey(t, inf, CheckOptions{})
+}
+
+// TestCheckCachedHitAllocs pins what a warm hit allocates: the key
+// string, the open path, the value copy and the decoded verdict, about
+// ten allocations (49 while the key went through json.Marshal and the
+// entry through os.ReadFile and a full decode).
+func TestCheckCachedHitAllocs(t *testing.T) {
+	withCache(t)
+	cs := Generate(11, Config{})
+	if _, err := CheckCached(cs, CheckOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 12
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := CheckCached(cs, CheckOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocs per warm hit", allocs)
+	if allocs > budget {
+		t.Fatalf("a warm CheckCached hit allocates %.1f times, budget %d", allocs, budget)
 	}
 }
 
@@ -294,4 +425,74 @@ func TestCheckCachedServesCaseCarryingEntries(t *testing.T) {
 		!reflect.DeepEqual(out.Violations, old.Violations) {
 		t.Fatalf("replayed %+v, stored %+v", out, old)
 	}
+}
+
+// BenchmarkCheckCachedHit splits a warm CheckCached hit into its layers
+// over 64 cached default cases: case generation (which the caller pays
+// before the lookup), the key, the store read, the verdict decode and
+// the whole hit on a held case.  The layers after Generate add up to
+// Hit, up to the call overhead between them.
+func BenchmarkCheckCachedHit(b *testing.B) {
+	s, err := rescache.Open(filepath.Join(b.TempDir(), "rescache"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	SetResultCache(s)
+	defer SetResultCache(nil)
+	const n = 64
+	cases := make([]Case, n)
+	keys := make([]string, n)
+	vals := make([][]byte, n)
+	for i := range cases {
+		cases[i] = Generate(uint64(i+1), Config{})
+		if _, err := CheckCached(cases[i], CheckOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		if keys[i], err = checkKey(cases[i], CheckOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		var ok bool
+		if vals[i], ok = s.Get(keys[i]); !ok {
+			b.Fatalf("case %d missed after its write", i)
+		}
+	}
+	b.Run("Generate", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			Generate(uint64(i%n+1), Config{})
+		}
+	})
+	b.Run("Key", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := checkKey(cases[i%n], CheckOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := s.Get(keys[i%n]); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("Decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var o Outcome
+			if err := json.Unmarshal(vals[i%n], &o); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := CheckCached(cases[i%n], CheckOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

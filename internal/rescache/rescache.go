@@ -16,8 +16,17 @@
 // inputs are what the key hashes, and a caller looking a result up
 // already holds them, so a conformance check's entry stores only the
 // verdict (profile hash, event and finding counts, violations), not the
-// case.  Get refuses to serve an entry whose recorded environment no
-// longer matches the running binary, and GC deletes such stale entries.
+// case.
+//
+// The envelope is byte-exact: Put writes
+// {"schema":1,"key":K,"env":E,"value":V} with no whitespace, the bytes
+// json.Marshal(&Entry) writes, and Get serves V only from a file that
+// starts with exactly that prefix for the key looked up and the running
+// binary's environment and ends with the closing brace, so a hit costs
+// one open and one read into a stack buffer and no decode.  Anything
+// else (an entry recorded under another environment, a wrong key echo,
+// a reformatted or truncated file) reads as a miss: the caller
+// recomputes, the next Put overwrites the entry, and GC deletes it.
 //
 // Invalidation rules: the environment is the single place the versions
 // of the machinery enter — keys carry none — and it is the *full* set
@@ -34,10 +43,12 @@
 package rescache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 
 	"repro/internal/cas"
@@ -66,25 +77,13 @@ func CurrentEnv() Env {
 	}
 }
 
-// processEnv is CurrentEnv built once: the versions are constants, and Get
-// compares against it on every lookup.  Read-only.
-var processEnv = CurrentEnv()
+// envJSON is CurrentEnv as an entry records it (json.Marshal sorts the
+// map's keys), built once: the versions are constants.  Read-only.
+var envJSON, _ = json.Marshal(CurrentEnv())
 
-// equal reports whether two environments record identical versions.
-func (e Env) equal(o Env) bool {
-	if len(e) != len(o) {
-		return false
-	}
-	for k, v := range e {
-		ov, ok := o[k]
-		if !ok || ov != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Entry is the on-disk form of one cached result.
+// Entry is the on-disk form of one cached result.  Put and Get write and
+// match its bytes directly (see entryPrefix); the type documents the
+// format and decodes entries where a full decode is wanted.
 type Entry struct {
 	Schema int             `json:"schema"`
 	Key    string          `json:"key"`
@@ -125,46 +124,80 @@ func (s *Store) Stats() Stats {
 	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Puts: s.puts.Load()}
 }
 
-// Get returns the cached value for key, or ok=false on a miss.  Absent
-// files, undecodable entries, key echoes that do not match (a corrupted
-// or hand-edited file), and entries whose recorded environment differs
-// from the running binary all count as misses — the caller recomputes
-// and the subsequent Put overwrites the bad entry.
-func (s *Store) Get(key string) ([]byte, bool) {
-	e, ok := s.load(key)
-	if !ok || !e.Env.equal(processEnv) {
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return e.Value, true
+// prefixCap covers entryPrefix's length (about 140 bytes), so it is
+// built without growing; readBuf is the stack buffer an entry is read
+// into (a verdict entry is about 250 bytes, and a larger one grows it).
+const (
+	prefixCap = 192
+	readBuf   = 1024
+)
+
+// entryPrefix appends the bytes that open every entry the running binary
+// writes for key: {"schema":1,"key":"<key>","env":<env>,"value":.  An
+// entry is this prefix, the compacted value and a closing brace, which
+// are the bytes json.Marshal(&Entry) writes.  Put writes exactly that,
+// and Get serves only files that have exactly that form.
+func entryPrefix(dst []byte, key string) []byte {
+	dst = append(dst, `{"schema":`...)
+	dst = strconv.AppendInt(dst, EntrySchema, 10)
+	dst = append(dst, `,"key":"`...)
+	dst = append(dst, key...)
+	dst = append(dst, `","env":`...)
+	dst = append(dst, envJSON...)
+	return append(dst, `,"value":`...)
 }
 
-// load reads and structurally validates one entry, without the
-// environment check (GC needs to see stale entries).
-func (s *Store) load(key string) (*Entry, bool) {
-	blob, err := s.objects.Read(key)
+// Get returns the cached value for key, or ok=false on a miss.  Absent
+// files, entries recorded under another environment, key echoes that
+// do not match (a corrupted or hand-edited file) and any file that is
+// not byte for byte what Put writes (truncated, reformatted) all count
+// as misses: the caller recomputes and the subsequent Put overwrites
+// the bad entry.
+func (s *Store) Get(key string) ([]byte, bool) {
+	var buf [readBuf]byte
+	if v, ok := s.value(key, buf[:0]); ok {
+		s.hits.Add(1)
+		return bytes.Clone(v), true
+	}
+	s.misses.Add(1)
+	return nil, false
+}
+
+// value reads key's entry into buf and returns its value, the bytes
+// between entryPrefix(key) and the final closing brace, if the file is
+// exactly an entry the running binary would write for key.
+func (s *Store) value(key string, buf []byte) ([]byte, bool) {
+	blob, err := s.objects.ReadInto(key, buf)
 	if err != nil {
 		return nil, false
 	}
-	var e Entry
-	if json.Unmarshal(blob, &e) != nil || e.Schema != EntrySchema || e.Key != key {
+	var pre [prefixCap]byte
+	prefix := entryPrefix(pre[:0], key)
+	if len(blob) < len(prefix)+2 || !bytes.HasPrefix(blob, prefix) || blob[len(blob)-1] != '}' {
 		return nil, false
 	}
-	return &e, true
+	return blob[len(prefix) : len(blob)-1], true
+}
+
+// servable reports whether Get would serve key's entry.
+func (s *Store) servable(key string) bool {
+	var buf [readBuf]byte
+	_, ok := s.value(key, buf[:0])
+	return ok
 }
 
 // Put stores value under key, stamped with the current environment.  The
-// write is atomic, so a crashed writer never leaves a truncated entry, and
-// concurrent writers of the same key — equal by content addressing — race
-// benignly.
+// value is compacted as json.Marshal compacts a json.RawMessage, and an
+// invalid one is refused.  The write is atomic, so a crashed writer never
+// leaves a truncated entry, and concurrent writers of the same key, equal
+// by content addressing, race benignly.
 func (s *Store) Put(key string, value []byte) error {
 	if !cas.ValidKey(key) {
 		return fmt.Errorf("rescache: put %q: not a content key", key)
 	}
-	e := Entry{Schema: EntrySchema, Key: key, Env: processEnv, Value: value}
-	blob, err := json.Marshal(&e)
+	v, err := json.Marshal(json.RawMessage(value))
 	if err == nil {
+		blob := append(append(entryPrefix(make([]byte, 0, prefixCap+len(v)+1), key), v...), '}')
 		err = s.objects.Write(key, blob)
 	}
 	if err != nil {
@@ -178,8 +211,8 @@ func (s *Store) Put(key string, value []byte) error {
 type GCResult struct {
 	// Scanned is the number of entry files examined.
 	Scanned int
-	// Removed counts entries deleted: stale environment, undecodable,
-	// or wrong schema.
+	// Removed counts entries deleted: stale environment, wrong schema or
+	// key echo, or not byte for byte what Put writes.
 	Removed int
 	// Kept counts entries still valid for the running binary.
 	Kept int
@@ -187,14 +220,10 @@ type GCResult struct {
 
 // GC walks the cache and deletes every entry the running binary would
 // refuse to serve: entries recorded under a different engine version or
-// profile schema, and structurally invalid (corrupt, truncated,
-// mis-keyed) files.  Orphaned temp files from crashed writers are
-// removed too.
+// profile schema, and corrupt, truncated, mis-keyed or reformatted
+// files.  Orphaned temp files from crashed writers are removed too.
 func (s *Store) GC() (GCResult, error) {
-	scanned, removed, err := s.objects.Sweep(func(key string) bool {
-		e, ok := s.load(key)
-		return ok && e.Env.equal(processEnv)
-	})
+	scanned, removed, err := s.objects.Sweep(s.servable)
 	res := GCResult{Scanned: scanned, Removed: removed, Kept: scanned - removed}
 	if err != nil {
 		return res, fmt.Errorf("rescache: gc: %w", err)
@@ -207,7 +236,7 @@ func (s *Store) GC() (GCResult, error) {
 func (s *Store) Len() (int, error) {
 	n := 0
 	err := s.objects.Walk(func(key string) error {
-		if e, ok := s.load(key); ok && e.Env.equal(processEnv) {
+		if s.servable(key) {
 			n++
 		}
 		return nil

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 func open(t *testing.T) *Store {
@@ -256,5 +258,127 @@ func TestGCOnEmptyStore(t *testing.T) {
 	}
 	if n, err := s.Len(); err != nil || n != 0 {
 		t.Fatalf("Len on empty store = %d, %v", n, err)
+	}
+}
+
+// TestEntryBytesMatchJSONMarshal: Put writes exactly the bytes
+// json.Marshal(&Entry) writes, the form every earlier binary wrote, so
+// caches filled before the envelope was hand-built stay warm; Get serves
+// such a file, including one larger than its first read.
+func TestEntryBytesMatchJSONMarshal(t *testing.T) {
+	s := open(t)
+	big := `{"Violations":[` + strings.Repeat(`{"axis":"positive","detail":"wait 0.0123 s, want 0.0456 s"},`, 200) + `{}]}`
+	for i, val := range []string{
+		`{"answer":42}`,
+		" { \"a\" : [1, 2] ,\n \"h\":\"<&>\\u2028\" } ",
+		`null`,
+		`1e-7`,
+		big,
+		"",
+	} {
+		key := mustKey(t, i)
+		raw := json.RawMessage(val)
+		if val == "" {
+			raw = nil // Put(key, nil) stores null, as json.Marshal does
+		}
+		if err := s.Put(key, raw); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(&Entry{Schema: EntrySchema, Key: key, Env: CurrentEnv(), Value: raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(s.objects.Path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("value %d: Put wrote\n%s\njson.Marshal(&Entry) writes\n%s", i, got, want)
+		}
+		if err := os.WriteFile(s.objects.Path(key), want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantVal, _ := json.Marshal(raw)
+		if v, ok := s.Get(key); !ok || !bytes.Equal(v, wantVal) {
+			t.Fatalf("value %d: Get = %q, %v; want %q", i, v, ok, wantVal)
+		}
+	}
+	if err := s.Put(mustKey(t, "bad"), []byte(`{"unterminated":`)); err == nil {
+		t.Fatal("Put accepted an invalid JSON value")
+	}
+}
+
+// TestNonCanonicalEntriesMiss: a file that is not byte for byte what Put
+// writes for its key in this environment is a miss, GC deletes it, and
+// the next campaign.Cached call recomputes, overwrites it and then hits.
+func TestNonCanonicalEntriesMiss(t *testing.T) {
+	variants := map[string]func(key string, canon []byte) []byte{
+		"other_env": func(key string, _ []byte) []byte {
+			env := CurrentEnv()
+			env["engine"]++
+			b, _ := json.Marshal(&Entry{Schema: EntrySchema, Key: key, Env: env, Value: json.RawMessage(`7`)})
+			return b
+		},
+		"key_echo": func(key string, canon []byte) []byte {
+			return bytes.Replace(canon, []byte(key), []byte(mustKey(t, "other")), 1)
+		},
+		"reformatted": func(_ string, canon []byte) []byte {
+			var b bytes.Buffer
+			json.Indent(&b, canon, "", " ")
+			return b.Bytes()
+		},
+		"trailing_newline": func(_ string, canon []byte) []byte { return append(canon, '\n') },
+		"truncated":        func(_ string, canon []byte) []byte { return canon[:len(canon)-1] },
+		"empty_value": func(key string, canon []byte) []byte {
+			return append(bytes.TrimSuffix(canon, []byte(`7}`)), '}')
+		},
+	}
+	for name, mutate := range variants {
+		t.Run(name, func(t *testing.T) {
+			s := open(t)
+			key := mustKey(t, name)
+			calls := 0
+			compute := func() (int, error) { calls++; return 7, nil }
+			cached := func() {
+				t.Helper()
+				if v, err := campaign.Cached(s, key, compute); err != nil || v != 7 {
+					t.Fatalf("Cached = %d, %v", v, err)
+				}
+			}
+			cached()
+			path := s.objects.Path(key)
+			canon, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			write := func() {
+				t.Helper()
+				if err := os.WriteFile(path, mutate(key, bytes.Clone(canon)), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write()
+			if _, ok := s.Get(key); ok {
+				t.Fatal("non-canonical entry served")
+			}
+			if n, err := s.Len(); err != nil || n != 0 {
+				t.Fatalf("Len = %d, %v; want 0", n, err)
+			}
+			if res, err := s.GC(); err != nil || res.Removed != 1 {
+				t.Fatalf("GC = %+v, %v; want the entry removed", res, err)
+			}
+			write()
+			cached()
+			if calls != 2 {
+				t.Fatalf("compute ran %d times; want a recompute after the bad entry", calls)
+			}
+			if blob, _ := os.ReadFile(path); !bytes.Equal(blob, canon) {
+				t.Fatalf("entry not overwritten: %q", blob)
+			}
+			cached()
+			if calls != 2 {
+				t.Fatal("the overwritten entry did not hit")
+			}
+		})
 	}
 }
