@@ -165,15 +165,18 @@ var distrNames = []string{"block2", "cyclic2", "linear", "peak", "block3", "cycl
 // readable and round-trip exactly through JSON.
 func roundArg(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 
-// rngPool recycles generators: (*rand.Rand).Seed resets the source and
-// the read position, so a reseeded generator draws exactly the sequence
-// of a fresh rand.New(rand.NewSource(seed)) without allocating a new
-// ~5 KB source per case.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles generators over go1Source (rng.go): (*rand.Rand).Seed
+// resets the source and the read position, so a reseeded generator draws
+// exactly the sequence of a fresh rand.New(rand.NewSource(seed)) without
+// allocating, and builds only the state words the case reads.
+var rngPool = sync.Pool{New: func() any { return rand.New(newGo1Source(0)) }}
 
 // Generate draws the case for seed deterministically: same seed and
-// config, same case — on any machine and across runs (math/rand's seeded
-// sequence is stable under the Go 1 compatibility promise).
+// config, same case — on any machine and across runs.  The draws come
+// from go1Source, a committed replica of math/rand's Go 1 source
+// (rand.NewSource, whose sequence the Go 1 compatibility promise keeps
+// stable); TestGo1SourceMatchesMathRand holds the replica to math/rand,
+// and TestGenerateDigest and TestGenerateDigestHighSeeds pin the cases.
 func Generate(seed uint64, cfg Config) Case {
 	cfg = cfg.withDefaults()
 	rng := rngPool.Get().(*rand.Rand)

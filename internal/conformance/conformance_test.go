@@ -90,6 +90,55 @@ func TestGenerateDigest(t *testing.T) {
 	}
 }
 
+// highSeedDigest pins Generate for the seeds campaigns actually draw
+// beyond TestGenerateDigest's 1..5000: the benchmark's case bases (10⁶
+// and up, one million apart) and its per-client offsets, seeds around
+// 2³¹−1 and its multiples (where the source's seed reduction wraps), and
+// seeds at and above 2⁶³ (negative as int64).  The constant was computed
+// with math/rand's own source, so a replica that drifts fails here.
+const highSeedDigest = "7f18d11f57a574dc41142af204172d6aa392b09ee22b92a23d98fbd01e580ecc"
+
+// highSeeds lists the seeds highSeedDigest covers.
+func highSeeds() []uint64 {
+	const p = 1<<31 - 1
+	var seeds []uint64
+	span := func(from uint64, n int) {
+		for i := 0; i < n; i++ {
+			seeds = append(seeds, from+uint64(i))
+		}
+	}
+	span(1_000_000, 500)                  // atsfuzz -start 1000000
+	span(2_000_000, 300)                  // caseBase(1)
+	span(302_000_000, 300)                // caseBase(301)
+	span(302_000_000+1000+3*400_000, 100) // a client's range in atsd-mixed
+	span(999_000_000, 100)                // caseBase(998)
+	span(1_000_000_000_000, 100)          // caseBase(999999)
+	span(p-150, 300)                      // around 2³¹−1
+	span(2*p-50, 100)                     // around 2(2³¹−1)
+	span(1<<32-50, 100)                   // around 2³²
+	span(1000*p-50, 100)                  // a large multiple
+	span(1<<63-100, 200)                  // across 2⁶³
+	span(1<<64-200, 200)                  // up to the largest seed
+	span(1<<64-1_000_000*p-50, 100)       // around −10⁶(2³¹−1)
+	return seeds
+}
+
+func TestGenerateDigestHighSeeds(t *testing.T) {
+	h := sha256.New()
+	for _, s := range highSeeds() {
+		for _, cfg := range []Config{{}, {Procs: []int{16}, MaxProps: 2}} {
+			blob, err := json.Marshal(Generate(s, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(blob)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != highSeedDigest {
+		t.Fatalf("Generate digest over high seeds %s, want %s", got, highSeedDigest)
+	}
+}
+
 // TestGenerateConcurrent: generators are pooled across goroutines, so
 // concurrent draws (the campaign pool generates on every worker) must
 // each equal the sequential draw for their seed.
