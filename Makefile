@@ -10,9 +10,10 @@
 #   make fuzz    — conformance-fuzzer smoke: a fixed-seed atsfuzz run, a
 #                  perturbed (robustness-axis) run, a replay of the
 #                  committed corpus, and 10 s each of native fuzzing of
-#                  the trace event codec and of the ATSC spool reader
-#                  (CI's second job), each new input minimized for at
-#                  most 1 s so minimizing cannot eat the 10 s budget.
+#                  the trace event codec, of the ATSC spool reader and
+#                  of the canonical profile encoder (CI's second job),
+#                  each new input minimized for at most 1 s so
+#                  minimizing cannot eat the 10 s budget.
 #   make baseline— re-seed testdata/regress-store from a fresh run (only
 #                  after an intentional severity change; commit the result).
 #   make docs    — documentation conformance: every relative markdown link
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) run ./cmd/atsfuzz replay $(CORPUS)/*.json
 	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzProfileEncoding$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/profile
 
 baseline:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \

@@ -16,9 +16,9 @@ package conformance
 // appends by hand into a pooled buffer, because a warm hit is mostly key
 // and read and json.Marshal's reflection was a third of it.  The bytes
 // are exactly those json.Marshal writes for the same document (sorted
-// map keys, encoding/json's float format, an error on NaN and
-// infinities, and any string needing escapes written by json.Marshal
-// itself), so keys never changed with the encoder.  The oracle is
+// map keys, and encoding/json's float format, string escaping and error
+// on NaN and infinities through package jsonenc), so keys never changed
+// with the encoder.  The oracle is
 // TestCheckKeyMatchesJSON: json.Marshal of the equivalent struct,
 // checkKeyDoc, over thousands of generated cases and hand-made edge
 // cases.  The rarer calibration and perturbed-table keys still go
@@ -27,9 +27,7 @@ package conformance
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 	"sync"
@@ -37,6 +35,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
+	"repro/internal/jsonenc"
 	"repro/internal/perturb"
 	"repro/internal/rescache"
 )
@@ -136,41 +135,15 @@ func (e *keyEnc) raw(s string) { e.buf = append(e.buf, s...) }
 
 func (e *keyEnc) int(n int) { e.buf = strconv.AppendInt(e.buf, int64(n), 10) }
 
-// str appends s as a JSON string.  Printable ASCII other than '"', '\\',
-// '<', '>' and '&' is copied between quotes; any other string goes
-// through json.Marshal, so its escaping (HTML-safe, U+2028 and U+2029,
-// invalid UTF-8) is encoding/json's own.
-func (e *keyEnc) str(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			b, _ := json.Marshal(s)
-			e.buf = append(e.buf, b...)
-			return
-		}
-	}
-	e.buf = append(e.buf, '"')
-	e.buf = append(e.buf, s...)
-	e.buf = append(e.buf, '"')
-}
+// str appends s as a JSON string, escaped as encoding/json escapes it.
+func (e *keyEnc) str(s string) { e.buf = jsonenc.AppendString(e.buf, s) }
 
-// float appends f in encoding/json's float64 format: the shortest
-// decimal, in exponent form below 1e-6 and from 1e21 on, with a
-// two-digit negative exponent shortened (1e-07 becomes 1e-7).
+// float appends f in encoding/json's float64 format; NaN and the
+// infinities leave the document without a key.
 func (e *keyEnc) float(f float64) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if e.err == nil {
-			e.err = fmt.Errorf("conformance: check key: unsupported value %v", f)
-		}
-		return
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	e.buf = strconv.AppendFloat(e.buf, f, format, -1, 64)
-	if n := len(e.buf); format == 'e' && e.buf[n-4] == 'e' && e.buf[n-3] == '-' && e.buf[n-2] == '0' {
-		e.buf[n-2] = e.buf[n-1]
-		e.buf = e.buf[:n-1]
+	var err error
+	if e.buf, err = jsonenc.AppendFloat(e.buf, f); err != nil && e.err == nil {
+		e.err = fmt.Errorf("conformance: check key: %w", err)
 	}
 }
 

@@ -184,23 +184,34 @@ func (cs Case) Validate() error {
 // waits localized under this region from the negative axis.
 const sepRegion = "conformance_separator"
 
-// runCase executes the composite: one MPI world, every injected property
-// in order, separated by barriers (the paper's composite-program shape,
-// cf. core.CompositeAllMPI).  Pure-OpenMP properties run per rank on the
-// rank's own thread team.
-func runCase(cs Case, prof perturb.Profile) (*trace.Trace, error) {
-	return mpi.Run(mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof)}, caseBody(cs))
+// runCase executes the composite body of cs (see caseBody): one MPI
+// world, every injected property in order, separated by barriers (the
+// paper's composite-program shape, cf. core.CompositeAllMPI).
+// Pure-OpenMP properties run per rank on the rank's own thread team.
+func runCase(cs Case, prof perturb.Profile, body func(c *mpi.Comm)) (*trace.Trace, error) {
+	return mpi.Run(mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof)}, body)
 }
 
-// caseBody builds the per-rank program of the composite case.
+// caseBody builds the per-rank program of the composite case.  Each
+// property's spec and core.Args are resolved here, once, and shared by
+// every rank of every run of the body: property functions only read their
+// arguments (TestPropertiesDoNotMutateArgs).  The case must be valid.
 func caseBody(cs Case) func(c *mpi.Comm) {
 	team := omp.Options{Threads: cs.Threads}
+	type step struct {
+		spec *core.Spec
+		args core.Args
+	}
+	steps := make([]step, len(cs.Props))
+	for i, cp := range cs.Props {
+		steps[i].spec, _ = core.Get(cp.Name)
+		steps[i].args = cp.Args()
+	}
 	return func(c *mpi.Comm) {
 		c.Begin("conformance_case")
 		defer c.End()
-		for _, cp := range cs.Props {
-			spec, _ := core.Get(cp.Name)
-			spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: team}, cp.Args())
+		for _, st := range steps {
+			st.spec.Run(core.Env{Comm: c, Ctx: c.Ctx(), OMP: team}, st.args)
 			c.Begin(sepRegion)
 			c.Barrier()
 			c.End()
@@ -224,13 +235,18 @@ func expectedWait(cs Case, cp CaseProp) float64 {
 }
 
 // containsSegment reports whether path, split on "/", contains region.
+// It scans the segments in place.
 func containsSegment(path, region string) bool {
-	for _, seg := range strings.Split(path, "/") {
+	for {
+		seg, rest, more := strings.Cut(path, "/")
 		if seg == region {
 			return true
 		}
+		if !more {
+			return false
+		}
+		path = rest
 	}
-	return false
 }
 
 // pathWait sums a result's per-call-path waits over the paths passing
@@ -264,7 +280,8 @@ func Check(cs Case, opt CheckOptions) (Outcome, error) {
 		return out, err
 	}
 
-	tr, err := runCase(cs, opt.Perturb)
+	body := caseBody(cs) // shared by the run and the streamed rerun
+	tr, err := runCase(cs, opt.Perturb, body)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{
 			Axis: AxisRun, Detail: err.Error(),
@@ -299,7 +316,7 @@ func Check(cs Case, opt CheckOptions) (Outcome, error) {
 	out.Violations = append(out.Violations, checkNegative(cs, rep, floor)...)
 
 	if !opt.SkipDeterminism && !hasNondeterministicWaits(cs) {
-		hash2, err := streamedCaseHash(cs, opt.Perturb)
+		hash2, err := streamedCaseHash(cs, opt.Perturb, body)
 		if err != nil {
 			out.Violations = append(out.Violations, Violation{
 				Axis: AxisDeterminism, Detail: "streamed rerun failed: " + err.Error(),
@@ -343,7 +360,7 @@ func CaseProfile(cs Case, experiment string) (*profile.Profile, *analyzer.Report
 	if err := cs.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tr, err := runCase(cs, perturb.Profile{})
+	tr, err := runCase(cs, perturb.Profile{}, caseBody(cs))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -366,20 +383,20 @@ func caseRunInfo(cs Case) profile.RunInfo {
 // checks case after case, and each spool would otherwise regrow from empty.
 var spoolPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// streamedCaseHash re-executes the case through the streaming pipeline —
-// events spilled to an ATSC chunk spool, analyzed incrementally, never
-// materialized — and returns the resulting profile hash.  Comparing it
-// against the in-memory hash checks determinism and streamed/materialized
-// equivalence in one shot.  A case is small, so the spool lives in memory:
+// streamedCaseHash re-executes the case's body through the streaming
+// pipeline — events spilled to an ATSC chunk spool, analyzed
+// incrementally, never materialized — and returns the resulting profile
+// hash.  Comparing it against the in-memory hash checks determinism and
+// streamed/materialized equivalence in one shot.  A case is small, so the spool lives in memory:
 // every frame and the index are encoded, validated and decoded exactly as
 // from a spool file, without the file.
-func streamedCaseHash(cs Case, prof perturb.Profile) (string, error) {
+func streamedCaseHash(cs Case, prof perturb.Profile, body func(c *mpi.Comm)) (string, error) {
 	spool := spoolPool.Get().(*bytes.Buffer)
 	spool.Reset()
 	defer spoolPool.Put(spool)
 	w := trace.NewChunkWriterTo(spool, trace.DefaultSpillEvents)
 	opts := mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Sink: w}
-	if _, err := mpi.Run(opts, caseBody(cs)); err != nil {
+	if _, err := mpi.Run(opts, body); err != nil {
 		w.Abort()
 		return "", err
 	}

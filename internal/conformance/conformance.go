@@ -115,15 +115,17 @@ var ExcludedProperties = map[string]bool{
 
 // DefaultPool returns the default property pool in sorted order, in a
 // fresh slice the caller may modify.
-func DefaultPool() []string {
-	names := core.Names()
-	pool := names[:0]
-	for _, name := range names {
+func DefaultPool() []string { return appendDefaultPool(nil) }
+
+// appendDefaultPool appends the default pool, sorted, to dst: the
+// registry's read-only name snapshot without ExcludedProperties.
+func appendDefaultPool(dst []string) []string {
+	for _, name := range core.SortedNames() {
 		if !ExcludedProperties[name] {
-			pool = append(pool, name)
+			dst = append(dst, name)
 		}
 	}
-	return pool
+	return dst
 }
 
 // Default candidate shapes; read-only.
@@ -189,12 +191,15 @@ func Generate(seed uint64, cfg Config) Case {
 		Threads:   cfg.Threads[rng.Intn(len(cfg.Threads))],
 		Threshold: cfg.Threshold,
 	}
-	var pool []string // a private copy: the shuffle permutes it
+	// A private copy, on the stack unless the pool outgrows it: the
+	// shuffle permutes it.
+	var scratch [64]string
+	pool := scratch[:0]
 	if len(cfg.Pool) > 0 {
 		pool = append(pool, cfg.Pool...)
 		sort.Strings(pool)
 	} else {
-		pool = DefaultPool() // fresh and sorted
+		pool = appendDefaultPool(pool) // sorted
 	}
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	k := cfg.MinProps + rng.Intn(cfg.MaxProps-cfg.MinProps+1)

@@ -1,0 +1,5 @@
+//go:build !race
+
+package conformance
+
+const raceEnabled = false

@@ -109,7 +109,7 @@ func TestReseedAndDrawAllocateNothing(t *testing.T) {
 		t.Errorf("a reseed and a case's draws allocate %.1f times, want 0", allocs)
 	}
 
-	const seeds, budget = 64, 13
+	const seeds, budget = 64, 12
 	var s uint64
 	allocs = testing.AllocsPerRun(4*seeds, func() {
 		Generate(s%seeds+1, Config{})

@@ -27,7 +27,7 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 		for _, level := range DefaultLevels {
 			prof := perturb.Level(e.Case.Seed, level)
 
-			tr, err := runCase(e.Case, prof)
+			tr, err := runCase(e.Case, prof, caseBody(e.Case))
 			if err != nil {
 				t.Fatalf("%s level %d: in-memory run: %v", e.Name, level, err)
 			}
@@ -37,7 +37,7 @@ func TestStreamedMatchesInMemory(t *testing.T) {
 				t.Fatalf("%s level %d: %v", e.Name, level, err)
 			}
 
-			got, err := streamedCaseHash(e.Case, prof)
+			got, err := streamedCaseHash(e.Case, prof, caseBody(e.Case))
 			if err != nil {
 				t.Fatalf("%s level %d: streamed run: %v", e.Name, level, err)
 			}

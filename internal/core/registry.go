@@ -223,20 +223,23 @@ func (s *Spec) Exec(procs, threads int, a Args, sink *trace.ChunkWriter) (*trace
 }
 
 // registry state.  names is the sorted key list of registry, rebuilt
-// under regMu on every change so Names needs no map walk or sort.
+// under regMu on every change so Names needs no map walk or sort.  A
+// names slice is never modified once built, so SortedNames can share it.
 var (
 	regMu    sync.RWMutex
 	registry = map[string]*Spec{}
 	names    []string
 )
 
-// reindexLocked rebuilds names; regMu must be held for writing.
+// reindexLocked rebuilds names into a fresh slice; regMu must be held for
+// writing.
 func reindexLocked() {
-	names = names[:0]
+	fresh := make([]string, 0, len(registry))
 	for n := range registry {
-		names = append(names, n)
+		fresh = append(fresh, n)
 	}
-	sort.Strings(names)
+	sort.Strings(fresh)
+	names = fresh
 }
 
 // Register adds a property spec; duplicate names are rejected.
@@ -281,10 +284,15 @@ func Get(name string) (*Spec, bool) {
 
 // Names returns the sorted names of all registered properties in a
 // fresh slice the caller may modify.
-func Names() []string {
+func Names() []string { return append([]string(nil), SortedNames()...) }
+
+// SortedNames returns the sorted names of all registered properties as a
+// shared, read-only snapshot: the caller must not modify it, and later
+// registrations do not change it.
+func SortedNames() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	return append([]string(nil), names...)
+	return names
 }
 
 // ByParadigm returns the sorted specs of one paradigm.

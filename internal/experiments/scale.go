@@ -103,19 +103,25 @@ func measurePeak(f func() error) (peak uint64, elapsed time.Duration, err error)
 // runScaleStreamed executes the scale program through the chunk-spool
 // streaming pipeline and returns (events, profile hash).
 func runScaleStreamed(procs int, body func(c *mpi.Comm)) (int, string, error) {
+	prof, err := scaleStreamedProfile(procs, body)
+	if err != nil {
+		return 0, "", err
+	}
+	hash, err := prof.Hash()
+	return prof.Events, hash, err
+}
+
+// scaleStreamedProfile executes the scale program through the chunk-spool
+// streaming pipeline and returns its profile.
+func scaleStreamedProfile(procs int, body func(c *mpi.Comm)) (*profile.Profile, error) {
 	rep, info, err := profile.SpoolRun("", analyzer.Options{}, func(w *trace.ChunkWriter) error {
 		_, err := mpi.Run(mpi.Options{Procs: procs, Sink: w}, body)
 		return err
 	})
 	if err != nil {
-		return 0, "", err
+		return nil, err
 	}
-	prof, err := profile.FromAnalysis("scale", info, rep, profile.RunInfo{Procs: procs, Threads: 1})
-	if err != nil {
-		return 0, "", err
-	}
-	hash, err := prof.Hash()
-	return info.Events, hash, err
+	return profile.FromAnalysis("scale", info, rep, profile.RunInfo{Procs: procs, Threads: 1})
 }
 
 // runScaleMaterialized executes the same program through the classic

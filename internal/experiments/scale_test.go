@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -97,5 +100,39 @@ func TestScaleStreamedBig(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "scalebig") {
 		t.Fatal("ScaleStreamed wrote no table")
+	}
+}
+
+// TestScaleBigProfileEncoding holds the profile's hand encoder to
+// json.MarshalIndent on the largest profile the suite produces, the
+// 16384-rank scalebig run, and pins that run's committed hash (the one
+// CI's scale-smoke job greps for).  It takes a few seconds and ~110 MiB,
+// so -short and the race detector skip it.
+func TestScaleBigProfileEncoding(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("16384-rank run: skipped in -short mode and under the race detector")
+	}
+	p, err := scaleStreamedProfile(16384, scaleBigBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.MarshalIndent(p, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n')
+	got, err := p.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("Marshal (%d bytes) differs from json.MarshalIndent (%d bytes)", len(got), len(want))
+	}
+	hash, err := p.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(want); hash != hex.EncodeToString(sum[:]) || !strings.HasPrefix(hash, "7b88ff80e678") {
+		t.Fatalf("hash %s, want the sha256 of the encoding and prefix 7b88ff80e678", hash)
 	}
 }

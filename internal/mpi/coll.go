@@ -17,8 +17,8 @@ type collArgs struct {
 	kind      trace.CollKind
 	root      int // comm-local root; -1 for unrooted operations
 	op        Op
-	sendData  []byte
-	sendSlab  *[]byte // sendData's free-list box (Allreduce stages from the pool)
+	sendData  []byte // the caller's send buffer, read in place (see compute)
+	recv      []byte // the caller's receive payload (gathers write it directly)
 	sendType  Datatype
 	sendCount int   // per-destination element count (regular ops)
 	counts    []int // per-rank counts (v-variants, reduce_scatter)
@@ -26,13 +26,12 @@ type collArgs struct {
 	key       int   // split
 }
 
-// collResult is one participant's outcome.
+// collResult is one participant's outcome.  Its output payload has
+// already been copied into the receive buffer passed to join.
 type collResult struct {
-	exit float64 // virtual completion time (ignored in real mode)
-	// data is the output payload (nil if none).  Participants may share
-	// one payload, so it is read-only: callers copy out of it.
-	data    []byte
-	id      uint64 // collective instance id (trace match id)
+	exit    float64 // virtual completion time (ignored in real mode)
+	n       int     // length of the output payload (0 if none)
+	id      uint64  // collective instance id (trace match id)
 	newCore *commCore
 }
 
@@ -52,8 +51,15 @@ type collOp struct {
 	joined []bool // double-join check
 
 	exits []float64
-	out   [][]byte
-	cores []*commCore
+	out   [][]byte // per-participant output; entries may share or alias slabs
+	// delivered is the payload length a gather wrote straight into the
+	// receive buffers instead of an output.
+	delivered int
+	cores     []*commCore
+	// slabs[:nslab] hold this instance's outputs (see alloc); the rest
+	// are kept from earlier instances of the engine for reuse.
+	slabs [][]byte
+	nslab int
 
 	// waiters are the participants parked under the event engine; the
 	// last arriver readies them after computing the operation.
@@ -77,6 +83,10 @@ type collEngine struct {
 	cond *sync.Cond
 	w    *World
 	ops  map[uint64]*collOp
+	// spare is the last fully taken op, reset for the next instance: a
+	// communicator's collectives run in sequence, so one op, its
+	// per-participant slices and its output slabs serve them all.
+	spare *collOp
 }
 
 func newCollEngine(w *World) *collEngine {
@@ -101,26 +111,19 @@ func (e *collEngine) abort(err error) {
 }
 
 // join is called by each participant; it blocks until the operation
-// completes and returns the participant's result.
-func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) collResult {
+// completes, copies the participant's output payload into recv, and
+// returns the participant's result.  The copy happens under the engine
+// lock, so when the last participant has taken its result no output is
+// read any more and the op's slabs can serve the next instance.
+func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs, recv []byte) collResult {
 	me := c.myRank
 	size := c.Size()
 	e.mu.Lock()
 
 	op := e.ops[seq]
 	if op == nil {
-		op = &collOp{
-			kind:   args.kind,
-			id:     collID(c.core.cid, seq),
-			seq:    seq,
-			size:   size,
-			enter:  make([]float64, size),
-			args:   make([]collArgs, size),
-			joined: make([]bool, size),
-		}
-		if e.w.eventMode {
-			op.waiters = make([]*proc, 0, size-1)
-		}
+		op = e.newOp(size)
+		op.kind, op.id, op.seq = args.kind, collID(c.core.cid, seq), seq
 		e.ops[seq] = op
 	}
 	if op.kind != args.kind {
@@ -133,11 +136,19 @@ func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) col
 		e.abort(err)
 	}
 	op.joined[me] = true
+	args.recv = recv
 	op.args[me] = args
 	op.enter[me] = enter
 	op.arrived++
 
 	if op.arrived == op.size {
+		// compute reads the send buffers in place; once the world has
+		// failed, a participant may have unwound out of join and reuse
+		// its buffer, so a failed world computes nothing.
+		if e.w.failed.Load() {
+			e.mu.Unlock()
+			e.w.checkFailed()
+		}
 		if err := e.compute(c.core, op); err != nil {
 			op.err = err
 			op.done = true
@@ -152,7 +163,8 @@ func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) col
 			for _, q := range op.waiters {
 				e.w.sched.readyProc(q)
 			}
-			op.waiters = nil
+			clear(op.waiters)
+			op.waiters = op.waiters[:0]
 		} else {
 			e.cond.Broadcast()
 		}
@@ -176,9 +188,10 @@ func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) col
 		e.mu.Unlock()
 		panic(abortError{cause: op.err})
 	}
-	res := collResult{exit: op.exits[me], id: op.id}
-	if op.out != nil {
-		res.data = op.out[me]
+	res := collResult{exit: op.exits[me], id: op.id, n: op.delivered}
+	if out := op.out[me]; out != nil {
+		res.n = len(out)
+		copy(recv, out)
 	}
 	if op.cores != nil {
 		res.newCore = op.cores[me]
@@ -186,9 +199,73 @@ func (e *collEngine) join(c *Comm, seq uint64, enter float64, args collArgs) col
 	op.taken++
 	if op.taken == op.size {
 		delete(e.ops, seq)
+		e.recycle(op)
 	}
 	e.mu.Unlock()
 	return res
+}
+
+// newOp returns an empty op for a size-member instance: the engine's
+// spare when there is one, else a fresh one.
+func (e *collEngine) newOp(size int) *collOp {
+	if op := e.spare; op != nil && op.size == size {
+		e.spare = nil
+		return op
+	}
+	op := &collOp{
+		size:   size,
+		enter:  make([]float64, size),
+		args:   make([]collArgs, size),
+		joined: make([]bool, size),
+		exits:  make([]float64, size),
+		out:    make([][]byte, size),
+	}
+	if e.w.eventMode {
+		op.waiters = make([]*proc, 0, size-1)
+	}
+	return op
+}
+
+// recycle keeps a fully taken op, reset, as the engine's spare.  Every
+// participant has copied its output out (in join), so its slabs are free
+// for the next instance's outputs.
+func (e *collEngine) recycle(op *collOp) {
+	clear(op.args)
+	clear(op.joined)
+	clear(op.out)
+	op.delivered, op.nslab = 0, 0
+	op.cores, op.err = nil, nil
+	op.arrived, op.taken, op.done = 0, 0, false
+	e.spare = op
+}
+
+// alloc returns an n-byte output buffer with stale contents: the next
+// slab kept from an earlier instance when it is large enough, else a
+// fresh one.  The slabs live as long as the communicator, not in the
+// process-wide byte pool: a slab parked in a sync.Pool counts as live
+// heap until the next GC, and per-communicator reuse already serves a
+// property's repeated collectives.
+func (op *collOp) alloc(n int) []byte {
+	if op.nslab < len(op.slabs) && cap(op.slabs[op.nslab]) >= n {
+		b := op.slabs[op.nslab][:n]
+		op.nslab++
+		return b
+	}
+	b := make([]byte, n)
+	if op.nslab < len(op.slabs) {
+		op.slabs[op.nslab] = b
+	} else {
+		op.slabs = append(op.slabs, b)
+	}
+	op.nslab++
+	return b
+}
+
+// copyOf returns a copy of b in an output slab (see alloc).
+func (op *collOp) copyOf(b []byte) []byte {
+	c := op.alloc(len(b))
+	copy(c, b)
+	return c
 }
 
 func maxOf(xs []float64) float64 {
@@ -201,32 +278,33 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// gatherSends concatenates every rank's send buffer in rank order into one
-// buffer allocated at its total size; nil when every buffer is empty.
-func (op *collOp) gatherSends() []byte {
+// gatherInto writes every rank's send buffer, in rank order, into dst
+// (as much as fits) and returns their total length.
+func (op *collOp) gatherInto(dst []byte) int {
 	total := 0
 	for i := range op.args {
+		if total < len(dst) {
+			copy(dst[total:], op.args[i].sendData)
+		}
 		total += len(op.args[i].sendData)
 	}
-	if total == 0 {
-		return nil
-	}
-	all := make([]byte, 0, total)
-	for i := range op.args {
-		all = append(all, op.args[i].sendData...)
-	}
-	return all
+	return total
 }
 
 // compute fills exits/out/cores once all participants have arrived.  It
-// runs under the engine lock; all inputs are staged copies, so no rank's
-// memory is touched concurrently.  Outputs are read-only (see
-// collResult.data), so participants receiving the same bytes share one
-// slice and sub-ranges alias the staged inputs instead of copying them.
+// runs under the engine lock and reads the participants' send buffers in
+// place: every participant is blocked in join until compute is done, and
+// MPI leaves a send buffer to the call until the call returns.  Gathers
+// write the concatenation straight into the receive buffers, which MPI
+// requires not to overlap a send buffer of the call (and which a Buf
+// cannot be in place of: it holds Size() contributions).  Every other
+// collective computes into outputs that never alias a send buffer, so
+// a receive buffer may be its send buffer; outputs are only read (join
+// copies them out), so participants receiving the same bytes share one
+// slice and sub-ranges alias one output.
 func (e *collEngine) compute(core *commCore, op *collOp) error {
 	P := op.size
 	cost := e.w.opt.Cost
-	op.exits = make([]float64, P)
 	maxE := maxOf(op.enter)
 
 	// sameCounts verifies a uniform element count and type across ranks.
@@ -276,7 +354,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		}
 		net := cost.collNet(P, bytes)
 		avail := op.enter[root] + net
-		op.out = make([][]byte, P)
+		data = op.copyOf(data)
 		for i := 0; i < P; i++ {
 			op.out[i] = data
 			if i == root {
@@ -318,7 +396,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		if len(data) != total*t.Size() {
 			return fmt.Errorf("mpi: %v root buffer holds %d bytes, expected %d", op.kind, len(data), total*t.Size())
 		}
-		op.out = make([][]byte, P)
+		data = op.copyOf(data)
 		off := 0
 		for i := 0; i < P; i++ {
 			nb := counts[i] * t.Size()
@@ -346,22 +424,20 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		if err != nil {
 			return err
 		}
-		var rootData []byte
 		var rootBytes int
 		if op.kind == trace.CollReduce {
 			rootBytes = n * t.Size()
-			rootData = append([]byte(nil), op.args[0].sendData...)
+			rootData := op.copyOf(op.args[0].sendData) // accumulates the result
 			for i := 1; i < P; i++ {
 				if err := reduceInto(rootData, op.args[i].sendData, t, op.args[root].op, n); err != nil {
 					return err
 				}
 			}
+			op.out[root] = rootData
 		} else {
-			rootData = op.gatherSends()
-			rootBytes = len(rootData)
+			rootBytes = op.gatherInto(op.args[root].recv)
+			op.delivered = rootBytes
 		}
-		op.out = make([][]byte, P)
-		op.out[root] = rootData
 		for i := 0; i < P; i++ {
 			if i == root {
 				op.exits[i] = maxE + cost.collNet(P, rootBytes) + cost.Overhead
@@ -376,27 +452,21 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		if err != nil {
 			return err
 		}
-		op.out = make([][]byte, P)
 		es := t.Size()
 		switch op.kind {
 		case trace.CollAllreduce:
-			// Rank 0's staged copy accumulates the result; the others'
-			// go back to the free list once folded in.
-			acc := op.args[0].sendData
+			acc := op.copyOf(op.args[0].sendData)
 			for i := 1; i < P; i++ {
 				if err := reduceInto(acc, op.args[i].sendData, t, op.args[0].op, n); err != nil {
 					return err
 				}
-				putBytes(op.args[i].sendData, op.args[i].sendSlab)
-				op.args[i].sendData, op.args[i].sendSlab = nil, nil
 			}
 			for i := range op.out {
 				op.out[i] = acc
 			}
 		case trace.CollAllgather, trace.CollAllgatherv:
-			all := op.gatherSends()
-			for i := range op.out {
-				op.out[i] = all
+			for i := range op.args {
+				op.delivered = op.gatherInto(op.args[i].recv)
 			}
 		case trace.CollAlltoall:
 			// Rank i receives segment i of every rank's send buffer.
@@ -408,9 +478,9 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 				}
 			}
 			for i := 0; i < P; i++ {
-				buf := make([]byte, 0, P*seg)
+				buf := op.alloc(P * seg)
 				for j := 0; j < P; j++ {
-					buf = append(buf, op.args[j].sendData[i*seg:(i+1)*seg]...)
+					copy(buf[j*seg:], op.args[j].sendData[i*seg:(i+1)*seg])
 				}
 				op.out[i] = buf
 			}
@@ -424,7 +494,11 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 				}
 			}
 			for i := 0; i < P; i++ {
-				var buf []byte
+				total := 0
+				for j := 0; j < P; j++ {
+					total += op.args[j].counts[i] * es
+				}
+				buf := op.alloc(total)[:0]
 				for j := 0; j < P; j++ {
 					off := 0
 					for k := 0; k < i; k++ {
@@ -450,7 +524,7 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 			if total != n {
 				return fmt.Errorf("mpi: Reduce_scatter counts sum to %d, buffers hold %d", total, n)
 			}
-			acc := append([]byte(nil), op.args[0].sendData...)
+			acc := op.copyOf(op.args[0].sendData)
 			for i := 1; i < P; i++ {
 				if err := reduceInto(acc, op.args[i].sendData, t, op.args[0].op, n); err != nil {
 					return err
@@ -473,16 +547,15 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 		if err != nil {
 			return err
 		}
-		op.out = make([][]byte, P)
-		acc := append([]byte(nil), op.args[0].sendData...)
-		op.out[0] = append([]byte(nil), acc...)
+		acc := op.copyOf(op.args[0].sendData) // accumulates the prefixes
+		op.out[0] = op.copyOf(acc)
 		prefixMax := op.enter[0]
 		op.exits[0] = prefixMax + cost.transfer(n*t.Size()) + cost.Overhead
 		for i := 1; i < P; i++ {
 			if err := reduceInto(acc, op.args[i].sendData, t, op.args[0].op, n); err != nil {
 				return err
 			}
-			op.out[i] = append([]byte(nil), acc...)
+			op.out[i] = op.copyOf(acc)
 			if op.enter[i] > prefixMax {
 				prefixMax = op.enter[i]
 			}
@@ -543,17 +616,27 @@ func (e *collEngine) compute(core *commCore, op *collOp) error {
 	return nil
 }
 
-// runColl drives one collective call on this communicator: engine join,
-// virtual clock update, and (for split) construction of the new handle.
-func (c *Comm) runColl(args collArgs) collResult {
+// runColl drives one collective call on this communicator: engine join
+// (which copies the output payload into recv), virtual clock update, and
+// (for split) construction of the new handle.
+func (c *Comm) runColl(args collArgs, recv []byte) collResult {
 	enter := c.p.ctx.Now()
 	seq := c.collSeq
 	c.collSeq++
-	res := c.core.engine.join(c, seq, enter, args)
+	res := c.core.engine.join(c, seq, enter, args, recv)
 	if c.p.ctx.Mode() == vtime.Virtual {
 		c.p.ctx.Clock.AdvanceTo(res.exit)
 	}
 	return res
+}
+
+// rootRecv is the receive payload of a rooted collective whose receive
+// buffer is significant only at the root (nil elsewhere, or when freed).
+func rootRecv(isRoot bool, b *Buf) []byte {
+	if !isRoot || b == nil {
+		return nil
+	}
+	return b.Data
 }
 
 // recordColl emits the KindColl trace event for a completed collective.
@@ -571,7 +654,7 @@ func (c *Comm) recordColl(kind trace.CollKind, root int, bytes int, id uint64, e
 
 // syncCollective runs an untraced barrier (used by MPI_Finalize).
 func (c *Comm) syncCollective(kind trace.CollKind, _ bool) {
-	c.runColl(collArgs{kind: kind, root: -1})
+	c.runColl(collArgs{kind: kind, root: -1}, nil)
 }
 
 // Barrier blocks until all members arrive (MPI_Barrier).
@@ -579,7 +662,7 @@ func (c *Comm) Barrier() {
 	ctx := c.p.ctx
 	ctx.Enter("MPI_Barrier")
 	enter := ctx.Now()
-	res := c.runColl(collArgs{kind: trace.CollBarrier, root: -1})
+	res := c.runColl(collArgs{kind: trace.CollBarrier, root: -1}, nil)
 	c.recordColl(trace.CollBarrier, -1, 0, res.id, enter)
 	ctx.Exit()
 }
@@ -593,10 +676,9 @@ func (c *Comm) Bcast(buf *Buf, root int) {
 	args := collArgs{kind: trace.CollBcast, root: root,
 		sendType: buf.Type, sendCount: buf.Count}
 	if c.myRank == root {
-		args.sendData = append([]byte(nil), buf.Data...)
+		args.sendData = buf.Data
 	}
-	res := c.runColl(args)
-	copy(buf.Data, res.data)
+	res := c.runColl(args, buf.Data)
 	c.recordColl(trace.CollBcast, root, buf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -613,10 +695,9 @@ func (c *Comm) Scatter(sbuf, rbuf *Buf, root int) {
 		sendType: rbuf.Type, sendCount: rbuf.Count}
 	if c.myRank == root {
 		c.checkBuf(sbuf, "Scatter root")
-		args.sendData = append([]byte(nil), sbuf.Data...)
+		args.sendData = sbuf.Data
 	}
-	res := c.runColl(args)
-	copy(rbuf.Data, res.data)
+	res := c.runColl(args, rbuf.Data)
 	c.recordColl(trace.CollScatter, root, rbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -630,10 +711,9 @@ func (c *Comm) Scatterv(v *VBuf) {
 	args := collArgs{kind: trace.CollScatterv, root: v.Root,
 		sendType: v.Buf.Type, sendCount: 0, counts: v.Counts}
 	if c.myRank == v.Root {
-		args.sendData = append([]byte(nil), v.RootBuf.Data...)
+		args.sendData = v.RootBuf.Data
 	}
-	res := c.runColl(args)
-	copy(v.Buf.Data, res.data)
+	res := c.runColl(args, v.Buf.Data)
 	c.recordColl(trace.CollScatterv, v.Root, v.Buf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -648,14 +728,13 @@ func (c *Comm) Gather(sbuf, rbuf *Buf, root int) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollGather, root: root,
 		sendType: sbuf.Type, sendCount: sbuf.Count,
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
+		sendData: sbuf.Data}
+	res := c.runColl(args, rootRecv(c.myRank == root, rbuf))
 	if c.myRank == root {
 		c.checkBuf(rbuf, "Gather root")
-		if len(res.data) > len(rbuf.Data) {
-			panic(fmt.Sprintf("mpi: Gather root buffer too small: %d < %d", len(rbuf.Data), len(res.data)))
+		if res.n > len(rbuf.Data) {
+			panic(fmt.Sprintf("mpi: Gather root buffer too small: %d < %d", len(rbuf.Data), res.n))
 		}
-		copy(rbuf.Data, res.data)
 	}
 	c.recordColl(trace.CollGather, root, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
@@ -669,11 +748,8 @@ func (c *Comm) Gatherv(v *VBuf) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollGatherv, root: v.Root,
 		sendType: v.Buf.Type, sendCount: 0,
-		sendData: append([]byte(nil), v.Buf.Data...)}
-	res := c.runColl(args)
-	if c.myRank == v.Root {
-		copy(v.RootBuf.Data, res.data)
-	}
+		sendData: v.Buf.Data}
+	res := c.runColl(args, rootRecv(c.myRank == v.Root, v.RootBuf))
 	c.recordColl(trace.CollGatherv, v.Root, v.Buf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -686,11 +762,10 @@ func (c *Comm) Reduce(sbuf, rbuf *Buf, op Op, root int) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollReduce, root: root, op: op,
 		sendType: sbuf.Type, sendCount: sbuf.Count,
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
+		sendData: sbuf.Data}
+	res := c.runColl(args, rootRecv(c.myRank == root, rbuf))
 	if c.myRank == root {
 		c.checkBuf(rbuf, "Reduce root")
-		copy(rbuf.Data, res.data)
 	}
 	c.recordColl(trace.CollReduce, root, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
@@ -705,11 +780,9 @@ func (c *Comm) Allreduce(sbuf, rbuf *Buf, op Op) {
 	ctx.Enter("MPI_Allreduce")
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollAllreduce, root: -1, op: op,
-		sendType: sbuf.Type, sendCount: sbuf.Count}
-	args.sendData, args.sendSlab = getBytes(len(sbuf.Data), false)
-	copy(args.sendData, sbuf.Data)
-	res := c.runColl(args)
-	copy(rbuf.Data, res.data)
+		sendType: sbuf.Type, sendCount: sbuf.Count,
+		sendData: sbuf.Data}
+	res := c.runColl(args, rbuf.Data)
 	c.recordColl(trace.CollAllreduce, -1, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -724,12 +797,11 @@ func (c *Comm) Allgather(sbuf, rbuf *Buf) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollAllgather, root: -1,
 		sendType: sbuf.Type, sendCount: sbuf.Count,
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
-	if len(res.data) > len(rbuf.Data) {
-		panic(fmt.Sprintf("mpi: Allgather buffer too small: %d < %d", len(rbuf.Data), len(res.data)))
+		sendData: sbuf.Data}
+	res := c.runColl(args, rbuf.Data)
+	if res.n > len(rbuf.Data) {
+		panic(fmt.Sprintf("mpi: Allgather buffer too small: %d < %d", len(rbuf.Data), res.n))
 	}
-	copy(rbuf.Data, res.data)
 	c.recordColl(trace.CollAllgather, -1, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -752,12 +824,11 @@ func (c *Comm) Allgatherv(sbuf, rbuf *Buf, counts []int) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollAllgatherv, root: -1,
 		sendType: sbuf.Type, sendCount: 0,
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
-	if len(res.data) > len(rbuf.Data) {
-		panic(fmt.Sprintf("mpi: Allgatherv buffer too small: %d < %d", len(rbuf.Data), len(res.data)))
+		sendData: sbuf.Data}
+	res := c.runColl(args, rbuf.Data)
+	if res.n > len(rbuf.Data) {
+		panic(fmt.Sprintf("mpi: Allgatherv buffer too small: %d < %d", len(rbuf.Data), res.n))
 	}
-	copy(rbuf.Data, res.data)
 	c.recordColl(trace.CollAllgatherv, -1, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -776,9 +847,8 @@ func (c *Comm) Alltoall(sbuf, rbuf *Buf) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollAlltoall, root: -1,
 		sendType: sbuf.Type, sendCount: sbuf.Count / c.Size(),
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
-	copy(rbuf.Data, res.data)
+		sendData: sbuf.Data}
+	res := c.runColl(args, rbuf.Data)
 	c.recordColl(trace.CollAlltoall, -1, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -797,13 +867,12 @@ func (c *Comm) Alltoallv(sbuf *Buf, sendCounts []int, rbuf *Buf) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollAlltoallv, root: -1,
 		sendType: sbuf.Type, sendCount: 0,
-		counts:   append([]int(nil), sendCounts...),
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
-	if len(res.data) > len(rbuf.Data) {
-		panic(fmt.Sprintf("mpi: Alltoallv receive buffer too small: %d < %d", len(rbuf.Data), len(res.data)))
+		counts:   sendCounts,
+		sendData: sbuf.Data}
+	res := c.runColl(args, rbuf.Data)
+	if res.n > len(rbuf.Data) {
+		panic(fmt.Sprintf("mpi: Alltoallv receive buffer too small: %d < %d", len(rbuf.Data), res.n))
 	}
-	copy(rbuf.Data, res.data)
 	c.recordColl(trace.CollAlltoallv, -1, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -818,9 +887,8 @@ func (c *Comm) Scan(sbuf, rbuf *Buf, op Op) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollScan, root: -1, op: op,
 		sendType: sbuf.Type, sendCount: sbuf.Count,
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
-	copy(rbuf.Data, res.data)
+		sendData: sbuf.Data}
+	res := c.runColl(args, rbuf.Data)
 	c.recordColl(trace.CollScan, -1, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }
@@ -835,10 +903,9 @@ func (c *Comm) ReduceScatter(sbuf, rbuf *Buf, counts []int, op Op) {
 	enter := ctx.Now()
 	args := collArgs{kind: trace.CollReduceScatter, root: -1, op: op,
 		sendType: sbuf.Type, sendCount: sbuf.Count,
-		counts:   append([]int(nil), counts...),
-		sendData: append([]byte(nil), sbuf.Data...)}
-	res := c.runColl(args)
-	copy(rbuf.Data, res.data)
+		counts:   counts,
+		sendData: sbuf.Data}
+	res := c.runColl(args, rbuf.Data)
 	c.recordColl(trace.CollReduceScatter, -1, sbuf.Bytes(), res.id, enter)
 	ctx.Exit()
 }

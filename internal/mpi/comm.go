@@ -139,7 +139,7 @@ func (c *Comm) commFromCore(core *commCore) *Comm {
 // Dup returns a new communicator with the same group (MPI_Comm_dup).  Like
 // the real operation it is collective over the communicator.
 func (c *Comm) Dup() *Comm {
-	res := c.runColl(collArgs{kind: collSplit, color: 0, key: c.myRank})
+	res := c.runColl(collArgs{kind: collSplit, color: 0, key: c.myRank}, nil)
 	return c.commFromCore(res.newCore)
 }
 
@@ -150,6 +150,6 @@ func (c *Comm) Split(color, key int) *Comm {
 	if color < 0 && color != Undefined {
 		panic(fmt.Sprintf("mpi: Split with negative color %d (use Undefined to opt out)", color))
 	}
-	res := c.runColl(collArgs{kind: collSplit, color: color, key: key})
+	res := c.runColl(collArgs{kind: collSplit, color: color, key: key}, nil)
 	return c.commFromCore(res.newCore)
 }

@@ -5,12 +5,29 @@ import (
 	"sync"
 )
 
-// bytePools recycles the []byte allocation-churn sources of a run — Buf
-// backing arrays, in-flight message payloads and collective staging
-// copies — in power-of-two size classes: class c serves lengths in
-// (2^(c-1), 2^c] from slabs of capacity 2^c.  At fuzzer scale a campaign
-// allocates and drops these slices millions of times; recycling them
-// keeps the garbage collector out of the hot path.
+// bytePools recycles the []byte allocation-churn sources of a run in
+// power-of-two size classes: class c serves lengths in (2^(c-1), 2^c]
+// from slabs of capacity 2^c.  At fuzzer scale a campaign allocates and
+// drops these slices millions of times; recycling them keeps the garbage
+// collector out of the hot path.  The pooled slices and their release
+// points are:
+//
+//   - Buf backing arrays (AllocBuf), released by FreeBuf;
+//   - point-to-point payload copies, released once the receive has
+//     copied the payload out (completeRecv).
+//
+// Collectives use no pooled slab.  They stage nothing: compute reads each
+// participant's send buffer in place while every participant is blocked
+// in the call, and gathers write straight into the receive buffers.  The
+// other outputs (the Allreduce accumulator, the root's copy Bcast and
+// Scatter hand out, Alltoall receive sets, Scan prefixes) live in slabs
+// the communicator's collective engine keeps and reuses across its
+// instances (collOp.alloc), freed with the communicator.  An output is reused only after the instance's last
+// participant has copied it into its receive buffer, inside join and
+// under the engine lock (collEngine.recycle), so in Real mode too no
+// participant still reads a slab the next instance writes.  Slabs parked
+// here would count as live heap until the next GC; per-communicator
+// reuse serves a property's repeated collectives without that.
 //
 // The pools hold *[]byte boxes, and a slab travels with its box: getBytes
 // hands the box out beside the slice and putBytes stores the slice back

@@ -62,6 +62,7 @@ func TestFromAnalysisRejectsNonFinite(t *testing.T) {
 		{"NaN duration", func(r *analyzer.Report) { r.Duration = math.NaN() }, "duration"},
 		{"Inf total time", func(r *analyzer.Report) { r.TotalTime = math.Inf(1) }, "total time"},
 		{"NaN message rate", func(r *analyzer.Report) { r.Messages.Rate = math.NaN() }, "message rate"},
+		{"NaN threshold", func(r *analyzer.Report) { r.Threshold = math.NaN() }, "threshold"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := poisonableReport()

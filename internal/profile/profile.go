@@ -21,6 +21,8 @@
 package profile
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -29,7 +31,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/analyzer"
 	"repro/internal/trace"
@@ -243,7 +246,11 @@ func FromAnalysis(experiment string, info TraceInfo, rep *analyzer.Report, run R
 	p.Messages.Rate = quantize(p.Messages.Rate)
 	p.ConfigHash = p.configHash()
 
-	for _, name := range rep.Properties() {
+	names := rep.Properties()
+	if len(names) > 0 {
+		p.Properties = make([]Property, 0, len(names))
+	}
+	for _, name := range names {
 		r := rep.Results[name]
 		prop := Property{
 			Name:        name,
@@ -253,26 +260,32 @@ func FromAnalysis(experiment string, info TraceInfo, rep *analyzer.Report, run R
 			Info:        analyzer.IsInfo(name),
 			Significant: !analyzer.IsInfo(name) && r.Severity >= rep.Threshold,
 		}
-		for path, w := range r.ByPath {
-			prop.Paths = append(prop.Paths, PathWait{Path: path, Wait: quantize(w)})
-		}
-		sort.Slice(prop.Paths, func(i, j int) bool {
-			if prop.Paths[i].Wait != prop.Paths[j].Wait {
-				return prop.Paths[i].Wait > prop.Paths[j].Wait
+		if len(r.ByPath) > 0 {
+			prop.Paths = make([]PathWait, 0, len(r.ByPath))
+			for path, w := range r.ByPath {
+				prop.Paths = append(prop.Paths, PathWait{Path: path, Wait: quantize(w)})
 			}
-			return prop.Paths[i].Path < prop.Paths[j].Path
-		})
-		for loc, w := range r.ByLocation {
-			prop.Locations = append(prop.Locations, LocationWait{
-				Rank: loc.Rank, Thread: loc.Thread, Wait: quantize(w),
+			slices.SortFunc(prop.Paths, func(a, b PathWait) int {
+				if c := cmp.Compare(b.Wait, a.Wait); c != 0 {
+					return c
+				}
+				return strings.Compare(a.Path, b.Path)
 			})
 		}
-		sort.Slice(prop.Locations, func(i, j int) bool {
-			if prop.Locations[i].Rank != prop.Locations[j].Rank {
-				return prop.Locations[i].Rank < prop.Locations[j].Rank
+		if len(r.ByLocation) > 0 {
+			prop.Locations = make([]LocationWait, 0, len(r.ByLocation))
+			for loc, w := range r.ByLocation {
+				prop.Locations = append(prop.Locations, LocationWait{
+					Rank: loc.Rank, Thread: loc.Thread, Wait: quantize(w),
+				})
 			}
-			return prop.Locations[i].Thread < prop.Locations[j].Thread
-		})
+			slices.SortFunc(prop.Locations, func(a, b LocationWait) int {
+				if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.Thread, b.Thread)
+			})
+		}
 		p.Properties = append(p.Properties, prop)
 	}
 	if bad := p.firstNonFinite(); bad != "" {
@@ -350,36 +363,30 @@ func (p *Profile) Significant() []Property {
 	return out
 }
 
-// configHash computes the short comparability hash.
-func (p *Profile) configHash() string {
-	blob, err := json.Marshal(struct {
-		Experiment string  `json:"experiment"`
-		Run        RunInfo `json:"run"`
-		Threshold  float64 `json:"threshold"`
-	}{p.Experiment, p.Run, p.Threshold})
-	if err != nil {
-		panic(fmt.Sprintf("profile: config hash: %v", err)) // unreachable: plain structs
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])[:12]
-}
-
 // Marshal renders the canonical JSON encoding (indented, trailing
-// newline) that both file storage and hashing are defined over.
+// newline) that both file storage and hashing are defined over: the
+// bytes of json.MarshalIndent(p, "", "  ") plus "\n", appended by hand
+// (see encoder).
 func (p *Profile) Marshal() ([]byte, error) {
-	blob, err := json.MarshalIndent(p, "", "  ")
+	bp, err := p.encode()
 	if err != nil {
-		return nil, fmt.Errorf("profile: marshal: %w", err)
+		return nil, err
 	}
-	return append(blob, '\n'), nil
+	defer putBuf(bp)
+	return bytes.Clone(*bp), nil
 }
 
 // Hash returns the content address of the profile: the hex sha256 of its
 // canonical encoding.  Identical runs hash identically; any change in a
 // recorded severity, path, or distribution changes the hash.
 func (p *Profile) Hash() (string, error) {
-	_, hash, err := p.MarshalHash()
-	return hash, err
+	bp, err := p.encode()
+	if err != nil {
+		return "", err
+	}
+	defer putBuf(bp)
+	sum := sha256.Sum256(*bp)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // MarshalHash returns the canonical encoding and its content address

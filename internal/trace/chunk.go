@@ -252,10 +252,15 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	// A pooled buffer may bring a slab grown by a materialized run: encode
 	// any events it holds and drop it rather than keep it alive for the
 	// whole stream.
+	for _, blk := range b.full {
+		for i := range blk {
+			b.encode(&blk[i])
+		}
+	}
 	for i := range b.events {
 		b.encode(&b.events[i])
 	}
-	b.events = nil
+	b.events, b.full, b.nfull = nil, nil, 0
 }
 
 // spill flushes b's pending events as one frame.  Called by the buffer's
@@ -343,7 +348,7 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 	if b.frame != nil && !w.closed {
 		w.frames = append(w.frames, b.frame[:0])
 	}
-	b.events = nil
+	b.events, b.full, b.nfull = nil, nil, 0
 	b.frame = nil
 	b.pending = 0
 	b.sink = nil

@@ -75,6 +75,14 @@ func decodeEvent(b []byte, ev *Event) (int, error) {
 	n := fixedEventBytes
 	var ints [10]int64
 	for j := range ints {
+		// Most fields are small ids that fit one varint byte; decode
+		// those inline (zigzag, as binary.Varint does).
+		if n < len(b) && b[n] < 0x80 {
+			x := int64(b[n])
+			ints[j] = x>>1 ^ -(x & 1)
+			n++
+			continue
+		}
 		v, k := binary.Varint(b[n:])
 		if k <= 0 {
 			return 0, varintErr(k)
@@ -82,9 +90,16 @@ func decodeEvent(b []byte, ev *Event) (int, error) {
 		ints[j] = v
 		n += k
 	}
-	match, k := binary.Uvarint(b[n:])
-	if k <= 0 {
-		return 0, varintErr(k)
+	if n < len(b) && b[n] < 0x80 {
+		ev.Match = uint64(b[n])
+		n++
+	} else {
+		match, k := binary.Uvarint(b[n:])
+		if k <= 0 {
+			return 0, varintErr(k)
+		}
+		ev.Match = match
+		n += k
 	}
 	ev.Loc = Location{Rank: int32(ints[0]), Thread: int32(ints[1])}
 	ev.Region = RegionID(ints[2])
@@ -92,8 +107,7 @@ func decodeEvent(b []byte, ev *Event) (int, error) {
 	ev.Peer, ev.CRank, ev.Tag = int32(ints[4]), int32(ints[5]), int32(ints[6])
 	ev.Bytes = ints[7]
 	ev.Root, ev.Comm = int32(ints[8]), int32(ints[9])
-	ev.Match = match
-	return n + k, nil
+	return n, nil
 }
 
 // varintErr maps a non-positive binary.Varint/Uvarint length to an error:

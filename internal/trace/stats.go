@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,7 +60,15 @@ type StatsBuilder struct {
 	locs     []Location // insertion order of first appearance
 	perLoc   []locState
 	regions  map[string]map[Location]*RegionStat
+	// statSlab holds the RegionStats regionStat hands out next, allocated
+	// in blocks of doubling size (up to maxStatBlock): a run completes a
+	// region pair per location and region.
+	statSlab []RegionStat
+	statNext int // size of the next block
 }
+
+// maxStatBlock bounds the RegionStat blocks.
+const maxStatBlock = 256
 
 type statsFrame struct {
 	region string
@@ -81,23 +90,27 @@ type locState struct {
 }
 
 // NewStatsBuilder returns a builder for events of t.
-func NewStatsBuilder(t *Trace) *StatsBuilder {
-	sb := NewStatsBuilderFor(t)
-	n := len(t.Locations)
-	sb.locs = make([]Location, 0, n)
-	sb.perLoc = make([]locState, 0, n)
-	return sb
-}
+func NewStatsBuilder(t *Trace) *StatsBuilder { return NewStatsBuilderFor(t) }
 
 // NewStatsBuilderFor returns a builder resolving region names through any
 // RegionNamer — in particular a Stream, which lets the analyzer build the
 // flat profile incrementally without a materialized trace.  The
-// accumulation arithmetic is identical to NewStatsBuilder's.
+// accumulation arithmetic is identical to NewStatsBuilder's.  A Trace or
+// Stream namer sizes the per-location state for its locations.
 func NewStatsBuilderFor(names RegionNamer) *StatsBuilder {
+	var n int
+	switch v := names.(type) {
+	case *Trace:
+		n = len(v.Locations)
+	case *Stream:
+		n = len(v.locs)
+	}
 	return &StatsBuilder{
 		names:    names,
 		locIndex: make(map[Location]int32),
 		regions:  make(map[string]map[Location]*RegionStat),
+		locs:     make([]Location, 0, n),
+		perLoc:   make([]locState, 0, n),
 	}
 }
 
@@ -182,7 +195,13 @@ func (sb *StatsBuilder) regionStat(region string, loc Location) *RegionStat {
 	}
 	rs := byLoc[loc]
 	if rs == nil {
-		rs = &RegionStat{Region: region, Loc: loc}
+		if len(sb.statSlab) == 0 {
+			sb.statNext = min(max(2*sb.statNext, 8), maxStatBlock)
+			sb.statSlab = make([]RegionStat, sb.statNext)
+		}
+		rs = &sb.statSlab[0]
+		sb.statSlab = sb.statSlab[1:]
+		*rs = RegionStat{Region: region, Loc: loc}
 		byLoc[loc] = rs
 	}
 	return rs
@@ -200,7 +219,7 @@ func (sb *StatsBuilder) Finish() *Stats {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool { return sb.locs[order[i]].less(sb.locs[order[j]]) })
+	slices.SortFunc(order, func(i, j int32) int { return compareLocations(sb.locs[i], sb.locs[j]) })
 	for _, i := range order {
 		ls := &sb.perLoc[i]
 		span := ls.last - ls.first
@@ -216,7 +235,7 @@ func sortedLocs[V any](m map[Location]V) []Location {
 	for loc := range m {
 		locs = append(locs, loc)
 	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i].less(locs[j]) })
+	slices.SortFunc(locs, compareLocations)
 	return locs
 }
 

@@ -39,20 +39,25 @@ type streamSource interface {
 	tables() (regions []string, pathParent []PathID, pathRegion []RegionID)
 }
 
-// bufferSource adapts an in-memory Buffer as a single-frame source.
+// bufferSource adapts an in-memory Buffer as a source whose batches are
+// the blocks of its event slab.
 type bufferSource struct {
-	b    *Buffer
-	done bool
+	b     *Buffer
+	block int // index of the next block; len(b.full) is the current one
 }
 
 func (s *bufferSource) loc() Location { return s.b.Loc }
 
 func (s *bufferSource) next() ([]Event, error) {
-	if s.done {
-		return nil, nil
+	i := s.block
+	s.block++
+	switch {
+	case i < len(s.b.full):
+		return s.b.full[i], nil
+	case i == len(s.b.full):
+		return s.b.events, nil
 	}
-	s.done = true
-	return s.b.events, nil
+	return nil, nil
 }
 
 func (s *bufferSource) tables() ([]string, []PathID, []RegionID) {

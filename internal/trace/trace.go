@@ -22,6 +22,7 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 )
@@ -43,6 +44,15 @@ func (l Location) less(o Location) bool {
 		return l.Rank < o.Rank
 	}
 	return l.Thread < o.Thread
+}
+
+// compareLocations orders locations rank-major, as less does, for
+// slices.SortFunc.
+func compareLocations(a, b Location) int {
+	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Thread, b.Thread)
 }
 
 // Kind enumerates event kinds.
@@ -205,8 +215,15 @@ type Event struct {
 // one goroutine and performs no locking.  Region names and call paths are
 // interned locally and remapped during merge.
 type Buffer struct {
-	Loc    Location
+	Loc Location
+	// events is the block of the event slab being filled; full holds the
+	// earlier, full blocks in order (nfull events).  A full block is never
+	// copied: growth adds a block twice the size of the last (see slot),
+	// so recording N events allocates about N slots once instead of
+	// re-copying a doubling slab.
 	events []Event
+	full   [][]Event
+	nfull  int
 
 	regionIDs map[string]RegionID
 	regions   []string
@@ -274,7 +291,10 @@ func (b *Buffer) Release() {
 	if b == nil {
 		return
 	}
-	b.events = b.events[:0]
+	b.events = b.events[:0] // the newest, largest block serves the next run
+	clear(b.full)
+	b.full = b.full[:0]
+	b.nfull = 0
 	clear(b.regions)
 	b.regions = b.regions[:0]
 	clear(b.regionIDs)
@@ -299,7 +319,24 @@ func (b *Buffer) add(ev *Event) {
 		b.stream(ev)
 		return
 	}
-	b.events = append(b.events, *ev)
+	*b.slot() = *ev
+}
+
+// minEventBlock is the size of a buffer's first event block.
+const minEventBlock = 4
+
+// slot returns the next free slot of the event slab, starting a new block
+// when the current one is full.
+func (b *Buffer) slot() *Event {
+	if len(b.events) == cap(b.events) {
+		if len(b.events) > 0 {
+			b.full = append(b.full, b.events)
+			b.nfull += len(b.events)
+		}
+		b.events = make([]Event, 0, max(2*cap(b.events), minEventBlock))
+	}
+	b.events = b.events[:len(b.events)+1]
+	return &b.events[len(b.events)-1]
 }
 
 // streamRegion streams a kind event for region r at time t on the current
@@ -378,9 +415,9 @@ func (b *Buffer) Enter(name string, t float64) {
 		b.streamRegion(KindEnter, t, r)
 		return
 	}
-	b.events = append(b.events, Event{
+	*b.slot() = Event{
 		Time: t, Kind: KindEnter, Loc: b.Loc, Region: r, Path: b.cur,
-	})
+	}
 }
 
 // StackNames returns the names of the currently open regions, outermost
@@ -429,9 +466,9 @@ func (b *Buffer) Exit(t float64) {
 	if r := b.pathRegion[b.cur]; b.sink != nil {
 		b.streamRegion(KindExit, t, r)
 	} else {
-		b.events = append(b.events, Event{
+		*b.slot() = Event{
 			Time: t, Kind: KindExit, Loc: b.Loc, Region: r, Path: b.cur,
-		})
+		}
 	}
 	b.cur = b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
@@ -461,7 +498,7 @@ func (b *Buffer) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.events) + b.encoded
+	return b.nfull + len(b.events) + b.encoded
 }
 
 // Trace is a merged, analysis-ready trace: all locations' events ordered by
