@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/analyzer"
@@ -232,29 +234,12 @@ func Fig34And35(w io.Writer, procs int) (Fig35Result, error) {
 				res.LateBcastOnUpperHalfOnly = false
 			}
 		}
-		p := lb.TopPath()
-		res.TopPathHasBcast = containsRegion(p, "late_broadcast") && containsRegion(p, "MPI_Bcast")
+		segs := strings.Split(lb.TopPath(), "/")
+		res.TopPathHasBcast = slices.Contains(segs, "late_broadcast") && slices.Contains(segs, "MPI_Bcast")
 	}
 	fmt.Fprintf(w, "\nlocalization: late_broadcast on upper half excluding root (world rank %d): %v; call path at late_broadcast/MPI_Bcast: %v\n",
 		res.RootWorldRank, res.LateBcastOnUpperHalfOnly, res.TopPathHasBcast)
 	return res, nil
-}
-
-func containsRegion(path, region string) bool {
-	for len(path) > 0 {
-		i := 0
-		for i < len(path) && path[i] != '/' {
-			i++
-		}
-		if path[:i] == region {
-			return true
-		}
-		if i == len(path) {
-			break
-		}
-		path = path[i+1:]
-	}
-	return false
 }
 
 // CorrectnessRow is one row of the positive-correctness table.

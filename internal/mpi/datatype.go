@@ -50,23 +50,6 @@ func (d Datatype) String() string {
 	}
 }
 
-// ParseDatatype converts a CLI name ("int", "double", "byte", "char") to a
-// Datatype.
-func ParseDatatype(s string) (Datatype, error) {
-	switch s {
-	case "byte", "MPI_BYTE":
-		return TypeByte, nil
-	case "char", "MPI_CHAR":
-		return TypeChar, nil
-	case "int", "MPI_INT":
-		return TypeInt, nil
-	case "double", "MPI_DOUBLE":
-		return TypeDouble, nil
-	default:
-		return 0, fmt.Errorf("mpi: unknown datatype %q", s)
-	}
-}
-
 // Op identifies a reduction operation.
 type Op uint8
 

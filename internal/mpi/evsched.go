@@ -2,8 +2,7 @@ package mpi
 
 // The event engine: a single-stepped, virtual-clock-ordered scheduler
 // that replaces goroutine-per-rank free running (and with it the
-// World.spoilers poll loop and the clockFloor fast path) with
-// deterministic event dispatch.
+// World.spoilers poll loop) with deterministic event dispatch.
 //
 // Go has no first-class continuations, so a rank's "resumable state
 // machine" is its goroutine, parked on a per-rank resume channel: the

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -111,13 +110,6 @@ type World struct {
 	failed   atomic.Bool
 	failCh   chan struct{} // closed on first failure
 	wakeable []waker
-
-	// clockFloor is a monotone lower bound on the minimum virtual clock
-	// over all unfinished ranks, stored as math.Float64bits.  It lets the
-	// spoiler check answer "no rank can still produce a message before
-	// avail" in O(1) once the whole world has advanced past avail, instead
-	// of rescanning every rank on every wildcard poll.
-	clockFloor atomic.Uint64
 }
 
 // waker is anything blocked ranks wait on; on world failure every waker is
@@ -209,25 +201,9 @@ func (p *proc) blockedSection() func() {
 // deliverable messages in its own mailbox (it may wake, consume them, and
 // respond before the candidate).
 func (w *World) spoilers(me *proc, avail float64) bool {
-	// Fast path: once every unfinished rank's clock is at or past avail,
-	// nothing can still arrive earlier.  The floor only rises — per-rank
-	// clocks are monotone and ranks only ever transition into stateDone —
-	// so a passing check stays valid; it covers all ranks (including the
-	// caller), making it independent of which rank asks.
-	if math.Float64frombits(w.clockFloor.Load()) >= avail {
-		return false
-	}
-	floor := math.Inf(1)
 	for _, p := range w.procs {
 		st := p.state.Load()
-		if st == stateDone {
-			continue
-		}
-		now := p.ctx.Clock.Now()
-		if now < floor {
-			floor = now
-		}
-		if p == me || now >= avail {
+		if p == me || st == stateDone || p.ctx.Clock.Now() >= avail {
 			continue
 		}
 		switch st {
@@ -239,26 +215,7 @@ func (w *World) spoilers(me *proc, avail float64) bool {
 			}
 		}
 	}
-	// Only a completed scan may raise the floor: the minimum over a
-	// partial scan could overshoot the slowest unvisited rank.
-	w.raiseClockFloor(floor)
 	return false
-}
-
-// raiseClockFloor lifts clockFloor to f if f is higher.  Observed clocks
-// are lower bounds on current clocks (monotonicity), so the minimum of a
-// full scan is always a valid floor.
-func (w *World) raiseClockFloor(f float64) {
-	if math.IsInf(f, 1) {
-		return // every rank finished; nothing left to bound
-	}
-	nb := math.Float64bits(f)
-	for {
-		old := w.clockFloor.Load()
-		if math.Float64frombits(old) >= f || w.clockFloor.CompareAndSwap(old, nb) {
-			return
-		}
-	}
 }
 
 // fail records the first failure and wakes every blocked rank.

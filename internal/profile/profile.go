@@ -343,15 +343,6 @@ func (p *Profile) Get(name string) *Property {
 	return nil
 }
 
-// PropertyNames returns the names of all recorded properties, in order.
-func (p *Profile) PropertyNames() []string {
-	names := make([]string, len(p.Properties))
-	for i := range p.Properties {
-		names[i] = p.Properties[i].Name
-	}
-	return names
-}
-
 // Significant returns the recorded significant (non-info) properties.
 func (p *Profile) Significant() []Property {
 	var out []Property

@@ -239,28 +239,23 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	w.streams[b.Loc] = &chunkStream{paths: 1} // the path root is implicit
 	b.sink = w
 	b.spillAt = w.threshold
-	// The buffer holds one frame's events, encoded.  A finished buffer's
-	// frame bytes serve the next one attached: short-lived locations,
-	// such as the threads of successive OpenMP parallel regions, share a
-	// few.  A fresh frame has room for frameEventBytes per event and only
-	// grows for larger events (Buffer.encode).
+	// The buffer holds one frame's events, encoded.  Events it recorded
+	// before Attach stay in its own frame, to go out with its first spill.
+	// Otherwise a finished buffer's frame bytes serve the next one
+	// attached: short-lived locations, such as the threads of successive
+	// OpenMP parallel regions, share a few.  A fresh frame has room for
+	// frameEventBytes per event and only grows for larger events
+	// (Buffer.encode).  The frame a pooled buffer brings from a
+	// materialized run is dropped rather than kept alive for the whole
+	// stream.
+	if b.pending > 0 {
+		return
+	}
 	if n := len(w.frames); n > 0 {
 		b.frame, w.frames = w.frames[n-1], w.frames[:n-1]
 	} else {
 		b.frame = make([]byte, 0, w.threshold*frameEventBytes)
 	}
-	// A pooled buffer may bring a slab grown by a materialized run: encode
-	// any events it holds and drop it rather than keep it alive for the
-	// whole stream.
-	for _, blk := range b.full {
-		for i := range blk {
-			b.encode(&blk[i])
-		}
-	}
-	for i := range b.events {
-		b.encode(&b.events[i])
-	}
-	b.events, b.full, b.nfull = nil, nil, 0
 }
 
 // spill flushes b's pending events as one frame.  Called by the buffer's
@@ -348,7 +343,6 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 	if b.frame != nil && !w.closed {
 		w.frames = append(w.frames, b.frame[:0])
 	}
-	b.events, b.full, b.nfull = nil, nil, 0
 	b.frame = nil
 	b.pending = 0
 	b.sink = nil

@@ -9,13 +9,20 @@ import (
 
 // FuzzEventCodec checks the event codec of the trace format:
 // decodeEvent inverts appendEvent exactly, never panics or over-reports
-// on arbitrary input, and rejects every strict prefix of an encoding.
+// on arbitrary input, and rejects every strict prefix of an encoding.  A
+// materialized run stores its events in that encoding too, so the event
+// recorded into an unattached Buffer must come out of Merge unchanged.
 func FuzzEventCodec(f *testing.F) {
 	f.Add(1.5, 0.25, uint8(KindSend), uint8(CollNone), FlagSync, int32(3), int32(0), int32(2), int32(5),
 		int32(4), int32(3), int32(7), int64(1024), int32(-1), int32(0), uint64(42), []byte(nil))
 	f.Add(math.Inf(-1), math.NaN(), uint8(255), uint8(CollOMPSection), uint8(255), int32(math.MinInt32), int32(math.MaxInt32),
 		int32(-1), int32(math.MaxInt32), int32(math.MinInt32), int32(-7), int32(-1), int64(math.MinInt64), int32(math.MaxInt32),
 		int32(math.MinInt32), uint64(math.MaxUint64), []byte{0x80, 0x80, 0x80})
+	f.Add(math.Copysign(0, -1), -math.SmallestNonzeroFloat64, uint8(KindExit), uint8(CollNone), uint8(0), int32(math.MaxInt32),
+		int32(math.MinInt32), int32(math.MinInt32), int32(-1), int32(-1), int32(math.MaxInt32), int32(math.MinInt32),
+		int64(math.MaxInt64), int32(-1), int32(math.MaxInt32), uint64(1)<<63, []byte(nil))
+	f.Add(-2.5e-310, -1e300, uint8(KindColl), uint8(CollAlltoallv), FlagRoot|FlagNonBlocking, int32(-1), int32(-1),
+		int32(0), int32(0), int32(0), int32(0), int32(0), int64(-1), int32(-1), int32(-1), uint64(1)<<63+1, []byte(nil))
 	f.Fuzz(func(t *testing.T, tm, aux float64, kind, coll, flags uint8, rank, thread, region, path, peer, crank, tag int32,
 		nbytes int64, root, comm int32, match uint64, raw []byte) {
 		ev := Event{
@@ -57,17 +64,53 @@ func FuzzEventCodec(f *testing.F) {
 		if err != nil && n != 0 {
 			t.Fatalf("failed decode reported %d bytes consumed", n)
 		}
+		ev.Time, ev.Aux = tm, aux
+		testMergeRoundTrip(t, ev)
 	})
+}
+
+// testMergeRoundTrip records ev into an unattached buffer, more often than
+// one decode batch holds, and checks that Merge returns every copy with
+// every field unchanged.  Merge remaps path ids and the region ids of
+// enter and exit events; with one seeded path and region, the local and
+// global ids are the same, so ev carries those.
+func testMergeRoundTrip(t *testing.T, ev Event) {
+	b := NewBuffer(ev.Loc)
+	defer b.Release()
+	b.Seed([]string{"r"})
+	ev.Path = 1
+	if ev.Kind == KindEnter || ev.Kind == KindExit {
+		ev.Region = 0
+	}
+	const copies = cursorBatch + 1
+	for i := 0; i < copies; i++ {
+		b.Record(ev)
+	}
+	tr := Merge(b)
+	if len(tr.Events) != copies {
+		t.Fatalf("Merge returned %d events, recorded %d", len(tr.Events), copies)
+	}
+	want := ev
+	want.Time, want.Aux = 0, 0 // compared as bits: NaN != NaN
+	for i, got := range tr.Events {
+		if math.Float64bits(got.Time) != math.Float64bits(ev.Time) || math.Float64bits(got.Aux) != math.Float64bits(ev.Aux) {
+			t.Fatalf("merged event %d: times %v/%v came back as %v/%v", i, ev.Time, ev.Aux, got.Time, got.Aux)
+		}
+		got.Time, got.Aux = 0, 0
+		if got != want {
+			t.Fatalf("merged event %d: got %+v, want %+v", i, got, want)
+		}
+	}
 }
 
 // TestStreamMemoryBound pins the per-location memory claim of the
 // streaming path, at a threshold of 64 and at the one the runtime uses
 // (DefaultSpillEvents).  While recording, a buffer's pending frame never
 // takes more than the spill threshold times the largest encoded event,
-// here larger than frameEventBytes; a pooled materialized slab does not
-// survive Attach, and a finished buffer keeps no frame.  While merging, a
-// cursor holds one raw frame plus at most cursorBatch decoded events
-// however long its frames are.
+// here larger than frameEventBytes, even when the buffer arrives from the
+// pool with a frame grown by a materialized run; a finished buffer keeps
+// no frame.  While merging, a cursor holds one raw frame plus at most
+// cursorBatch decoded events however long its frames are.
 func TestStreamMemoryBound(t *testing.T) {
 	for _, spill := range []int{64, DefaultSpillEvents} {
 		t.Run(fmt.Sprintf("spill%d", spill), func(t *testing.T) { testStreamMemoryBound(t, spill) })
@@ -87,26 +130,23 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 		// bytes and the frames' average just above frameEventBytes, so
 		// the frames have to grow.
 		b := NewBuffer(Location{Rank: 1<<28 + int32(i), Thread: 1 << 28})
-		// A pooled buffer may arrive with a slab grown by a
-		// materialized run; the sink drops it.
-		b.events = make([]Event, 0, 4*spill)
+		// A pooled buffer may arrive with a frame grown by a
+		// materialized run; the sink replaces it.
+		pooled := 4 * spill * maxEventBytes
+		b.frame = make([]byte, 0, pooled)
 		w.Attach(b)
-		if b.events != nil {
-			t.Fatalf("attached buffer keeps a materialized slab of cap %d", cap(b.events))
+		if cap(b.frame) >= pooled {
+			t.Fatalf("attached buffer keeps a materialized frame of cap %d", cap(b.frame))
 		}
 		fillBuffer(b, b.Loc.Rank, rounds)
 		// Spills only reset the frame's length, so its capacity now is
 		// the most it held.
 		frameCap[i] = cap(b.frame)
-		if b.events != nil {
-			t.Fatalf("streamed buffer keeps an event slab of cap %d", cap(b.events))
-		}
 		if err := w.Finish(b); err != nil {
 			t.Fatal(err)
 		}
-		if b.frame != nil || b.pending != 0 || b.events != nil {
-			t.Fatalf("finished buffer keeps %d pending events in a frame of cap %d and a slab of cap %d",
-				b.pending, cap(b.frame), cap(b.events))
+		if b.frame != nil || b.pending != 0 {
+			t.Fatalf("finished buffer keeps %d pending events in a frame of cap %d", b.pending, cap(b.frame))
 		}
 		b.Release()
 	}

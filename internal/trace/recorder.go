@@ -66,8 +66,8 @@ func (r *Recorder) Trace() (*Trace, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	tr := Merge(r.kept...)
-	// Merge consumes the buffers (it remaps their event ids in place), so
-	// they are released now, to be recycled for the next run.
+	// Merge copies the events out, so the buffers are released now, to be
+	// recycled for the next run.
 	for _, b := range r.kept {
 		b.Release()
 	}

@@ -39,25 +39,32 @@ type streamSource interface {
 	tables() (regions []string, pathParent []PathID, pathRegion []RegionID)
 }
 
-// bufferSource adapts an in-memory Buffer as a source whose batches are
-// the blocks of its event slab.
+// bufferSource adapts an in-memory Buffer as a source: it decodes the
+// buffer's frame at most cursorBatch events per next call, as a chunk
+// cursor decodes a spooled frame.
 type bufferSource struct {
-	b     *Buffer
-	block int // index of the next block; len(b.full) is the current one
+	b      *Buffer
+	off    int     // next event's offset in b.frame
+	events []Event // the decoded batch, reused
 }
 
 func (s *bufferSource) loc() Location { return s.b.Loc }
 
 func (s *bufferSource) next() ([]Event, error) {
-	i := s.block
-	s.block++
-	switch {
-	case i < len(s.b.full):
-		return s.b.full[i], nil
-	case i == len(s.b.full):
-		return s.b.events, nil
+	frame := s.b.frame
+	if s.off == len(frame) {
+		return nil, nil
 	}
-	return nil, nil
+	evs := s.events[:0]
+	for len(evs) < cap(evs) && s.off < len(frame) {
+		evs = evs[:len(evs)+1]
+		n, err := decodeEvent(frame[s.off:], &evs[len(evs)-1])
+		if err != nil {
+			return nil, fmt.Errorf("trace: buffer %v: event %d: %w", s.b.Loc, len(evs)-1, err)
+		}
+		s.off += n
+	}
+	return evs, nil
 }
 
 func (s *bufferSource) tables() ([]string, []PathID, []RegionID) {
@@ -137,18 +144,21 @@ func NewStream(readers ...*ChunkReader) (*Stream, error) {
 	return newStream(srcs, closers)
 }
 
-// NewBufferStream merges in-memory buffers (Merge drains one).  Their
-// event slabs are remapped to global ids in place; the buffers must not be
+// NewBufferStream merges in-memory buffers (Merge drains one).  It
+// decodes their encoded events as a chunk cursor does, at most
+// cursorBatch events per location at a time; the buffers must not be
 // recorded into or released while the stream is live.
 func NewBufferStream(buffers ...*Buffer) (*Stream, error) {
 	adapters := make([]bufferSource, 0, len(buffers))
 	srcs := make([]streamSource, 0, len(buffers))
+	events := make([]Event, len(buffers)*cursorBatch)
 	for _, b := range buffers {
 		if b == nil {
 			continue
 		}
-		adapters = append(adapters, bufferSource{b: b})
-		srcs = append(srcs, &adapters[len(adapters)-1])
+		i := len(adapters)
+		adapters = append(adapters, bufferSource{b: b, events: events[i*cursorBatch : i*cursorBatch : (i+1)*cursorBatch]})
+		srcs = append(srcs, &adapters[i])
 	}
 	return newStream(srcs, nil)
 }

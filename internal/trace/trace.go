@@ -216,14 +216,6 @@ type Event struct {
 // interned locally and remapped during merge.
 type Buffer struct {
 	Loc Location
-	// events is the block of the event slab being filled; full holds the
-	// earlier, full blocks in order (nfull events).  A full block is never
-	// copied: growth adds a block twice the size of the last (see slot),
-	// so recording N events allocates about N slots once instead of
-	// re-copying a doubling slab.
-	events []Event
-	full   [][]Event
-	nfull  int
 
 	regionIDs map[string]RegionID
 	regions   []string
@@ -238,20 +230,21 @@ type Buffer struct {
 	cur    PathID
 	seeded int // frames installed by Seed (not matched by Exit)
 
-	// Streaming mode: when sink is non-nil the buffer keeps no event slab.
-	// frame holds its pending events as they will be spooled, in
-	// appendEvent's encoding (pending counts them), and is spilled as a
-	// chunk frame whenever pending reaches spillAt, so the buffer holds at
-	// most spillAt pending events however long the run is; the sink's
-	// frame index still grows by one 16-byte ref per spilled frame.  The
-	// intern tables are never spilled away — paths and regions keep their
-	// local ids across frames and the sink writes table deltas per frame.
-	// Set via ChunkWriter.Attach (Recorder.Buffer attaches).
+	// frame holds the buffer's pending events as they will be spooled, in
+	// appendEvent's encoding; pending counts them.  An unattached buffer
+	// keeps every event it records there until Merge decodes them.  While
+	// a sink is attached the frame is spilled as a chunk frame whenever
+	// pending reaches spillAt, so the buffer holds at most spillAt pending
+	// events however long the run is; the sink's frame index still grows
+	// by one 16-byte ref per spilled frame.  The intern tables are never
+	// spilled away — paths and regions keep their local ids across frames
+	// and the sink writes table deltas per frame.  Set via
+	// ChunkWriter.Attach (Recorder.Buffer attaches).
 	sink    *ChunkWriter
 	spillAt int
 	frame   []byte
 	pending int
-	encoded int // events moved into frames since NewBuffer
+	encoded int // events recorded since NewBuffer
 }
 
 type pathKey struct {
@@ -259,11 +252,11 @@ type pathKey struct {
 	region RegionID
 }
 
-// bufferPool recycles Buffer objects — including their materialized event
-// slabs, intern maps and path tables — between runs.  Campaigns execute
-// hundreds of worlds back to back; without the pool every run re-grows
-// every rank's event slab from scratch and the allocator dominates the
-// profile.  A streamed buffer's frame bytes go back to its ChunkWriter
+// bufferPool recycles Buffer objects — including an unattached buffer's
+// frame bytes, intern maps and path tables — between runs.  Campaigns
+// execute hundreds of worlds back to back; without the pool every run
+// re-grows every rank's frame from scratch and the allocator dominates the
+// profile.  An attached buffer's frame bytes go back to its ChunkWriter
 // instead (see ChunkWriter.Finish).
 var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
@@ -291,10 +284,6 @@ func (b *Buffer) Release() {
 	if b == nil {
 		return
 	}
-	b.events = b.events[:0] // the newest, largest block serves the next run
-	clear(b.full)
-	b.full = b.full[:0]
-	b.nfull = 0
 	clear(b.regions)
 	b.regions = b.regions[:0]
 	clear(b.regionIDs)
@@ -306,62 +295,29 @@ func (b *Buffer) Release() {
 	b.seeded = 0
 	b.sink = nil
 	b.spillAt = 0
-	b.frame = nil
+	b.frame = b.frame[:0]
 	b.pending = 0
 	b.encoded = 0
 	bufferPool.Put(b)
 }
 
-// add records ev: into the event slab, or, while a sink is attached, into
-// the pending frame.
+// add records ev into the pending frame and, while a sink is attached,
+// spills the frame once it holds spillAt events.
 func (b *Buffer) add(ev *Event) {
-	if b.sink != nil {
-		b.stream(ev)
-		return
-	}
-	*b.slot() = *ev
-}
-
-// minEventBlock is the size of a buffer's first event block.
-const minEventBlock = 4
-
-// slot returns the next free slot of the event slab, starting a new block
-// when the current one is full.
-func (b *Buffer) slot() *Event {
-	if len(b.events) == cap(b.events) {
-		if len(b.events) > 0 {
-			b.full = append(b.full, b.events)
-			b.nfull += len(b.events)
-		}
-		b.events = make([]Event, 0, max(2*cap(b.events), minEventBlock))
-	}
-	b.events = b.events[:len(b.events)+1]
-	return &b.events[len(b.events)-1]
-}
-
-// streamRegion streams a kind event for region r at time t on the current
-// path: the streamed half of Enter and Exit.  Their materialized half
-// builds the event in place in the slab, which add would copy instead.
-func (b *Buffer) streamRegion(kind Kind, t float64, r RegionID) {
-	b.stream(&Event{Time: t, Kind: kind, Loc: b.Loc, Region: r, Path: b.cur})
-}
-
-// stream encodes ev into the pending frame and spills the frame once it
-// holds spillAt events.
-func (b *Buffer) stream(ev *Event) {
 	b.encode(ev)
-	if b.pending >= b.spillAt {
+	if b.sink != nil && b.pending >= b.spillAt {
 		b.sink.spill(b)
 	}
 }
 
-// encode appends ev to the pending frame.  The frame only grows when an
-// event does not fit, and then to hold the rest of the frame's events at
-// that event's size.  Every event already in it is at most as large as
+// encode appends ev to the pending frame.  An unattached buffer's frame
+// grows by amortised doubling.  An attached buffer's frame only grows when
+// an event does not fit, and then to hold the rest of the frame's events
+// at that event's size.  Every event already in it is at most as large as
 // the largest one encoded so far, so growth never takes the capacity past
 // spillAt times that size.
 func (b *Buffer) encode(ev *Event) {
-	if cap(b.frame)-len(b.frame) < maxEventBytes {
+	if b.sink != nil && cap(b.frame)-len(b.frame) < maxEventBytes {
 		var tmp [maxEventBytes]byte
 		enc := appendEvent(tmp[:0], ev)
 		if need := len(b.frame) + len(enc); need > cap(b.frame) {
@@ -411,13 +367,7 @@ func (b *Buffer) Enter(name string, t float64) {
 	r := b.region(name)
 	b.stack = append(b.stack, b.cur)
 	b.cur = b.child(b.cur, r)
-	if b.sink != nil {
-		b.streamRegion(KindEnter, t, r)
-		return
-	}
-	*b.slot() = Event{
-		Time: t, Kind: KindEnter, Loc: b.Loc, Region: r, Path: b.cur,
-	}
+	b.add(&Event{Time: t, Kind: KindEnter, Loc: b.Loc, Region: r, Path: b.cur})
 }
 
 // StackNames returns the names of the currently open regions, outermost
@@ -463,13 +413,7 @@ func (b *Buffer) Exit(t float64) {
 	if len(b.stack) <= b.seeded {
 		panic("trace: Exit without matching Enter")
 	}
-	if r := b.pathRegion[b.cur]; b.sink != nil {
-		b.streamRegion(KindExit, t, r)
-	} else {
-		*b.slot() = Event{
-			Time: t, Kind: KindExit, Loc: b.Loc, Region: r, Path: b.cur,
-		}
-	}
+	b.add(&Event{Time: t, Kind: KindExit, Loc: b.Loc, Region: b.pathRegion[b.cur], Path: b.cur})
 	b.cur = b.stack[len(b.stack)-1]
 	b.stack = b.stack[:len(b.stack)-1]
 }
@@ -493,12 +437,12 @@ func (b *Buffer) Record(ev Event) {
 }
 
 // Len reports the number of events recorded since NewBuffer, including
-// those a streamed buffer has already spilled.
+// those an attached buffer has already spilled.
 func (b *Buffer) Len() int {
 	if b == nil {
 		return 0
 	}
-	return b.nfull + len(b.events) + b.encoded
+	return b.encoded
 }
 
 // Trace is a merged, analysis-ready trace: all locations' events ordered by
@@ -525,13 +469,14 @@ type Trace struct {
 // nil (ignored).  Events are ordered by (Time, Location), with
 // within-location order preserved.
 //
-// Merge is a drain of NewBufferStream into one slab, so the materialized
-// and streamed paths share a single k-way merge and intern tables: region
-// and path ids are interned in location order.  Each buffer must be in
-// time order, as every executor's clock never runs backwards; that is
-// the precondition of Stream and ChunkWriter too.  The buffers' event
-// slabs are remapped to global ids in place, so callers Release them
-// afterwards.  Two buffers sharing a location are a caller bug and panic.
+// Merge is a drain of NewBufferStream into one event slice, so the
+// materialized and streamed paths share a single k-way merge, intern
+// tables and event decoder: region and path ids are interned in location
+// order.  Each buffer must be in time order, as every executor's clock
+// never runs backwards; that is the precondition of Stream and ChunkWriter
+// too.  Merge only reads the buffers' encoded events; callers Release the
+// buffers afterwards.  Two buffers sharing a location are a caller bug and
+// panic.
 func Merge(buffers ...*Buffer) *Trace {
 	st, err := NewBufferStream(buffers...)
 	if err != nil {

@@ -106,9 +106,6 @@ func (c *Clock) SetPerturber(p Perturber) { c.pert = p }
 // Mode reports the clock mode.
 func (c *Clock) Mode() Mode { return c.mode }
 
-// Epoch returns the shared run epoch (Real mode).
-func (c *Clock) Epoch() time.Time { return c.epoch }
-
 // Now returns the current time in seconds since the run epoch.
 func (c *Clock) Now() float64 {
 	if c.mode == Virtual {
