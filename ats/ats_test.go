@@ -1,6 +1,7 @@
 package ats_test
 
 import (
+	"bytes"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -216,6 +217,46 @@ func TestSpoolPropertyMatchesInMemory(t *testing.T) {
 			}
 			if gh != wh {
 				t.Fatalf("spooled profile hash %s != in-memory %s", gh, wh)
+			}
+		})
+	}
+}
+
+// TestSpoolPropertyWritesSameBytes: a run recorded with no sink and the
+// same run spooled to a file and read back with trace.ReadFile serialize
+// to the same bytes, for an MPI world and for a pure-OpenMP team.  Every
+// traced run records through one spool path; a materialized trace is its
+// in-memory spool read back.
+func TestSpoolPropertyWritesSameBytes(t *testing.T) {
+	for _, name := range []string{"late_sender", "imbalance_at_omp_barrier"} {
+		t.Run(name, func(t *testing.T) {
+			spec, ok := core.Get(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			const procs, threads = 4, 3
+			tr, err := ats.RunProperty(name, procs, threads, spec.Defaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), name+".atsc")
+			if err := ats.SpoolProperty(name, procs, threads, spec.Defaults(), path); err != nil {
+				t.Fatal(err)
+			}
+			spooled, err := trace.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got bytes.Buffer
+			if _, err := tr.Write(&want); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := spooled.Write(&got); err != nil {
+				t.Fatal(err)
+			}
+			if len(tr.Events) == 0 || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("spooled run writes %d bytes, in-memory run %d (%d events); they differ",
+					got.Len(), want.Len(), len(tr.Events))
 			}
 		})
 	}

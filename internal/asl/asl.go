@@ -46,7 +46,6 @@ import (
 	"math"
 
 	"repro/internal/analyzer"
-	"repro/internal/trace"
 )
 
 // MetricFuncs lists the metric functions available in property
@@ -242,9 +241,4 @@ func EvalAll(src string, rep *analyzer.Report) ([]Finding, error) {
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-// EvalTrace analyzes tr and evaluates src against the result.
-func EvalTrace(src string, tr *trace.Trace) ([]Finding, error) {
-	return EvalAll(src, analyzer.Analyze(tr, analyzer.Options{}))
 }

@@ -56,7 +56,7 @@ func TestConditionFalseOnCleanTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := EvalTrace(`property ls { condition severity("late_sender") > 0.01; }`, tr)
+	fs, err := EvalAll(`property ls { condition severity("late_sender") > 0.01; }`, analyzer.Analyze(tr, analyzer.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestUserCatalogAgainstCompositeProgram(t *testing.T) {
 	    severity  region_time("MPI_Init") / total_time();
 	}
 	`
-	fs, err := EvalTrace(src, tr)
+	fs, err := EvalAll(src, analyzer.Analyze(tr, analyzer.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestGrindstoneDiagnosisInASL(t *testing.T) {
 	    severity  region_time("MPI_Recv") / total_time();
 	}
 	`
-	fs, err := EvalTrace(src, tr)
+	fs, err := EvalAll(src, analyzer.Analyze(tr, analyzer.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}

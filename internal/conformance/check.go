@@ -1,11 +1,9 @@
 package conformance
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/analyzer"
 	"repro/internal/core"
@@ -379,44 +377,32 @@ func caseRunInfo(cs Case) profile.RunInfo {
 	}
 }
 
-// spoolPool recycles the determinism rerun's in-memory spools: a sweep
-// checks case after case, and each spool would otherwise regrow from empty.
-var spoolPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // streamedCaseHash re-executes the case's body through the streaming
 // pipeline — events spilled to an ATSC chunk spool, analyzed
 // incrementally, never materialized — and returns the resulting profile
 // hash.  Comparing it against the in-memory hash checks determinism and
-// streamed/materialized equivalence in one shot.  A case is small, so the spool lives in memory:
-// every frame and the index are encoded, validated and decoded exactly as
-// from a spool file, without the file.
+// streamed/materialized equivalence in one shot.  A case is small, so the
+// spool lives in memory (trace.SpoolInMemory): every frame and the index
+// are encoded, validated and decoded exactly as from a spool file,
+// without the file.
 func streamedCaseHash(cs Case, prof perturb.Profile, body func(c *mpi.Comm)) (string, error) {
-	spool := spoolPool.Get().(*bytes.Buffer)
-	spool.Reset()
-	defer spoolPool.Put(spool)
-	w := trace.NewChunkWriterTo(spool, trace.DefaultSpillEvents)
-	opts := mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Sink: w}
-	if _, err := mpi.Run(opts, body); err != nil {
-		w.Abort()
-		return "", err
-	}
-	if err := w.Close(); err != nil {
-		return "", err
-	}
-
-	r, err := trace.NewChunkReader(bytes.NewReader(spool.Bytes()), int64(spool.Len()), trace.Limits{})
-	if err != nil {
-		return "", err
-	}
-	rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{Threshold: cs.Threshold})
-	if err != nil {
-		return "", err
-	}
-	p, err := profile.FromAnalysis("conformance", info, rep, caseRunInfo(cs))
-	if err != nil {
-		return "", err
-	}
-	return p.Hash()
+	var hash string
+	err := trace.SpoolInMemory(func(w *trace.ChunkWriter) error {
+		_, err := mpi.Run(mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Sink: w}, body)
+		return err
+	}, func(r *trace.ChunkReader) error {
+		rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{Threshold: cs.Threshold})
+		if err != nil {
+			return err
+		}
+		p, err := profile.FromAnalysis("conformance", info, rep, caseRunInfo(cs))
+		if err != nil {
+			return err
+		}
+		hash, err = p.Hash()
+		return err
+	})
+	return hash, err
 }
 
 // checkPositive verifies that every injected property is detected as its

@@ -117,7 +117,7 @@ func TestCheckColdAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const budget = 1540
+	const budget = 1320
 	cases := make([]Case, coldSeeds)
 	for i := range cases {
 		cases[i] = Generate(uint64(i+1), Config{})

@@ -37,14 +37,6 @@ type RobustOutcome struct {
 // OK reports whether the oracle held at every level.
 func (ro RobustOutcome) OK() bool { return ro.FailedAt < 0 }
 
-// FailLevel returns the first failing perturbation level (-1 if none).
-func (ro RobustOutcome) FailLevel() int {
-	if ro.FailedAt < 0 {
-		return -1
-	}
-	return ro.Levels[ro.FailedAt]
-}
-
 // FailOutcome returns the outcome of the first failing level (zero
 // Outcome if all levels held).
 func (ro RobustOutcome) FailOutcome() Outcome {

@@ -40,7 +40,7 @@ func TestRobustPerturbsAndIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !ro1.OK() {
-		t.Fatalf("robust sweep failed at level %d: %+v", ro1.FailLevel(), ro1.FailOutcome().Violations)
+		t.Fatalf("robust sweep failed at level %d: %+v", ro1.Levels[ro1.FailedAt], ro1.FailOutcome().Violations)
 	}
 	if len(ro1.Outcomes) != len(DefaultLevels) {
 		t.Fatalf("got %d outcomes, want %d", len(ro1.Outcomes), len(DefaultLevels))

@@ -295,20 +295,6 @@ func SortedNames() []string {
 	return names
 }
 
-// ByParadigm returns the sorted specs of one paradigm.
-func ByParadigm(p Paradigm) []*Spec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	var out []*Spec
-	for _, s := range registry {
-		if s.Paradigm == p {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // All returns all specs sorted by name.
 func All() []*Spec {
 	regMu.RLock()

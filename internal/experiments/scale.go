@@ -124,8 +124,9 @@ func scaleStreamedProfile(procs int, body func(c *mpi.Comm)) (*profile.Profile, 
 	return profile.FromAnalysis("scale", info, rep, profile.RunInfo{Procs: procs, Threads: 1})
 }
 
-// runScaleMaterialized executes the same program through the classic
-// merge-then-analyze pipeline.
+// runScaleMaterialized executes the same program through the
+// materialized pipeline: the run's in-memory spool is read back into a
+// Trace, which Analyze sweeps.
 func runScaleMaterialized(procs int, body func(c *mpi.Comm)) (int, string, error) {
 	tr, err := mpi.Run(mpi.Options{Procs: procs}, body)
 	if err != nil {

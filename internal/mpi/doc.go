@@ -26,7 +26,9 @@
 //     the trace equal the configured pathology severities exactly and runs
 //     are deterministic.
 //
-// A run materializes its trace by default; setting Options.Sink streams
-// per-rank buffers to an on-disk spool instead (see trace.Recorder and
-// doc/ARCHITECTURE.md) for bounded-memory analysis at large rank counts.
+// Every traced run spools its per-rank buffers as they record (see
+// trace.Recorder and doc/ARCHITECTURE.md).  By default the spool is in
+// memory and Run returns it merged as a Trace; setting Options.Sink
+// spools into the caller's writer instead, e.g. an on-disk spool for
+// bounded-memory analysis at large rank counts.
 package mpi

@@ -39,15 +39,15 @@ type Options struct {
 	// Virtual-mode runs; nil leaves the run exactly unperturbed.  See
 	// package perturb.
 	Perturb *perturb.Model
-	// Sink, when non-nil, streams trace events out of the run as ranks
-	// execute instead of materializing them: every per-location buffer
-	// is attached to the sink, spills chunk frames while recording, and
-	// is finished as its executor completes.  Run then returns a nil
-	// trace — open the sink's spool with trace.OpenChunkFile (or
-	// trace.NewChunkReader when it was spooled in memory) /
-	// trace.NewStream and analyze with analyzer.AnalyzeStream, which
-	// yields a report byte-identical to the materialized path without
-	// materializing the event list.  Ignored when Untraced.
+	// Sink, when non-nil, is the writer the run spools into instead of
+	// the in-memory spool it otherwise reads back as its trace: every
+	// per-location buffer is attached to it, spills chunk frames while
+	// recording, and is finished as its executor completes, either way.
+	// Run then returns a nil trace — open the sink's spool with
+	// trace.OpenChunkFile (or trace.NewChunkReader when it was spooled in
+	// memory) / trace.NewStream and analyze with analyzer.AnalyzeStream,
+	// which yields a report byte-identical to the materialized path
+	// without materializing the event list.  Ignored when Untraced.
 	Sink *trace.ChunkWriter
 	// Engine selects the Virtual-mode rank-execution strategy:
 	// EngineEvent (the zero value) or EngineGoroutine, the reference the

@@ -29,9 +29,10 @@ type RunOptions struct {
 	// inherit per-executor perturbers); nil leaves the run exactly
 	// unperturbed.  See package perturb.
 	Perturb *perturb.Model
-	// Sink, when non-nil, streams trace events out of the run as it
-	// executes (see mpi.Options.Sink): buffers spill chunk frames while
-	// recording and Run returns a nil trace.  Ignored when Untraced.
+	// Sink, when non-nil, is the writer the run spools into instead of
+	// the in-memory spool it otherwise reads back as its trace (see
+	// mpi.Options.Sink); Run then returns a nil trace.  Ignored when
+	// Untraced.
 	Sink *trace.ChunkWriter
 }
 

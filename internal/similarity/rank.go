@@ -105,15 +105,6 @@ type RankClusters struct {
 	Outliers []RankFinding
 }
 
-// OutlierRanks returns just the flagged rank numbers, ascending.
-func (rc RankClusters) OutlierRanks() []int {
-	out := make([]int, 0, len(rc.Outliers))
-	for _, f := range rc.Outliers {
-		out = append(out, f.Rank)
-	}
-	return out
-}
-
 // ClusterRanks clusters the per-rank wait vectors of one profile and
 // flags outlier ranks.  The result is a pure function of the profile
 // bytes (iteration orders are fixed), so the same run flags the same

@@ -110,8 +110,9 @@ type ChunkWriter struct {
 	off       int64
 	threshold int
 	streams   map[Location]*chunkStream
-	scratch   []byte   // frame envelope and index encoding, reused
-	frames    [][]byte // frame bytes of finished buffers, for the next Attach
+	scratch   []byte                          // frame envelope and index encoding, reused
+	hdr       [1 + binary.MaxVarintLen64]byte // frame tag and length, reused
+	frames    [][]byte                        // frame bytes of finished buffers, for the next Attach
 	err       error
 	closed    bool
 }
@@ -218,8 +219,9 @@ func (w *ChunkWriter) Err() error {
 }
 
 // Attach registers b with the writer and arranges for its events to be
-// spilled as they accumulate.  Attaching two buffers with the same
-// location is an error (reported at Finish/Close).  Errors inside a
+// spilled as they accumulate.  b must be fresh from NewBuffer: events it
+// recorded before Attach would be lost, so they are an error.  Attaching
+// two buffers with the same location is an error too.  Errors inside a
 // writer are sticky: recording continues (events are dropped) and the
 // first error is reported by Finish, Err and Close.
 func (w *ChunkWriter) Attach(b *Buffer) {
@@ -228,33 +230,51 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		w.fail(fmt.Errorf("trace: chunk writer: Attach(%v) after Close", b.Loc))
+	if b.pending > 0 {
+		w.fail(fmt.Errorf("trace: chunk writer: Attach(%v) after recording", b.Loc))
 		return
 	}
-	if _, dup := w.streams[b.Loc]; dup {
-		w.fail(fmt.Errorf("trace: chunk writer: duplicate stream for location %v", b.Loc))
+	if !w.open(b.Loc) {
 		return
 	}
-	w.streams[b.Loc] = &chunkStream{paths: 1} // the path root is implicit
 	b.sink = w
 	b.spillAt = w.threshold
-	// The buffer holds one frame's events, encoded.  Events it recorded
-	// before Attach stay in its own frame, to go out with its first spill.
-	// Otherwise a finished buffer's frame bytes serve the next one
-	// attached: short-lived locations, such as the threads of successive
-	// OpenMP parallel regions, share a few.  A fresh frame has room for
-	// frameEventBytes per event and only grows for larger events
-	// (Buffer.encode).  The frame a pooled buffer brings from a
-	// materialized run is dropped rather than kept alive for the whole
-	// stream.
-	if b.pending > 0 {
-		return
-	}
+	// The buffer holds one frame's events, encoded.  A finished buffer's
+	// frame bytes serve the next one attached: short-lived locations, such
+	// as the threads of successive OpenMP parallel regions, share a few.
+	// A fresh frame has room for frameEventBytes per event and only grows
+	// for larger events (Buffer.encode).  The frame a pooled buffer brings
+	// from Merge is dropped rather than kept alive for the whole stream.
 	if n := len(w.frames); n > 0 {
 		b.frame, w.frames = w.frames[n-1], w.frames[:n-1]
 	} else {
 		b.frame = make([]byte, 0, w.threshold*frameEventBytes)
+	}
+}
+
+// open starts the stream of loc, reporting false after a sticky error.
+func (w *ChunkWriter) open(loc Location) bool {
+	if w.closed {
+		w.fail(fmt.Errorf("trace: chunk writer: Attach(%v) after Close", loc))
+		return false
+	}
+	if _, dup := w.streams[loc]; dup {
+		w.fail(fmt.Errorf("trace: chunk writer: duplicate stream for location %v", loc))
+		return false
+	}
+	w.streams[loc] = &chunkStream{paths: 1} // the path root is implicit
+	return true
+}
+
+// writeBuffer spools every event b holds, with its intern tables, as one
+// frame and ends b's stream, leaving b unchanged: Merge's whole-buffer
+// write.
+func (w *ChunkWriter) writeBuffer(b *Buffer) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.open(b.Loc) {
+		w.spillLocked(b)
+		w.streams[b.Loc].finished = true
 	}
 }
 
@@ -302,10 +322,9 @@ func (w *ChunkWriter) spillLocked(b *Buffer) {
 	w.scratch = sc
 	// The events follow the envelope as the buffer encoded them.
 	bodyLen := len(sc) + len(b.frame)
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = chunkTagFrame
-	n := 1 + binary.PutUvarint(hdr[1:], uint64(bodyLen))
-	if !w.write(hdr[:n]) {
+	w.hdr[0] = chunkTagFrame
+	n := 1 + binary.PutUvarint(w.hdr[1:], uint64(bodyLen))
+	if !w.write(w.hdr[:n]) {
 		return
 	}
 	bodyOff := w.off
@@ -443,6 +462,7 @@ type ChunkReader struct {
 	indexOff int64
 	lim      Limits
 	streams  []chunkIndexEntry
+	names    map[string]string // region names, shared by the cursors (name)
 }
 
 // OpenChunkFile opens and validates the spool at path: magic, version,
@@ -507,7 +527,7 @@ func NewChunkReader(src io.ReaderAt, size int64, lim Limits) (*ChunkReader, erro
 	if err := readAt(src, idx, indexOff); err != nil {
 		return nil, fmt.Errorf("trace: reading chunk index: %w", err)
 	}
-	r := &ChunkReader{src: src, indexOff: indexOff, lim: lim}
+	r := &ChunkReader{src: src, indexOff: indexOff, lim: lim, names: make(map[string]string)}
 	if err := r.parseIndex(idx); err != nil {
 		return nil, err
 	}
@@ -601,7 +621,7 @@ func (r *ChunkReader) parseIndex(idx []byte) error {
 	return nil
 }
 
-// cutUvarint, cutVarint and cutString decode the value at the front of b
+// cutUvarint, cutVarint and cutBytes decode the value at the front of b
 // and return it with the rest of b.
 func cutUvarint(b []byte) (uint64, []byte, error) {
 	v, k := binary.Uvarint(b)
@@ -622,17 +642,29 @@ func cutVarint(b []byte) (int64, []byte, error) {
 // maxStringBytes caps a region name.
 const maxStringBytes = 1 << 20
 
-func cutString(b []byte) (string, []byte, error) {
+func cutBytes(b []byte) ([]byte, []byte, error) {
 	n, b, err := cutUvarint(b)
 	switch {
 	case err != nil:
-		return "", b, err
+		return nil, b, err
 	case n > maxStringBytes:
-		return "", b, fmt.Errorf("trace: implausible string length %d", n)
+		return nil, b, fmt.Errorf("trace: implausible string length %d", n)
 	case n > uint64(len(b)):
-		return "", b, io.ErrUnexpectedEOF
+		return nil, b, io.ErrUnexpectedEOF
 	}
-	return string(b[:n]), b[n:], nil
+	return b[:n], b[n:], nil
+}
+
+// name returns a region name as a string shared by every location of the
+// spool that names the region, so a name every rank uses costs one
+// string, not one per location.
+func (r *ChunkReader) name(b []byte) string {
+	s, ok := r.names[string(b)]
+	if !ok {
+		s = string(b)
+		r.names[s] = s
+	}
+	return s
 }
 
 // Locations returns the spool's locations in rank-major order.
@@ -686,16 +718,29 @@ type chunkCursor struct {
 	evIdx      uint64 // index in the current frame of the next event
 }
 
+// cursorTables is the intern-table room each cursor is carved at; a
+// location that interns more grows its own tables.  Each location of a
+// 16384-rank scale world interns 6 regions and 7 paths.
+const cursorTables = 8
+
+// cursors returns one cursor per location.  Their decode batches and
+// intern tables are carved from per-reader slabs.
 func (r *ChunkReader) cursors() []*chunkCursor {
-	slab := make([]chunkCursor, len(r.streams))
-	events := make([]Event, len(r.streams)*cursorBatch)
-	cs := make([]*chunkCursor, len(r.streams))
+	n := len(r.streams)
+	slab := make([]chunkCursor, n)
+	events := make([]Event, n*cursorBatch)
+	regions := make([]string, n*cursorTables)
+	pathParent := make([]PathID, n*cursorTables)
+	pathRegion := make([]RegionID, n*cursorTables)
+	cs := make([]*chunkCursor, n)
 	for i := range r.streams {
 		c := &slab[i]
 		c.r = r
 		c.ent = &r.streams[i]
-		c.pathParent = []PathID{-1}
-		c.pathRegion = []RegionID{-1}
+		lo, hi := i*cursorTables, (i+1)*cursorTables
+		c.regions = regions[lo:lo:hi]
+		c.pathParent = append(pathParent[lo:lo:hi], -1) // the root path
+		c.pathRegion = append(pathRegion[lo:lo:hi], -1)
 		c.events = events[i*cursorBatch : i*cursorBatch : (i+1)*cursorBatch]
 		cs[i] = c
 	}
@@ -703,10 +748,6 @@ func (r *ChunkReader) cursors() []*chunkCursor {
 }
 
 func (c *chunkCursor) loc() Location { return c.ent.loc }
-
-func (c *chunkCursor) tables() (regions []string, pathParent []PathID, pathRegion []RegionID) {
-	return c.regions, c.pathParent, c.pathRegion
-}
 
 func (c *chunkCursor) corrupt(format string, args ...any) error {
 	return fmt.Errorf("trace: chunk stream %v: corrupt frame: %s", c.ent.loc, fmt.Sprintf(format, args...))
@@ -790,11 +831,11 @@ func (c *chunkCursor) parseFrameHeader() error {
 		return err
 	}
 	for i := uint64(0); i < nr; i++ {
-		var name string
-		if name, b, err = cutString(b); err != nil {
+		var name []byte
+		if name, b, err = cutBytes(b); err != nil {
 			return c.corrupt("region %d: %v", i, err)
 		}
-		c.regions = append(c.regions, name)
+		c.regions = append(c.regions, c.r.name(name))
 	}
 	np, b, err := cutUvarint(b)
 	if err != nil {

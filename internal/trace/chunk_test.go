@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -168,13 +169,31 @@ func TestChunkStreamMatchesMerge(t *testing.T) {
 	}
 }
 
-func TestBufferStreamMatchesMerge(t *testing.T) {
-	want := Merge(buildBuffers(4, 9)...)
-	st, err := NewBufferStream(buildBuffers(4, 9)...)
-	if err != nil {
-		t.Fatalf("NewBufferStream: %v", err)
+// TestMergeLeavesBuffersUnchanged: Merge only reads its buffers, so
+// merging the same buffers twice gives equal traces, event for event and
+// byte for byte once serialized.
+func TestMergeLeavesBuffersUnchanged(t *testing.T) {
+	bufs := buildBuffers(4, 9)
+	first, second := Merge(bufs...), Merge(bufs...)
+	if len(first.Events) != 4*(4*9+2) {
+		t.Fatalf("merged %d events", len(first.Events))
 	}
-	compareToTrace(t, want, drainStream(t, st))
+	if !reflect.DeepEqual(first.Events, second.Events) {
+		t.Fatal("second Merge of the same buffers returned different events")
+	}
+	var a, b bytes.Buffer
+	if _, err := first.Write(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("the two merges serialize to different bytes")
+	}
+	for _, b := range bufs {
+		b.Release()
+	}
 }
 
 // TestBufferSpillKeepsTables verifies that spilling clears only the pending
@@ -333,56 +352,50 @@ func TestChunkWriterReusesSlabs(t *testing.T) {
 	}
 }
 
-// TestAttachSpoolsRecordedEvents: events a buffer recorded before Attach
-// reach the spool, ahead of those recorded after it, whether or not they
-// already exceed the spill threshold.
-func TestAttachSpoolsRecordedEvents(t *testing.T) {
-	steps := []func(b *Buffer){
-		func(b *Buffer) { b.Enter("main", 1) },
-		func(b *Buffer) { b.Enter("a", 2) },
-		func(b *Buffer) { b.Record(Event{Time: 3, Kind: KindSend, Peer: 1, Tag: 7, Bytes: 64, Match: 5}) },
-		func(b *Buffer) { b.Exit(4) },
-		func(b *Buffer) { b.Enter("b", 5) },
-		func(b *Buffer) { b.Record(Event{Time: 6, Aux: 5.5, Kind: KindColl, Coll: CollBarrier, Root: -1}) },
-		func(b *Buffer) { b.Exit(7) },
-		func(b *Buffer) { b.Enter("a", 8) },
-		func(b *Buffer) { b.Exit(9) },
-		func(b *Buffer) { b.Record(Event{Time: 10, Kind: KindMarker}) },
-		func(b *Buffer) { b.Exit(11) },
+// TestAttachRejectsRecordedBuffer: a buffer that recorded events before
+// Attach would lose them to the writer's frame, so Attach fails the
+// writer instead.
+func TestAttachRejectsRecordedBuffer(t *testing.T) {
+	w := NewChunkWriterTo(io.Discard, 4)
+	b := NewBuffer(Location{Rank: 2})
+	defer b.Release()
+	b.Enter("main", 1)
+	w.Attach(b)
+	if err := w.Close(); err == nil || !strings.Contains(err.Error(), "after recording") {
+		t.Fatalf("Close error = %v, want Attach after recording", err)
 	}
-	for _, before := range []int{2, 9} {
-		want := NewBuffer(Location{Rank: 0})
-		for _, step := range steps {
-			step(want)
+}
+
+// TestWarmSpillAllocs: once an attached buffer's frame, the writer's
+// scratch and the location's intern tables are warm, recording a frame's
+// worth of events and spilling it allocates only when the stream's frame
+// index grows.  Amortised doubling makes that a dozen allocations over a
+// thousand frames, which AllocsPerRun's per-run average rounds to zero.
+func TestWarmSpillAllocs(t *testing.T) {
+	w := NewChunkWriterTo(io.Discard, DefaultSpillEvents)
+	b := NewBuffer(Location{Rank: 3, Thread: 1})
+	w.Attach(b)
+	b.Enter("main", 0)
+	now := 0.0
+	frame := func() {
+		for i := 0; i < DefaultSpillEvents/2; i++ {
+			now++
+			b.Enter("work", now)
+			now++
+			b.Exit(now)
 		}
-		var spool bytes.Buffer
-		w := NewChunkWriterTo(&spool, 4)
-		b := NewBuffer(Location{Rank: 0})
-		for _, step := range steps[:before] {
-			step(b)
-		}
-		w.Attach(b)
-		for _, step := range steps[before:] {
-			step(b)
-		}
-		if err := w.Finish(b); err != nil {
-			t.Fatal(err)
-		}
-		b.Release()
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewChunkReader(bytes.NewReader(spool.Bytes()), int64(spool.Len()), Limits{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := NewStream(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareToTrace(t, Merge(want), drainStream(t, st))
-		st.Close()
-		want.Release()
+	}
+	frame()
+	if allocs := testing.AllocsPerRun(1000, frame); allocs != 0 {
+		t.Fatalf("a warm frame and spill allocate %.0f times", allocs)
+	}
+	b.Exit(now + 1)
+	if err := w.Finish(b); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,8 +10,9 @@ import (
 // FuzzEventCodec checks the event codec of the trace format:
 // decodeEvent inverts appendEvent exactly, never panics or over-reports
 // on arbitrary input, and rejects every strict prefix of an encoding.  A
-// materialized run stores its events in that encoding too, so the event
-// recorded into an unattached Buffer must come out of Merge unchanged.
+// buffer never attached keeps its events in that encoding, and Merge
+// spools them as one frame, so the event recorded into an unattached
+// Buffer must come out of Merge unchanged.
 func FuzzEventCodec(f *testing.F) {
 	f.Add(1.5, 0.25, uint8(KindSend), uint8(CollNone), FlagSync, int32(3), int32(0), int32(2), int32(5),
 		int32(4), int32(3), int32(7), int64(1024), int32(-1), int32(0), uint64(42), []byte(nil))
@@ -108,8 +109,7 @@ func testMergeRoundTrip(t *testing.T, ev Event) {
 // (DefaultSpillEvents).  While recording, a buffer's pending frame never
 // takes more than the spill threshold times the largest encoded event,
 // here larger than frameEventBytes, even when the buffer arrives from the
-// pool with a frame grown by a materialized run; a finished buffer keeps
-// no frame.  While merging, a cursor holds one raw frame plus at most
+// pool with a frame grown for Merge; a finished buffer keeps no frame.  While merging, a cursor holds one raw frame plus at most
 // cursorBatch decoded events however long its frames are.
 func TestStreamMemoryBound(t *testing.T) {
 	for _, spill := range []int{64, DefaultSpillEvents} {
@@ -130,8 +130,8 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 		// bytes and the frames' average just above frameEventBytes, so
 		// the frames have to grow.
 		b := NewBuffer(Location{Rank: 1<<28 + int32(i), Thread: 1 << 28})
-		// A pooled buffer may arrive with a frame grown by a
-		// materialized run; the sink replaces it.
+		// A pooled buffer may arrive with a frame grown for Merge;
+		// the sink replaces it.
 		pooled := 4 * spill * maxEventBytes
 		b.frame = make([]byte, 0, pooled)
 		w.Attach(b)
@@ -202,7 +202,7 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 		t.Helper()
 		for i := range st.srcs {
 			s := &st.srcs[i]
-			c := s.src.(*chunkCursor)
+			c := s.src
 			if cap(c.events) > cursorBatch || len(s.cur) > cursorBatch {
 				t.Fatalf("%s: cursor %v holds cap %d / %d current events, bound %d",
 					when, c.loc(), cap(c.events), len(s.cur), cursorBatch)

@@ -53,7 +53,7 @@ func writeBytes(t *testing.T, tr *trace.Trace) []byte {
 }
 
 func TestFormatGoldenFig35(t *testing.T) {
-	// Materialized sink: mpi.Run merges the buffers into a Trace.
+	// No sink: mpi.Run spools into memory and reads the spool back.
 	tr, err := mpi.Run(mpi.Options{Procs: 8}, fig35Body)
 	if err != nil {
 		t.Fatalf("materialized run: %v", err)

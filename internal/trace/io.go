@@ -2,14 +2,13 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
+	"sync"
 )
 
 // A serialized trace is an ATSC spool (chunk.go): Write and WriteFile
@@ -243,15 +242,12 @@ func (t *Trace) spoolLocations(w *ChunkWriter) error {
 // corrupt input fails with an error rather than an allocation its counts
 // cannot justify.
 func Read(r io.Reader) (*Trace, error) {
-	blob, err := io.ReadAll(r)
-	if err != nil {
+	spool := getSpool()
+	defer spoolPool.Put(spool)
+	if _, err := io.Copy(spool, r); err != nil {
 		return nil, err
 	}
-	cr, err := NewChunkReader(bytes.NewReader(blob), int64(len(blob)), Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return readChunks(cr)
+	return spool.read()
 }
 
 // ReadFile deserializes a trace from the named file.
@@ -271,6 +267,93 @@ func readChunks(cr *ChunkReader) (*Trace, error) {
 	}
 	defer st.Close()
 	return st.drain(cr.Events())
+}
+
+// memSpool is an in-memory spool held in fixed-size blocks.  Writing
+// never copies what it already holds, so a large run's spool takes its
+// bytes plus at most one block, where a doubling buffer would take up to
+// twice its bytes and leave every smaller copy behind as garbage.
+type memSpool struct {
+	blocks [][]byte // spoolBlock bytes each; blocks past size are spare
+	size   int64
+}
+
+// spoolBlock is the size of a memSpool block.  A conformance case spools
+// a few blocks; a 1024-rank world about 800.
+const spoolBlock = 16 << 10
+
+// spoolPool recycles in-memory spools with their blocks.  A sweep
+// records, merges or reads run after run of about the same size, and each
+// spool would otherwise be allocated afresh.  Recorder, Merge, Read and
+// SpoolInMemory draw from it; a spool goes back once what it held has
+// been decoded out of it.
+var spoolPool = sync.Pool{New: func() any { return new(memSpool) }}
+
+func getSpool() *memSpool {
+	spool := spoolPool.Get().(*memSpool)
+	spool.size = 0
+	return spool
+}
+
+func (m *memSpool) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		b, off := int(m.size/spoolBlock), int(m.size%spoolBlock)
+		if b == len(m.blocks) {
+			m.blocks = append(m.blocks, make([]byte, spoolBlock))
+		}
+		k := copy(m.blocks[b][off:], p)
+		p = p[k:]
+		m.size += int64(k)
+	}
+	return n, nil
+}
+
+func (m *memSpool) ReadAt(p []byte, off int64) (int, error) {
+	n := 0
+	for n < len(p) && off < m.size {
+		b := m.blocks[off/spoolBlock][off%spoolBlock:]
+		k := copy(p[n:], b[:min(int64(len(b)), m.size-off)])
+		n += k
+		off += int64(k)
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// read merges the spool into a Trace, which shares no bytes with it.
+func (m *memSpool) read() (*Trace, error) {
+	cr, err := NewChunkReader(m, m.size, Limits{})
+	if err != nil {
+		return nil, err
+	}
+	return readChunks(cr)
+}
+
+// SpoolInMemory runs run with a ChunkWriter spooling into a pooled
+// in-memory spool, closes it, and hands read a reader over the spool,
+// which is recycled once read returns.  It is WriteSpool for a run small
+// enough to hold: every frame and the index are encoded, validated and
+// decoded exactly as from a spool file, without the file.  When run
+// fails the spool is aborted and read is not called.
+func SpoolInMemory(run func(*ChunkWriter) error, read func(*ChunkReader) error) error {
+	spool := getSpool()
+	defer spoolPool.Put(spool)
+	w := NewChunkWriterTo(spool, DefaultSpillEvents)
+	if err := run(w); err != nil {
+		w.Abort()
+		return err
+	}
+	if err := w.Close(); err != nil {
+		return err
+	}
+	cr, err := NewChunkReader(spool, spool.size, Limits{})
+	if err != nil {
+		return err
+	}
+	return read(cr)
 }
 
 // Minimum encoded size of one element of each variable-length section,
@@ -307,44 +390,4 @@ func sliceCap(n uint64) int {
 		return chunk
 	}
 	return int(n)
-}
-
-// jsonEvent is the export schema of WriteJSON.
-type jsonEvent struct {
-	Time  float64 `json:"t"`
-	Aux   float64 `json:"aux,omitempty"`
-	Kind  string  `json:"kind"`
-	Loc   string  `json:"loc"`
-	Path  string  `json:"path,omitempty"`
-	Peer  int32   `json:"peer,omitempty"`
-	Tag   int32   `json:"tag,omitempty"`
-	Bytes int64   `json:"bytes,omitempty"`
-	Match uint64  `json:"match,omitempty"`
-	Coll  string  `json:"coll,omitempty"`
-	Root  int32   `json:"root,omitempty"`
-	Comm  int32   `json:"comm,omitempty"`
-}
-
-// WriteJSON exports the trace as JSON lines (one event per line) for
-// consumption by external tooling.  The format is lossy in the direction
-// of readability: region/path ids are resolved to strings.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i := range t.Events {
-		ev := &t.Events[i]
-		je := jsonEvent{
-			Time: ev.Time, Aux: ev.Aux, Kind: ev.Kind.String(),
-			Loc: ev.Loc.String(), Path: t.PathString(ev.Path),
-			Peer: ev.Peer, Tag: ev.Tag, Bytes: ev.Bytes, Match: ev.Match,
-			Root: ev.Root, Comm: ev.Comm,
-		}
-		if ev.Coll != CollNone {
-			je.Coll = ev.Coll.String()
-		}
-		if err := enc.Encode(&je); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -1,76 +1,67 @@
 package trace
 
-import "sync"
-
 // Recorder owns the per-location buffers of one run, from the executor
-// that starts recording into a buffer to the end of the run.  It makes
-// the one decision every runtime would otherwise repeat: with a
-// ChunkWriter, buffers spill chunk frames while they record and are
-// finished as their executors complete, so the run materializes nothing;
-// without one, finished buffers are kept and merged at the end.
+// that starts recording into a buffer to the end of the run.  Every
+// traced run records one way: buffers are attached to a ChunkWriter,
+// spill chunk frames while they record and are finished as their
+// executors complete.  Given no writer, the recorder spools into a pooled
+// in-memory buffer and Trace reads that spool back, so a materialized
+// trace is exactly what a streamed run of the same events would merge.
 //
 // A nil *Recorder is an untraced run: Buffer returns nil (on which every
 // recording call is a no-op) and Done and Trace do nothing.  Buffer and
 // Done are safe for concurrent use, one call per executor.
 type Recorder struct {
-	w    *ChunkWriter
-	mu   sync.Mutex
-	kept []*Buffer
+	w     *ChunkWriter
+	spool *memSpool // the in-memory spool behind w, nil for a caller's writer
 }
 
-// NewRecorder returns a recorder that spools into w, or that merges its
-// buffers in memory when w is nil.
-func NewRecorder(w *ChunkWriter) *Recorder { return &Recorder{w: w} }
+// NewRecorder returns a recorder that spools into w, or into memory, to
+// be read back by Trace, when w is nil.
+func NewRecorder(w *ChunkWriter) *Recorder {
+	if w != nil {
+		return &Recorder{w: w}
+	}
+	spool := getSpool()
+	return &Recorder{w: NewChunkWriterTo(spool, DefaultSpillEvents), spool: spool}
+}
 
-// Buffer returns a fresh buffer for loc, attached to the writer when the
-// recorder has one.
+// Buffer returns a fresh buffer for loc, attached to the recorder's
+// writer.
 func (r *Recorder) Buffer(loc Location) *Buffer {
 	if r == nil {
 		return nil
 	}
 	b := NewBuffer(loc)
-	if r.w != nil {
-		r.w.Attach(b)
-	}
+	r.w.Attach(b)
 	return b
 }
 
-// Done hands back a buffer whose executor has stopped recording.  With a
-// writer the buffer's tail is flushed and the buffer recycled at once;
-// otherwise it is kept for Trace.
+// Done hands back a buffer whose executor has stopped recording: its tail
+// is flushed and the buffer recycled at once.
 func (r *Recorder) Done(b *Buffer) {
 	if r == nil || b == nil {
 		return
 	}
-	if r.w != nil {
-		// A spool error is sticky in the writer; Trace reports it.
-		r.w.Finish(b)
-		b.Release()
-		return
-	}
-	r.mu.Lock()
-	r.kept = append(r.kept, b)
-	r.mu.Unlock()
+	// A spool error is sticky in the writer; Trace reports it.
+	r.w.Finish(b)
+	b.Release()
 }
 
-// Trace ends the run once every buffer is Done.  Without a writer it
-// merges and releases the kept buffers and returns the trace; with one it
-// returns a nil trace and the writer's first error, if any.
+// Trace ends the run once every buffer is Done.  Spooling into a caller's
+// writer, it returns a nil trace and the writer's first error, if any;
+// the caller closes the writer.  Spooling into memory, it closes the
+// spool, merges it into the returned trace and recycles it.
 func (r *Recorder) Trace() (*Trace, error) {
 	if r == nil {
 		return nil, nil
 	}
-	if r.w != nil {
+	if r.spool == nil {
 		return nil, r.w.Err()
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	tr := Merge(r.kept...)
-	// Merge copies the events out, so the buffers are released now, to be
-	// recycled for the next run.
-	for _, b := range r.kept {
-		b.Release()
+	defer spoolPool.Put(r.spool)
+	if err := r.w.Close(); err != nil {
+		return nil, err
 	}
-	r.kept = nil
-	return tr, nil
+	return r.spool.read()
 }

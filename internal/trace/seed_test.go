@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -106,40 +103,4 @@ func TestSeedAfterSpillPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Release()
-}
-
-func TestWriteJSON(t *testing.T) {
-	b := NewBuffer(loc(2, 1))
-	b.Enter("region", 0)
-	b.Record(Event{Time: 0.5, Kind: KindSend, Peer: 3, Tag: 7, Bytes: 64, Match: 9})
-	b.Record(Event{Time: 0.8, Aux: 0.1, Kind: KindColl, Coll: CollBcast, Root: 0, Match: 4})
-	b.Exit(1)
-	tr := Merge(b)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := 0
-	sc := bufio.NewScanner(&buf)
-	for sc.Scan() {
-		lines++
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %d not JSON: %v", lines, err)
-		}
-		if m["kind"] == "send" {
-			if m["peer"].(float64) != 3 || m["bytes"].(float64) != 64 {
-				t.Errorf("send line wrong: %v", m)
-			}
-			if m["path"] != "region" {
-				t.Errorf("send path = %v", m["path"])
-			}
-		}
-		if m["kind"] == "coll" && m["coll"] != "MPI_Bcast" {
-			t.Errorf("coll line wrong: %v", m)
-		}
-	}
-	if lines != 4 {
-		t.Errorf("got %d JSON lines, want 4", lines)
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 )
 
 // RegionNamer resolves region ids to names.  Both the materialized Trace
@@ -27,54 +26,11 @@ var (
 	_ View = (*Stream)(nil)
 )
 
-// streamSource is one location's frame sequence feeding a Stream: chunk
-// cursors for spooled runs, buffer adapters for in-memory ones.
-type streamSource interface {
-	loc() Location
-	// next returns the next batch of locally-interned events, or nil at
-	// end of stream.  The slice is only valid until the following call.
-	next() ([]Event, error)
-	// tables exposes the source's local intern tables as of the last next
-	// call; entries are append-only across frames.
-	tables() (regions []string, pathParent []PathID, pathRegion []RegionID)
-}
-
-// bufferSource adapts an in-memory Buffer as a source: it decodes the
-// buffer's frame at most cursorBatch events per next call, as a chunk
-// cursor decodes a spooled frame.
-type bufferSource struct {
-	b      *Buffer
-	off    int     // next event's offset in b.frame
-	events []Event // the decoded batch, reused
-}
-
-func (s *bufferSource) loc() Location { return s.b.Loc }
-
-func (s *bufferSource) next() ([]Event, error) {
-	frame := s.b.frame
-	if s.off == len(frame) {
-		return nil, nil
-	}
-	evs := s.events[:0]
-	for len(evs) < cap(evs) && s.off < len(frame) {
-		evs = evs[:len(evs)+1]
-		n, err := decodeEvent(frame[s.off:], &evs[len(evs)-1])
-		if err != nil {
-			return nil, fmt.Errorf("trace: buffer %v: event %d: %w", s.b.Loc, len(evs)-1, err)
-		}
-		s.off += n
-	}
-	return evs, nil
-}
-
-func (s *bufferSource) tables() ([]string, []PathID, []RegionID) {
-	return s.b.regions, s.b.pathParent, s.b.pathRegion
-}
-
-// sourceState is the per-source merge state: the current remapped batch
-// and the local→global id maps, grown as the local tables grow.
+// sourceState is the per-location merge state: the location's chunk
+// cursor, its current remapped batch, and the local→global id maps, grown
+// as the cursor's tables grow.
 type sourceState struct {
-	src       streamSource
+	src       *chunkCursor
 	cur       []Event
 	pos       int
 	regionMap []RegionID
@@ -100,14 +56,16 @@ func (a *heapEntry) less(b *heapEntry) bool {
 	return a.src < b.src
 }
 
-// Stream is the k-way merge over per-location event streams, delivering
-// events in (Time, Location) order with within-location order preserved;
-// Merge drains one into a Trace.  Region names and call paths are
-// interned globally and incrementally, so a Stream implements View and the
-// analyzer can consume it in place of a Trace while holding only
-// O(locations + intern tables) memory of its own: per location one raw
-// frame and at most a small batch of decoded events.  Over chunk spools,
-// the readers' frame indexes add O(events / spill) (see ChunkReader).
+// Stream is the k-way merge over the per-location streams of chunk
+// spools, delivering events in (Time, Location) order with
+// within-location order preserved; every Trace is one drained
+// (Recorder.Trace, Merge, Read, ReadFile).  Region names and call paths are interned
+// globally and incrementally, as the merge meets each location's frames,
+// so a Stream implements View and the analyzer can consume it in place of
+// a Trace while holding only O(locations + intern tables) memory of its
+// own: per location one raw frame and at most a small batch of decoded
+// events.  The readers' frame indexes add O(events / spill) (see
+// ChunkReader).
 type Stream struct {
 	srcs []sourceState
 	heap []heapEntry
@@ -133,59 +91,38 @@ type Stream struct {
 // locations must be pairwise distinct.  Closing the stream closes the
 // readers.
 func NewStream(readers ...*ChunkReader) (*Stream, error) {
-	var srcs []streamSource
-	var closers []io.Closer
+	var cursors []*chunkCursor
+	closers := make([]io.Closer, 0, len(readers))
 	for _, r := range readers {
-		for _, c := range r.cursors() {
-			srcs = append(srcs, c)
-		}
+		cursors = append(cursors, r.cursors()...)
 		closers = append(closers, r)
 	}
-	return newStream(srcs, closers)
-}
-
-// NewBufferStream merges in-memory buffers (Merge drains one).  It
-// decodes their encoded events as a chunk cursor does, at most
-// cursorBatch events per location at a time; the buffers must not be
-// recorded into or released while the stream is live.
-func NewBufferStream(buffers ...*Buffer) (*Stream, error) {
-	adapters := make([]bufferSource, 0, len(buffers))
-	srcs := make([]streamSource, 0, len(buffers))
-	events := make([]Event, len(buffers)*cursorBatch)
-	for _, b := range buffers {
-		if b == nil {
-			continue
-		}
-		i := len(adapters)
-		adapters = append(adapters, bufferSource{b: b, events: events[i*cursorBatch : i*cursorBatch : (i+1)*cursorBatch]})
-		srcs = append(srcs, &adapters[i])
-	}
-	return newStream(srcs, nil)
-}
-
-func newStream(sources []streamSource, closers []io.Closer) (*Stream, error) {
-	// Sources are ordered by location, making the merge independent of
-	// argument order (locations are unique per source, so the heap's
-	// source-index tiebreak is never reached across sources).
-	sort.Slice(sources, func(i, j int) bool { return sources[i].loc().less(sources[j].loc()) })
+	// Cursors are ordered by location, making the merge independent of
+	// reader order (locations are unique per cursor, so the heap's
+	// source-index tiebreak is never reached across cursors).
+	slices.SortFunc(cursors, func(a, b *chunkCursor) int { return compareLocations(a.loc(), b.loc()) })
 	st := &Stream{
 		regionIDs:  make(map[string]RegionID),
 		pathParent: []PathID{-1},
 		pathRegion: []RegionID{-1},
 		pathStrs:   []string{""},
 		pathChild:  make(map[pathKey]PathID),
-		locs:       make([]Location, 0, len(sources)),
-		srcs:       make([]sourceState, 0, len(sources)),
-		heap:       make([]heapEntry, 0, len(sources)),
+		locs:       make([]Location, 0, len(cursors)),
+		srcs:       make([]sourceState, 0, len(cursors)),
+		heap:       make([]heapEntry, 0, len(cursors)),
 		closers:    closers,
 	}
-	for i, src := range sources {
-		if i > 0 && !sources[i-1].loc().less(src.loc()) {
+	// The id maps are carved from slabs, as the cursors' tables are.
+	regionMaps := make([]RegionID, len(cursors)*cursorTables)
+	pathMaps := make([]PathID, len(cursors)*cursorTables)
+	for i, c := range cursors {
+		if i > 0 && !cursors[i-1].loc().less(c.loc()) {
 			st.Close()
-			return nil, fmt.Errorf("trace: stream: duplicate location %v", src.loc())
+			return nil, fmt.Errorf("trace: stream: duplicate location %v", c.loc())
 		}
-		st.locs = append(st.locs, src.loc())
-		st.srcs = append(st.srcs, sourceState{src: src})
+		lo, hi := i*cursorTables, (i+1)*cursorTables
+		st.locs = append(st.locs, c.loc())
+		st.srcs = append(st.srcs, sourceState{src: c, regionMap: regionMaps[lo:lo:hi], pathMap: pathMaps[lo:lo:hi]})
 	}
 	for i := range st.srcs {
 		if err := st.refill(i); err != nil {
@@ -242,7 +179,7 @@ func (st *Stream) refill(i int) error {
 			s.cur, s.pos = nil, 0
 			return nil
 		}
-		regions, pathParent, pathRegion := s.src.tables()
+		regions, pathParent, pathRegion := s.src.regions, s.src.pathParent, s.src.pathRegion
 		s.regionMap = slices.Grow(s.regionMap, len(regions)-len(s.regionMap))
 		s.pathMap = slices.Grow(s.pathMap, len(pathParent)-len(s.pathMap))
 		for j := len(s.regionMap); j < len(regions); j++ {

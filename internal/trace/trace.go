@@ -6,10 +6,11 @@
 // event traces directly: region enter/exit, point-to-point message events,
 // collective-operation events, and thread fork/join.  Each execution
 // location (MPI rank × OpenMP thread) writes to its own Buffer without
-// locking.  A Recorder hands the buffers out and merges them into a Trace
-// at the end of the run — or, when it has a ChunkWriter, spills them to an
-// on-disk chunk spool during the run, to be re-merged incrementally by a
-// Stream, so analysis memory stays bounded at large rank counts.
+// locking.  A Recorder hands the buffers out and spills them, as they
+// record, to a chunk spool: a caller's file, re-merged incrementally by a
+// Stream so analysis memory stays bounded at large rank counts, or an
+// in-memory spool that the Recorder merges into a Trace at the end of the
+// run.
 //
 // Call paths are interned as a tree so that every event carries the full
 // dynamic call path at constant cost — the analyzer's "call graph pane"
@@ -231,15 +232,15 @@ type Buffer struct {
 	seeded int // frames installed by Seed (not matched by Exit)
 
 	// frame holds the buffer's pending events as they will be spooled, in
-	// appendEvent's encoding; pending counts them.  An unattached buffer
-	// keeps every event it records there until Merge decodes them.  While
-	// a sink is attached the frame is spilled as a chunk frame whenever
-	// pending reaches spillAt, so the buffer holds at most spillAt pending
-	// events however long the run is; the sink's frame index still grows
-	// by one 16-byte ref per spilled frame.  The intern tables are never
-	// spilled away — paths and regions keep their local ids across frames
-	// and the sink writes table deltas per frame.  Set via
-	// ChunkWriter.Attach (Recorder.Buffer attaches).
+	// appendEvent's encoding; pending counts them.  While a sink is
+	// attached the frame is spilled as a chunk frame whenever pending
+	// reaches spillAt, so the buffer holds at most spillAt pending events
+	// however long the run is; the sink's frame index still grows by one
+	// 16-byte ref per spilled frame.  The intern tables are never spilled
+	// away — paths and regions keep their local ids across frames and the
+	// sink writes table deltas per frame.  Set via ChunkWriter.Attach
+	// (Recorder.Buffer attaches).  A buffer never attached keeps every
+	// event it records, for Merge to spool as one frame.
 	sink    *ChunkWriter
 	spillAt int
 	frame   []byte
@@ -252,17 +253,17 @@ type pathKey struct {
 	region RegionID
 }
 
-// bufferPool recycles Buffer objects — including an unattached buffer's
-// frame bytes, intern maps and path tables — between runs.  Campaigns
-// execute hundreds of worlds back to back; without the pool every run
-// re-grows every rank's frame from scratch and the allocator dominates the
-// profile.  An attached buffer's frame bytes go back to its ChunkWriter
-// instead (see ChunkWriter.Finish).
+// bufferPool recycles Buffer objects — their intern maps, path tables
+// and region stacks — between runs.  Campaigns execute hundreds of worlds
+// back to back; without the pool every run re-grows every location's
+// tables from scratch.  An attached buffer's frame bytes go back to its
+// ChunkWriter instead (see ChunkWriter.Finish); a frame a buffer grew for
+// Merge comes back with it, and the next Attach drops it.
 var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
 // NewBuffer returns an empty buffer for the given location.  Buffers are
-// drawn from a process-wide free list; pass them to Release when the
-// merged trace no longer references them to recycle their storage.
+// drawn from a process-wide free list; pass them to Release once their
+// events are spooled or merged to recycle their storage.
 func NewBuffer(loc Location) *Buffer {
 	b := bufferPool.Get().(*Buffer)
 	b.Loc = loc
@@ -469,28 +470,32 @@ type Trace struct {
 // nil (ignored).  Events are ordered by (Time, Location), with
 // within-location order preserved.
 //
-// Merge is a drain of NewBufferStream into one event slice, so the
-// materialized and streamed paths share a single k-way merge, intern
-// tables and event decoder: region and path ids are interned in location
-// order.  Each buffer must be in time order, as every executor's clock
-// never runs backwards; that is the precondition of Stream and ChunkWriter
-// too.  Merge only reads the buffers' encoded events; callers Release the
-// buffers afterwards.  Two buffers sharing a location are a caller bug and
-// panic.
+// Merge spools each buffer's events, with its intern tables, as one
+// chunk frame into a pooled in-memory spool and reads the spool back, so
+// it merges through the Stream every other trace goes through.  Region
+// and path ids are interned in location order: the first location's
+// tables, then the second's new names, and so on.  Each buffer must be in
+// time order, as every executor's clock never runs backwards; that is the
+// precondition of Stream and ChunkWriter too.  Merge only reads the
+// buffers; callers Release them afterwards.  Two buffers sharing a
+// location are a caller bug and panic.
 func Merge(buffers ...*Buffer) *Trace {
-	st, err := NewBufferStream(buffers...)
+	var tr *Trace
+	err := SpoolInMemory(func(w *ChunkWriter) error {
+		for _, b := range buffers {
+			if b != nil {
+				w.writeBuffer(b)
+			}
+		}
+		return nil
+	}, func(cr *ChunkReader) (err error) {
+		tr, err = readChunks(cr)
+		return err
+	})
 	if err != nil {
 		panic(err)
 	}
-	total := 0
-	for _, b := range buffers {
-		total += b.Len()
-	}
-	t, err := st.drain(total)
-	if err != nil {
-		panic(err)
-	}
-	return t
+	return tr
 }
 
 // RegionName returns the name for id, or a placeholder for invalid ids.
@@ -522,14 +527,6 @@ func (t *Trace) PathString(p PathID) string {
 		t.pathStrs = strs
 	})
 	return t.pathStrs[p]
-}
-
-// PathLeaf returns the leaf region name of path p ("" for the root).
-func (t *Trace) PathLeaf(p PathID) string {
-	if p <= PathRoot || int(p) >= len(t.PathParent) {
-		return ""
-	}
-	return t.RegionName(t.PathRegion[p])
 }
 
 // Duration returns the time span covered by the trace.
@@ -571,15 +568,4 @@ func (t *Trace) Shape() (ranks, threads int) {
 		}
 	}
 	return ranks, threads
-}
-
-// FilterLocation returns the events of a single location, in time order.
-func (t *Trace) FilterLocation(loc Location) []Event {
-	var out []Event
-	for _, ev := range t.Events {
-		if ev.Loc == loc {
-			out = append(out, ev)
-		}
-	}
-	return out
 }

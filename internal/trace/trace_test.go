@@ -33,9 +33,6 @@ func TestBufferRegionsAndPaths(t *testing.T) {
 	if got := tr.PathString(innerPath); got != "main/phase2/inner" {
 		t.Errorf("inner path = %q", got)
 	}
-	if got := tr.PathLeaf(innerPath); got != "inner" {
-		t.Errorf("leaf = %q", got)
-	}
 }
 
 func TestExitWithoutEnterPanics(t *testing.T) {
@@ -279,25 +276,6 @@ func TestEmptyTimeline(t *testing.T) {
 	tr := Merge()
 	if out := Timeline(tr, TimelineOptions{}); !strings.Contains(out, "empty") {
 		t.Errorf("empty trace render = %q", out)
-	}
-}
-
-func TestFilterLocation(t *testing.T) {
-	b0 := NewBuffer(loc(0, 0))
-	b0.Enter("a", 0)
-	b0.Exit(1)
-	b1 := NewBuffer(loc(1, 0))
-	b1.Enter("b", 0.5)
-	b1.Exit(2)
-	tr := Merge(b0, b1)
-	evs := tr.FilterLocation(loc(1, 0))
-	if len(evs) != 2 {
-		t.Fatalf("got %d events", len(evs))
-	}
-	for _, ev := range evs {
-		if ev.Loc != loc(1, 0) {
-			t.Errorf("wrong location %v", ev.Loc)
-		}
 	}
 }
 
