@@ -46,37 +46,6 @@ const (
 	PropRankOutlier = "rank_behavior_outlier"
 )
 
-// ExpectedDetection maps each ATS property-function name (package core) to
-// the analyzer property a correct tool must report as the dominant finding
-// for that function's single-property test program.  This table is the
-// positive-correctness oracle of the test suite.
-var ExpectedDetection = map[string]string{
-	"late_sender":                             PropLateSender,
-	"late_sender_nonblocking":                 PropLateSender,
-	"late_receiver":                           PropLateReceiver,
-	"imbalance_at_mpi_barrier":                PropWaitAtBarrier,
-	"growing_imbalance_at_mpi_barrier":        PropWaitAtBarrier,
-	"unparallelized_mpi_code":                 PropWaitAtBarrier,
-	"imbalance_at_mpi_alltoall":               PropWaitAtNxN,
-	"imbalance_at_mpi_allreduce":              PropWaitAtNxN,
-	"imbalance_at_mpi_allgather":              PropWaitAtNxN,
-	"late_broadcast":                          PropLateBroadcast,
-	"late_scatter":                            PropLateBroadcast,
-	"late_scatterv":                           PropLateBroadcast,
-	"early_reduce":                            PropEarlyReduce,
-	"early_gather":                            PropEarlyReduce,
-	"early_gatherv":                           PropEarlyReduce,
-	"dominated_by_communication":              PropMPITimeFraction,
-	"imbalance_in_omp_pregion":                PropOMPRegion,
-	"imbalance_at_omp_barrier":                PropOMPBarrier,
-	"imbalance_in_omp_loop":                   PropOMPLoop,
-	"imbalance_at_omp_sections":               PropOMPSections,
-	"serialization_at_omp_critical":           PropOMPCritical,
-	"unparallelized_in_single":                PropOMPSingle,
-	"hybrid_omp_imbalance_causes_late_sender": PropLateSender,
-	"hybrid_barrier_after_omp_regions":        PropWaitAtBarrier,
-}
-
 // Hierarchy maps each property to its parent in the EXPERT-style property
 // tree; PropTotalWaiting is the root.
 var Hierarchy = map[string]string{

@@ -414,21 +414,6 @@ func TestHierarchyWellFormed(t *testing.T) {
 	}
 }
 
-func TestExpectedDetectionTargetsExist(t *testing.T) {
-	valid := map[string]bool{
-		PropLateSender: true, PropLateReceiver: true, PropWaitAtBarrier: true,
-		PropLateBroadcast: true, PropEarlyReduce: true, PropWaitAtNxN: true,
-		PropOMPRegion: true, PropOMPBarrier: true, PropOMPLoop: true,
-		PropOMPSections: true, PropOMPSingle: true, PropOMPCritical: true,
-		PropMPITimeFraction: true,
-	}
-	for fn, prop := range ExpectedDetection {
-		if !valid[prop] {
-			t.Errorf("%s maps to unknown property %s", fn, prop)
-		}
-	}
-}
-
 func TestWriteJSONReport(t *testing.T) {
 	tr := buildCollTrace(trace.CollBcast, []float64{0.0, 0.0, 0.5}, 2)
 	rep := Analyze(tr, Options{})

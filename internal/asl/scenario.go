@@ -582,6 +582,7 @@ func (sc *Scenario) compile() error {
 		Name:       sc.Name,
 		Paradigm:   core.ParadigmMPI,
 		Help:       sc.Help,
+		Detects:    sc.Detects,
 		Companions: append([]string(nil), sc.Companions...),
 		ASL:        sc.Src,
 		Params:     make([]core.Param, 0, len(sc.Params)),
@@ -839,10 +840,11 @@ func (e *paramEnv) call(name string, args []value) (value, error) {
 // Registration ---------------------------------------------------------------
 
 // RegisterSource parses src, compiles every scenario in it and registers
-// each with the core property registry and the analyzer's
-// expected-detection table, opening them to the generator, the sweeps, the
-// conformance oracle and the fuzzer.  It returns the registered names; on
-// any error the registry is left exactly as before the call.
+// each with the core property registry — the compiled spec carries the
+// scenario's detection claim and companions — opening them to the
+// generator, the sweeps, the conformance oracle and the fuzzer.  It
+// returns the registered names; on any error the registry is left exactly
+// as before the call.
 func RegisterSource(src string) ([]string, error) {
 	f, err := ParseFile(src)
 	if err != nil {
@@ -854,7 +856,6 @@ func RegisterSource(src string) ([]string, error) {
 			Unregister(names...)
 			return nil, err
 		}
-		analyzer.ExpectedDetection[sc.Name] = sc.Detects
 		names = append(names, sc.Name)
 	}
 	return names, nil
@@ -874,11 +875,10 @@ func RegisterFile(path string) ([]string, error) {
 }
 
 // Unregister removes scenarios previously registered by RegisterSource
-// from the registry and the expected-detection table (test hygiene for
-// dynamically extended registries).
+// from the core registry, and with them every oracle fact their specs
+// carried (test hygiene for dynamically extended registries).
 func Unregister(names ...string) {
 	for _, n := range names {
 		core.Unregister(n)
-		delete(analyzer.ExpectedDetection, n)
 	}
 }

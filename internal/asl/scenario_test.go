@@ -266,8 +266,8 @@ func TestRegisterSourceRoundTrip(t *testing.T) {
 	if spec.ASL == "" {
 		t.Error("registered spec lost its ASL source")
 	}
-	if got := analyzer.ExpectedDetection["skewed_pipeline"]; got != analyzer.PropLateSender {
-		t.Errorf("ExpectedDetection = %q", got)
+	if spec.Detects != analyzer.PropLateSender {
+		t.Errorf("Detects = %q", spec.Detects)
 	}
 	// Duplicate registration is rejected and leaves the registry intact.
 	if _, err := RegisterSource(testScenario); err == nil {
@@ -280,8 +280,10 @@ func TestRegisterSourceRoundTrip(t *testing.T) {
 	if _, ok := core.Get("skewed_pipeline"); ok {
 		t.Error("Unregister left the spec registered")
 	}
-	if _, ok := analyzer.ExpectedDetection["skewed_pipeline"]; ok {
-		t.Error("Unregister left the expected-detection entry")
+	for _, s := range core.All() {
+		if s == spec {
+			t.Error("Unregister left the spec in the registry snapshot")
+		}
 	}
 }
 

@@ -232,3 +232,40 @@ func TestASLScenarioShrink(t *testing.T) {
 		t.Error("shrunk case no longer fails")
 	}
 }
+
+// TestASLRegistrationDuringBuiltinCheck: registering and unregistering an
+// ASL scenario while the oracle checks a built-in case shares no
+// unsynchronized state with the check.  Under -race it fails when a
+// property's detection target lives anywhere the registration writes
+// outside the core registry's lock.
+func TestASLRegistrationDuringBuiltinCheck(t *testing.T) {
+	src := strings.Replace(conformanceScenario, "asl_conf_probe", "asl_conf_race", 1)
+	cs := Generate(1, Config{}) // drawn before the scenario can join the pool
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			names, err := asl.RegisterSource(src)
+			if err != nil {
+				t.Errorf("RegisterSource: %v", err)
+				return
+			}
+			asl.Unregister(names...)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 8; i++ {
+		out, err := Check(cs, CheckOptions{SkipDeterminism: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.OK() {
+			t.Fatalf("%v: violations: %v", cs, out.Violations)
+		}
+	}
+}

@@ -101,19 +101,6 @@ func (opt CheckOptions) withDefaults() CheckOptions {
 	return opt
 }
 
-// companions maps an injected core property to analyzer properties it
-// legitimately co-produces besides its expected detection; the negative
-// axis must not flag these.
-var companions = map[string][]string{
-	// The critical-section rounds are barrier-resynced, so the serialized
-	// exits also skew the resync barrier (documented in properties_omp.go).
-	"serialization_at_omp_critical": {analyzer.PropOMPBarrier},
-	// The sending ranks' teams are internally imbalanced by construction;
-	// the join wait inside the OMP region is the *cause* of the MPI-level
-	// late sender, not a spurious finding.
-	"hybrid_omp_imbalance_causes_late_sender": {analyzer.PropOMPRegion},
-}
-
 // NondeterministicWaits lists core properties whose per-thread wait
 // *attribution* legitimately varies between runs: virtual-mode lock entry
 // follows real arrival order at the lock (see internal/omp.Lock), so only
@@ -218,10 +205,9 @@ func caseBody(cs Case) func(c *mpi.Comm) {
 }
 
 // expectedWait returns the case-level closed-form wait for one injected
-// property: the spec's per-environment form, times the rank count for
-// pure-OpenMP properties (every rank runs its own team).
-func expectedWait(cs Case, cp CaseProp) float64 {
-	spec, _ := core.Get(cp.Name)
+// property cp of spec: the spec's per-environment form, times the rank
+// count for pure-OpenMP properties (every rank runs its own team).
+func expectedWait(cs Case, spec *core.Spec, cp CaseProp) float64 {
 	w := spec.ExpectedWait(cs.Procs, cs.Threads, cp.Args())
 	if w < 0 {
 		return w
@@ -423,13 +409,14 @@ func checkPositive(cs Case, rep *analyzer.Report, opt CheckOptions, extraSlack f
 	names := make([]string, 0, len(cs.Props))
 	wantSum := make(map[string]float64) // analyzer property -> total expected
 	for _, cp := range cs.Props {
-		w := expectedWait(cs, cp)
+		spec, _ := core.Get(cp.Name)
+		w := expectedWait(cs, spec, cp)
 		if w < 0 {
 			continue // no closed form; nothing mechanical to assert
 		}
 		g := byName[cp.Name]
 		if g == nil {
-			g = &inj{want: analyzer.ExpectedDetection[cp.Name]}
+			g = &inj{want: spec.Detects}
 			byName[cp.Name] = g
 			names = append(names, cp.Name)
 		}
@@ -483,13 +470,8 @@ func checkPositive(cs Case, rep *analyzer.Report, opt CheckOptions, extraSlack f
 func checkNegative(cs Case, rep *analyzer.Report, floor float64) []Violation {
 	allowed := make(map[string]bool)
 	for _, cp := range cs.Props {
-		allowed[analyzer.ExpectedDetection[cp.Name]] = true
-		for _, c := range companions[cp.Name] {
-			allowed[c] = true
-		}
-		// Dynamically registered properties (ASL scenarios) carry their
-		// companion allowances on the spec itself.
 		if spec, ok := core.Get(cp.Name); ok {
+			allowed[spec.Detects] = true
 			for _, c := range spec.Companions {
 				allowed[c] = true
 			}

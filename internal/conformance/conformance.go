@@ -35,6 +35,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/analyzer"
 	"repro/internal/core"
 )
 
@@ -101,28 +102,22 @@ type Config struct {
 	// case (default 0.005).
 	Threshold float64
 	// Pool is the set of property names to draw from (default: every
-	// registered property except ExcludedProperties).
+	// registered property whose detection is not an info metric).
 	Pool []string
-}
-
-// ExcludedProperties are registered properties the default pool omits:
-// dominated_by_communication has no closed-form wait and its expected
-// detection is an info metric, so neither the positive nor the negative
-// axis can be checked mechanically for it.
-var ExcludedProperties = map[string]bool{
-	"dominated_by_communication": true,
 }
 
 // DefaultPool returns the default property pool in sorted order, in a
 // fresh slice the caller may modify.
 func DefaultPool() []string { return appendDefaultPool(nil) }
 
-// appendDefaultPool appends the default pool, sorted, to dst: the
-// registry's read-only name snapshot without ExcludedProperties.
+// appendDefaultPool appends the default pool, sorted, to dst: every
+// registered spec except those whose Detects is an info metric — with no
+// wait to localize (and no closed form), neither the positive nor the
+// negative axis can check them mechanically.
 func appendDefaultPool(dst []string) []string {
-	for _, name := range core.SortedNames() {
-		if !ExcludedProperties[name] {
-			dst = append(dst, name)
+	for _, spec := range core.All() {
+		if !analyzer.IsInfo(spec.Detects) {
+			dst = append(dst, spec.Name)
 		}
 	}
 	return dst

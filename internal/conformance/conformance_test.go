@@ -165,15 +165,26 @@ func TestGenerateConcurrent(t *testing.T) {
 
 // TestDefaultPoolFollowsRegistry: the default pool is cached between
 // registry changes, so a spec registered after the first Generate must
-// join it and leave it again on Unregister.
+// join it and leave it again on Unregister — unless its detection is an
+// info metric, which keeps it out like dominated_by_communication.
 func TestDefaultPoolFollowsRegistry(t *testing.T) {
 	Generate(1, Config{}) // the pool is built before the registry changes
-	const name = "zz_pool_probe"
-	spec := &core.Spec{Name: name, Paradigm: core.ParadigmMPI, Run: func(core.Env, core.Args) {}}
-	if err := core.Register(spec); err != nil {
-		t.Fatal(err)
+	const name, info = "zz_pool_probe", "zz_pool_info_probe"
+	for _, spec := range []*core.Spec{
+		{Name: name, Paradigm: core.ParadigmMPI, Run: func(core.Env, core.Args) {}},
+		{Name: info, Paradigm: core.ParadigmMPI, Run: func(core.Env, core.Args) {},
+			Detects: analyzer.PropMPITimeFraction},
+	} {
+		if err := core.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { core.Unregister(spec.Name) }) // a no-op once unregistered
 	}
-	t.Cleanup(func() { core.Unregister(name) }) // a no-op once unregistered
+	for _, out := range []string{info, "dominated_by_communication"} {
+		if slices.Contains(DefaultPool(), out) {
+			t.Errorf("%s detects an info metric but is in DefaultPool", out)
+		}
+	}
 	drawn := func() bool {
 		for s := uint64(1); s <= 200; s++ {
 			for _, p := range Generate(s, Config{}).Props {

@@ -3,7 +3,7 @@ package conformance
 import (
 	"testing"
 
-	"repro/internal/analyzer"
+	"repro/internal/core"
 	"repro/internal/perturb"
 )
 
@@ -93,8 +93,9 @@ func TestRobustStillCatchesDroppedProperty(t *testing.T) {
 	for seed := uint64(1); seed <= 50 && drop == ""; seed++ {
 		cs = Generate(seed, Config{})
 		for _, cp := range cs.Props {
-			if w := expectedWait(cs, cp); w > 0 {
-				drop = analyzer.ExpectedDetection[cp.Name]
+			spec, _ := core.Get(cp.Name)
+			if w := expectedWait(cs, spec, cp); w > 0 {
+				drop = spec.Detects
 				break
 			}
 		}

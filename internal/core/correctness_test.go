@@ -27,8 +27,8 @@ func TestPositiveCorrectnessAllProperties(t *testing.T) {
 	for _, spec := range core.All() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			want, ok := analyzer.ExpectedDetection[spec.Name]
-			if !ok {
+			want := spec.Detects
+			if want == "" {
 				t.Fatalf("no expected detection registered for %q", spec.Name)
 			}
 			tr, err := ats.RunPropertyDefaults(spec.Name, testProcs, testThreads)
@@ -338,6 +338,31 @@ func TestCompositeHybrid(t *testing.T) {
 	}
 }
 
+// TestDetectsTargetsExist: every registered detection target and
+// companion is a leaf of the analyzer's property hierarchy, or an info
+// metric, so the oracle never waits for a finding the analyzer cannot
+// report.
+func TestDetectsTargetsExist(t *testing.T) {
+	inner := map[string]bool{}
+	for _, parent := range analyzer.Hierarchy {
+		inner[parent] = true
+	}
+	reportable := func(prop string) bool {
+		_, inTree := analyzer.Hierarchy[prop]
+		return inTree && !inner[prop] || analyzer.IsInfo(prop)
+	}
+	for _, spec := range core.All() {
+		if spec.Detects != "" && !reportable(spec.Detects) {
+			t.Errorf("%s detects unknown property %s", spec.Name, spec.Detects)
+		}
+		for _, c := range spec.Companions {
+			if !reportable(c) {
+				t.Errorf("%s has unknown companion %s", spec.Name, c)
+			}
+		}
+	}
+}
+
 // TestRegistryConsistency checks the registry invariants the generator
 // relies on.
 func TestRegistryConsistency(t *testing.T) {
@@ -364,8 +389,8 @@ func TestRegistryConsistency(t *testing.T) {
 		default:
 			t.Errorf("%s: paradigm %v outside the partition", n, spec.Paradigm)
 		}
-		if _, ok := analyzer.ExpectedDetection[n]; !ok {
-			t.Errorf("%s: no entry in analyzer.ExpectedDetection", n)
+		if spec.Detects == "" {
+			t.Errorf("%s: no Detects", n)
 		}
 		a := spec.Defaults()
 		for _, p := range spec.Params {

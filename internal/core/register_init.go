@@ -1,5 +1,7 @@
 package core
 
+import "repro/internal/analyzer"
+
 // This file registers every built-in property function with the registry.
 // The registrations are the machine-readable form of the paper's
 // "currently implemented performance property functions" list (§3.1.5),
@@ -28,6 +30,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return float64(p/2) * a.F("extrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropLateSender,
 	})
 	mustRegister(&Spec{
 		Name: "late_sender_nonblocking", Paradigm: ParadigmMPI,
@@ -43,6 +46,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return float64(p/2) * a.F("extrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropLateSender,
 	})
 	mustRegister(&Spec{
 		Name: "late_receiver", Paradigm: ParadigmMPI,
@@ -58,6 +62,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return float64(p/2) * a.F("extrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropLateReceiver,
 	})
 	mustRegister(&Spec{
 		Name: "imbalance_at_mpi_barrier", Paradigm: ParadigmMPI,
@@ -73,6 +78,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], p, a.I("r"))
 		},
+		Detects: analyzer.PropWaitAtBarrier,
 	})
 	mustRegister(&Spec{
 		Name: "imbalance_at_mpi_alltoall", Paradigm: ParadigmMPI,
@@ -88,6 +94,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], p, a.I("r"))
 		},
+		Detects: analyzer.PropWaitAtNxN,
 	})
 	mustRegister(&Spec{
 		Name: "imbalance_at_mpi_allreduce", Paradigm: ParadigmMPI,
@@ -103,6 +110,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], p, a.I("r"))
 		},
+		Detects: analyzer.PropWaitAtNxN,
 	})
 	mustRegister(&Spec{
 		Name: "imbalance_at_mpi_allgather", Paradigm: ParadigmMPI,
@@ -118,6 +126,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], p, a.I("r"))
 		},
+		Detects: analyzer.PropWaitAtNxN,
 	})
 	mustRegister(&Spec{
 		Name: "late_broadcast", Paradigm: ParadigmMPI,
@@ -134,6 +143,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return float64(p-1) * a.F("rootextrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropLateBroadcast,
 	})
 	mustRegister(&Spec{
 		Name: "late_scatter", Paradigm: ParadigmMPI,
@@ -150,6 +160,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return float64(p-1) * a.F("rootextrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropLateBroadcast,
 	})
 	mustRegister(&Spec{
 		Name: "late_scatterv", Paradigm: ParadigmMPI,
@@ -166,6 +177,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return float64(p-1) * a.F("rootextrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropLateBroadcast,
 	})
 	mustRegister(&Spec{
 		Name: "early_reduce", Paradigm: ParadigmMPI,
@@ -183,6 +195,7 @@ func registerMPIProps() {
 			// Only the root waits, once per repetition.
 			return a.F("baseextrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropEarlyReduce,
 	})
 	mustRegister(&Spec{
 		Name: "early_gather", Paradigm: ParadigmMPI,
@@ -199,6 +212,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return a.F("baseextrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropEarlyReduce,
 	})
 	mustRegister(&Spec{
 		Name: "early_gatherv", Paradigm: ParadigmMPI,
@@ -215,6 +229,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return a.F("baseextrawork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropEarlyReduce,
 	})
 	mustRegister(&Spec{
 		Name: "unparallelized_mpi_code", Paradigm: ParadigmMPI,
@@ -229,6 +244,7 @@ func registerMPIProps() {
 		ExpectedWait: func(p, _ int, a Args) float64 {
 			return float64(p-1) * a.F("serialwork") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropWaitAtBarrier,
 	})
 	mustRegister(&Spec{
 		Name: "growing_imbalance_at_mpi_barrier", Paradigm: ParadigmMPI,
@@ -250,6 +266,7 @@ func registerMPIProps() {
 			}
 			return base * float64(r*(r+1)/2)
 		},
+		Detects: analyzer.PropWaitAtBarrier,
 	})
 	mustRegister(&Spec{
 		Name: "dominated_by_communication", Paradigm: ParadigmMPI,
@@ -262,6 +279,7 @@ func registerMPIProps() {
 			DominatedByCommunication(env.Comm, a.F("msgwork"), a.I("r"))
 		},
 		ExpectedWait: func(p, _ int, a Args) float64 { return -1 },
+		Detects:      analyzer.PropMPITimeFraction,
 	})
 }
 
@@ -280,6 +298,7 @@ func registerOMPProps() {
 		ExpectedWait: func(_, t int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], t, a.I("r"))
 		},
+		Detects: analyzer.PropOMPRegion,
 	})
 	mustRegister(&Spec{
 		Name: "imbalance_at_omp_barrier", Paradigm: ParadigmOMP,
@@ -295,6 +314,7 @@ func registerOMPProps() {
 		ExpectedWait: func(_, t int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], t, a.I("r"))
 		},
+		Detects: analyzer.PropOMPBarrier,
 	})
 	mustRegister(&Spec{
 		Name: "imbalance_in_omp_loop", Paradigm: ParadigmOMP,
@@ -310,6 +330,7 @@ func registerOMPProps() {
 		ExpectedWait: func(_, t int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], t, a.I("r"))
 		},
+		Detects: analyzer.PropOMPLoop,
 	})
 	mustRegister(&Spec{
 		Name: "serialization_at_omp_critical", Paradigm: ParadigmOMP,
@@ -326,6 +347,10 @@ func registerOMPProps() {
 			// round serializes for 0+1+…+(t-1) section times.
 			return a.F("secwork") * float64(t*(t-1)/2) * float64(a.I("r"))
 		},
+		Detects: analyzer.PropOMPCritical,
+		// The critical-section rounds are barrier-resynced, so the
+		// serialized exits also skew the resync barrier.
+		Companions: []string{analyzer.PropOMPBarrier},
 	})
 	mustRegister(&Spec{
 		Name: "unparallelized_in_single", Paradigm: ParadigmOMP,
@@ -340,6 +365,7 @@ func registerOMPProps() {
 		ExpectedWait: func(_, t int, a Args) float64 {
 			return a.F("singlework") * float64(t-1) * float64(a.I("r"))
 		},
+		Detects: analyzer.PropOMPSingle,
 	})
 	mustRegister(&Spec{
 		Name: "imbalance_at_omp_sections", Paradigm: ParadigmOMP,
@@ -355,6 +381,7 @@ func registerOMPProps() {
 		ExpectedWait: func(_, t int, a Args) float64 {
 			return imbalanceWait(a.Distr["distr"], t, a.I("r"))
 		},
+		Detects: analyzer.PropOMPSections,
 	})
 }
 
@@ -378,6 +405,11 @@ func registerHybridProps() {
 			// is pairs × ompextra × reps — same shape as plain late_sender.
 			return float64(p/2) * a.F("ompextra") * float64(a.I("r"))
 		},
+		Detects: analyzer.PropLateSender,
+		// The sending ranks' teams are internally imbalanced by
+		// construction; the join wait inside the OMP region is the
+		// *cause* of the MPI-level late sender, not a spurious finding.
+		Companions: []string{analyzer.PropOMPRegion},
 	})
 	mustRegister(&Spec{
 		Name: "hybrid_barrier_after_omp_regions", Paradigm: ParadigmHybrid,
@@ -397,5 +429,6 @@ func registerHybridProps() {
 			// imbalance closed form over ranks.
 			return imbalanceWait(a.Distr["distr"], p, a.I("r"))
 		},
+		Detects: analyzer.PropWaitAtBarrier,
 	})
 }

@@ -162,7 +162,9 @@ type Env struct {
 
 // Spec describes one registered property function: everything the
 // single-property program generator, the CLI driver, and the
-// positive-correctness experiments need.
+// positive-correctness experiments need.  The spec holds the expected
+// results the oracle checks the property against (ExpectedWait, Detects,
+// Companions); the analyzer under test only reports findings.
 type Spec struct {
 	Name     string
 	Paradigm Paradigm
@@ -175,10 +177,16 @@ type Spec struct {
 	// in virtual time, or a negative value if no closed form exists.
 	// procs and threads describe the environment.
 	ExpectedWait func(procs, threads int, a Args) float64
+	// Detects is the analyzer property a correct tool must report as the
+	// dominant finding of the function's single-property test program —
+	// the positive-correctness oracle.  When it is an info metric
+	// (analyzer.IsInfo) neither conformance axis can check the function
+	// mechanically, and the fuzzer's default pool leaves it out.
+	Detects string
 	// Companions lists analyzer properties the function legitimately
-	// co-produces besides its expected detection; the conformance
-	// oracle's negative axis must not flag them.  (ASL scenarios mixing
-	// primitives record their secondary detections here.)
+	// co-produces besides Detects; the conformance oracle's negative
+	// axis must not flag them.  (ASL scenarios mixing primitives record
+	// their secondary detections here.)
 	Companions []string
 	// ASL holds the scenario source text when the spec was compiled from
 	// an ASL scenario declaration (empty for built-ins).  The program
@@ -222,24 +230,25 @@ func (s *Spec) Exec(procs, threads int, a Args, sink *trace.ChunkWriter) (*trace
 	})
 }
 
-// registry state.  names is the sorted key list of registry, rebuilt
-// under regMu on every change so Names needs no map walk or sort.  A
-// names slice is never modified once built, so SortedNames can share it.
+// registry state.  specs is the registry's values sorted by name,
+// rebuilt under regMu on every change so All and Names need no map walk
+// or sort.  A specs slice is never modified once built, so All can share
+// it.
 var (
 	regMu    sync.RWMutex
 	registry = map[string]*Spec{}
-	names    []string
+	specs    []*Spec
 )
 
-// reindexLocked rebuilds names into a fresh slice; regMu must be held for
+// reindexLocked rebuilds specs into a fresh slice; regMu must be held for
 // writing.
 func reindexLocked() {
-	fresh := make([]string, 0, len(registry))
-	for n := range registry {
-		fresh = append(fresh, n)
+	fresh := make([]*Spec, 0, len(registry))
+	for _, s := range registry {
+		fresh = append(fresh, s)
 	}
-	sort.Strings(fresh)
-	names = fresh
+	sort.Slice(fresh, func(i, j int) bool { return fresh[i].Name < fresh[j].Name })
+	specs = fresh
 }
 
 // Register adds a property spec; duplicate names are rejected.
@@ -284,27 +293,22 @@ func Get(name string) (*Spec, bool) {
 
 // Names returns the sorted names of all registered properties in a
 // fresh slice the caller may modify.
-func Names() []string { return append([]string(nil), SortedNames()...) }
-
-// SortedNames returns the sorted names of all registered properties as a
-// shared, read-only snapshot: the caller must not modify it, and later
-// registrations do not change it.
-func SortedNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return names
+func Names() []string {
+	all := All()
+	out := make([]string, len(all))
+	for i, s := range all {
+		out[i] = s.Name
+	}
+	return out
 }
 
-// All returns all specs sorted by name.
+// All returns all specs sorted by name as a shared, read-only snapshot:
+// the caller must not modify it, and later registrations do not change
+// it.
 func All() []*Spec {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]*Spec, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return specs
 }
 
 // common parameter constructors.  The derived in-range intervals keep the

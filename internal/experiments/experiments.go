@@ -283,9 +283,9 @@ func PositiveCorrectness(w io.Writer, procs, threads int) ([]CorrectnessRow, err
 			a := spec.Defaults()
 			rep := oc.rep
 			emitProfile("positive_"+spec.Name, oc.tr, rep)
-			want := analyzer.ExpectedDetection[spec.Name]
+			want := spec.Detects
 			row := CorrectnessRow{Property: spec.Name, Expected: want}
-			if want == analyzer.PropMPITimeFraction {
+			if analyzer.IsInfo(want) {
 				r := rep.Get(want)
 				row.Top = want
 				row.Correct = r != nil && r.Severity > 0.5
@@ -298,8 +298,7 @@ func PositiveCorrectness(w io.Writer, procs, threads int) ([]CorrectnessRow, err
 				row.Wait = rep.Wait(want)
 				row.Theory = spec.ExpectedWait(procs, threads, a)
 				switch {
-				case spec.Paradigm == core.ParadigmHybrid,
-					spec.Name == "serialization_at_omp_critical":
+				case spec.Paradigm == core.ParadigmHybrid, len(spec.Companions) > 0:
 					// Presence suffices (companion findings may dominate).
 					row.Correct = rep.Severity(want) >= rep.Threshold
 				default:

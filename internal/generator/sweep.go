@@ -46,7 +46,7 @@ func Sweep(name string, points []SweepPoint) ([]SweepResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("generator: unknown property %q", name)
 	}
-	want := analyzer.ExpectedDetection[name]
+	want := spec.Detects
 	out, err := campaign.Run(len(points), campaign.Options{}, func(i int) (SweepResult, error) {
 		pt := points[i]
 		tr, err := spec.Exec(pt.Procs, pt.Threads, pt.Args, nil)

@@ -205,12 +205,6 @@ func (tc *TC) forInternal(region string, endKind trace.CollKind, n int, fo ForOp
 	}
 	if !fo.NoWait {
 		tc.barrierInternal(endKind, true)
-	} else {
-		// The sequence number must stay aligned across threads even
-		// without the barrier, which costs nothing extra here because
-		// static loops don't allocate an op and dynamic loops allocate
-		// exactly one.
-		_ = endKind
 	}
 	tc.ctx.Exit()
 }

@@ -11,7 +11,10 @@
 #   4. `atsrun` prints byte-identical reports run plain, with -stream
 #      and with -stream -trace, for the catalog scenario, a pure-OpenMP
 #      and a hybrid property;
-#   5. `atsfuzz run -asl` accepts the catalog into the fuzzed pool.
+#   5. `atsfuzz run -asl` accepts the catalog into the fuzzed pool,
+#      draws the scenario, and the oracle passes every case — so the
+#      scenario's registered detection and companions are exercised at
+#      the CLI, not only registered.
 #
 # Engine byte-identity of ASL scenarios is checked in-tree by
 # TestASLScenarioEngineDiff (internal/conformance).
@@ -62,8 +65,10 @@ for prop in "$SCENARIO" imbalance_at_omp_barrier hybrid_omp_imbalance_causes_lat
 	cmp "$tmp/$prop.plain" "$tmp/$prop.spool"
 done
 
-echo "== atsfuzz accepts the catalog into the fuzzed pool"
-"$bin/atsfuzz" run -seeds 10 -start 1 -asl "$CATALOG" 2>"$tmp/fuzz.err"
+echo "== atsfuzz draws the scenario and the oracle passes every case"
+"$bin/atsfuzz" run -v -seeds 10 -start 1 -asl "$CATALOG" >"$tmp/fuzz.out" 2>"$tmp/fuzz.err"
 grep "registered 1 ASL scenario(s)" "$tmp/fuzz.err"
+grep "^ok .*[[ ]$SCENARIO[] ]" "$tmp/fuzz.out"
+grep "checked 10 cases: 0 failing" "$tmp/fuzz.out"
 
 echo "== asl smoke OK"
