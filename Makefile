@@ -9,7 +9,10 @@
 #                  (non-zero exit on drift).
 #   make fuzz    — conformance-fuzzer smoke: a fixed-seed atsfuzz run, a
 #                  perturbed (robustness-axis) run, a replay of the
-#                  committed corpus, and 10 s each of native fuzzing of
+#                  committed corpus, the analysis tests the oracle's
+#                  single analysis per run relies on (streamed ≡
+#                  materialized, one spool analyzed twice gives one
+#                  hash), and 10 s each of native fuzzing of
 #                  the trace event codec, of the ATSC spool reader and
 #                  of the canonical profile encoder (CI's second job),
 #                  each new input minimized for at most 1 s so
@@ -77,6 +80,7 @@ fuzz:
 	$(GO) run ./cmd/atsfuzz run -seeds $(FUZZ_SEEDS) -start 1
 	$(GO) run ./cmd/atsfuzz run -seeds 20 -start 1 -perturb
 	$(GO) run ./cmd/atsfuzz replay $(CORPUS)/*.json
+	$(GO) test -count 1 -run '^(TestStreamedMatchesInMemory|TestAnalyzeSpoolTwice)$$' ./internal/conformance
 	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileEncoding$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/profile

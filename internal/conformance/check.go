@@ -23,11 +23,11 @@ const (
 	AxisPositive = "positive"
 	// AxisNegative: a non-injected property rose above the noise floor.
 	AxisNegative = "negative"
-	// AxisDeterminism: the identical case produced a different profile
-	// hash.  The rerun goes through the streaming pipeline (an in-memory
-	// ATSC chunk spool + incremental analysis), so this axis
-	// simultaneously proves that the streamed and materialized analysis
-	// paths are byte-identical.
+	// AxisDeterminism: the identical case did not give the identical
+	// answer.  The rerun is compared byte for byte with the first run's
+	// spool as it is written, and analyzed only when the bytes differ: a
+	// case fails when the rerun's profile hash moved, or, for a
+	// single-thread case, when its spool bytes moved at all.
 	AxisDeterminism = "determinism"
 )
 
@@ -53,7 +53,7 @@ func (v Violation) String() string {
 // encoding/json skips the unknown key.
 type Outcome struct {
 	Hash       string // canonical profile content hash of the run
-	Events     int    // trace size
+	Events     int    // events the run recorded (its spool's TraceInfo.Events)
 	Findings   int    // significant findings reported
 	Violations []Violation
 }
@@ -72,7 +72,7 @@ type CheckOptions struct {
 	// |measured − expected| ≤ AbsTol + RelTol·expected + cost-model slack
 	// (defaults 0.05 and 0.002).
 	RelTol, AbsTol float64
-	// SkipDeterminism skips the second (streamed) run and hash comparison.
+	// SkipDeterminism skips the rerun and the determinism axis.
 	SkipDeterminism bool
 	// DropProperty removes an analyzer property from the report before
 	// checking — fault injection simulating a defective analyzer, used to
@@ -169,12 +169,32 @@ func (cs Case) Validate() error {
 // waits localized under this region from the negative axis.
 const sepRegion = "conformance_separator"
 
-// runCase executes the composite body of cs (see caseBody): one MPI
-// world, every injected property in order, separated by barriers (the
-// paper's composite-program shape, cf. core.CompositeAllMPI).
-// Pure-OpenMP properties run per rank on the rank's own thread team.
-func runCase(cs Case, prof perturb.Profile, body func(c *mpi.Comm)) (*trace.Trace, error) {
-	return mpi.Run(mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof)}, body)
+// caseRun returns the run of cs's composite body (see caseBody) into a
+// spool writer: one MPI world, every injected property in order,
+// separated by barriers (the paper's composite-program shape, cf.
+// core.CompositeAllMPI).  Pure-OpenMP properties run per rank on the
+// rank's own thread team.
+func caseRun(cs Case, prof perturb.Profile, body func(c *mpi.Comm)) func(*trace.ChunkWriter) error {
+	return func(w *trace.ChunkWriter) error {
+		_, err := mpi.Run(mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Sink: w}, body)
+		return err
+	}
+}
+
+// analyzeCase analyzes a spooled run of cs once and builds its canonical
+// profile under experiment: the one analysis behind Check's hash and
+// CaseProfile's, so the oracle and atsd's dedup agree by construction.
+func analyzeCase(cs Case, experiment string, spool *trace.MemSpool) (*profile.Profile, *analyzer.Report, error) {
+	cr, err := spool.Reader()
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, info, err := profile.AnalyzeSpool(cr, analyzer.Options{Threshold: cs.Threshold})
+	if err != nil {
+		return nil, nil, err
+	}
+	prof, err := profile.FromAnalysis(experiment, info, rep, caseRunInfo(cs))
+	return prof, rep, err
 }
 
 // caseBody builds the per-rank program of the composite case.  Each
@@ -235,23 +255,29 @@ func containsSegment(path, region string) bool {
 
 // pathWait sums a result's per-call-path waits over the paths passing
 // through the named trace region — detection *and* localization in one
-// number: wait attributed anywhere else does not count.
-func pathWait(r *analyzer.Result, region string) float64 {
+// number: wait attributed anywhere else does not count.  With within
+// false it sums the paths outside region instead.
+func pathWait(r *analyzer.Result, region string, within bool) float64 {
 	if r == nil {
 		return 0
 	}
-	paths := make([]string, 0, len(r.ByPath))
-	for p := range r.ByPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths) // deterministic float accumulation
 	var sum float64
-	for _, p := range paths {
-		if containsSegment(p, region) {
+	for _, p := range sortedKeys(r.ByPath) { // deterministic float accumulation
+		if containsSegment(p, region) == within {
 			sum += r.ByPath[p]
 		}
 	}
 	return sum
+}
+
+// sortedKeys returns the keys of m in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	ks := make([]string, 0, len(m))
+	for k := range m {
+		ks = append(ks, k)
+	}
+	sort.Strings(ks)
+	return ks
 }
 
 // Check runs the case and applies the three correctness axes.  The
@@ -264,18 +290,22 @@ func Check(cs Case, opt CheckOptions) (Outcome, error) {
 		return out, err
 	}
 
-	body := caseBody(cs) // shared by the run and the streamed rerun
-	tr, err := runCase(cs, opt.Perturb, body)
+	run := caseRun(cs, opt.Perturb, caseBody(cs)) // shared by the run and the rerun
+	spool, err := trace.SpoolInMemory(run)
 	if err != nil {
 		out.Violations = append(out.Violations, Violation{
 			Axis: AxisRun, Detail: err.Error(),
 		})
 		return out, nil
 	}
-	out.Events = len(tr.Events)
-	rep := analyzer.Analyze(tr, analyzer.Options{Threshold: cs.Threshold})
+	defer spool.Release()
+	prof, rep, err := analyzeCase(cs, DefaultExperiment, spool)
+	if err != nil {
+		return out, err
+	}
+	out.Events = prof.Events
 	out.Findings = len(rep.Significant())
-	out.Hash, err = caseHash(cs, tr, rep)
+	out.Hash, err = prof.Hash()
 	if err != nil {
 		return out, err
 	}
@@ -290,7 +320,7 @@ func Check(cs Case, opt CheckOptions) (Outcome, error) {
 	var extraSlack float64
 	floor := opt.NoiseFloor
 	if !opt.Perturb.Zero() {
-		extraSlack = opt.Perturb.WaitBudget(rep.TotalTime, len(tr.Events))
+		extraSlack = opt.Perturb.WaitBudget(rep.TotalTime, out.Events)
 		if cal := CalibratedNoiseFloor(cs.Procs, cs.Threads, opt.Perturb); cal > floor {
 			floor = cal
 		}
@@ -300,31 +330,47 @@ func Check(cs Case, opt CheckOptions) (Outcome, error) {
 	out.Violations = append(out.Violations, checkNegative(cs, rep, floor)...)
 
 	if !opt.SkipDeterminism && !hasNondeterministicWaits(cs) {
-		hash2, err := streamedCaseHash(cs, opt.Perturb, body)
-		if err != nil {
-			out.Violations = append(out.Violations, Violation{
-				Axis: AxisDeterminism, Detail: "streamed rerun failed: " + err.Error(),
-			})
-			return out, nil
-		}
-		if hash2 != out.Hash {
-			out.Violations = append(out.Violations, Violation{
-				Axis:   AxisDeterminism,
-				Detail: fmt.Sprintf("profile hash changed between in-memory and streamed run: %s != %s", out.Hash, hash2),
-			})
+		if v := checkRerun(cs, run, spool, out.Hash); v != nil {
+			out.Violations = append(out.Violations, *v)
 		}
 	}
 	return out, nil
 }
 
-// caseHash builds the canonical profile of a run and returns its content
-// address — the determinism oracle.
-func caseHash(cs Case, tr *trace.Trace, rep *analyzer.Report) (string, error) {
-	prof, err := profile.FromRun("conformance", tr, rep, caseRunInfo(cs))
-	if err != nil {
-		return "", err
+// checkRerun reruns the case through run and compares the rerun's spool
+// bytes with the first run's spool as they are written.  Only when they
+// differ is the rerun analyzed, from its own bytes, and its profile hash
+// compared with the first run's.  A team's threads spill frames in the
+// order real-time scheduling lets them, so identical runs of a case with
+// a team may write different bytes for one profile: for such a case only
+// a moved hash is a violation.  A single-thread case must repeat its
+// bytes exactly.
+func checkRerun(cs Case, run func(*trace.ChunkWriter) error, first *trace.MemSpool, hash string) *Violation {
+	rerun, err := first.Compare(run)
+	if err == nil && rerun == nil {
+		return nil
 	}
-	return prof.Hash()
+	var hash2 string
+	if err == nil {
+		defer rerun.Release()
+		var prof *profile.Profile
+		if prof, _, err = analyzeCase(cs, DefaultExperiment, rerun); err == nil {
+			hash2, err = prof.Hash()
+		}
+	}
+	v := &Violation{Axis: AxisDeterminism}
+	switch {
+	case err != nil:
+		v.Detail = "streamed rerun failed: " + err.Error()
+	case hash2 != hash:
+		v.Detail = fmt.Sprintf("profile hash changed between in-memory and streamed run: %s != %s", hash, hash2)
+	case cs.Threads == 1:
+		v.Detail = fmt.Sprintf("spool bytes changed between identical runs (%d != %d bytes), profile hash %s unchanged",
+			first.Size(), rerun.Size(), hash)
+	default:
+		return nil
+	}
+	return v
 }
 
 // DefaultExperiment is the experiment name CaseProfile (and Check's
@@ -333,10 +379,11 @@ const DefaultExperiment = "conformance"
 
 // CaseProfile runs the case unperturbed and returns its canonical profile
 // plus the analysis report.  An empty experiment selects
-// DefaultExperiment, under which the profile's content hash equals the
-// hash Check computes for the same case — the contract the analysis
-// server's dedup cache relies on to stay byte-identical with the offline
-// CLI path.
+// DefaultExperiment.  It spools and analyzes the run exactly as Check
+// does (analyzeCase), so under DefaultExperiment the profile's content
+// hash is the Outcome.Hash Check reports for the same case — the
+// contract the analysis server's dedup cache relies on to stay
+// byte-identical with the offline CLI path.
 func CaseProfile(cs Case, experiment string) (*profile.Profile, *analyzer.Report, error) {
 	if experiment == "" {
 		experiment = DefaultExperiment
@@ -344,16 +391,12 @@ func CaseProfile(cs Case, experiment string) (*profile.Profile, *analyzer.Report
 	if err := cs.Validate(); err != nil {
 		return nil, nil, err
 	}
-	tr, err := runCase(cs, perturb.Profile{}, caseBody(cs))
+	spool, err := trace.SpoolInMemory(caseRun(cs, perturb.Profile{}, caseBody(cs)))
 	if err != nil {
 		return nil, nil, err
 	}
-	rep := analyzer.Analyze(tr, analyzer.Options{Threshold: cs.Threshold})
-	prof, err := profile.FromRun(experiment, tr, rep, caseRunInfo(cs))
-	if err != nil {
-		return nil, nil, err
-	}
-	return prof, rep, nil
+	defer spool.Release()
+	return analyzeCase(cs, experiment, spool)
 }
 
 func caseRunInfo(cs Case) profile.RunInfo {
@@ -361,34 +404,6 @@ func caseRunInfo(cs Case) profile.RunInfo {
 		Procs: cs.Procs, Threads: cs.Threads,
 		Params: map[string]string{"seed": fmt.Sprintf("%d", cs.Seed)},
 	}
-}
-
-// streamedCaseHash re-executes the case's body through the streaming
-// pipeline — events spilled to an ATSC chunk spool, analyzed
-// incrementally, never materialized — and returns the resulting profile
-// hash.  Comparing it against the in-memory hash checks determinism and
-// streamed/materialized equivalence in one shot.  A case is small, so the
-// spool lives in memory (trace.SpoolInMemory): every frame and the index
-// are encoded, validated and decoded exactly as from a spool file,
-// without the file.
-func streamedCaseHash(cs Case, prof perturb.Profile, body func(c *mpi.Comm)) (string, error) {
-	var hash string
-	err := trace.SpoolInMemory(func(w *trace.ChunkWriter) error {
-		_, err := mpi.Run(mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Sink: w}, body)
-		return err
-	}, func(r *trace.ChunkReader) error {
-		rep, info, err := profile.AnalyzeSpool(r, analyzer.Options{Threshold: cs.Threshold})
-		if err != nil {
-			return err
-		}
-		p, err := profile.FromAnalysis("conformance", info, rep, caseRunInfo(cs))
-		if err != nil {
-			return err
-		}
-		hash, err = p.Hash()
-		return err
-	})
-	return hash, err
 }
 
 // checkPositive verifies that every injected property is detected as its
@@ -431,7 +446,7 @@ func checkPositive(cs Case, rep *analyzer.Report, opt CheckOptions, extraSlack f
 	for _, name := range names {
 		g := byName[name]
 		tol := opt.AbsTol + opt.RelTol*g.expected + g.slack + extraSlack
-		measured := pathWait(rep.Get(g.want), name)
+		measured := pathWait(rep.Get(g.want), name, true)
 		if diff := measured - g.expected; diff > tol || -diff > tol {
 			vs = append(vs, Violation{
 				Axis: AxisPositive, Property: name,
@@ -494,20 +509,4 @@ func checkNegative(cs Case, rep *analyzer.Report, floor float64) []Violation {
 
 // waitOutsideSeparators sums a result's wait excluding call paths under
 // the harness's separator barriers (see sepRegion).
-func waitOutsideSeparators(r *analyzer.Result) float64 {
-	if r == nil {
-		return 0
-	}
-	paths := make([]string, 0, len(r.ByPath))
-	for p := range r.ByPath {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	var sum float64
-	for _, p := range paths {
-		if !containsSegment(p, sepRegion) {
-			sum += r.ByPath[p]
-		}
-	}
-	return sum
-}
+func waitOutsideSeparators(r *analyzer.Result) float64 { return pathWait(r, sepRegion, false) }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/omp"
 	"repro/internal/perturb"
+	"repro/internal/profile"
 	"repro/internal/trace"
 )
 
@@ -45,57 +46,73 @@ func TestPropertiesDoNotMutateArgs(t *testing.T) {
 const coldSeeds = 32
 
 // BenchmarkCheckCold splits one uncached Check into its layers over
-// coldSeeds default cases: the materialized run, Analyze of its trace,
-// the profile hash (FromRun + Hash), the streamed determinism rerun
-// (run into an in-memory spool, streamed analysis, profile hash) and the
-// whole Check.  The layers add up to Check, up to the positive and
-// negative axes and the call overhead between them.
+// coldSeeds default cases: the run into an in-memory spool, AnalyzeSpool
+// of that spool, the profile hash (FromAnalysis + Hash), the determinism
+// rerun compared byte for byte against the held spool, and the whole
+// Check.  The layers add up to Check, up to the positive and negative
+// axes and the call overhead between them.
 func BenchmarkCheckCold(b *testing.B) {
 	cases := make([]Case, coldSeeds)
 	bodies := make([]func(*mpi.Comm), coldSeeds)
-	traces := make([]*trace.Trace, coldSeeds)
+	spools := make([]*trace.MemSpool, coldSeeds)
 	reps := make([]*analyzer.Report, coldSeeds)
+	infos := make([]profile.TraceInfo, coldSeeds)
 	for i := range cases {
 		cases[i] = Generate(uint64(i+1), Config{})
 		bodies[i] = caseBody(cases[i])
-		tr, err := runCase(cases[i], perturb.Profile{}, bodies[i])
+		spool, err := trace.SpoolInMemory(caseRun(cases[i], perturb.Profile{}, bodies[i]))
 		if err != nil {
 			b.Fatal(err)
 		}
-		traces[i] = tr
-		reps[i] = analyzer.Analyze(tr, analyzer.Options{Threshold: cases[i].Threshold})
+		defer spool.Release()
+		spools[i] = spool
+		if reps[i], infos[i], err = analyzeSpool(cases[i], spool); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.Run("Run", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k := i % coldSeeds
-			if _, err := runCase(cases[k], perturb.Profile{}, bodies[k]); err != nil {
+			spool, err := trace.SpoolInMemory(caseRun(cases[k], perturb.Profile{}, bodies[k]))
+			if err != nil {
 				b.Fatal(err)
 			}
+			spool.Release()
 		}
 	})
-	b.Run("Analyze", func(b *testing.B) {
+	b.Run("AnalyzeSpool", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k := i % coldSeeds
-			analyzer.Analyze(traces[k], analyzer.Options{Threshold: cases[k].Threshold})
+			if _, _, err := analyzeSpool(cases[k], spools[k]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("Hash", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k := i % coldSeeds
-			if _, err := caseHash(cases[k], traces[k], reps[k]); err != nil {
+			p, err := profile.FromAnalysis(DefaultExperiment, infos[k], reps[k], caseRunInfo(cases[k]))
+			if err == nil {
+				_, err = p.Hash()
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("Streamed", func(b *testing.B) {
+	b.Run("Rerun", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			k := i % coldSeeds
-			if _, err := streamedCaseHash(cases[k], perturb.Profile{}, bodies[k]); err != nil {
+			diff, err := spools[k].Compare(caseRun(cases[k], perturb.Profile{}, bodies[k]))
+			if err != nil {
 				b.Fatal(err)
+			}
+			if diff != nil {
+				diff.Release()
 			}
 		}
 	})
@@ -109,6 +126,15 @@ func BenchmarkCheckCold(b *testing.B) {
 	})
 }
 
+// analyzeSpool is the AnalyzeSpool layer of analyzeCase.
+func analyzeSpool(cs Case, spool *trace.MemSpool) (*analyzer.Report, profile.TraceInfo, error) {
+	cr, err := spool.Reader()
+	if err != nil {
+		return nil, profile.TraceInfo{}, err
+	}
+	return profile.AnalyzeSpool(cr, analyzer.Options{Threshold: cs.Threshold})
+}
+
 // TestCheckColdAllocs holds one uncached Check to an allocation budget,
 // averaged over BenchmarkCheckCold's cases.  The budget sits a few
 // percent above the measured mean (pool hits vary with GC timing); lower
@@ -117,7 +143,7 @@ func TestCheckColdAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const budget = 1320
+	const budget = 1030
 	cases := make([]Case, coldSeeds)
 	for i := range cases {
 		cases[i] = Generate(uint64(i+1), Config{})

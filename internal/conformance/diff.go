@@ -17,6 +17,8 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/mpi"
 	"repro/internal/perturb"
+	"repro/internal/profile"
+	"repro/internal/trace"
 )
 
 // DiffOutcome reports one engine-differential comparison.
@@ -32,24 +34,36 @@ type DiffOutcome struct {
 	BytesCompared bool
 }
 
-// engineRun executes the case on one engine and returns the serialized
-// trace plus the canonical profile hash.
-func engineRun(cs Case, prof perturb.Profile, eng mpi.Engine) ([]byte, string, error) {
-	opts := mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Engine: eng}
-	tr, err := mpi.Run(opts, caseBody(cs))
+// engineRun runs body with opts and returns its trace, serialized.
+func engineRun(opts mpi.Options, body func(c *mpi.Comm)) (*trace.Trace, []byte, error) {
+	tr, err := mpi.Run(opts, body)
 	if err != nil {
-		return nil, "", fmt.Errorf("engine %s: %w", eng, err)
+		return nil, nil, fmt.Errorf("engine %s: %w", opts.Engine, err)
 	}
 	var buf bytes.Buffer
 	if _, err := tr.Write(&buf); err != nil {
-		return nil, "", fmt.Errorf("engine %s: serialize: %w", eng, err)
+		return nil, nil, fmt.Errorf("engine %s: serialize: %w", opts.Engine, err)
+	}
+	return tr, buf.Bytes(), nil
+}
+
+// engineCase executes the case on one engine and returns the serialized
+// trace plus the canonical profile hash.
+func engineCase(cs Case, prof perturb.Profile, eng mpi.Engine) ([]byte, string, error) {
+	tr, b, err := engineRun(mpi.Options{Procs: cs.Procs, Perturb: perturb.NewModel(prof), Engine: eng}, caseBody(cs))
+	if err != nil {
+		return nil, "", err
 	}
 	rep := analyzer.Analyze(tr, analyzer.Options{Threshold: cs.Threshold})
-	hash, err := caseHash(cs, tr, rep)
+	p, err := profile.FromRun(DefaultExperiment, tr, rep, caseRunInfo(cs))
+	var hash string
+	if err == nil {
+		hash, err = p.Hash()
+	}
 	if err != nil {
 		return nil, "", fmt.Errorf("engine %s: hash: %w", eng, err)
 	}
-	return buf.Bytes(), hash, nil
+	return b, hash, nil
 }
 
 // DiffEngines runs the case under the given perturbation profile on both
@@ -60,11 +74,11 @@ func DiffEngines(cs Case, prof perturb.Profile) (DiffOutcome, error) {
 	if err := cs.Validate(); err != nil {
 		return DiffOutcome{}, err
 	}
-	evBytes, evHash, err := engineRun(cs, prof, mpi.EngineEvent)
+	evBytes, evHash, err := engineCase(cs, prof, mpi.EngineEvent)
 	if err != nil {
 		return DiffOutcome{}, err
 	}
-	goBytes, goHash, err := engineRun(cs, prof, mpi.EngineGoroutine)
+	goBytes, goHash, err := engineCase(cs, prof, mpi.EngineGoroutine)
 	if err != nil {
 		return DiffOutcome{}, err
 	}
@@ -90,22 +104,11 @@ func DiffEngines(cs Case, prof perturb.Profile) (DiffOutcome, error) {
 // are not expressible as conformance cases.  It returns the shared trace
 // size.
 func DiffEngineBodies(procs int, body func(c *mpi.Comm)) (int, error) {
-	ser := func(eng mpi.Engine) ([]byte, error) {
-		tr, err := mpi.Run(mpi.Options{Procs: procs, Engine: eng}, body)
-		if err != nil {
-			return nil, fmt.Errorf("engine %s: %w", eng, err)
-		}
-		var buf bytes.Buffer
-		if _, err := tr.Write(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	}
-	evBytes, err := ser(mpi.EngineEvent)
+	_, evBytes, err := engineRun(mpi.Options{Procs: procs, Engine: mpi.EngineEvent}, body)
 	if err != nil {
 		return 0, err
 	}
-	goBytes, err := ser(mpi.EngineGoroutine)
+	_, goBytes, err := engineRun(mpi.Options{Procs: procs, Engine: mpi.EngineGoroutine}, body)
 	if err != nil {
 		return 0, err
 	}

@@ -1,8 +1,6 @@
 package conformance
 
 import (
-	"sort"
-
 	"repro/internal/core"
 )
 
@@ -110,19 +108,19 @@ func shrinkProp(cs *Case, i int, opt CheckOptions) bool {
 		}
 	}
 
-	for _, k := range sortedFloatKeys(cs.Props[i]) {
+	for _, k := range sortedKeys(cs.Props[i].Float) {
 		k := k
 		if v := cs.Props[i].Float[k]; v > 1e-4 {
 			try(func(cp *CaseProp) { cp.Float[k] = roundArg(v / 2) })
 		}
 	}
-	for _, k := range sortedIntKeys(cs.Props[i]) {
+	for _, k := range sortedKeys(cs.Props[i].Int) {
 		k := k
 		if v := cs.Props[i].Int[k]; v > 1 {
 			try(func(cp *CaseProp) { cp.Int[k] = v / 2 })
 		}
 	}
-	for _, k := range sortedDistrKeys(cs.Props[i]) {
+	for _, k := range sortedKeys(cs.Props[i].Distr) {
 		k := k
 		ds := cs.Props[i].Distr[k]
 		if spread := ds.High - ds.Low; spread > 1e-4 {
@@ -137,31 +135,4 @@ func shrinkProp(cs *Case, i int, opt CheckOptions) bool {
 		}
 	}
 	return improved
-}
-
-func sortedFloatKeys(cp CaseProp) []string {
-	ks := make([]string, 0, len(cp.Float))
-	for k := range cp.Float {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedIntKeys(cp CaseProp) []string {
-	ks := make([]string, 0, len(cp.Int))
-	for k := range cp.Int {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedDistrKeys(cp CaseProp) []string {
-	ks := make([]string, 0, len(cp.Distr))
-	for k := range cp.Distr {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -168,6 +168,11 @@ func WriteSpool(path string, run func(*ChunkWriter) error) error {
 	if err != nil {
 		return err
 	}
+	return runSpool(w, run)
+}
+
+// runSpool runs run with w and closes w, or aborts it when run fails.
+func runSpool(w *ChunkWriter, run func(*ChunkWriter) error) error {
 	if err := run(w); err != nil {
 		w.Abort()
 		return err

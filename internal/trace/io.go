@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 )
 
 // A serialized trace is an ATSC spool (chunk.go): Write and WriteFile
@@ -243,7 +242,7 @@ func (t *Trace) spoolLocations(w *ChunkWriter) error {
 // cannot justify.
 func Read(r io.Reader) (*Trace, error) {
 	spool := getSpool()
-	defer spoolPool.Put(spool)
+	defer spool.Release()
 	if _, err := io.Copy(spool, r); err != nil {
 		return nil, err
 	}
@@ -267,93 +266,6 @@ func readChunks(cr *ChunkReader) (*Trace, error) {
 	}
 	defer st.Close()
 	return st.drain(cr.Events())
-}
-
-// memSpool is an in-memory spool held in fixed-size blocks.  Writing
-// never copies what it already holds, so a large run's spool takes its
-// bytes plus at most one block, where a doubling buffer would take up to
-// twice its bytes and leave every smaller copy behind as garbage.
-type memSpool struct {
-	blocks [][]byte // spoolBlock bytes each; blocks past size are spare
-	size   int64
-}
-
-// spoolBlock is the size of a memSpool block.  A conformance case spools
-// a few blocks; a 1024-rank world about 800.
-const spoolBlock = 16 << 10
-
-// spoolPool recycles in-memory spools with their blocks.  A sweep
-// records, merges or reads run after run of about the same size, and each
-// spool would otherwise be allocated afresh.  Recorder, Merge, Read and
-// SpoolInMemory draw from it; a spool goes back once what it held has
-// been decoded out of it.
-var spoolPool = sync.Pool{New: func() any { return new(memSpool) }}
-
-func getSpool() *memSpool {
-	spool := spoolPool.Get().(*memSpool)
-	spool.size = 0
-	return spool
-}
-
-func (m *memSpool) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		b, off := int(m.size/spoolBlock), int(m.size%spoolBlock)
-		if b == len(m.blocks) {
-			m.blocks = append(m.blocks, make([]byte, spoolBlock))
-		}
-		k := copy(m.blocks[b][off:], p)
-		p = p[k:]
-		m.size += int64(k)
-	}
-	return n, nil
-}
-
-func (m *memSpool) ReadAt(p []byte, off int64) (int, error) {
-	n := 0
-	for n < len(p) && off < m.size {
-		b := m.blocks[off/spoolBlock][off%spoolBlock:]
-		k := copy(p[n:], b[:min(int64(len(b)), m.size-off)])
-		n += k
-		off += int64(k)
-	}
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// read merges the spool into a Trace, which shares no bytes with it.
-func (m *memSpool) read() (*Trace, error) {
-	cr, err := NewChunkReader(m, m.size, Limits{})
-	if err != nil {
-		return nil, err
-	}
-	return readChunks(cr)
-}
-
-// SpoolInMemory runs run with a ChunkWriter spooling into a pooled
-// in-memory spool, closes it, and hands read a reader over the spool,
-// which is recycled once read returns.  It is WriteSpool for a run small
-// enough to hold: every frame and the index are encoded, validated and
-// decoded exactly as from a spool file, without the file.  When run
-// fails the spool is aborted and read is not called.
-func SpoolInMemory(run func(*ChunkWriter) error, read func(*ChunkReader) error) error {
-	spool := getSpool()
-	defer spoolPool.Put(spool)
-	w := NewChunkWriterTo(spool, DefaultSpillEvents)
-	if err := run(w); err != nil {
-		w.Abort()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	cr, err := NewChunkReader(spool, spool.size, Limits{})
-	if err != nil {
-		return err
-	}
-	return read(cr)
 }
 
 // Minimum encoded size of one element of each variable-length section,

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,44 +154,4 @@ func TestWriteFileAtomic(t *testing.T) {
 	if len(got.Events) != 2 {
 		t.Fatalf("got %d events", len(got.Events))
 	}
-}
-
-// TestMemSpoolReadsBackWrites: an in-memory spool reads back exactly the
-// bytes written to it, across block boundaries, with io.EOF past its end,
-// and a recycled spool holds only what was written since.
-func TestMemSpoolReadsBackWrites(t *testing.T) {
-	var want bytes.Buffer
-	spool := getSpool()
-	for i := 0; want.Len() < 3*spoolBlock+100; i++ {
-		p := bytes.Repeat([]byte{byte(i)}, 1+i*37%5000)
-		want.Write(p)
-		if n, err := spool.Write(p); n != len(p) || err != nil {
-			t.Fatalf("Write = %d, %v", n, err)
-		}
-	}
-	check := func(want []byte) {
-		t.Helper()
-		for _, r := range [][2]int{{0, 10}, {spoolBlock - 3, 7}, {spoolBlock - 1, 2*spoolBlock + 2}, {len(want) - 5, 5}} {
-			if r[0]+r[1] > len(want) {
-				continue
-			}
-			got := make([]byte, r[1])
-			if n, err := spool.ReadAt(got, int64(r[0])); n != r[1] || err != nil {
-				t.Fatalf("ReadAt(%d bytes at %d) = %d, %v", r[1], r[0], n, err)
-			}
-			if !bytes.Equal(got, want[r[0]:r[0]+r[1]]) {
-				t.Fatalf("ReadAt(%d bytes at %d) returned other bytes", r[1], r[0])
-			}
-		}
-		tail := make([]byte, 10)
-		if n, err := spool.ReadAt(tail, int64(len(want)-4)); n != 4 || err != io.EOF {
-			t.Fatalf("ReadAt past the end = %d, %v; want 4, io.EOF", n, err)
-		}
-	}
-	check(want.Bytes())
-
-	spool.size = 0 // as getSpool recycles a pooled spool
-	short := []byte("ATSC spool, second use")
-	spool.Write(short)
-	check(short)
 }

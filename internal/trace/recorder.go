@@ -13,7 +13,7 @@ package trace
 // Done are safe for concurrent use, one call per executor.
 type Recorder struct {
 	w     *ChunkWriter
-	spool *memSpool // the in-memory spool behind w, nil for a caller's writer
+	spool *MemSpool // the in-memory spool behind w, nil for a caller's writer
 }
 
 // NewRecorder returns a recorder that spools into w, or into memory, to
@@ -59,7 +59,7 @@ func (r *Recorder) Trace() (*Trace, error) {
 	if r.spool == nil {
 		return nil, r.w.Err()
 	}
-	defer spoolPool.Put(r.spool)
+	defer r.spool.Release()
 	if err := r.w.Close(); err != nil {
 		return nil, err
 	}

@@ -480,18 +480,19 @@ type Trace struct {
 // buffers; callers Release them afterwards.  Two buffers sharing a
 // location are a caller bug and panic.
 func Merge(buffers ...*Buffer) *Trace {
-	var tr *Trace
-	err := SpoolInMemory(func(w *ChunkWriter) error {
+	spool, err := SpoolInMemory(func(w *ChunkWriter) error {
 		for _, b := range buffers {
 			if b != nil {
 				w.writeBuffer(b)
 			}
 		}
 		return nil
-	}, func(cr *ChunkReader) (err error) {
-		tr, err = readChunks(cr)
-		return err
 	})
+	if err != nil {
+		panic(err)
+	}
+	defer spool.Release()
+	tr, err := spool.read()
 	if err != nil {
 		panic(err)
 	}
