@@ -1,7 +1,8 @@
 package analyzer
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -20,7 +21,10 @@ import (
 // run in sorted match-key order at Finish.  This state grows with the
 // event count: ~16 MiB at the end of a 16384-rank scale-stream world.
 // ROADMAP.md ("A streaming analyzer that is actually bounded") plans to
-// reduce pairs and instances in stream order instead.
+// reduce pairs and instances in stream order instead.  AnalyzeStream adds
+// the merge's batches in flight (trace.Stream.ForEach) when the stream
+// holds more than one batch: three batches of 4096 events, ~1 MiB,
+// whatever the event count.
 
 // p2pEnd is the pending half of a point-to-point match: for sends the
 // operation's enter time, for receives the receive's enter time (Aux).
@@ -45,8 +49,9 @@ type collPart struct {
 
 // StreamAnalyzer consumes events in merged trace order and produces the
 // same Report Analyze computes.  Feed events with Add (in order), then
-// call Finish exactly once.  Paths are resolved through the View only at
-// Finish, when every referenced path is interned.
+// call Finish exactly once.  A lock event's path is rendered through the
+// View as it is added; every other path at Finish, when every referenced
+// path is interned.
 type StreamAnalyzer struct {
 	view trace.View
 	rep  *Report
@@ -55,10 +60,27 @@ type StreamAnalyzer struct {
 	sends  map[uint64]p2pEnd
 	recvs  map[uint64]p2pEnd
 	groups map[collKey][]collPart
+	// comms maps an operation on a communicator to its latest instance
+	// that outgrew both presizeParts parts and the room it was made
+	// with; nil until one does.
+	comms map[commKey]collKey
 
 	first, last float64
 	any         bool
 }
+
+// commKey identifies the instances that share a participant count: one
+// operation on one communicator (MPI) or team (OpenMP), whose ids may
+// coincide.
+type commKey struct {
+	comm int32
+	coll trace.CollKind
+}
+
+// presizeParts is the instance size from which a new instance of the
+// same commKey is made with room for all its parts: a smaller instance
+// grows by append in at most four allocations.
+const presizeParts = 8
 
 // NewStreamAnalyzer returns an analyzer consuming events resolved through
 // view (a *trace.Trace or *trace.Stream).  A non-positive threshold
@@ -113,7 +135,23 @@ func (a *StreamAnalyzer) Add(ev *trace.Event) {
 		a.recvs[ev.Match] = p2pEnd{aux: ev.Aux, path: ev.Path, loc: ev.Loc}
 	case trace.KindColl:
 		k := collKey{ev.Coll, ev.Match}
-		a.groups[k] = append(a.groups[k], collPart{
+		ck := commKey{ev.Comm, ev.Coll}
+		parts := a.groups[k]
+		if parts == nil {
+			// Every instance of one communicator has the same
+			// participant count: give a new one the room of the
+			// latest that outgrew presizeParts.
+			if last, ok := a.comms[ck]; ok {
+				parts = make([]collPart, 0, len(a.groups[last]))
+			}
+		}
+		if len(parts) == cap(parts) && len(parts) >= presizeParts {
+			if a.comms == nil {
+				a.comms = make(map[commKey]collKey)
+			}
+			a.comms[ck] = k
+		}
+		a.groups[k] = append(parts, collPart{
 			time: ev.Time, aux: ev.Aux, path: ev.Path, loc: ev.Loc,
 			crank: ev.CRank, root: ev.Root, flags: ev.Flags,
 		})
@@ -163,7 +201,7 @@ func (a *StreamAnalyzer) reduceP2P() {
 	for m := range a.sends {
 		matches = append(matches, m)
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] < matches[j] })
+	slices.Sort(matches)
 	for _, m := range matches {
 		s := a.sends[m]
 		r, ok := a.recvs[m]
@@ -194,11 +232,11 @@ func (a *StreamAnalyzer) reduceCollectives() {
 	for k := range a.groups {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].coll != keys[j].coll {
-			return keys[i].coll < keys[j].coll
+	slices.SortFunc(keys, func(x, y collKey) int {
+		if c := cmp.Compare(x.coll, y.coll); c != 0 {
+			return c
 		}
-		return keys[i].match < keys[j].match
+		return cmp.Compare(x.match, y.match)
 	})
 	for _, k := range keys {
 		parts := a.groups[k]
@@ -253,7 +291,7 @@ func (a *StreamAnalyzer) reduceCollectives() {
 
 		case trace.CollScan:
 			// Rank i waits for the slowest of ranks 0..i.
-			sort.Slice(parts, func(x, y int) bool { return parts[x].crank < parts[y].crank })
+			slices.SortFunc(parts, func(x, y collPart) int { return cmp.Compare(x.crank, y.crank) })
 			prefixMax := -1.0
 			for i := range parts {
 				p := &parts[i]
@@ -309,18 +347,14 @@ func (a *StreamAnalyzer) nxnWaits(parts []collPart, prop string) {
 // AnalyzeStream drains a merged chunk stream through a StreamAnalyzer.
 // The report is byte-identical to Analyze on the materialized trace of the
 // same run; peak memory is O(locations + open regions + messages +
-// collective parts) instead of the whole event list.
+// collective parts) instead of the whole event list.  A stream of more
+// than one batch of events (4096) is merged on a second goroutine while
+// this one analyzes, with up to three batches, ~1 MiB, in flight
+// (trace.Stream.ForEach); the events and their order are the same.
 func AnalyzeStream(src *trace.Stream, opt Options) (*Report, error) {
 	a := NewStreamAnalyzer(src, opt)
-	for {
-		ev, err := src.Next()
-		if err != nil {
-			return nil, err
-		}
-		if ev == nil {
-			break
-		}
-		a.Add(ev)
+	if err := src.ForEach(a.Add); err != nil {
+		return nil, err
 	}
 	return a.Finish(), nil
 }

@@ -74,6 +74,22 @@ func (d Dir) Has(key string) bool {
 	return err == nil
 }
 
+// Stat checks, without opening it, that an object is stored under key.
+// It fails as Open would: an invalid key as fs.ErrNotExist, a missing
+// object with the *fs.PathError of the open, so an error reads the same
+// whichever of the two a caller checked with.
+func (d Dir) Stat(key string) error {
+	if !ValidKey(key) {
+		return errInvalidKey
+	}
+	_, err := os.Stat(d.Path(key))
+	var pe *fs.PathError
+	if errors.As(err, &pe) {
+		pe.Op = "open"
+	}
+	return err
+}
+
 // ReadInto reads the object stored under key into buf[:0] and returns
 // the filled slice, growing buf only for an object larger than its
 // capacity, so a caller passing a stack buffer reads a small object with

@@ -32,7 +32,7 @@ func TestHistoryOrderingUnderRepeatedSetBaseline(t *testing.T) {
 	if err := store.SetBaseline("exp", hashB); err != nil {
 		t.Fatal(err)
 	}
-	hist, err := store.History("exp")
+	_, hist, err := store.BaselineRef("exp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestHistoryOrderingUnderRepeatedSetBaseline(t *testing.T) {
 	if err := store.SetBaseline("exp", hashA); err != nil { // and a second no-op
 		t.Fatal(err)
 	}
-	hist, err = store.History("exp")
+	_, hist, err = store.BaselineRef("exp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestHistorySetBaselineSharded(t *testing.T) {
 			t.Fatalf("SetBaseline %s: %v", hash[:12], err)
 		}
 	}
-	hist, err := store.History("exp")
+	_, hist, err := store.BaselineRef("exp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestSaveBaselineAcrossHandles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := store.History("shared")
+	_, hist, err := store.BaselineRef("shared")
 	if err != nil {
 		t.Fatal(err)
 	}

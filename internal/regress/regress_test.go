@@ -69,7 +69,7 @@ func TestStoreSaveAndRetrieve(t *testing.T) {
 	if _, err := store.SaveBaseline(p); err != nil {
 		t.Fatal(err)
 	}
-	hist, err := store.History("barrier_drift")
+	_, hist, err := store.BaselineRef("barrier_drift")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStoreSaveAndRetrieve(t *testing.T) {
 	if cur != hash2 {
 		t.Errorf("baseline not advanced: %s", cur)
 	}
-	hist, _ = store.History("barrier_drift")
+	_, hist, _ = store.BaselineRef("barrier_drift")
 	if len(hist) != 2 || hist[0] != hash2 || hist[1] != hash {
 		t.Errorf("history = %v, want [%s %s]", hist, hash2, hash)
 	}

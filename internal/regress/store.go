@@ -264,9 +264,9 @@ func (s *Store) Baseline(name string) (*profile.Profile, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	hash, ok := refs.Baselines[name]
-	if !ok {
-		return nil, "", fmt.Errorf("regress: %w %q", ErrNoBaseline, name)
+	hash, err := refs.baseline(name)
+	if err != nil {
+		return nil, "", err
 	}
 	p, err := s.Get(hash)
 	if err != nil {
@@ -275,14 +275,33 @@ func (s *Store) Baseline(name string) (*profile.Profile, string, error) {
 	return p, hash, nil
 }
 
-// History returns the hashes ever saved as baseline for an experiment,
-// newest first.
-func (s *Store) History(name string) ([]string, error) {
+// BaselineRef returns an experiment's baseline hash and its history (the
+// hashes ever saved as its baseline, newest first) from one read of the
+// refs.  It checks that the baseline
+// object exists without decoding it, and fails on a missing baseline or
+// object with Baseline's error.
+func (s *Store) BaselineRef(name string) (string, []string, error) {
 	refs, err := s.loadRefs()
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return refs.History[name], nil
+	hash, err := refs.baseline(name)
+	if err != nil {
+		return "", nil, err
+	}
+	if err := s.objects.Stat(hash); err != nil {
+		return "", nil, fmt.Errorf("regress: object %s: %w", shortHash(hash), err)
+	}
+	return hash, refs.History[name], nil
+}
+
+// baseline returns the baseline hash of an experiment.
+func (refs *refsFile) baseline(name string) (string, error) {
+	hash, ok := refs.Baselines[name]
+	if !ok {
+		return "", fmt.Errorf("regress: %w %q", ErrNoBaseline, name)
+	}
+	return hash, nil
 }
 
 // Entry summarizes one baseline for listings.

@@ -132,18 +132,15 @@ func spoolBody(r io.Reader) (path, hash string, err error) {
 }
 
 // analyzeSpool analyzes a spooled upload under the server's input
-// limits and returns its canonical profile.  It streams: the event list
-// is never materialized.
+// limits and returns its canonical profile.  It streams, reading the
+// spool through trace.NewChunkFileReader's read-ahead window: the event
+// list is never materialized.
 func (s *Server) analyzeSpool(path, experiment string, threshold float64) (*profile.Profile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
 	var magic [4]byte
 	if _, err := f.ReadAt(magic[:], 0); err != nil {
 		return nil, fmt.Errorf("trace body: %w", err)
@@ -151,7 +148,7 @@ func (s *Server) analyzeSpool(path, experiment string, threshold float64) (*prof
 	if string(magic[:]) != "ATSC" {
 		return nil, fmt.Errorf("unrecognized trace format %q (want ATSC)", magic[:])
 	}
-	cr, err := trace.NewChunkReader(f, fi.Size(), s.cfg.Limits)
+	cr, err := trace.NewChunkFileReader(f, s.cfg.Limits)
 	if err != nil {
 		return nil, err
 	}

@@ -198,14 +198,9 @@ type baselineInfo struct {
 
 func (s *Server) handleBaselineGet(w http.ResponseWriter, r *http.Request) {
 	exp := r.PathValue("experiment")
-	_, hash, err := s.cfg.Store.Baseline(exp)
+	hash, hist, err := s.cfg.Store.BaselineRef(exp)
 	if err != nil {
 		httpError(w, storeErrorCode(err), "%v", err)
-		return
-	}
-	hist, err := s.cfg.Store.History(exp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, baselineInfo{Experiment: exp, Hash: hash, History: hist})

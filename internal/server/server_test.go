@@ -443,6 +443,57 @@ func TestBaselineAPI(t *testing.T) {
 	}
 }
 
+// TestBaselineGetBytes: GET /v1/baselines/{experiment} answers with the
+// bytes it answered with when it decoded the baseline profile: before
+// promotion, after two promotions, and once the baseline object has gone
+// from the store (404 naming the open that Store.Baseline fails with).
+func TestBaselineGetBytes(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	store := s.cfg.Store
+	const exp = "conformance"
+	var hist []string // newest first
+	check := func(when string) {
+		t.Helper()
+		want := httptest.NewRecorder()
+		if _, hash, err := store.Baseline(exp); err != nil {
+			httpError(want, storeErrorCode(err), "%v", err)
+		} else {
+			writeJSON(want, http.StatusOK, baselineInfo{Experiment: exp, Hash: hash, History: hist})
+		}
+		resp, err := http.Get(ts.URL + "/v1/baselines/" + exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want.Code || !bytes.Equal(got, want.Body.Bytes()) {
+			t.Errorf("%s: GET baseline = %d %s, want %d %s", when, resp.StatusCode, got, want.Code, want.Body.Bytes())
+		}
+	}
+
+	check("no baseline")
+	for _, name := range []string{"seed001.json", "seed002.json"} {
+		cs, _ := corpusCase(t, name)
+		prof, _, err := conformance.CaseProfile(cs, exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := store.SaveBaseline(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist = append([]string{hash}, hist...)
+	}
+	check("two promotions")
+	if err := os.Remove(filepath.Join(store.Dir(), "objects", hist[0][:2], hist[0]+".json")); err != nil {
+		t.Fatal(err)
+	}
+	check("object removed")
+}
+
 // TestPathTraversalRejected plants a file outside the store exactly
 // where a %2F-smuggled traversal "hash" would land and checks both
 // attacker entry points — GET /v1/store/{hash} and the hash field of

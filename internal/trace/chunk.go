@@ -460,7 +460,9 @@ type chunkIndexEntry struct {
 // read frames via ReadAt on the shared source, so a k-way merge over all
 // locations holds one raw frame and at most cursorBatch decoded events
 // per location, plus the parsed index: a 16-byte frameRef per frame,
-// O(events / spill).  Obtain a merged event stream with NewStream.
+// O(events / spill).  A spool file is read through one read-ahead window
+// (windowReader).  Obtain a merged event stream with NewStream.  A
+// reader and its stream are used by one goroutine at a time.
 type ChunkReader struct {
 	src      io.ReaderAt
 	closer   io.Closer // the spool file OpenChunkFile opened, else nil
@@ -485,18 +487,64 @@ func OpenChunkFileLimited(path string, lim Limits) (*ChunkReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	r, err := NewChunkReader(f, st.Size(), lim)
+	r, err := NewChunkFileReader(f, lim)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	r.closer = f
 	return r, nil
+}
+
+// NewChunkFileReader validates the spool in the open file f as
+// NewChunkReader does, and reads it through a read-ahead window of
+// readWindow bytes: frames are stored, and in virtual time merged,
+// nearly in order, so most frame reads are copies from the window.  The
+// reader does not take ownership of f.
+func NewChunkFileReader(f *os.File, lim Limits) (*ChunkReader, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return NewChunkReader(newWindowReader(f, st.Size()), st.Size(), lim)
+}
+
+// readWindow is the size of a spool file's read-ahead window.  A frame
+// of a 16384-rank scale world is ~550 bytes, so one window read serves
+// about a hundred frame reads.
+const readWindow = 64 << 10
+
+// windowReader serves reads from one window of its source: a read inside
+// the window is a copy, and any other read no larger than the window
+// refills it from the read's offset.  A larger read bypasses the window.
+// It is not safe for concurrent use.
+type windowReader struct {
+	src io.ReaderAt
+	buf []byte // buf[:n] holds the source's bytes from off
+	off int64
+	n   int
+}
+
+// newWindowReader returns a window over the size-byte src, no larger
+// than the source.
+func newWindowReader(src io.ReaderAt, size int64) *windowReader {
+	return &windowReader{src: src, buf: make([]byte, min(readWindow, size))}
+}
+
+// ReadAt implements io.ReaderAt.
+func (w *windowReader) ReadAt(p []byte, off int64) (int, error) {
+	if off >= w.off && off-w.off <= int64(w.n-len(p)) {
+		return copy(p, w.buf[off-w.off:]), nil
+	}
+	if len(p) > len(w.buf) {
+		return w.src.ReadAt(p, off)
+	}
+	n, err := w.src.ReadAt(w.buf, off)
+	w.off, w.n = off, n
+	if n >= len(p) {
+		return copy(p, w.buf), nil
+	}
+	return copy(p, w.buf[:n]), err
 }
 
 // NewChunkReader validates the size-byte spool in src exactly as
