@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/ats"
 	"repro/internal/analyzer"
 	"repro/internal/asl"
 	"repro/internal/conformance"
@@ -576,36 +575,98 @@ func BenchmarkScale_EventEngineRanks(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamAnalyze measures the bounded-memory streaming pipeline —
-// chunk spool, k-way merge, incremental analysis — on the same workload as
-// BenchmarkScale_CompositeRanks, at rank counts where the materialized
-// trace dominates memory.  Allocations are reported because bytes/op is
-// the number this pipeline exists to bound (see doc/PERFORMANCE.md).
+// BenchmarkStreamAnalyze measures the bounded-memory streaming pipeline
+// in two parts: Run, the engine running a world into an in-memory chunk
+// spool, and Analyze, NewStream + AnalyzeStream (k-way merge and
+// incremental analysis) over a spool built outside the timer, so the
+// analysis' B/op and allocs/op are its own and not the engine's, whose
+// allocations follow the collector's timing.  Two bodies: BenchmarkScale_CompositeRanks'
+// barrier imbalance and broadcast at 256 and 1024 ranks, and
+// scale-stream's ring (skewed compute, ring Sendrecv, Barrier) at 1024
+// ranks, whose messages put the analyzer's point-to-point pairing into
+// Analyze's B/op (see doc/PERFORMANCE.md).
 func BenchmarkStreamAnalyze(b *testing.B) {
-	for _, procs := range []int{256, 1024} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+	barrier := func(c *mpi.Comm) {
+		core.ImbalanceAtMPIBarrier(c, mustDF(b), distrV2(0.001, 0.01), 3)
+		buf := mpi.AllocBuf(mpi.TypeDouble, 16)
+		c.Bcast(buf, 0)
+	}
+	for _, w := range []struct {
+		name  string
+		procs int
+		body  func(c *mpi.Comm)
+		prop  string // a property the analysis must find
+	}{
+		{"barrier", 256, barrier, analyzer.PropWaitAtBarrier},
+		{"barrier", 1024, barrier, analyzer.PropWaitAtBarrier},
+		{"ring", 1024, ringBench, analyzer.PropLateSender},
+	} {
+		run := func(sink *trace.ChunkWriter) error {
+			_, err := mpi.Run(mpi.Options{Procs: w.procs, Timeout: 120 * time.Second, Sink: sink}, w.body)
+			return err
+		}
+		b.Run(fmt.Sprintf("%s/procs=%d/Run", w.name, w.procs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := ats.RunMPIStream(
-					ats.MPIOptions{Procs: procs, Timeout: 120 * time.Second}, 0,
-					func(c *mpi.Comm) {
-						core.ImbalanceAtMPIBarrier(c,
-							mustDF(b), distrV2(0.001, 0.01), 3)
-						buf := mpi.AllocBuf(mpi.TypeDouble, 16)
-						c.Bcast(buf, 0)
-					})
+				spool, err := trace.SpoolInMemory(run)
+				if err != nil {
+					b.Fatal(err)
+				}
+				spool.Release()
+			}
+		})
+		b.Run(fmt.Sprintf("%s/procs=%d/Analyze", w.name, w.procs), func(b *testing.B) {
+			spool, err := trace.SpoolInMemory(run)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer spool.Release()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := spool.Reader()
+				if err != nil {
+					b.Fatal(err)
+				}
+				st, err := trace.NewStream(r)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rep, err := analyzer.AnalyzeStream(st, analyzer.Options{})
+				st.Close()
 				if err != nil {
 					b.Fatal(err)
 				}
 				if i == 0 {
-					b.ReportMetric(float64(out.Events), "events")
-					if out.Report.Wait(analyzer.PropWaitAtBarrier) <= 0 {
-						b.Fatal("streamed analysis missed imbalance_at_mpi_barrier")
+					b.ReportMetric(float64(st.Events()), "events")
+					if rep.Wait(w.prop) <= 0 {
+						b.Fatalf("streamed analysis missed %s", w.prop)
 					}
 				}
 			}
 		})
 	}
+}
+
+// ringBench is scale-stream's world body: six rounds of four skewed
+// compute segments, a ring Sendrecv and a Barrier.
+func ringBench(c *mpi.Comm) {
+	work := 0.0001 * (1 + float64(c.Rank())/float64(c.Size()))
+	next := (c.Rank() + 1) % c.Size()
+	prev := (c.Rank() - 1 + c.Size()) % c.Size()
+	buf := mpi.AllocBuf(mpi.TypeDouble, 4)
+	defer mpi.FreeBuf(buf)
+	c.Begin("scale_phase")
+	for r := 0; r < 6; r++ {
+		for k := 0; k < 4; k++ {
+			c.Begin("compute")
+			c.Work(work)
+			c.End()
+		}
+		c.Sendrecv(buf, next, 1, buf, prev, 1)
+		c.Barrier()
+	}
+	c.End()
 }
 
 func mustDF(b *testing.B) distr.Func {

@@ -14,17 +14,18 @@ import (
 // identical, so the two paths produce byte-identical reports (and
 // therefore identical content-addressed profile hashes).
 //
-// Memory is O(locations + open regions + messages + collective parts):
-// the pattern matchers keep a compact record (a PathID instead of a
-// rendered string, ~40 bytes each) for every send and receive half and
-// every collective participant, matched or not, because the reductions
-// run in sorted match-key order at Finish.  This state grows with the
-// event count: ~16 MiB at the end of a 16384-rank scale-stream world.
-// ROADMAP.md ("A streaming analyzer that is actually bounded") plans to
-// reduce pairs and instances in stream order instead.  AnalyzeStream adds
-// the merge's batches in flight (trace.Stream.ForEach) when the stream
-// holds more than one batch: three batches of 4096 events, ~1 MiB,
-// whatever the event count.
+// Memory is O(locations + open regions + messages in flight + pairs with
+// a positive wait + collective parts).  A point-to-point half waits in
+// the pending maps (a PathID instead of a rendered string, ~40 bytes)
+// only until its partner arrives; the completed pair is reduced to its
+// waits at once and kept, as a 48-byte record, only if a wait is
+// positive, because the records are accumulated in sorted match order at
+// Finish.  Collective participants are kept until Finish, matched or
+// not: reducing an instance in stream order needs its participant count,
+// which the trace does not carry (ROADMAP.md, "A streaming analyzer that
+// is actually bounded").  AnalyzeStream adds the merge's batches in
+// flight (trace.Stream.ForEach) when the stream holds more than one
+// batch: three batches of 4096 events, ~1 MiB, whatever the event count.
 
 // p2pEnd is the pending half of a point-to-point match: for sends the
 // operation's enter time, for receives the receive's enter time (Aux).
@@ -34,6 +35,17 @@ type p2pEnd struct {
 	path  trace.PathID
 	loc   trace.Location
 	flags uint8
+}
+
+// p2pWait is a completed point-to-point match with a positive wait: the
+// Late Sender wait the receiver incurred and, for a synchronous send, the
+// Late Receiver wait the sender incurred (a wait <= 0 adds nothing).
+type p2pWait struct {
+	match              uint64
+	lateSender         float64
+	lateReceiver       float64
+	sendPath, recvPath trace.PathID
+	sendLoc, recvLoc   trace.Location
 }
 
 // collPart is one participant of a pending collective instance.
@@ -52,13 +64,23 @@ type collPart struct {
 // call Finish exactly once.  A lock event's path is rendered through the
 // View as it is added; every other path at Finish, when every referenced
 // path is interned.
+//
+// A send and a receive with the same match id pair in stream order: a
+// half pairs with the opposite half of its id that is pending when it
+// arrives, whichever came first, and a half that arrives while another
+// of its own kind is pending under that id replaces it.  Engine-written
+// traces never repeat a match id (mpi's matchID is the rank's and a
+// per-rank count), so there every send pairs with its one receive.
 type StreamAnalyzer struct {
 	view trace.View
 	rep  *Report
 	sb   *trace.StatsBuilder
 
+	// sends and recvs are the point-to-point halves in flight, keyed by
+	// match id; waits the completed pairs with a positive wait.
 	sends  map[uint64]p2pEnd
 	recvs  map[uint64]p2pEnd
+	waits  []p2pWait
 	groups map[collKey][]collPart
 	// comms maps an operation on a communicator to its latest instance
 	// that outgrew both presizeParts parts and the room it was made
@@ -128,11 +150,23 @@ func (a *StreamAnalyzer) Add(ev *trace.Event) {
 	a.sb.Add(ev)
 	switch ev.Kind {
 	case trace.KindSend:
-		a.sends[ev.Match] = p2pEnd{time: ev.Time, path: ev.Path, loc: ev.Loc, flags: ev.Flags}
+		s := p2pEnd{time: ev.Time, path: ev.Path, loc: ev.Loc, flags: ev.Flags}
+		if r, ok := a.recvs[ev.Match]; ok {
+			delete(a.recvs, ev.Match)
+			a.pair(ev.Match, &s, &r)
+		} else {
+			a.sends[ev.Match] = s
+		}
 		a.rep.Messages.Count++
 		a.rep.Messages.Bytes += ev.Bytes
 	case trace.KindRecv:
-		a.recvs[ev.Match] = p2pEnd{aux: ev.Aux, path: ev.Path, loc: ev.Loc}
+		r := p2pEnd{aux: ev.Aux, path: ev.Path, loc: ev.Loc}
+		if s, ok := a.sends[ev.Match]; ok {
+			delete(a.sends, ev.Match)
+			a.pair(ev.Match, &s, &r)
+		} else {
+			a.recvs[ev.Match] = r
+		}
 	case trace.KindColl:
 		k := collKey{ev.Coll, ev.Match}
 		ck := commKey{ev.Comm, ev.Coll}
@@ -190,35 +224,44 @@ func (a *StreamAnalyzer) Finish() *Report {
 	return rep
 }
 
-// reduceP2P pairs pending message halves and derives Late Sender / Late
-// Receiver.
-func (a *StreamAnalyzer) reduceP2P() {
-	// Iterate matches in sorted order: wait times are accumulated with
-	// floating-point additions, so map-order iteration would make the
-	// low bits of Result.Wait run-dependent and break the profile
-	// store's content-addressed identity.
-	matches := make([]uint64, 0, len(a.sends))
-	for m := range a.sends {
-		matches = append(matches, m)
-	}
-	slices.Sort(matches)
-	for _, m := range matches {
-		s := a.sends[m]
-		r, ok := a.recvs[m]
-		if !ok {
-			continue // message never received (truncated trace)
-		}
+// pair reduces the completed match m to its waits and keeps them if one
+// is positive.
+func (a *StreamAnalyzer) pair(m uint64, s, r *p2pEnd) {
+	w := p2pWait{
+		match: m,
 		// Late sender: the receiver entered its receive before the send
 		// operation started.
-		if wait := s.time - r.aux; wait > 0 {
-			a.add(PropLateSender, wait, a.view.PathString(r.path), r.loc)
+		lateSender: s.time - r.aux,
+		sendPath:   s.path, recvPath: r.path,
+		sendLoc: s.loc, recvLoc: r.loc,
+	}
+	// Late receiver: a synchronous sender blocked until the receive was
+	// posted.
+	if s.flags&trace.FlagSync != 0 {
+		w.lateReceiver = r.aux - s.time
+	}
+	if w.lateSender > 0 || w.lateReceiver > 0 {
+		a.waits = append(a.waits, w)
+	}
+}
+
+// reduceP2P accumulates the completed pairs' Late Sender / Late Receiver
+// waits.  Halves still pending never paired (a truncated trace) and add
+// nothing.
+func (a *StreamAnalyzer) reduceP2P() {
+	// Accumulate in match order: wait times are summed with
+	// floating-point additions, so stream-order accumulation would tie
+	// the low bits of Result.Wait to the merge order and break the
+	// profile store's content-addressed identity.  The sort is stable,
+	// so pairs sharing a match id keep their stream order.
+	slices.SortStableFunc(a.waits, func(x, y p2pWait) int { return cmp.Compare(x.match, y.match) })
+	for i := range a.waits {
+		w := &a.waits[i]
+		if w.lateSender > 0 {
+			a.add(PropLateSender, w.lateSender, a.view.PathString(w.recvPath), w.recvLoc)
 		}
-		// Late receiver: a synchronous sender blocked until the receive
-		// was posted.
-		if s.flags&trace.FlagSync != 0 {
-			if wait := r.aux - s.time; wait > 0 {
-				a.add(PropLateReceiver, wait, a.view.PathString(s.path), s.loc)
-			}
+		if w.lateReceiver > 0 {
+			a.add(PropLateReceiver, w.lateReceiver, a.view.PathString(w.sendPath), w.sendLoc)
 		}
 	}
 }
@@ -346,11 +389,12 @@ func (a *StreamAnalyzer) nxnWaits(parts []collPart, prop string) {
 
 // AnalyzeStream drains a merged chunk stream through a StreamAnalyzer.
 // The report is byte-identical to Analyze on the materialized trace of the
-// same run; peak memory is O(locations + open regions + messages +
-// collective parts) instead of the whole event list.  A stream of more
-// than one batch of events (4096) is merged on a second goroutine while
-// this one analyzes, with up to three batches, ~1 MiB, in flight
-// (trace.Stream.ForEach); the events and their order are the same.
+// same run; peak memory is O(locations + open regions + messages in
+// flight + pairs with a positive wait + collective parts) instead of the
+// whole event list.  A stream of more than one batch of events (4096) is
+// merged on a second goroutine while this one analyzes, with up to three
+// batches, ~1 MiB, in flight (trace.Stream.ForEach); the events and their
+// order are the same.
 func AnalyzeStream(src *trace.Stream, opt Options) (*Report, error) {
 	a := NewStreamAnalyzer(src, opt)
 	if err := src.ForEach(a.Add); err != nil {

@@ -239,10 +239,12 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 		w.fail(fmt.Errorf("trace: chunk writer: Attach(%v) after recording", b.Loc))
 		return
 	}
-	if !w.open(b.Loc) {
+	s := w.open(b.Loc)
+	if s == nil {
 		return
 	}
 	b.sink = w
+	b.stream = s
 	b.spillAt = w.threshold
 	// The buffer holds one frame's events, encoded.  A finished buffer's
 	// frame bytes serve the next one attached: short-lived locations, such
@@ -257,18 +259,20 @@ func (w *ChunkWriter) Attach(b *Buffer) {
 	}
 }
 
-// open starts the stream of loc, reporting false after a sticky error.
-func (w *ChunkWriter) open(loc Location) bool {
+// open starts the stream of loc and returns it, or nil after a sticky
+// error.
+func (w *ChunkWriter) open(loc Location) *chunkStream {
 	if w.closed {
 		w.fail(fmt.Errorf("trace: chunk writer: Attach(%v) after Close", loc))
-		return false
+		return nil
 	}
 	if _, dup := w.streams[loc]; dup {
 		w.fail(fmt.Errorf("trace: chunk writer: duplicate stream for location %v", loc))
-		return false
+		return nil
 	}
-	w.streams[loc] = &chunkStream{paths: 1} // the path root is implicit
-	return true
+	s := &chunkStream{paths: 1} // the path root is implicit
+	w.streams[loc] = s
+	return s
 }
 
 // writeBuffer spools every event b holds, with its intern tables, as one
@@ -277,9 +281,9 @@ func (w *ChunkWriter) open(loc Location) bool {
 func (w *ChunkWriter) writeBuffer(b *Buffer) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.open(b.Loc) {
-		w.spillLocked(b)
-		w.streams[b.Loc].finished = true
+	if s := w.open(b.Loc); s != nil {
+		w.spillLocked(b, s)
+		s.finished = true
 	}
 }
 
@@ -287,7 +291,7 @@ func (w *ChunkWriter) writeBuffer(b *Buffer) {
 // owning goroutine whenever the frame reaches the spill threshold.
 func (w *ChunkWriter) spill(b *Buffer) {
 	w.mu.Lock()
-	w.spillLocked(b)
+	w.spillLocked(b, b.stream)
 	w.mu.Unlock()
 	// Always drop the events, even on a sticky error: the point of
 	// streaming is bounding memory, and the run's result is discarded
@@ -296,8 +300,9 @@ func (w *ChunkWriter) spill(b *Buffer) {
 	b.pending = 0
 }
 
-func (w *ChunkWriter) spillLocked(b *Buffer) {
-	s := w.streams[b.Loc]
+// spillLocked writes b's pending events and table deltas as one frame of
+// b's stream s.
+func (w *ChunkWriter) spillLocked(b *Buffer, s *chunkStream) {
 	if s == nil || s.finished {
 		w.fail(fmt.Errorf("trace: chunk writer: spill from unattached buffer %v", b.Loc))
 		return
@@ -358,7 +363,7 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 		return err
 	}
 	if !s.finished {
-		w.spillLocked(b)
+		w.spillLocked(b, s)
 		s.finished = true
 	}
 	// Keep the frame bytes for the next Attach instead of parking them in
@@ -370,6 +375,7 @@ func (w *ChunkWriter) Finish(b *Buffer) error {
 	b.frame = nil
 	b.pending = 0
 	b.sink = nil
+	b.stream = nil
 	b.spillAt = 0
 	return w.err
 }
@@ -458,11 +464,12 @@ type chunkIndexEntry struct {
 
 // ChunkReader opens an ATSC spool for streaming.  Per-location cursors
 // read frames via ReadAt on the shared source, so a k-way merge over all
-// locations holds one raw frame and at most cursorBatch decoded events
-// per location, plus the parsed index: a 16-byte frameRef per frame,
-// O(events / spill).  A spool file is read through one read-ahead window
-// (windowReader).  Obtain a merged event stream with NewStream.  A
-// reader and its stream are used by one goroutine at a time.
+// locations holds one raw frame per location and no decoded event (an
+// event is decoded when the merge delivers it), plus the parsed index: a
+// 16-byte frameRef per frame, O(events / spill).  A spool file is read
+// through one read-ahead window (windowReader).  Obtain a merged event
+// stream with NewStream.  A reader and its stream are used by one
+// goroutine at a time.
 type ChunkReader struct {
 	src      io.ReaderAt
 	closer   io.Closer // the spool file OpenChunkFile opened, else nil
@@ -747,15 +754,12 @@ func (r *ChunkReader) Close() error {
 	return r.closer.Close()
 }
 
-// cursorBatch is the most events a chunk cursor decodes per next call.
-// It bounds the decoded events a merge over every location holds per
-// cursor, beside the cursor's raw frame, whatever the spill threshold.
-const cursorBatch = 8
-
 // chunkCursor iterates one location's frames, maintaining the location's
-// locally-interned region and path tables across frames.  It keeps the
-// current frame's raw bytes and decodes them a batch at a time into a
-// fixed cursorBatch-event slice; both are reused from frame to frame.
+// locally-interned region and path tables across frames.  Of the events
+// it keeps only the current frame's raw bytes, reused from frame to
+// frame, and the read offset of the next one: the merge orders cursors by
+// the next event's time, which ready reads from the encoding's first
+// eight bytes, and decodes an event only when pop delivers it.
 type chunkCursor struct {
 	r          *ChunkReader
 	ent        *chunkIndexEntry
@@ -764,10 +768,9 @@ type chunkCursor struct {
 	regions    []string
 	pathParent []PathID
 	pathRegion []RegionID
-	events     []Event
 	buf        []byte
 	off        int    // next event's offset in buf
-	left       uint64 // events of the current frame not yet decoded
+	left       uint64 // events of the current frame not yet delivered
 	evIdx      uint64 // index in the current frame of the next event
 }
 
@@ -776,12 +779,11 @@ type chunkCursor struct {
 // 16384-rank scale world interns 6 regions and 7 paths.
 const cursorTables = 8
 
-// cursors returns one cursor per location.  Their decode batches and
-// intern tables are carved from per-reader slabs.
+// cursors returns one cursor per location.  Their intern tables are
+// carved from per-reader slabs.
 func (r *ChunkReader) cursors() []*chunkCursor {
 	n := len(r.streams)
 	slab := make([]chunkCursor, n)
-	events := make([]Event, n*cursorBatch)
 	regions := make([]string, n*cursorTables)
 	pathParent := make([]PathID, n*cursorTables)
 	pathRegion := make([]RegionID, n*cursorTables)
@@ -794,7 +796,6 @@ func (r *ChunkReader) cursors() []*chunkCursor {
 		c.regions = regions[lo:lo:hi]
 		c.pathParent = append(pathParent[lo:lo:hi], -1) // the root path
 		c.pathRegion = append(pathRegion[lo:lo:hi], -1)
-		c.events = events[i*cursorBatch : i*cursorBatch : (i+1)*cursorBatch]
 		cs[i] = c
 	}
 	return cs
@@ -806,22 +807,22 @@ func (c *chunkCursor) corrupt(format string, args ...any) error {
 	return fmt.Errorf("trace: chunk stream %v: corrupt frame: %s", c.ent.loc, fmt.Sprintf(format, args...))
 }
 
-// next returns the next batch of at most cursorBatch events (locally
-// interned; valid until the following call), or (nil, nil) once the
-// stream is exhausted.
-func (c *chunkCursor) next() ([]Event, error) {
+// ready positions the cursor at its next event, reading frames (and
+// their intern-table deltas) until one holds an event, and returns that
+// event's time.  ok is false once the stream is exhausted.
+func (c *chunkCursor) ready() (t float64, ok bool, err error) {
 	for c.left == 0 {
-		// The current frame is fully decoded: nothing may follow its
+		// The current frame is fully delivered: nothing may follow its
 		// last event.
 		if rest := len(c.buf) - c.off; rest != 0 {
-			return nil, c.corrupt("%d trailing bytes", rest)
+			return 0, false, c.corrupt("%d trailing bytes", rest)
 		}
 		if c.fi == len(c.ent.frames) {
 			if c.delivered != c.ent.events {
-				return nil, fmt.Errorf("trace: chunk stream %v: index records %d events, frames hold %d",
+				return 0, false, fmt.Errorf("trace: chunk stream %v: index records %d events, frames hold %d",
 					c.ent.loc, c.ent.events, c.delivered)
 			}
-			return nil, nil
+			return 0, false, nil
 		}
 		fr := c.ent.frames[c.fi]
 		c.fi++
@@ -830,35 +831,43 @@ func (c *chunkCursor) next() ([]Event, error) {
 		}
 		c.buf = c.buf[:fr.len]
 		if err := readAt(c.r.src, c.buf, fr.off); err != nil {
-			return nil, fmt.Errorf("trace: chunk stream %v: reading frame at %d: %w", c.ent.loc, fr.off, err)
+			return 0, false, fmt.Errorf("trace: chunk stream %v: reading frame at %d: %w", c.ent.loc, fr.off, err)
 		}
 		if err := c.parseFrameHeader(); err != nil {
-			return nil, err
+			return 0, false, err
 		}
 	}
-	evs := c.events[:min(c.left, cursorBatch)]
-	for i := range evs {
-		ev := &evs[i]
-		n, err := decodeEvent(c.buf[c.off:], ev)
-		if err != nil {
-			return nil, c.corrupt("event %d: %v", c.evIdx, err)
-		}
-		c.off += n
-		if ev.Loc != c.ent.loc {
-			return nil, c.corrupt("event %d belongs to %v", c.evIdx, ev.Loc)
-		}
-		if ev.Path < 0 || int(ev.Path) >= len(c.pathParent) {
-			return nil, c.corrupt("event %d references unknown path %d", c.evIdx, ev.Path)
-		}
-		if (ev.Kind == KindEnter || ev.Kind == KindExit) &&
-			(ev.Region < 0 || int(ev.Region) >= len(c.regions)) {
-			return nil, c.corrupt("event %d references unknown region %d", c.evIdx, ev.Region)
-		}
-		c.evIdx++
+	// An event too short to hold its time is reported here, one event
+	// early; any other fault of an event is reported by pop.
+	b := c.buf[c.off:]
+	if len(b) < 8 {
+		return 0, false, c.corrupt("event %d: %v", c.evIdx, io.ErrUnexpectedEOF)
 	}
-	c.left -= uint64(len(evs))
-	c.delivered += uint64(len(evs))
-	return evs, nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), true, nil
+}
+
+// pop decodes the event ready positioned the cursor at into ev (locally
+// interned) and validates it against the location and its tables.
+func (c *chunkCursor) pop(ev *Event) error {
+	n, err := decodeEvent(c.buf[c.off:], ev)
+	if err != nil {
+		return c.corrupt("event %d: %v", c.evIdx, err)
+	}
+	c.off += n
+	if ev.Loc != c.ent.loc {
+		return c.corrupt("event %d belongs to %v", c.evIdx, ev.Loc)
+	}
+	if ev.Path < 0 || int(ev.Path) >= len(c.pathParent) {
+		return c.corrupt("event %d references unknown path %d", c.evIdx, ev.Path)
+	}
+	if (ev.Kind == KindEnter || ev.Kind == KindExit) &&
+		(ev.Region < 0 || int(ev.Region) >= len(c.regions)) {
+		return c.corrupt("event %d references unknown region %d", c.evIdx, ev.Region)
+	}
+	c.evIdx++
+	c.left--
+	c.delivered++
+	return nil
 }
 
 // parseFrameHeader decodes the frame in buf up to its events: it checks

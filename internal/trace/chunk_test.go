@@ -632,10 +632,10 @@ func handFrame(first bool, t0 float64, n int, extra ...byte) []byte {
 }
 
 // TestChunkFrameTrailingBytes: bytes after a frame's last event are
-// corruption wherever the frame sits and however many decode batches
-// its events take.
+// corruption wherever the frame sits and however many events precede
+// them.
 func TestChunkFrameTrailingBytes(t *testing.T) {
-	const n = 2*cursorBatch + 2
+	const n = 18
 	cases := []struct {
 		name   string
 		bodies [][]byte
@@ -766,5 +766,79 @@ func TestStreamRendersPathsOnDemand(t *testing.T) {
 	want := strings.TrimSuffix(strings.Repeat(name+"/", depth), "/")
 	if got := st.PathString(depth); got != want {
 		t.Fatalf("PathString(%d) = %q, want %q", depth, got, want)
+	}
+}
+
+// TestChunkCorruptEvent: an event that fails validation is reported with
+// the reader's error text, once every event before it in merged order is
+// delivered, since the merge decodes an event only to deliver it.  An
+// event too short to hold its time cannot be ordered, so it is reported
+// when the event before it is merged, and that event is not delivered.
+func TestChunkCorruptEvent(t *testing.T) {
+	const n = 12
+	cases := []struct {
+		name      string
+		mutate    func(i int, ev *Event)
+		cut       int // bytes cut from the frame's end
+		delivered int
+		want      string
+	}{
+		{"unknown path", func(i int, ev *Event) {
+			if i == 5 {
+				ev.Path = 7
+			}
+		}, 0, 5, "event 5 references unknown path 7"},
+		{"unknown region", func(i int, ev *Event) {
+			if i == 5 {
+				ev.Region = 3
+			}
+		}, 0, 5, "event 5 references unknown region 3"},
+		{"foreign location", func(i int, ev *Event) {
+			if i == 5 {
+				ev.Loc = Location{Rank: 1}
+			}
+		}, 0, 5, "event 5 belongs to 1.0"},
+		{"truncated event", nil, 3, n - 1, "event 11: unexpected EOF"},
+		{"truncated time", nil, 30, n - 2, "event 11: unexpected EOF"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := handFrame(true, 0, 0)
+			body = binary.AppendUvarint(body[:len(body)-1], n)
+			for i := 0; i < n; i++ {
+				// Large payloads make every event longer than the
+				// frame's count check assumes, so a cut frame still
+				// passes it.
+				ev := Event{Time: float64(i), Kind: KindEnter + Kind(i%2), Path: 1, Bytes: 1 << 40}
+				if tc.mutate != nil {
+					tc.mutate(i, &ev)
+				}
+				body = appendEvent(body, &ev)
+			}
+			body = body[:len(body)-tc.cut]
+			forEachBacking(t, handSpool([][]byte{body}, n), func(t *testing.T, r *ChunkReader, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := NewStream(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				for {
+					var ev *Event
+					if ev, err = st.Next(); err != nil || ev == nil {
+						break
+					}
+				}
+				want := "trace: chunk stream 0.0: corrupt frame: " + tc.want
+				if err == nil || err.Error() != want {
+					t.Fatalf("err = %v, want %q", err, want)
+				}
+				if st.Events() != tc.delivered {
+					t.Fatalf("%d events delivered before the error, want %d", st.Events(), tc.delivered)
+				}
+			})
+		})
 	}
 }

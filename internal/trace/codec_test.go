@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -70,8 +71,8 @@ func FuzzEventCodec(f *testing.F) {
 	})
 }
 
-// testMergeRoundTrip records ev into an unattached buffer, more often than
-// one decode batch holds, and checks that Merge returns every copy with
+// testMergeRoundTrip records ev into an unattached buffer several times
+// and checks that Merge returns every copy with
 // every field unchanged.  Merge remaps path ids and the region ids of
 // enter and exit events; with one seeded path and region, the local and
 // global ids are the same, so ev carries those.
@@ -83,7 +84,7 @@ func testMergeRoundTrip(t *testing.T, ev Event) {
 	if ev.Kind == KindEnter || ev.Kind == KindExit {
 		ev.Region = 0
 	}
-	const copies = cursorBatch + 1
+	const copies = 9
 	for i := 0; i < copies; i++ {
 		b.Record(ev)
 	}
@@ -109,8 +110,10 @@ func testMergeRoundTrip(t *testing.T, ev Event) {
 // (DefaultSpillEvents).  While recording, a buffer's pending frame never
 // takes more than the spill threshold times the largest encoded event,
 // here larger than frameEventBytes, even when the buffer arrives from the
-// pool with a frame grown for Merge; a finished buffer keeps no frame.  While merging, a cursor holds one raw frame plus at most
-// cursorBatch decoded events however long its frames are.
+// pool with a frame grown for Merge; a finished buffer keeps no frame.
+// While merging, a cursor holds one raw frame, no larger than the largest
+// frame, and no decoded event: the merge state has no field that could
+// hold one, and a drained stream holds no sources at all.
 func TestStreamMemoryBound(t *testing.T) {
 	for _, spill := range []int{64, DefaultSpillEvents} {
 		t.Run(fmt.Sprintf("spill%d", spill), func(t *testing.T) { testStreamMemoryBound(t, spill) })
@@ -171,16 +174,18 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 	largest := 0
 	for _, c := range r.cursors() {
 		for {
-			evs, err := c.next()
+			_, ok, err := c.ready()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if evs == nil {
+			if !ok {
 				break
 			}
-			for k := range evs {
-				largest = max(largest, len(appendEvent(nil, &evs[k])))
+			var ev Event
+			if err := c.pop(&ev); err != nil {
+				t.Fatal(err)
 			}
+			largest = max(largest, len(appendEvent(nil, &ev)))
 		}
 	}
 	grew := false
@@ -198,15 +203,15 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	for _, typ := range []reflect.Type{reflect.TypeFor[sourceState](), reflect.TypeFor[chunkCursor](), reflect.TypeFor[heapEntry]()} {
+		if f, ok := eventField(typ); ok {
+			t.Fatalf("merge state %v.%s can hold a decoded event", typ, f)
+		}
+	}
 	check := func(when string) {
 		t.Helper()
 		for i := range st.srcs {
-			s := &st.srcs[i]
-			c := s.src
-			if cap(c.events) > cursorBatch || len(s.cur) > cursorBatch {
-				t.Fatalf("%s: cursor %v holds cap %d / %d current events, bound %d",
-					when, c.loc(), cap(c.events), len(s.cur), cursorBatch)
-			}
+			c := st.srcs[i].src
 			if int64(cap(c.buf)) > maxFrame {
 				t.Fatalf("%s: cursor %v buffers %d raw bytes, largest frame %d", when, c.loc(), cap(c.buf), maxFrame)
 			}
@@ -222,8 +227,38 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 			if n != r.Events() {
 				t.Fatalf("drained %d events, index records %d", n, r.Events())
 			}
+			if st.srcs != nil || st.heap != nil || st.regionIDs != nil || st.pathChild != nil {
+				t.Fatalf("drained stream holds %d sources, %d heap entries, intern maps %v/%v",
+					len(st.srcs), len(st.heap), st.regionIDs != nil, st.pathChild != nil)
+			}
+			if len(st.Locations()) != nLocs || st.Events() != n || st.RegionName(0) == "?" {
+				t.Fatalf("drained stream lost its tables or counters: %d locations, %d events", len(st.Locations()), st.Events())
+			}
 			break
 		}
 		check("during drain")
 	}
+}
+
+// eventField reports the first field of struct typ that is, points to or
+// holds an Event, following slices, arrays, pointers and structs of the
+// trace package.
+func eventField(typ reflect.Type) (string, bool) {
+	ev := reflect.TypeFor[Event]()
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		ft := f.Type
+		for ft.Kind() == reflect.Pointer || ft.Kind() == reflect.Slice || ft.Kind() == reflect.Array {
+			ft = ft.Elem()
+		}
+		if ft == ev {
+			return f.Name, true
+		}
+		if ft.Kind() == reflect.Struct && ft.PkgPath() == typ.PkgPath() {
+			if name, ok := eventField(ft); ok {
+				return f.Name + "." + name, true
+			}
+		}
+	}
+	return "", false
 }

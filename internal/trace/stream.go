@@ -27,31 +27,26 @@ var (
 )
 
 // sourceState is the per-location merge state: the location's chunk
-// cursor, its current remapped batch, and the local→global id maps, grown
-// as the cursor's tables grow.
+// cursor and the local→global id maps, grown as the cursor's tables grow.
 type sourceState struct {
 	src       *chunkCursor
-	cur       []Event
-	pos       int
 	regionMap []RegionID
 	pathMap   []PathID
 }
 
-// heapEntry is one source's merge key — its current event's time and
-// location — kept inline so comparisons never chase a source's events.
+// heapEntry is one source's merge key, its next event's time, kept inline
+// so comparisons never chase a source.  Sources are indexed in location
+// order and each holds one location, so the source index breaks ties as
+// the location does.
 type heapEntry struct {
 	time float64
-	loc  Location
 	src  int
 }
 
-// less orders heap entries by (Time, Location, source index).
+// less orders heap entries by (Time, Location).
 func (a *heapEntry) less(b *heapEntry) bool {
 	if a.time != b.time {
 		return a.time < b.time
-	}
-	if a.loc != b.loc {
-		return a.loc.less(b.loc)
 	}
 	return a.src < b.src
 }
@@ -59,14 +54,19 @@ func (a *heapEntry) less(b *heapEntry) bool {
 // Stream is the k-way merge over the per-location streams of chunk
 // spools, delivering events in (Time, Location) order with
 // within-location order preserved; every Trace is one drained
-// (Recorder.Trace, Merge, Read, ReadFile).  Region names and call paths are interned
-// globally and incrementally, as the merge meets each location's frames,
-// so a Stream implements View and the analyzer can consume it in place of
-// a Trace while holding only O(locations + intern tables) memory of its
-// own: per location one raw frame and at most a small batch of decoded
-// events.  The readers' frame indexes add O(events / spill) (see
-// ChunkReader), and ForEach the batches it has in flight when it merges
-// on a second goroutine (~1 MiB).
+// (Recorder.Trace, Merge, Read, ReadFile).  Region names and call paths
+// are interned globally and incrementally, as the merge meets each
+// location's frames, so a Stream implements View and the analyzer can
+// consume it in place of a Trace while holding only O(locations + intern
+// tables) memory of its own: per location one raw frame, its read offset
+// and its next event's time.  An event is decoded, remapped to global ids
+// and validated only when it is delivered, so on a corrupt spool a bad
+// event is reported when it would be delivered, after every event that
+// precedes it in merged order.  The readers' frame indexes add
+// O(events / spill) (see ChunkReader), and ForEach the batches it has in
+// flight when it merges on a second goroutine (~1 MiB).  Once the last
+// event is delivered the stream drops its sources (cursors, raw frames,
+// id maps); the intern tables, locations and counters stay.
 type Stream struct {
 	srcs []sourceState
 	heap []heapEntry
@@ -141,18 +141,19 @@ func NewStream(readers ...*ChunkReader) (*Stream, error) {
 		st.srcs = append(st.srcs, sourceState{src: c, regionMap: regionMaps[lo:lo:hi], pathMap: pathMaps[lo:lo:hi]})
 	}
 	for i := range st.srcs {
-		if err := st.refill(i); err != nil {
+		t, ok, err := st.advance(i)
+		if err != nil {
 			st.Close()
 			return nil, err
 		}
-		if s := &st.srcs[i]; s.cur != nil {
-			ev := &s.cur[0]
-			st.heap = append(st.heap, heapEntry{time: ev.Time, loc: ev.Loc, src: i})
+		if ok {
+			st.heap = append(st.heap, heapEntry{time: t, src: i})
 		}
 	}
 	for i := len(st.heap)/2 - 1; i >= 0; i-- {
 		st.siftDown(i)
 	}
+	st.dropSourcesIfDrained()
 	return st, nil
 }
 
@@ -181,47 +182,40 @@ func (st *Stream) child(parent PathID, region RegionID) PathID {
 	return id
 }
 
-// refill loads source i's next non-empty batch, extends its id maps from
-// the grown local tables, and remaps the batch's events to global ids in
-// place.  cur is nil once the source is exhausted.
-func (st *Stream) refill(i int) error {
+// advance positions source i at its next event, extends its id maps from
+// the local tables the frames it read have grown, and returns the event's
+// time; ok is false once the source is exhausted.
+func (st *Stream) advance(i int) (t float64, ok bool, err error) {
 	s := &st.srcs[i]
-	for {
-		evs, err := s.src.next()
-		if err != nil {
-			return err
-		}
-		if evs == nil {
-			s.cur, s.pos = nil, 0
-			return nil
-		}
-		regions, pathParent, pathRegion := s.src.regions, s.src.pathParent, s.src.pathRegion
-		s.regionMap = slices.Grow(s.regionMap, len(regions)-len(s.regionMap))
-		s.pathMap = slices.Grow(s.pathMap, len(pathParent)-len(s.pathMap))
-		for j := len(s.regionMap); j < len(regions); j++ {
-			s.regionMap = append(s.regionMap, st.intern(regions[j]))
-		}
-		for j := len(s.pathMap); j < len(pathParent); j++ {
-			if j == 0 {
-				s.pathMap = append(s.pathMap, PathRoot)
-				continue
-			}
-			// Parents precede children in the local table, so the
-			// parent's global id is already mapped.
-			s.pathMap = append(s.pathMap, st.child(s.pathMap[pathParent[j]], s.regionMap[pathRegion[j]]))
-		}
-		if len(evs) == 0 {
+	if t, ok, err = s.src.ready(); err != nil {
+		return 0, false, err
+	}
+	regions, pathParent, pathRegion := s.src.regions, s.src.pathParent, s.src.pathRegion
+	s.regionMap = slices.Grow(s.regionMap, len(regions)-len(s.regionMap))
+	s.pathMap = slices.Grow(s.pathMap, len(pathParent)-len(s.pathMap))
+	for j := len(s.regionMap); j < len(regions); j++ {
+		s.regionMap = append(s.regionMap, st.intern(regions[j]))
+	}
+	for j := len(s.pathMap); j < len(pathParent); j++ {
+		if j == 0 {
+			s.pathMap = append(s.pathMap, PathRoot)
 			continue
 		}
-		for j := range evs {
-			ev := &evs[j]
-			if ev.Kind == KindEnter || ev.Kind == KindExit {
-				ev.Region = s.regionMap[ev.Region]
-			}
-			ev.Path = s.pathMap[ev.Path]
-		}
-		s.cur, s.pos = evs, 0
-		return nil
+		// Parents precede children in the local table, so the parent's
+		// global id is already mapped.
+		s.pathMap = append(s.pathMap, st.child(s.pathMap[pathParent[j]], s.regionMap[pathRegion[j]]))
+	}
+	return t, ok, nil
+}
+
+// dropSourcesIfDrained releases the merge state once every event is
+// delivered: the cursors with their raw frames and tables, the id maps
+// and the global intern maps.  What resolves ids (the intern tables) and
+// what describes the stream (locations, counters) stay.
+func (st *Stream) dropSourcesIfDrained() {
+	if len(st.heap) == 0 {
+		st.srcs, st.heap = nil, nil
+		st.regionIDs, st.pathChild = nil, nil
 	}
 }
 
@@ -267,24 +261,29 @@ func (st *Stream) next(dst *Event) (bool, error) {
 	}
 	top := &st.heap[0]
 	s := &st.srcs[top.src]
-	// Copy before refilling: the source reuses its frame storage.
-	*dst = s.cur[s.pos]
-	s.pos++
-	if s.pos == len(s.cur) {
-		if err := st.refill(top.src); err != nil {
-			st.err = err
-			return false, err
-		}
+	if err := s.src.pop(dst); err != nil {
+		st.err = err
+		return false, err
 	}
-	if s.cur != nil {
-		ev := &s.cur[s.pos]
-		top.time, top.loc = ev.Time, ev.Loc
+	if dst.Kind == KindEnter || dst.Kind == KindExit {
+		dst.Region = s.regionMap[dst.Region]
+	}
+	dst.Path = s.pathMap[dst.Path]
+	t, ok, err := st.advance(top.src)
+	if err != nil {
+		st.err = err
+		return false, err
+	}
+	if ok {
+		top.time = t
 	} else {
 		*top = st.heap[len(st.heap)-1]
 		st.heap = st.heap[:len(st.heap)-1]
 	}
 	if len(st.heap) > 0 {
 		st.siftDown(0)
+	} else {
+		st.dropSourcesIfDrained()
 	}
 	if st.events == 0 {
 		st.first = dst.Time

@@ -218,14 +218,18 @@ type Event struct {
 type Buffer struct {
 	Loc Location
 
-	regionIDs map[string]RegionID
-	regions   []string
+	regions []string
 
 	// Call-path tree: node i has parent pathParent[i] and leaf region
 	// pathRegion[i].  Node 0 is the root (empty path).
 	pathParent []PathID
 	pathRegion []RegionID
-	pathChild  map[pathKey]PathID
+
+	// regionIDs and pathChild index the tables once they outgrow
+	// internScan entries; smaller tables are scanned.  A pooled buffer
+	// keeps them, emptied, for its next large table.
+	regionIDs map[string]RegionID
+	pathChild map[pathKey]PathID
 
 	stack  []PathID // current path stack; top is current path
 	cur    PathID
@@ -239,9 +243,12 @@ type Buffer struct {
 	// 16-byte ref per spilled frame.  The intern tables are never spilled
 	// away — paths and regions keep their local ids across frames and the
 	// sink writes table deltas per frame.  Set via ChunkWriter.Attach
-	// (Recorder.Buffer attaches).  A buffer never attached keeps every
-	// event it records, for Merge to spool as one frame.
+	// (Recorder.Buffer attaches), which also hands the buffer its
+	// stream's writer state, so a spill looks nothing up.  A buffer never
+	// attached keeps every event it records, for Merge to spool as one
+	// frame.
 	sink    *ChunkWriter
+	stream  *chunkStream
 	spillAt int
 	frame   []byte
 	pending int
@@ -253,12 +260,13 @@ type pathKey struct {
 	region RegionID
 }
 
-// bufferPool recycles Buffer objects — their intern maps, path tables
-// and region stacks — between runs.  Campaigns execute hundreds of worlds
-// back to back; without the pool every run re-grows every location's
-// tables from scratch.  An attached buffer's frame bytes go back to its
-// ChunkWriter instead (see ChunkWriter.Finish); a frame a buffer grew for
-// Merge comes back with it, and the next Attach drops it.
+// bufferPool recycles Buffer objects — their intern tables, the maps of
+// tables that outgrew internScan, and region stacks — between runs.
+// Campaigns execute hundreds of worlds back to back; without the pool
+// every run re-grows every location's tables from scratch.  An attached
+// buffer's frame bytes go back to its ChunkWriter instead (see
+// ChunkWriter.Finish); a frame a buffer grew for Merge comes back with
+// it, and the next Attach drops it.
 var bufferPool = sync.Pool{New: func() any { return new(Buffer) }}
 
 // NewBuffer returns an empty buffer for the given location.  Buffers are
@@ -269,10 +277,6 @@ func NewBuffer(loc Location) *Buffer {
 	b.Loc = loc
 	b.cur = PathRoot
 	b.seeded = 0
-	if b.regionIDs == nil {
-		b.regionIDs = make(map[string]RegionID)
-		b.pathChild = make(map[pathKey]PathID)
-	}
 	b.pathParent = append(b.pathParent[:0], -1)
 	b.pathRegion = append(b.pathRegion[:0], -1)
 	return b
@@ -295,6 +299,7 @@ func (b *Buffer) Release() {
 	b.cur = PathRoot
 	b.seeded = 0
 	b.sink = nil
+	b.stream = nil
 	b.spillAt = 0
 	b.frame = b.frame[:0]
 	b.pending = 0
@@ -334,27 +339,70 @@ func (b *Buffer) encode(ev *Event) {
 	b.encoded++
 }
 
+// internScan is the most entries an intern table holds while it is
+// scanned; a larger one is indexed by a map.  A location of a
+// 16384-rank scale world interns 6 regions and 7 paths, and two maps per
+// location were ~9 MB of such a world's heap.
+const internScan = 16
+
 // region interns a region name.
 func (b *Buffer) region(name string) RegionID {
-	if id, ok := b.regionIDs[name]; ok {
-		return id
+	if len(b.regions) > internScan {
+		if id, ok := b.regionIDs[name]; ok {
+			return id
+		}
+	} else {
+		for i, r := range b.regions {
+			if r == name {
+				return RegionID(i)
+			}
+		}
 	}
 	id := RegionID(len(b.regions))
 	b.regions = append(b.regions, name)
-	b.regionIDs[name] = id
+	switch n := len(b.regions); {
+	case n == internScan+1:
+		if b.regionIDs == nil {
+			b.regionIDs = make(map[string]RegionID, 2*n)
+		}
+		for i, r := range b.regions {
+			b.regionIDs[r] = RegionID(i)
+		}
+	case n > internScan+1:
+		b.regionIDs[name] = id
+	}
 	return id
 }
 
 // child returns (creating if needed) the path node for region under parent.
+// The root, node 0, is never a child.
 func (b *Buffer) child(parent PathID, region RegionID) PathID {
 	k := pathKey{parent, region}
-	if id, ok := b.pathChild[k]; ok {
-		return id
+	if len(b.pathParent) > internScan {
+		if id, ok := b.pathChild[k]; ok {
+			return id
+		}
+	} else {
+		for i := 1; i < len(b.pathParent); i++ {
+			if b.pathParent[i] == parent && b.pathRegion[i] == region {
+				return PathID(i)
+			}
+		}
 	}
 	id := PathID(len(b.pathParent))
 	b.pathParent = append(b.pathParent, parent)
 	b.pathRegion = append(b.pathRegion, region)
-	b.pathChild[k] = id
+	switch n := len(b.pathParent); {
+	case n == internScan+1:
+		if b.pathChild == nil {
+			b.pathChild = make(map[pathKey]PathID, 2*n)
+		}
+		for i := 1; i < n; i++ {
+			b.pathChild[pathKey{b.pathParent[i], b.pathRegion[i]}] = PathID(i)
+		}
+	case n > internScan+1:
+		b.pathChild[k] = id
+	}
 	return id
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -369,5 +370,65 @@ func TestPathProfile(t *testing.T) {
 	// time (work before comm).
 	if strings.Index(out, "work") > strings.Index(out, "comm") {
 		t.Errorf("children not sorted by inclusive time:\n%s", out)
+	}
+}
+
+// TestBufferInternsAsMap: a buffer's region and path tables intern the
+// ids a map-indexed interner assigns, in the same order, while they are
+// scanned and after they outgrow internScan and are indexed, also in a
+// pooled buffer whose maps a previous large table left behind.
+func TestBufferInternsAsMap(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		b := NewBuffer(loc(0, int32(round)))
+		regionIDs := map[string]RegionID{}
+		pathChild := map[pathKey]PathID{}
+		nPaths := PathID(1)
+		// internScan+1 to 3*internScan+1 names, revisited under varying parents, so
+		// both tables cross the bound and keep interning past it.
+		names := (round+1)*internScan + 1
+		for i := 0; i < 4*names; i++ {
+			name := fmt.Sprintf("r%d", (i*5)%names)
+			want, ok := regionIDs[name]
+			if !ok {
+				want = RegionID(len(regionIDs))
+				regionIDs[name] = want
+			}
+			if got := b.region(name); got != want {
+				t.Fatalf("round %d: region %q interned as %d, map says %d", round, name, got, want)
+			}
+			parent := b.cur
+			if i%5 == 4 {
+				parent = PathRoot
+			}
+			k := pathKey{parent, want}
+			wantPath, ok := pathChild[k]
+			if !ok {
+				wantPath = nPaths
+				pathChild[k] = wantPath
+				nPaths++
+			}
+			if got := b.child(parent, want); got != wantPath {
+				t.Fatalf("round %d: path (%d, %d) interned as %d, map says %d", round, parent, want, got, wantPath)
+			}
+			b.cur = wantPath
+		}
+		if len(b.regions) <= internScan || len(b.pathParent) <= internScan {
+			t.Fatalf("round %d: %d regions, %d paths; the test must cross internScan", round, len(b.regions), len(b.pathParent))
+		}
+		if len(b.regionIDs) != len(b.regions) || len(b.pathChild) != len(b.pathParent)-1 {
+			t.Fatalf("round %d: maps index %d regions / %d paths of %d / %d",
+				round, len(b.regionIDs), len(b.pathChild), len(b.regions), len(b.pathParent)-1)
+		}
+		b.Release()
+	}
+	// A buffer whose tables stay small builds no map; the path table
+	// counts its root.
+	b := &Buffer{}
+	b.pathParent, b.pathRegion = []PathID{-1}, []RegionID{-1}
+	for i := 0; i < internScan-1; i++ {
+		b.child(PathRoot, b.region(fmt.Sprint(i)))
+	}
+	if b.regionIDs != nil || b.pathChild != nil {
+		t.Fatalf("%d regions and %d paths built an index", len(b.regions), len(b.pathParent))
 	}
 }
