@@ -13,7 +13,8 @@
 #                  single analysis per run relies on (streamed ≡
 #                  materialized, one spool analyzed twice gives one
 #                  hash, message pairs reduced as they complete report
-#                  what keeping every half did), and 10 s each of
+#                  what keeping every half did, the report does not
+#                  depend on how locations interleave), and 10 s each of
 #                  native fuzzing of
 #                  the trace event codec, of the ATSC spool reader and
 #                  of the canonical profile encoder (CI's second job),
@@ -82,7 +83,7 @@ fuzz:
 	$(GO) run ./cmd/atsfuzz run -seeds $(FUZZ_SEEDS) -start 1
 	$(GO) run ./cmd/atsfuzz run -seeds 20 -start 1 -perturb
 	$(GO) run ./cmd/atsfuzz replay $(CORPUS)/*.json
-	$(GO) test -count 1 -run '^(TestStreamedMatchesInMemory|TestAnalyzeSpoolTwice|TestP2PReductionMatchesKeepEveryHalf)$$' ./internal/conformance ./internal/analyzer
+	$(GO) test -count 1 -run '^(TestStreamedMatchesInMemory|TestAnalyzeSpoolTwice|TestP2PReductionMatchesKeepEveryHalf|TestReportIndependentOfOrder)$$' ./internal/conformance ./internal/analyzer
 	$(GO) test -run '^$$' -fuzz '^FuzzEventCodec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzChunkReader$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzProfileEncoding$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/profile

@@ -128,8 +128,8 @@ type StreamOutcome struct {
 }
 
 // streamed orchestrates one bounded-memory run: spool events through a
-// temporary chunk file while run executes, then merge and analyze the
-// spool incrementally.  The spool is removed before returning.
+// temporary chunk file while run executes, then analyze the spool
+// incrementally.  The spool is removed before returning.
 func streamed(threshold float64, run func(*trace.ChunkWriter) error) (*StreamOutcome, error) {
 	rep, info, err := profile.SpoolRun("", analyzer.Options{Threshold: threshold}, run)
 	if err != nil {

@@ -577,7 +577,7 @@ func BenchmarkScale_EventEngineRanks(b *testing.B) {
 
 // BenchmarkStreamAnalyze measures the bounded-memory streaming pipeline
 // in two parts: Run, the engine running a world into an in-memory chunk
-// spool, and Analyze, NewStream + AnalyzeStream (k-way merge and
+// spool, and Analyze, NewStream + AnalyzeStream (spool-order read and
 // incremental analysis) over a spool built outside the timer, so the
 // analysis' B/op and allocs/op are its own and not the engine's, whose
 // allocations follow the collector's timing.  Two bodies: BenchmarkScale_CompositeRanks'

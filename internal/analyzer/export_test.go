@@ -57,3 +57,6 @@ func (a *StreamAnalyzer) PendingP2P() int { return len(a.sends) + len(a.recvs) }
 
 // P2PWaits returns the number of completed pairs a keeps for Finish.
 func (a *StreamAnalyzer) P2PWaits() int { return len(a.waits) }
+
+// LockWaits returns the number of lock waits a keeps for Finish.
+func (a *StreamAnalyzer) LockWaits() int { return len(a.locks) }

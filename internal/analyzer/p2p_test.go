@@ -265,25 +265,47 @@ func TestRepeatedMatchIDsPairInStreamOrder(t *testing.T) {
 
 // TestPendingP2PStaysFlat: the point-to-point halves the analyzer holds
 // are the messages in flight, so a ring world holds as many after 60
-// rounds as after 6, at most one send and one receive per rank.
+// rounds as after 6, at most one send and one receive per rank, whether
+// it is fed in merged order or, as AnalyzeStream feeds it, in spool
+// order.
 func TestPendingP2PStaysFlat(t *testing.T) {
 	const procs = 256
-	peak := func(rounds int) (pending, messages int) {
-		tr := readWorld(t, procs, ringRounds(rounds))
+	peak := func(rounds int) (merged, spooled, messages int) {
+		spool := spoolWorld(t, procs, ringRounds(rounds))
+		tr, err := trace.Read(bytes.NewReader(spool))
+		if err != nil {
+			t.Fatal(err)
+		}
 		a := analyzer.NewStreamAnalyzer(tr, analyzer.Options{})
 		for i := range tr.Events {
 			a.Add(&tr.Events[i])
-			pending = max(pending, a.PendingP2P())
+			merged = max(merged, a.PendingP2P())
 		}
-		return pending, a.Finish().Messages.Count
+		messages = a.Finish().Messages.Count
+		st := openStream(t, spool)
+		a = analyzer.NewStreamAnalyzer(st, analyzer.Options{})
+		if err := st.ForEach(func(ev *trace.Event) {
+			a.Add(ev)
+			spooled = max(spooled, a.PendingP2P())
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n := a.Finish().Messages.Count; n != messages {
+			t.Fatalf("spool order counted %d messages, merged order %d", n, messages)
+		}
+		return merged, spooled, messages
 	}
-	p6, m6 := peak(6)
-	p60, m60 := peak(60)
-	t.Logf("peak pending halves: %d over %d messages, %d over %d", p6, m6, p60, m60)
+	p6, s6, m6 := peak(6)
+	p60, s60, m60 := peak(60)
+	t.Logf("peak pending halves in merged order: %d over %d messages, %d over %d", p6, m6, p60, m60)
+	t.Logf("peak pending halves in spool order: %d over %d messages, %d over %d", s6, m6, s60, m60)
 	if m60 != 10*m6 || m6 != 6*procs {
 		t.Fatalf("%d and %d messages, want %d and %d", m6, m60, 6*procs, 60*procs)
 	}
 	if p60 > p6 || p6 > 2*procs {
-		t.Fatalf("peak pending halves %d at 6 rounds, %d at 60; want flat and at most %d", p6, p60, 2*procs)
+		t.Fatalf("peak pending halves in merged order %d at 6 rounds, %d at 60; want flat and at most %d", p6, p60, 2*procs)
+	}
+	if s60 > s6 || s6 > 2*procs {
+		t.Fatalf("peak pending halves in spool order %d at 6 rounds, %d at 60; want flat and at most %d", s6, s60, 2*procs)
 	}
 }

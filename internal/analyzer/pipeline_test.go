@@ -98,12 +98,13 @@ func hashOf(t *testing.T, st *trace.Stream, rep *analyzer.Report) string {
 	return h
 }
 
-// TestPipelinedMatchesSequential: AnalyzeStream, which merges a spool of
-// more than one batch on a second goroutine, reports exactly what a
-// StreamAnalyzer fed event by event from Stream.Next on one goroutine
-// reports, down to the profile hash: on the ring world, on a hybrid run
-// whose lock events render their paths while the merge goes on, and on a
-// run that interns a region only after the first batch.
+// TestPipelinedMatchesSequential: AnalyzeStream, which reads a spool of
+// more than one batch in spool order on a second goroutine, reports
+// exactly what a StreamAnalyzer fed event by event from the merge
+// (Stream.Next) on one goroutine reports, down to the profile hash: on
+// the ring world, on a hybrid run with lock waits, whose region names
+// resolve while the reading goes on, and on a run that interns a region
+// only after the first batch.
 func TestPipelinedMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -150,5 +151,45 @@ func TestPipelinedMatchesSequential(t *testing.T) {
 				t.Errorf("report has no %s wait", analyzer.PropOMPCritical)
 			}
 		})
+	}
+}
+
+// TestLockRecordsAreTheLockWaits measures the analyzer's lock term: each
+// lock acquisition with a positive wait is kept, as a 32-byte record,
+// until Finish sums the waits in (time, location) order, so at fixed
+// locations the records grow with the critical sections a run passes
+// through.  They must be exactly the positive waits, no more, at 10 and
+// at 100 sections per thread.
+func TestLockRecordsAreTheLockWaits(t *testing.T) {
+	const procs = 4
+	kept := func(sections int) (records, waits int) {
+		spool := spoolWorld(t, procs, func(c *mpi.Comm) {
+			core.SerializationAtOMPCritical(c.Ctx(), omp.Options{Threads: 3}, 0.0001, sections)
+		})
+		st := streamOf(t, spool)
+		a := analyzer.NewStreamAnalyzer(st, analyzer.Options{})
+		if err := st.ForEach(func(ev *trace.Event) {
+			if ev.Kind == trace.KindLock && ev.Aux > 0 {
+				waits++
+			}
+			a.Add(ev)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		records = a.LockWaits()
+		if a.Finish().Wait(analyzer.PropOMPCritical) <= 0 {
+			t.Fatalf("%d sections: report has no %s wait", sections, analyzer.PropOMPCritical)
+		}
+		return records, waits
+	}
+	r10, w10 := kept(10)
+	r100, w100 := kept(100)
+	t.Logf("lock records kept until Finish: %d (%d B) at 10 sections per thread, %d (%d B) at 100",
+		r10, 32*r10, r100, 32*r100)
+	if r10 != w10 || r100 != w100 {
+		t.Fatalf("kept %d and %d lock records for %d and %d positive lock waits", r10, r100, w10, w100)
+	}
+	if w10 == 0 || w100 < 5*w10 {
+		t.Fatalf("%d and %d positive lock waits at 10 and 100 sections; the case does not grow them", w10, w100)
 	}
 }

@@ -8,22 +8,35 @@ import (
 )
 
 // Streaming analysis.  StreamAnalyzer is the incremental core both entry
-// points share: Analyze feeds it a materialized trace's event slab,
-// AnalyzeStream feeds it a merged chunk stream.  Either way the event
-// sequence, every floating-point accumulation, and every rendered path are
-// identical, so the two paths produce byte-identical reports (and
-// therefore identical content-addressed profile hashes).
+// points share: Analyze feeds it a materialized trace's event slab in
+// merged order, AnalyzeStream feeds it a chunk stream in spool order
+// (trace.Stream.ForEach).  The report does not depend on the order events
+// arrive in, as long as each location's events keep theirs: every
+// reduction that sums floating-point waits sums them in an order fixed at
+// Finish, and every path is rendered through the same tables.  The two
+// paths therefore produce byte-identical reports (and identical
+// content-addressed profile hashes) for every spool whose match ids are
+// unique and whose locations' event times do not decrease, which covers
+// every spool a run writes.
 //
 // Memory is O(locations + open regions + messages in flight + pairs with
-// a positive wait + collective parts).  A point-to-point half waits in
-// the pending maps (a PathID instead of a rendered string, ~40 bytes)
-// only until its partner arrives; the completed pair is reduced to its
-// waits at once and kept, as a 48-byte record, only if a wait is
-// positive, because the records are accumulated in sorted match order at
-// Finish.  Collective participants are kept until Finish, matched or
-// not: reducing an instance in stream order needs its participant count,
+// a positive wait + lock waits + collective parts).  A point-to-point
+// half waits in the pending maps (a PathID instead of a rendered string,
+// ~40 bytes) only until its partner arrives; the completed pair is
+// reduced to its waits at once and kept, as a 48-byte record, only if a
+// wait is positive, because the records are accumulated in sorted match
+// order at Finish.  Fed in spool order, a half waits until the frame
+// that holds its partner is read, so the halves in flight are those of
+// the messages whose two frames straddle the read position: about one
+// per rank for a ring (259 halves at 256 ranks, TestPendingP2PStaysFlat),
+// however many rounds the run has.  A lock event with a wait is kept, as
+// a 32-byte record, until Finish sums the waits in (time, location)
+// order, so these grow with the contended critical sections a run passes
+// through (TestLockRecordsAreTheLockWaits).  Collective participants are kept until Finish, matched or not:
+// reducing an instance as it completes needs its participant count,
 // which the trace does not carry (ROADMAP.md, "A streaming analyzer that
-// is actually bounded").  AnalyzeStream adds the merge's batches in
+// is actually bounded"); Finish orders each instance's parts by (time,
+// location) before reducing it.  AnalyzeStream adds the batches in
 // flight (trace.Stream.ForEach) when the stream holds more than one
 // batch: three batches of 4096 events, ~1 MiB, whatever the event count.
 
@@ -48,6 +61,14 @@ type p2pWait struct {
 	sendLoc, recvLoc   trace.Location
 }
 
+// lockWait is a lock acquisition with a positive wait.
+type lockWait struct {
+	time float64
+	wait float64
+	path trace.PathID
+	loc  trace.Location
+}
+
 // collPart is one participant of a pending collective instance.
 type collPart struct {
 	time  float64 // completion
@@ -59,18 +80,20 @@ type collPart struct {
 	flags uint8
 }
 
-// StreamAnalyzer consumes events in merged trace order and produces the
-// same Report Analyze computes.  Feed events with Add (in order), then
-// call Finish exactly once.  A lock event's path is rendered through the
-// View as it is added; every other path at Finish, when every referenced
-// path is interned.
+// StreamAnalyzer consumes a trace's events and produces the Report
+// Analyze computes.  Feed events with Add, then call Finish exactly once.
+// Events may arrive in any interleaving of the locations that keeps each
+// location's own order: merged trace order, spool order, or any other.
+// Paths are rendered at Finish, when every referenced path is interned.
 //
-// A send and a receive with the same match id pair in stream order: a
-// half pairs with the opposite half of its id that is pending when it
-// arrives, whichever came first, and a half that arrives while another
-// of its own kind is pending under that id replaces it.  Engine-written
-// traces never repeat a match id (mpi's matchID is the rank's and a
-// per-rank count), so there every send pairs with its one receive.
+// A send and a receive with the same match id pair in Add order: a half
+// pairs with the opposite half of its id that is pending when it arrives,
+// whichever came first, and a half that arrives while another of its own
+// kind is pending under that id replaces it.  Engine-written traces never
+// repeat a match id (mpi's matchID is the rank's and a per-rank count),
+// so there every send pairs with its one receive, whatever the order; on
+// a trace that repeats one, the pairs, and so the report, can depend on
+// the interleaving.
 type StreamAnalyzer struct {
 	view trace.View
 	rep  *Report
@@ -81,12 +104,14 @@ type StreamAnalyzer struct {
 	sends  map[uint64]p2pEnd
 	recvs  map[uint64]p2pEnd
 	waits  []p2pWait
+	locks  []lockWait
 	groups map[collKey][]collPart
 	// comms maps an operation on a communicator to its latest instance
 	// that outgrew both presizeParts parts and the room it was made
 	// with; nil until one does.
 	comms map[commKey]collKey
 
+	// first and last are the earliest and latest event times.
 	first, last float64
 	any         bool
 }
@@ -141,12 +166,16 @@ func (a *StreamAnalyzer) add(prop string, wait float64, path string, loc trace.L
 	r.ByLocation[loc] += wait
 }
 
-// Add feeds one event, in merged trace order.
+// Add feeds one event, after every earlier event of its location.
 func (a *StreamAnalyzer) Add(ev *trace.Event) {
-	if !a.any {
-		a.first, a.any = ev.Time, true
+	switch t := ev.Time; {
+	case !a.any:
+		a.first, a.last, a.any = t, t, true
+	case t < a.first:
+		a.first = t
+	case t > a.last:
+		a.last = t
 	}
-	a.last = ev.Time
 	a.sb.Add(ev)
 	switch ev.Kind {
 	case trace.KindSend:
@@ -191,7 +220,7 @@ func (a *StreamAnalyzer) Add(ev *trace.Event) {
 		})
 	case trace.KindLock:
 		if ev.Aux > 0 {
-			a.add(PropOMPCritical, ev.Aux, a.view.PathString(ev.Path), ev.Loc)
+			a.locks = append(a.locks, lockWait{time: ev.Time, wait: ev.Aux, path: ev.Path, loc: ev.Loc})
 		}
 	}
 }
@@ -207,6 +236,7 @@ func (a *StreamAnalyzer) Finish() *Report {
 	rep.TotalTime = stats.TotalTime
 	rep.Stats = stats
 
+	a.reduceLocks()
 	a.reduceP2P()
 	a.reduceCollectives()
 	detectCostMetrics(stats, rep)
@@ -266,6 +296,29 @@ func (a *StreamAnalyzer) reduceP2P() {
 	}
 }
 
+// reduceLocks accumulates the lock waits in (time, location) order, the
+// order a merged trace holds them in, so the sums do not depend on the
+// order Add met them in.  The sort is stable, so one location's waits at
+// one time keep their order.
+func (a *StreamAnalyzer) reduceLocks() {
+	slices.SortStableFunc(a.locks, func(x, y lockWait) int { return compareAt(x.time, x.loc, y.time, y.loc) })
+	for i := range a.locks {
+		l := &a.locks[i]
+		a.add(PropOMPCritical, l.wait, a.view.PathString(l.path), l.loc)
+	}
+}
+
+// compareAt orders events by (time, location), the merged trace order.
+func compareAt(xt float64, xl trace.Location, yt float64, yl trace.Location) int {
+	if c := cmp.Compare(xt, yt); c != 0 {
+		return c
+	}
+	return xl.Compare(yl)
+}
+
+// compareParts orders collective parts by (time, location).
+func compareParts(x, y collPart) int { return compareAt(x.time, x.loc, y.time, y.loc) }
+
 // reduceCollectives derives the wait-state properties of each collective
 // class from the pending instance groups.
 func (a *StreamAnalyzer) reduceCollectives() {
@@ -282,7 +335,13 @@ func (a *StreamAnalyzer) reduceCollectives() {
 		return cmp.Compare(x.match, y.match)
 	})
 	for _, k := range keys {
+		// Each instance's parts in merged order, so each instance's sums
+		// run as they do on a merged trace.  Parts fed in that order are
+		// sorted already.
 		parts := a.groups[k]
+		if !slices.IsSortedFunc(parts, compareParts) {
+			slices.SortStableFunc(parts, compareParts)
+		}
 		switch k.coll {
 		case trace.CollBarrier:
 			a.nxnWaits(parts, PropWaitAtBarrier)
@@ -387,14 +446,17 @@ func (a *StreamAnalyzer) nxnWaits(parts []collPart, prop string) {
 	}
 }
 
-// AnalyzeStream drains a merged chunk stream through a StreamAnalyzer.
-// The report is byte-identical to Analyze on the materialized trace of the
-// same run; peak memory is O(locations + open regions + messages in
-// flight + pairs with a positive wait + collective parts) instead of the
-// whole event list.  A stream of more than one batch of events (4096) is
-// merged on a second goroutine while this one analyzes, with up to three
-// batches, ~1 MiB, in flight (trace.Stream.ForEach); the events and their
-// order are the same.
+// AnalyzeStream drains a chunk stream through a StreamAnalyzer in spool
+// order (trace.Stream.ForEach), without merging it.  The report is
+// byte-identical to Analyze on the materialized trace of the same run
+// whenever the spool's match ids are unique and no location's event times
+// decrease, as in every spool a run writes; on a spool that repeats a
+// match id, sends and receives pair in spool order, so the report can
+// differ from Analyze's.  Peak memory is O(locations + open regions +
+// messages in flight + pairs with a positive wait + lock waits +
+// collective parts) instead of the whole event list.  A stream of more
+// than one batch of events (4096) is read on a second goroutine while
+// this one analyzes, with up to three batches, ~1 MiB, in flight.
 func AnalyzeStream(src *trace.Stream, opt Options) (*Report, error) {
 	a := NewStreamAnalyzer(src, opt)
 	if err := src.ForEach(a.Add); err != nil {

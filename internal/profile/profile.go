@@ -165,8 +165,8 @@ func TraceInfoOfStream(st *trace.Stream) TraceInfo {
 	return TraceInfo{Ranks: ranks, Threads: threads, Events: st.Events()}
 }
 
-// AnalyzeSpool merges the chunk spool behind cr into one stream, drains
-// it through analyzer.AnalyzeStream, and returns the report with the
+// AnalyzeSpool reads the chunk spool behind cr as one stream, drains it
+// through analyzer.AnalyzeStream, and returns the report with the
 // stream's shape metadata: the whole streamed analysis, never
 // materializing the event list.  The stream, and with it cr, is closed
 // on every path.

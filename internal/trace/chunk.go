@@ -68,9 +68,9 @@ const (
 // 640 bytes per location unless a frame's events average more than 40 B.
 // A merge cursor holds one such frame raw.  The frame index is not
 // bounded by locations: the writer keeps a 16-byte frameRef per frame
-// until Close and the reader parses the same refs, O(events / spill) on
-// each side — 1 B per event at 16, about 2 MB for a 16384-rank scale
-// world.  16 is the knee: 64 held four times the frame bytes on both
+// until Close and the reader parses the same refs until its stream is
+// drained, O(events / spill) on each side — 1 B per event at 16, about
+// 2 MB for a 16384-rank scale world.  16 is the knee: 64 held four times the frame bytes on both
 // sides, and 8 cost merge throughput (more, shorter ReadAt calls) for
 // little heap.
 const DefaultSpillEvents = 16
@@ -466,9 +466,11 @@ type chunkIndexEntry struct {
 // read frames via ReadAt on the shared source, so a k-way merge over all
 // locations holds one raw frame per location and no decoded event (an
 // event is decoded when the merge delivers it), plus the parsed index: a
-// 16-byte frameRef per frame, O(events / spill).  A spool file is read
-// through one read-ahead window (windowReader).  Obtain a merged event
-// stream with NewStream.  A reader and its stream are used by one
+// 16-byte frameRef per frame, O(events / spill), which the stream drops
+// once it is drained.  A spool file is read through one read-ahead
+// window (windowReader).  Obtain an event stream with NewStream.  A
+// reader belongs to the one stream made from it (NewStream over a reader
+// a stream drained fails), and a reader and its stream are used by one
 // goroutine at a time.
 type ChunkReader struct {
 	src      io.ReaderAt
@@ -477,6 +479,7 @@ type ChunkReader struct {
 	lim      Limits
 	streams  []chunkIndexEntry
 	names    map[string]string // region names, shared by the cursors (name)
+	spent    bool              // a stream drained it; see release
 }
 
 // OpenChunkFile opens and validates the spool at path: magic, version,
@@ -505,8 +508,9 @@ func OpenChunkFileLimited(path string, lim Limits) (*ChunkReader, error) {
 
 // NewChunkFileReader validates the spool in the open file f as
 // NewChunkReader does, and reads it through a read-ahead window of
-// readWindow bytes: frames are stored, and in virtual time merged,
-// nearly in order, so most frame reads are copies from the window.  The
+// readWindow bytes: Stream.ForEach reads frames in file order, and a
+// virtual-time merge reads them nearly so, so most frame reads are
+// copies from the window.  The
 // reader does not take ownership of f.
 func NewChunkFileReader(f *os.File, lim Limits) (*ChunkReader, error) {
 	st, err := f.Stat()
@@ -745,6 +749,20 @@ func (r *ChunkReader) Events() int {
 	return int(n)
 }
 
+// release drops the parsed frame index and the region-name map once a
+// stream has read every frame; what Locations and Events read stays.
+// The reader is spent: a further NewStream over it fails.
+func (r *ChunkReader) release() {
+	for i := range r.streams {
+		r.streams[i].frames = nil
+	}
+	r.names = nil
+	r.spent = true
+}
+
+// errReaderSpent is NewStream's error for a reader a stream drained.
+var errReaderSpent = errors.New("trace: stream: chunk reader already drained by another stream")
+
 // Close releases the spool file OpenChunkFile opened; for a reader from
 // NewChunkReader it is a no-op.
 func (r *ChunkReader) Close() error {
@@ -756,10 +774,13 @@ func (r *ChunkReader) Close() error {
 
 // chunkCursor iterates one location's frames, maintaining the location's
 // locally-interned region and path tables across frames.  Of the events
-// it keeps only the current frame's raw bytes, reused from frame to
-// frame, and the read offset of the next one: the merge orders cursors by
-// the next event's time, which ready reads from the encoding's first
-// eight bytes, and decodes an event only when pop delivers it.
+// it keeps only the current frame's raw bytes and the read offset of the
+// next one, and decodes an event only when pop delivers it.  The merge
+// (Stream.Next) reuses each cursor's frame buffer from frame to frame and
+// orders cursors by the next event's time, which ready reads from the
+// encoding's first eight bytes; Stream.ForEach reads each frame with
+// readFrame into a buffer it shares among the cursors and releases the
+// frame once delivered, so between its frames a cursor holds none.
 type chunkCursor struct {
 	r          *ChunkReader
 	ent        *chunkIndexEntry
@@ -780,8 +801,12 @@ type chunkCursor struct {
 const cursorTables = 8
 
 // cursors returns one cursor per location.  Their intern tables are
-// carved from per-reader slabs.
-func (r *ChunkReader) cursors() []*chunkCursor {
+// carved from per-reader slabs.  A spent reader has no frames left to
+// give them.
+func (r *ChunkReader) cursors() ([]*chunkCursor, error) {
+	if r.spent {
+		return nil, errReaderSpent
+	}
 	n := len(r.streams)
 	slab := make([]chunkCursor, n)
 	regions := make([]string, n*cursorTables)
@@ -798,7 +823,7 @@ func (r *ChunkReader) cursors() []*chunkCursor {
 		c.pathRegion = append(pathRegion[lo:lo:hi], -1)
 		cs[i] = c
 	}
-	return cs
+	return cs, nil
 }
 
 func (c *chunkCursor) loc() Location { return c.ent.loc }
@@ -812,28 +837,13 @@ func (c *chunkCursor) corrupt(format string, args ...any) error {
 // event's time.  ok is false once the stream is exhausted.
 func (c *chunkCursor) ready() (t float64, ok bool, err error) {
 	for c.left == 0 {
-		// The current frame is fully delivered: nothing may follow its
-		// last event.
-		if rest := len(c.buf) - c.off; rest != 0 {
-			return 0, false, c.corrupt("%d trailing bytes", rest)
+		if err := c.frameDone(); err != nil {
+			return 0, false, err
 		}
-		if c.fi == len(c.ent.frames) {
-			if c.delivered != c.ent.events {
-				return 0, false, fmt.Errorf("trace: chunk stream %v: index records %d events, frames hold %d",
-					c.ent.loc, c.ent.events, c.delivered)
-			}
-			return 0, false, nil
+		if done, err := c.exhausted(); done || err != nil {
+			return 0, false, err
 		}
-		fr := c.ent.frames[c.fi]
-		c.fi++
-		if int64(cap(c.buf)) < fr.len {
-			c.buf = make([]byte, fr.len)
-		}
-		c.buf = c.buf[:fr.len]
-		if err := readAt(c.r.src, c.buf, fr.off); err != nil {
-			return 0, false, fmt.Errorf("trace: chunk stream %v: reading frame at %d: %w", c.ent.loc, fr.off, err)
-		}
-		if err := c.parseFrameHeader(); err != nil {
+		if err := c.readFrame(c.buf); err != nil {
 			return 0, false, err
 		}
 	}
@@ -844,6 +854,44 @@ func (c *chunkCursor) ready() (t float64, ok bool, err error) {
 		return 0, false, c.corrupt("event %d: %v", c.evIdx, io.ErrUnexpectedEOF)
 	}
 	return math.Float64frombits(binary.LittleEndian.Uint64(b)), true, nil
+}
+
+// frameDone checks the current frame once all its events are delivered:
+// nothing may follow its last event.
+func (c *chunkCursor) frameDone() error {
+	if rest := len(c.buf) - c.off; rest != 0 {
+		return c.corrupt("%d trailing bytes", rest)
+	}
+	return nil
+}
+
+// exhausted reports whether the cursor has read all its frames, and then
+// checks that they held the events the index records.
+func (c *chunkCursor) exhausted() (bool, error) {
+	if c.fi < len(c.ent.frames) {
+		return false, nil
+	}
+	if c.delivered != c.ent.events {
+		return true, fmt.Errorf("trace: chunk stream %v: index records %d events, frames hold %d",
+			c.ent.loc, c.ent.events, c.delivered)
+	}
+	return true, nil
+}
+
+// readFrame reads the cursor's next frame into buf, grown if it is too
+// small, and parses the frame's header.  The cursor holds the buffer, as
+// buf, until the frame is delivered.
+func (c *chunkCursor) readFrame(buf []byte) error {
+	fr := c.ent.frames[c.fi]
+	c.fi++
+	if int64(cap(buf)) < fr.len {
+		buf = make([]byte, fr.len)
+	}
+	c.buf = buf[:fr.len]
+	if err := readAt(c.r.src, c.buf, fr.off); err != nil {
+		return fmt.Errorf("trace: chunk stream %v: reading frame at %d: %w", c.ent.loc, fr.off, err)
+	}
+	return c.parseFrameHeader()
 }
 
 // pop decodes the event ready positioned the cursor at into ev (locally

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -679,8 +680,11 @@ func TestChunkFrameTrailingBytes(t *testing.T) {
 }
 
 // FuzzChunkReader feeds arbitrary bytes to the memory-backed ATSC reader
-// and drains them through NewStream: it must never panic, and a stream
-// must never deliver more events than the spool's index records.
+// and drains them through NewStream, once with Next and once with
+// ForEach: neither may panic or deliver more events than the spool's
+// index records, the two must agree on whether the spool is valid, and on
+// a valid spool they must deliver the same events of each location, with
+// the same region names and paths.
 func FuzzChunkReader(f *testing.F) {
 	var valid bytes.Buffer
 	w := NewChunkWriterTo(&valid, 4)
@@ -709,13 +713,59 @@ func FuzzChunkReader(f *testing.F) {
 			return
 		}
 		defer st.Close()
-		for n := 0; ; n++ {
-			ev, err := st.Next()
-			if err != nil || ev == nil {
-				return
-			}
+		// collect records what one stream delivers, by location, failing
+		// past the index's count.  An event is recorded encoded, with the
+		// global ids blanked, so NaN times compare equal to themselves.
+		var n int
+		var out map[Location][]string
+		collect := func(st *Stream, ev *Event) {
 			if n >= indexed {
 				t.Fatalf("stream delivered event %d; the index records %d", n+1, indexed)
+			}
+			n++
+			key := *ev
+			key.Region, key.Path = 0, 0
+			rec := string(appendEvent(nil, &key)) + "\x00" + st.PathString(ev.Path)
+			if ev.Kind == KindEnter || ev.Kind == KindExit {
+				rec += "\x00" + st.RegionName(ev.Region)
+			}
+			out[ev.Loc] = append(out[ev.Loc], rec)
+		}
+		out = map[Location][]string{}
+		var nextErr error
+		for {
+			ev, err := st.Next()
+			if err != nil || ev == nil {
+				nextErr = err
+				break
+			}
+			collect(st, ev)
+		}
+		merged, mergedN := out, n
+
+		r2, err := NewChunkReader(bytes.NewReader(blob), int64(len(blob)), Limits{})
+		if err != nil {
+			t.Fatalf("second reader: %v", err)
+		}
+		st2, err := NewStream(r2)
+		if err != nil {
+			t.Fatalf("second stream: %v", err)
+		}
+		defer st2.Close()
+		out, n = map[Location][]string{}, 0
+		forEachErr := st2.ForEach(func(ev *Event) { collect(st2, ev) })
+		if (nextErr == nil) != (forEachErr == nil) {
+			t.Fatalf("Next ends with %v, ForEach with %v", nextErr, forEachErr)
+		}
+		if nextErr != nil {
+			return
+		}
+		if n != mergedN || len(out) != len(merged) {
+			t.Fatalf("ForEach delivered %d events of %d locations, Next %d of %d", n, len(out), mergedN, len(merged))
+		}
+		for loc, want := range merged {
+			if !slices.Equal(out[loc], want) {
+				t.Fatalf("location %v: ForEach delivered %q, Next %q", loc, out[loc], want)
 			}
 		}
 	})

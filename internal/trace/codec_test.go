@@ -113,7 +113,9 @@ func testMergeRoundTrip(t *testing.T, ev Event) {
 // pool with a frame grown for Merge; a finished buffer keeps no frame.
 // While merging, a cursor holds one raw frame, no larger than the largest
 // frame, and no decoded event: the merge state has no field that could
-// hold one, and a drained stream holds no sources at all.
+// hold one, and a drained stream holds no sources at all.  Reading in
+// spool order, a cursor past its first frame holds none between its
+// frames: at most one does, in the stream's one frame buffer.
 func TestStreamMemoryBound(t *testing.T) {
 	for _, spill := range []int{64, DefaultSpillEvents} {
 		t.Run(fmt.Sprintf("spill%d", spill), func(t *testing.T) { testStreamMemoryBound(t, spill) })
@@ -172,7 +174,11 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 	}
 	// The largest encoded event of the spool bounds every pending frame.
 	largest := 0
-	for _, c := range r.cursors() {
+	cs, err := r.cursors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cs {
 		for {
 			_, ok, err := c.ready()
 			if err != nil {
@@ -237,6 +243,33 @@ func testStreamMemoryBound(t *testing.T, spill int) {
 			break
 		}
 		check("during drain")
+	}
+
+	r, err = OpenChunkFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewStream(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sp.Close()
+	if err := sp.ForEach(func(*Event) {
+		held := 0
+		for i := range sp.srcs {
+			if c := sp.srcs[i].src; c.buf != nil && c.fi > 1 {
+				held++
+			}
+		}
+		if held > 1 || int64(cap(sp.frame)) > maxFrame {
+			t.Fatalf("reading in spool order: %d cursors hold a frame past their first, frame buffer %d bytes, largest frame %d",
+				held, cap(sp.frame), maxFrame)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Events() != r.Events() {
+		t.Fatalf("ForEach delivered %d events, index records %d", sp.Events(), r.Events())
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -49,48 +50,128 @@ func memStream(t *testing.T, spool []byte) *Stream {
 	return st
 }
 
-// TestForEachMatchesNext: a stream of several batches, merged on a second
-// goroutine, delivers the events Next delivers, in the same order, with
-// the same region names and paths resolved while it runs, and leaves the
-// stream's counters and tables as Next does.
-func TestForEachMatchesNext(t *testing.T) {
-	spool := memSpool(t, 64, 40)
-	seq := memStream(t, spool)
-	defer seq.Close()
-	want := drainStream(t, seq)
-	if len(want) <= 2*pipelineBatch {
-		t.Fatalf("spool holds %d events, want more than two batches of %d", len(want), pipelineBatch)
+// byLocation splits a delivered sequence into its locations' own
+// sequences.
+func byLocation(events []streamedEvent) map[Location][]streamedEvent {
+	out := map[Location][]streamedEvent{}
+	for _, se := range events {
+		out[se.ev.Loc] = append(out[se.ev.Loc], se)
 	}
+	return out
+}
 
-	st := memStream(t, spool)
-	defer st.Close()
-	var got []streamedEvent
-	err := st.ForEach(func(ev *Event) {
-		se := streamedEvent{ev: *ev, path: st.PathString(ev.Path)}
-		if ev.Kind == KindEnter || ev.Kind == KindExit {
-			se.region = st.RegionName(ev.Region)
-		}
-		got = append(got, se)
-	})
+// frameOffsets returns, for each location of spool, the file offset of
+// the frame each of its events lies in.
+func frameOffsets(t *testing.T, spool []byte) map[Location][]int64 {
+	t.Helper()
+	r, err := NewChunkReader(bytes.NewReader(spool), int64(len(spool)), Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("ForEach delivered %d events, Next %d", len(got), len(want))
+	out := map[Location][]int64{}
+	cs, err := r.cursors()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d: ForEach %+v, Next %+v", i, got[i], want[i])
+	for _, c := range cs {
+		for _, fr := range c.ent.frames {
+			if err := c.readFrame(c.buf); err != nil {
+				t.Fatal(err)
+			}
+			for range c.left {
+				out[c.loc()] = append(out[c.loc()], fr.off)
+			}
+			c.delivered += c.left
 		}
 	}
-	if got[len(got)-2].region != "late" {
-		t.Errorf("second-to-last event's region %q, want the late region", got[len(got)-2].region)
-	}
-	if st.Events() != seq.Events() || st.Duration() != seq.Duration() {
-		t.Errorf("ForEach left %d events over %v, Next %d over %v", st.Events(), st.Duration(), seq.Events(), seq.Duration())
-	}
-	if st.view != &st.tab || len(st.tab.regions) != len(seq.tab.regions) {
-		t.Errorf("ForEach left the view on its batch tables or %d regions, Next %d", len(st.tab.regions), len(seq.tab.regions))
+	return out
+}
+
+// TestForEachMatchesNext: ForEach delivers each location's events as Next
+// does, in the same order and with the same region names and paths
+// resolved while it runs, reads whole frames in ascending file offset,
+// and leaves the stream's counters and tables as Next does: on a stream
+// of several batches, read on a second goroutine, and on one drained
+// inline.  The spool's frames lie location after location, so spool
+// order is not merged order.
+func TestForEachMatchesNext(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		locs, events int
+		pipelined    bool
+	}{
+		{"pipelined", 64, 40, true},
+		{"inline", 4, 10, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spool := memSpool(t, tc.locs, tc.events)
+			seq := memStream(t, spool)
+			defer seq.Close()
+			want := drainStream(t, seq)
+			if tc.pipelined && len(want) <= 2*pipelineBatch || !tc.pipelined && len(want) > pipelineBatch {
+				t.Fatalf("spool holds %d events; want more than two batches of %d (%v) or at most one", len(want), pipelineBatch, tc.pipelined)
+			}
+
+			st := memStream(t, spool)
+			defer st.Close()
+			var got []streamedEvent
+			err := st.ForEach(func(ev *Event) {
+				se := streamedEvent{ev: *ev, path: st.PathString(ev.Path)}
+				if ev.Kind == KindEnter || ev.Kind == KindExit {
+					se.region = st.RegionName(ev.Region)
+				}
+				got = append(got, se)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("ForEach delivered %d events, Next %d", len(got), len(want))
+			}
+			wantLoc, gotLoc := byLocation(want), byLocation(got)
+			if len(gotLoc) != len(wantLoc) {
+				t.Fatalf("ForEach delivered %d locations, Next %d", len(gotLoc), len(wantLoc))
+			}
+			for loc, w := range wantLoc {
+				g := gotLoc[loc]
+				if len(g) != len(w) {
+					t.Fatalf("location %v: ForEach delivered %d events, Next %d", loc, len(g), len(w))
+				}
+				for i := range w {
+					// Global ids follow the order the stream meets
+					// frames in; names and paths must not.
+					ge, we := g[i], w[i]
+					ge.ev.Region, ge.ev.Path, we.ev.Region, we.ev.Path = 0, 0, 0, 0
+					if ge != we {
+						t.Fatalf("location %v event %d: ForEach %+v, Next %+v", loc, i, g[i], w[i])
+					}
+				}
+			}
+			offs := frameOffsets(t, spool)
+			seen := map[Location]int{}
+			var last int64
+			for i, se := range got {
+				off := offs[se.ev.Loc][seen[se.ev.Loc]]
+				seen[se.ev.Loc]++
+				if off < last {
+					t.Fatalf("event %d lies in the frame at %d, after one at %d", i, off, last)
+				}
+				last = off
+			}
+			if slices.EqualFunc(got, want, func(g, w streamedEvent) bool { return g.ev.Loc == w.ev.Loc && g.ev.Time == w.ev.Time }) {
+				t.Error("ForEach delivered merged order; the spool cannot tell the orders apart")
+			}
+			if got[len(got)-2].region != "late" {
+				t.Errorf("second-to-last event's region %q, want the late region", got[len(got)-2].region)
+			}
+			if st.Events() != seq.Events() || st.Duration() != seq.Duration() {
+				t.Errorf("ForEach left %d events over %v, Next %d over %v", st.Events(), st.Duration(), seq.Events(), seq.Duration())
+			}
+			if st.view != &st.tab || len(st.tab.regions) != len(seq.tab.regions) || len(st.tab.pathParent) != len(seq.tab.pathParent) {
+				t.Errorf("ForEach left the view on its batch tables or %d regions and %d paths, Next %d and %d",
+					len(st.tab.regions), len(st.tab.pathParent), len(seq.tab.regions), len(seq.tab.pathParent))
+			}
+		})
 	}
 }
 
@@ -230,5 +311,51 @@ func TestWindowReader(t *testing.T) {
 	small := newWindowReader(bytes.NewReader(data[:100]), 100)
 	if len(small.buf) != 100 {
 		t.Errorf("window over 100 bytes holds %d, want 100", len(small.buf))
+	}
+}
+
+// TestDrainedStreamReleasesFrameIndex: once a stream has delivered its
+// last event, by Next or by ForEach, its readers hold no frameRef and no
+// region-name map, what Locations and Events read stays, and a second
+// NewStream over a reader fails with errReaderSpent.
+func TestDrainedStreamReleasesFrameIndex(t *testing.T) {
+	spool := memSpool(t, 64, 40)
+	for _, drain := range []struct {
+		name string
+		run  func(st *Stream) error
+	}{
+		{"Next", func(st *Stream) error {
+			for {
+				ev, err := st.Next()
+				if ev == nil {
+					return err
+				}
+			}
+		}},
+		{"ForEach", func(st *Stream) error { return st.ForEach(func(*Event) {}) }},
+	} {
+		t.Run(drain.name, func(t *testing.T) {
+			st := memStream(t, spool)
+			defer st.Close()
+			r := st.readers[0]
+			locs, events := r.Locations(), r.Events()
+			if err := drain.run(st); err != nil {
+				t.Fatal(err)
+			}
+			frames := 0
+			for _, ent := range r.streams {
+				frames += len(ent.frames)
+			}
+			if frames != 0 || r.names != nil {
+				t.Errorf("drained stream's reader holds %d frameRefs and region-name map %v", frames, r.names != nil)
+			}
+			if !slices.Equal(r.Locations(), locs) || r.Events() != events || st.Events() != events || len(st.Locations()) != len(locs) {
+				t.Errorf("drained reader reads %d locations and %d events, stream %d and %d; want %d and %d",
+					len(r.Locations()), r.Events(), len(st.Locations()), st.Events(), len(locs), events)
+			}
+			if _, err := NewStream(r); !errors.Is(err, errReaderSpent) {
+				t.Errorf("NewStream over a drained reader: err %v, want %v", err, errReaderSpent)
+			}
+		})
 	}
 }

@@ -27,6 +27,9 @@ type Stats struct {
 	TotalTime float64
 	// Regions holds per-(region, location) aggregates.
 	Regions map[string]map[Location]*RegionStat
+	// locs are PerLocation's keys in rank-major order, the order the
+	// per-region sums run in; nil unless StatsBuilder made the Stats.
+	locs []Location
 }
 
 // ComputeStats scans the trace once and builds the profile.
@@ -212,6 +215,7 @@ func (sb *StatsBuilder) Finish() *Stats {
 	s := &Stats{
 		PerLocation: make(map[Location]float64, len(sb.locs)),
 		Regions:     sb.regions,
+		locs:        make([]Location, len(sb.locs)),
 	}
 	// Sum spans in location order: TotalTime normalizes every severity,
 	// so its float accumulation order must not depend on map iteration.
@@ -219,12 +223,13 @@ func (sb *StatsBuilder) Finish() *Stats {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(i, j int32) int { return compareLocations(sb.locs[i], sb.locs[j]) })
-	for _, i := range order {
+	slices.SortFunc(order, func(i, j int32) int { return sb.locs[i].Compare(sb.locs[j]) })
+	for k, i := range order {
 		ls := &sb.perLoc[i]
 		span := ls.last - ls.first
 		s.PerLocation[sb.locs[i]] = span
 		s.TotalTime += span
+		s.locs[k] = sb.locs[i]
 	}
 	return s
 }
@@ -235,7 +240,7 @@ func sortedLocs[V any](m map[Location]V) []Location {
 	for loc := range m {
 		locs = append(locs, loc)
 	}
-	slices.SortFunc(locs, compareLocations)
+	slices.SortFunc(locs, Location.Compare)
 	return locs
 }
 
@@ -249,11 +254,20 @@ func (s *Stats) RegionNames() []string {
 	return names
 }
 
-// RegionInclusive sums the inclusive time of a region over all locations.
+// RegionInclusive sums the inclusive time of a region over all locations,
+// in rank-major order.  Stats from StatsBuilder walk their own ordered
+// locations instead of sorting the region's.
 func (s *Stats) RegionInclusive(region string) float64 {
+	byLoc := s.Regions[region]
+	locs := s.locs
+	if locs == nil {
+		locs = sortedLocs(byLoc)
+	}
 	var tot float64
-	for _, loc := range sortedLocs(s.Regions[region]) {
-		tot += s.Regions[region][loc].Inclusive
+	for _, loc := range locs {
+		if rs := byLoc[loc]; rs != nil {
+			tot += rs.Inclusive
+		}
 	}
 	return tot
 }

@@ -163,8 +163,9 @@ func statsRegionTable() regionTable {
 	return rt
 }
 
-// TestStatsBuilderMatchesReference requires bit-identical Stats from
-// StatsBuilder and the map-based reference on random event sequences.
+// TestStatsBuilderMatchesReference requires bit-identical Stats and
+// per-region inclusive sums from StatsBuilder and the map-based reference
+// on random event sequences.
 func TestStatsBuilderMatchesReference(t *testing.T) {
 	names := statsRegionTable()
 	check := func(seed int64, size uint16) bool {
@@ -174,9 +175,18 @@ func TestStatsBuilderMatchesReference(t *testing.T) {
 			sb.Add(&evs[i])
 			rb.Add(&evs[i])
 		}
-		if err := sameStats(sb.Finish(), rb.Finish()); err != nil {
+		got, want := sb.Finish(), rb.Finish()
+		if err := sameStats(got, want); err != nil {
 			t.Logf("seed %d, %d events: %v", seed, len(evs), err)
 			return false
+		}
+		// The reference sorts each region's own locations; the builder's
+		// Stats walk their ordered locations.
+		for name := range want.Regions {
+			if g, w := got.RegionInclusive(name), want.RegionInclusive(name); math.Float64bits(g) != math.Float64bits(w) {
+				t.Logf("seed %d: region %q inclusive %v, want %v", seed, name, g, w)
+				return false
+			}
 		}
 		return true
 	}

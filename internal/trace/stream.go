@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"slices"
 )
 
@@ -34,88 +33,107 @@ type sourceState struct {
 	pathMap   []PathID
 }
 
-// heapEntry is one source's merge key, its next event's time, kept inline
-// so comparisons never chase a source.  Sources are indexed in location
-// order and each holds one location, so the source index breaks ties as
-// the location does.
+// heapEntry is one source's heap key, kept inline so comparisons never
+// chase a source: its next event's time while Next merges, and the file
+// offset of its next frame once ForEach reads in spool order (exact, as
+// offsets stay below 2^53).  Sources are indexed in location order and
+// each holds one location, so the source index breaks ties as the
+// location does.
 type heapEntry struct {
-	time float64
-	src  int
+	key float64
+	src int
 }
 
-// less orders heap entries by (Time, Location).
+// less orders heap entries by (key, Location).
 func (a *heapEntry) less(b *heapEntry) bool {
-	if a.time != b.time {
-		return a.time < b.time
+	if a.key != b.key {
+		return a.key < b.key
 	}
 	return a.src < b.src
 }
 
-// Stream is the k-way merge over the per-location streams of chunk
-// spools, delivering events in (Time, Location) order with
-// within-location order preserved; every Trace is one drained
-// (Recorder.Trace, Merge, Read, ReadFile).  Region names and call paths
-// are interned globally and incrementally, as the merge meets each
-// location's frames, so a Stream implements View and the analyzer can
-// consume it in place of a Trace while holding only O(locations + intern
-// tables) memory of its own: per location one raw frame, its read offset
-// and its next event's time.  An event is decoded, remapped to global ids
-// and validated only when it is delivered, so on a corrupt spool a bad
-// event is reported when it would be delivered, after every event that
-// precedes it in merged order.  The readers' frame indexes add
-// O(events / spill) (see ChunkReader), and ForEach the batches it has in
-// flight when it merges on a second goroutine (~1 MiB).  Once the last
-// event is delivered the stream drops its sources (cursors, raw frames,
-// id maps); the intern tables, locations and counters stay.
+// Stream reads the per-location streams of chunk spools back as one
+// event stream, in either of two orders.  Next is the k-way merge: it
+// delivers events in (Time, Location) order with within-location order
+// preserved, and every Trace is one drained (Recorder.Trace, Merge, Read,
+// ReadFile).  ForEach delivers them in spool order: whole frames in
+// ascending file offset, so each location's events keep their order and
+// locations interleave as their frames lie in the spool; an analysis that
+// only matches events across locations needs no more.  Region names and
+// call paths are interned globally and incrementally, as the stream meets
+// each location's frames, so a Stream implements View and the analyzer
+// can consume it in place of a Trace while holding only O(locations +
+// intern tables) memory of its own: per location its read position and a
+// heap key, and one raw frame per location that NewStream primed and the
+// stream has not yet delivered.  Next keeps one raw frame per location
+// throughout; ForEach reads each later frame into one shared buffer.  An
+// event is decoded, remapped to global ids and validated only when it is
+// delivered, so on a corrupt spool a bad event is reported when it would
+// be delivered, after every event that precedes it in the stream's order.
+// Until the stream is drained the readers' frame indexes add O(events /
+// spill) (see ChunkReader), and ForEach the batches it has in flight when
+// it reads on a second goroutine (~1 MiB).  Once the last event is
+// delivered the stream drops its sources (cursors, raw frames, id maps)
+// and its readers' frame indexes; the intern tables, locations and
+// counters stay.
 type Stream struct {
 	srcs []sourceState
 	heap []heapEntry
+	// byOffset is set once ForEach has keyed the heap by frame offset;
+	// frame is the raw frame buffer it reads into.
+	byOffset bool
+	frame    []byte
 
-	tab       tables // the merge's intern tables
+	tab       tables // the stream's intern tables
 	regionIDs map[string]RegionID
 	pathChild map[pathKey]PathID
 	// view is what RegionName and PathString resolve through: &tab, or
-	// &seen while ForEach merges on a second goroutine.
+	// &seen while ForEach reads on a second goroutine.
 	view     *tables
 	seen     tables
 	pathStrs []string // rendered prefix of the path table (PathString)
 
-	locs   []Location
-	total  int // events the readers' indexes record
-	events int
-	first  float64
-	last   float64
+	locs       []Location
+	total      int // events the readers' indexes record
+	events     int
+	minT, maxT float64 // the earliest and latest delivered event's time
 
-	evBuf   Event
+	evBuf   [1]Event
 	err     error
-	closers []io.Closer
+	readers []*ChunkReader
 }
 
-// tables are the global intern tables' slice headers.  The merge only
+// tables are the global intern tables' slice headers.  The stream only
 // appends to them, so a copy taken after some event keeps resolving every
-// id interned up to that event while the merge goes on.
+// id interned up to that event while the stream reads on.
 type tables struct {
 	regions    []string
 	pathParent []PathID
 	pathRegion []RegionID
 }
 
-// NewStream merges the streams of one or more chunk spools.  The readers'
-// locations must be pairwise distinct.  Closing the stream closes the
-// readers.
+// NewStream opens one event stream over the per-location streams of one
+// or more chunk spools, reading each location's first frame.  The
+// readers' locations must be pairwise distinct.  Closing the stream
+// closes the readers.
 func NewStream(readers ...*ChunkReader) (*Stream, error) {
 	var cursors []*chunkCursor
-	closers := make([]io.Closer, 0, len(readers))
 	total := 0
 	for _, r := range readers {
-		cursors = append(cursors, r.cursors()...)
-		closers = append(closers, r)
+		cs, err := r.cursors()
+		if err != nil {
+			for _, r := range readers {
+				r.Close()
+			}
+			return nil, err
+		}
+		cursors = append(cursors, cs...)
 		total += r.Events()
 	}
 	// Cursors are ordered by location, making the merge independent of
 	// reader order (locations are unique per cursor, so the heap's
 	// source-index tiebreak is never reached across cursors).
-	slices.SortFunc(cursors, func(a, b *chunkCursor) int { return compareLocations(a.loc(), b.loc()) })
+	slices.SortFunc(cursors, func(a, b *chunkCursor) int { return a.loc().Compare(b.loc()) })
 	st := &Stream{
 		tab:       tables{pathParent: []PathID{-1}, pathRegion: []RegionID{-1}},
 		regionIDs: make(map[string]RegionID),
@@ -125,7 +143,7 @@ func NewStream(readers ...*ChunkReader) (*Stream, error) {
 		total:     total,
 		srcs:      make([]sourceState, 0, len(cursors)),
 		heap:      make([]heapEntry, 0, len(cursors)),
-		closers:   closers,
+		readers:   slices.Clone(readers),
 	}
 	st.view = &st.tab
 	// The id maps are carved from slabs, as the cursors' tables are.
@@ -147,12 +165,10 @@ func NewStream(readers ...*ChunkReader) (*Stream, error) {
 			return nil, err
 		}
 		if ok {
-			st.heap = append(st.heap, heapEntry{time: t, src: i})
+			st.heap = append(st.heap, heapEntry{key: t, src: i})
 		}
 	}
-	for i := len(st.heap)/2 - 1; i >= 0; i-- {
-		st.siftDown(i)
-	}
+	st.heapify()
 	st.dropSourcesIfDrained()
 	return st, nil
 }
@@ -186,10 +202,17 @@ func (st *Stream) child(parent PathID, region RegionID) PathID {
 // the local tables the frames it read have grown, and returns the event's
 // time; ok is false once the source is exhausted.
 func (st *Stream) advance(i int) (t float64, ok bool, err error) {
-	s := &st.srcs[i]
-	if t, ok, err = s.src.ready(); err != nil {
+	if t, ok, err = st.srcs[i].src.ready(); err != nil {
 		return 0, false, err
 	}
+	st.remap(i)
+	return t, ok, nil
+}
+
+// remap extends source i's id maps over the local table entries its
+// cursor's frames have added since the last call.
+func (st *Stream) remap(i int) {
+	s := &st.srcs[i]
 	regions, pathParent, pathRegion := s.src.regions, s.src.pathParent, s.src.pathRegion
 	s.regionMap = slices.Grow(s.regionMap, len(regions)-len(s.regionMap))
 	s.pathMap = slices.Grow(s.pathMap, len(pathParent)-len(s.pathMap))
@@ -205,17 +228,52 @@ func (st *Stream) advance(i int) (t float64, ok bool, err error) {
 		// global id is already mapped.
 		s.pathMap = append(s.pathMap, st.child(s.pathMap[pathParent[j]], s.regionMap[pathRegion[j]]))
 	}
-	return t, ok, nil
 }
 
-// dropSourcesIfDrained releases the merge state once every event is
-// delivered: the cursors with their raw frames and tables, the id maps
-// and the global intern maps.  What resolves ids (the intern tables) and
-// what describes the stream (locations, counters) stay.
+// decode decodes source s's next event into dst and maps its ids to the
+// global tables.
+func (st *Stream) decode(s *sourceState, dst *Event) error {
+	if err := s.src.pop(dst); err != nil {
+		return err
+	}
+	if dst.Kind == KindEnter || dst.Kind == KindExit {
+		dst.Region = s.regionMap[dst.Region]
+	}
+	dst.Path = s.pathMap[dst.Path]
+	return nil
+}
+
+// count records the delivery of an event at time t.
+func (st *Stream) count(t float64) {
+	if st.events == 0 {
+		st.minT, st.maxT = t, t
+	} else if t < st.minT {
+		st.minT = t
+	} else if t > st.maxT {
+		st.maxT = t
+	}
+	st.events++
+}
+
+// dropSourcesIfDrained releases the stream's sources once every event is
+// delivered: the cursors with their raw frames and tables, the id maps,
+// the global intern maps, and the readers' frame indexes and name maps.
+// What resolves ids (the intern tables) and what describes the stream
+// (locations, counters) stay.
 func (st *Stream) dropSourcesIfDrained() {
 	if len(st.heap) == 0 {
-		st.srcs, st.heap = nil, nil
+		st.srcs, st.heap, st.frame = nil, nil, nil
 		st.regionIDs, st.pathChild = nil, nil
+		for _, r := range st.readers {
+			r.release()
+		}
+	}
+}
+
+// heapify orders the whole heap.
+func (st *Stream) heapify() {
+	for i := len(st.heap)/2 - 1; i >= 0; i-- {
+		st.siftDown(i)
 	}
 }
 
@@ -245,10 +303,10 @@ func (st *Stream) siftDown(i int) {
 // stream.  The returned pointer is only valid until the following call.
 // Errors are sticky.
 func (st *Stream) Next() (*Event, error) {
-	if ok, err := st.next(&st.evBuf); !ok {
+	if ok, err := st.next(&st.evBuf[0]); !ok {
 		return nil, err
 	}
-	return &st.evBuf, nil
+	return &st.evBuf[0], nil
 }
 
 // next merges the next event into dst and reports whether there was one.
@@ -260,22 +318,17 @@ func (st *Stream) next(dst *Event) (bool, error) {
 		return false, nil
 	}
 	top := &st.heap[0]
-	s := &st.srcs[top.src]
-	if err := s.src.pop(dst); err != nil {
+	if err := st.decode(&st.srcs[top.src], dst); err != nil {
 		st.err = err
 		return false, err
 	}
-	if dst.Kind == KindEnter || dst.Kind == KindExit {
-		dst.Region = s.regionMap[dst.Region]
-	}
-	dst.Path = s.pathMap[dst.Path]
 	t, ok, err := st.advance(top.src)
 	if err != nil {
 		st.err = err
 		return false, err
 	}
 	if ok {
-		top.time = t
+		top.key = t
 	} else {
 		*top = st.heap[len(st.heap)-1]
 		st.heap = st.heap[:len(st.heap)-1]
@@ -285,65 +338,138 @@ func (st *Stream) next(dst *Event) (bool, error) {
 	} else {
 		st.dropSourcesIfDrained()
 	}
-	if st.events == 0 {
-		st.first = dst.Time
-	}
-	st.last = dst.Time
-	st.events++
+	st.count(dst.Time)
 	return true, nil
 }
 
-// fill merges events into dst until it is full or the stream ends, and
-// returns how many it merged.
-func (st *Stream) fill(dst []Event) (int, error) {
-	for i := range dst {
-		if ok, err := st.next(&dst[i]); !ok {
-			return i, err
-		}
+// keyByOffset re-keys the heap from next event times to frame offsets.
+// Every source in the heap holds the frame its next event lies in, the
+// last frame its cursor read.
+func (st *Stream) keyByOffset() {
+	if st.byOffset {
+		return
 	}
-	return len(dst), nil
+	st.byOffset = true
+	for i := range st.heap {
+		c := st.srcs[st.heap[i].src].src
+		st.heap[i].key = float64(c.ent.frames[c.fi-1].off)
+	}
+	st.heapify()
 }
 
-// pipelineBatch is the number of events the merge goroutine of ForEach
+// fill reads events into dst in spool order until it is full or the
+// stream ends, and returns how many it read.  The heap's top source is
+// the one whose frame lies first in the spool: fill delivers that frame's
+// events, then keys the source at its next frame, which it reads only
+// when the source is on top again.
+func (st *Stream) fill(dst []Event) (int, error) {
+	if st.err != nil {
+		return 0, st.err
+	}
+	n := 0
+	for n < len(dst) && len(st.heap) > 0 {
+		s := &st.srcs[st.heap[0].src]
+		if s.src.left == 0 {
+			if err := st.step(); err != nil {
+				st.err = err
+				return n, err
+			}
+			continue
+		}
+		for ; n < len(dst) && s.src.left > 0; n++ {
+			if err := st.decode(s, &dst[n]); err != nil {
+				st.err = err
+				return n, err
+			}
+			st.count(dst[n].Time)
+		}
+	}
+	return n, nil
+}
+
+// step advances the heap's top source, which has no event left to
+// deliver from a frame: if it holds no frame it reads the one its key
+// names into the stream's frame buffer; otherwise it checks and releases
+// the delivered frame and keys the source at its next frame, or removes
+// it once its frames are exhausted.
+func (st *Stream) step() error {
+	top := &st.heap[0]
+	c := st.srcs[top.src].src
+	if c.buf == nil {
+		err := c.readFrame(st.frame)
+		st.frame = c.buf
+		if err == nil {
+			st.remap(top.src)
+		}
+		return err
+	}
+	if err := c.frameDone(); err != nil {
+		return err
+	}
+	// The largest frame buffer released so far serves every later read,
+	// whether NewStream primed it or an earlier read grew it.
+	if cap(c.buf) > cap(st.frame) {
+		st.frame = c.buf
+	}
+	c.buf, c.off = nil, 0
+	if done, err := c.exhausted(); err != nil {
+		return err
+	} else if done {
+		*top = st.heap[len(st.heap)-1]
+		st.heap = st.heap[:len(st.heap)-1]
+	} else {
+		top.key = float64(c.ent.frames[c.fi].off)
+	}
+	if len(st.heap) > 0 {
+		st.siftDown(0)
+	} else {
+		st.dropSourcesIfDrained()
+	}
+	return nil
+}
+
+// pipelineBatch is the number of events the reading goroutine of ForEach
 // hands over at a time, and the most events a stream may have left for
 // ForEach to drain it on the caller's goroutine alone.  Much smaller
 // batches lose to their hand-overs: at 256 events a 16384-rank world
 // analyzed ~30% slower.
 const pipelineBatch = 4096
 
-// pipelineDepth is the number of batches in flight: one being merged,
+// pipelineDepth is the number of batches in flight: one being filled,
 // one waiting, one being consumed.
 const pipelineDepth = 3
 
-// eventBatch is a run of merged events with the intern tables as of its
-// last event, which resolve every id the run references.
+// eventBatch is a run of events in spool order with the intern tables as
+// of its last event, which resolve every id the run references.
 type eventBatch struct {
 	events []Event
 	tab    tables
-	err    error // the merge's error after the batch's events
+	err    error // the stream's error after the batch's events
 }
 
-// ForEach calls fn with each of the stream's remaining events, in merged
-// order, on the caller's goroutine; the event is only valid during the
-// call.  It returns the merge's error, if any.
+// ForEach calls fn with each of the stream's remaining events, in spool
+// order (see Stream), on the caller's goroutine; the event is only valid
+// during the call.  It returns the stream's error, if any: ForEach
+// rejects a spool exactly when Next does, though on a spool with several
+// faults the two may report different ones first.
 //
-// A stream with more than pipelineBatch events left is merged on a
-// second goroutine, which hands batches of up to pipelineBatch events to
-// the caller's: pipelineDepth batches, ~1 MiB, carved from one slab no
-// larger than the events the index records.  While it runs, the
-// stream's RegionName and PathString resolve through the tables of the
-// batch being consumed, so fn may call them; no other method of the
-// stream may be called until ForEach returns, by which time the merge
-// goroutine has exited.
+// A stream with more than pipelineBatch events left is read on a second
+// goroutine, which hands batches of up to pipelineBatch events to the
+// caller's: pipelineDepth batches, ~1 MiB, carved from one slab no larger
+// than the events the index records.  While it runs, the stream's
+// RegionName and PathString resolve through the tables of the batch
+// being consumed, so fn may call them; no other method of the stream may
+// be called until ForEach returns, by which time the reading goroutine
+// has exited.
 func (st *Stream) ForEach(fn func(*Event)) error {
+	st.keyByOffset()
 	left := st.total - st.events
 	if left <= pipelineBatch {
 		for {
-			ev, err := st.Next()
-			if ev == nil {
+			if n, err := st.fill(st.evBuf[:]); n == 0 {
 				return err
 			}
-			fn(ev)
+			fn(&st.evBuf[0])
 		}
 	}
 	batches := new([pipelineDepth]eventBatch)
@@ -359,7 +485,7 @@ func (st *Stream) ForEach(fn func(*Event)) error {
 	}
 	full := make(chan *eventBatch, 1)
 	st.view = &st.seen
-	go st.merge(full, free)
+	go st.produce(full, free)
 	defer func() {
 		close(free)
 		for range full {
@@ -379,11 +505,11 @@ func (st *Stream) ForEach(fn func(*Event)) error {
 	return nil
 }
 
-// merge is ForEach's merge goroutine: it fills the batches it takes from
-// free and sends them on full, which it closes on return.  It stops at
-// the end of the stream, after a batch that carries an error, or once
+// produce is ForEach's reading goroutine: it fills the batches it takes
+// from free and sends them on full, which it closes on return.  It stops
+// at the end of the stream, after a batch that carries an error, or once
 // free is closed.
-func (st *Stream) merge(full chan<- *eventBatch, free <-chan *eventBatch) {
+func (st *Stream) produce(full chan<- *eventBatch, free <-chan *eventBatch) {
 	defer close(full)
 	for b := range free {
 		n, err := st.fill(b.events[:cap(b.events)])
@@ -475,23 +601,25 @@ func (st *Stream) Shape() (ranks, threads int) {
 // is drained: the total event count, mirroring len(Trace.Events)).
 func (st *Stream) Events() int { return st.events }
 
-// Duration returns the time span between the first and last delivered
-// event, mirroring Trace.Duration once the stream is drained.
+// Duration returns the time span between the earliest and the latest
+// delivered event.  Once the stream is drained it equals Trace.Duration
+// of the merged trace whenever no location's event times decrease, as in
+// every spool a run writes.
 func (st *Stream) Duration() float64 {
 	if st.events == 0 {
 		return 0
 	}
-	return st.last - st.first
+	return st.maxT - st.minT
 }
 
 // Close releases the underlying readers.
 func (st *Stream) Close() error {
 	var first error
-	for _, c := range st.closers {
-		if err := c.Close(); err != nil && first == nil {
+	for _, r := range st.readers {
+		if err := r.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	st.closers = nil
+	st.readers = nil
 	return first
 }

@@ -7,8 +7,8 @@
 // collective-operation events, and thread fork/join.  Each execution
 // location (MPI rank × OpenMP thread) writes to its own Buffer without
 // locking.  A Recorder hands the buffers out and spills them, as they
-// record, to a chunk spool: a caller's file, re-merged incrementally by a
-// Stream so analysis memory stays bounded at large rank counts, or an
+// record, to a chunk spool: a caller's file, read back incrementally by
+// a Stream so analysis memory stays bounded at large rank counts, or an
 // in-memory spool that the Recorder merges into a Trace at the end of the
 // run.
 //
@@ -18,8 +18,8 @@
 //
 // One binary encoding exists, the ATSC chunk spool: a streaming run
 // writes it through a ChunkWriter, Trace.Write spools a merged trace into
-// it, and Read and NewStream merge it back.  doc/FORMATS.md is the
-// normative spec.
+// it, Read merges it back into a Trace, and NewStream reads it back as a
+// stream.  doc/FORMATS.md is the normative spec.
 package trace
 
 import (
@@ -47,13 +47,14 @@ func (l Location) less(o Location) bool {
 	return l.Thread < o.Thread
 }
 
-// compareLocations orders locations rank-major, as less does, for
-// slices.SortFunc.
-func compareLocations(a, b Location) int {
-	if c := cmp.Compare(a.Rank, b.Rank); c != 0 {
+// Compare orders locations rank-major, as less does, for
+// slices.SortFunc: it returns -1, 0 or +1 as l sorts before, with or
+// after o.
+func (l Location) Compare(o Location) int {
+	if c := cmp.Compare(l.Rank, o.Rank); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Thread, b.Thread)
+	return cmp.Compare(l.Thread, o.Thread)
 }
 
 // Kind enumerates event kinds.
