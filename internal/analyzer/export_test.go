@@ -60,3 +60,13 @@ func (a *StreamAnalyzer) P2PWaits() int { return len(a.waits) }
 
 // LockWaits returns the number of lock waits a keeps for Finish.
 func (a *StreamAnalyzer) LockWaits() int { return len(a.locks) }
+
+// CollectiveParts returns the parts a keeps of its collective instances,
+// the room their slices hold, and the instance count.
+func (a *StreamAnalyzer) CollectiveParts() (parts, room, instances int) {
+	for _, g := range a.groups {
+		parts += len(g)
+		room += cap(g)
+	}
+	return parts, room, len(a.groups)
+}

@@ -32,11 +32,13 @@ import (
 // however many rounds the run has.  A lock event with a wait is kept, as
 // a 32-byte record, until Finish sums the waits in (time, location)
 // order, so these grow with the contended critical sections a run passes
-// through (TestLockRecordsAreTheLockWaits).  Collective participants are kept until Finish, matched or not:
-// reducing an instance as it completes needs its participant count,
-// which the trace does not carry (ROADMAP.md, "A streaming analyzer that
-// is actually bounded"); Finish orders each instance's parts by (time,
-// location) before reducing it.  AnalyzeStream adds the batches in
+// through (TestLockRecordsAreTheLockWaits).  Collective participants are
+// kept until Finish, matched or not, in a slice each instance makes once
+// with room for the participant count its first event carries; Finish
+// orders each instance's parts by (time, location) before reducing it.
+// Reducing an instance as its last participant arrives is still open
+// (ROADMAP.md, "A streaming analyzer that is actually bounded").
+// AnalyzeStream adds the batches in
 // flight (trace.Stream.ForEach) when the stream holds more than one
 // batch: three batches of 4096 events, ~1 MiB, whatever the event count.
 
@@ -106,28 +108,15 @@ type StreamAnalyzer struct {
 	waits  []p2pWait
 	locks  []lockWait
 	groups map[collKey][]collPart
-	// comms maps an operation on a communicator to its latest instance
-	// that outgrew both presizeParts parts and the room it was made
-	// with; nil until one does.
-	comms map[commKey]collKey
+	// maxParts caps the room a collective instance is made with: the
+	// view's location count, so a participant count no run could record
+	// costs no more than that.
+	maxParts int
 
 	// first and last are the earliest and latest event times.
 	first, last float64
 	any         bool
 }
-
-// commKey identifies the instances that share a participant count: one
-// operation on one communicator (MPI) or team (OpenMP), whose ids may
-// coincide.
-type commKey struct {
-	comm int32
-	coll trace.CollKind
-}
-
-// presizeParts is the instance size from which a new instance of the
-// same commKey is made with room for all its parts: a smaller instance
-// grows by append in at most four allocations.
-const presizeParts = 8
 
 // NewStreamAnalyzer returns an analyzer consuming events resolved through
 // view (a *trace.Trace or *trace.Stream).  A non-positive threshold
@@ -142,11 +131,24 @@ func NewStreamAnalyzer(view trace.View, opt Options) *StreamAnalyzer {
 			Results:   make(map[string]*Result),
 			Threshold: opt.Threshold,
 		},
-		sb:     trace.NewStatsBuilderFor(view),
-		sends:  make(map[uint64]p2pEnd),
-		recvs:  make(map[uint64]p2pEnd),
-		groups: make(map[collKey][]collPart),
+		sb:       trace.NewStatsBuilderFor(view),
+		sends:    make(map[uint64]p2pEnd),
+		recvs:    make(map[uint64]p2pEnd),
+		groups:   make(map[collKey][]collPart),
+		maxParts: locationCount(view),
 	}
+}
+
+// locationCount returns the number of locations of view, or 0 for a
+// view that does not say.
+func locationCount(view trace.View) int {
+	switch v := view.(type) {
+	case *trace.Trace:
+		return len(v.Locations)
+	case *trace.Stream:
+		return len(v.Locations())
+	}
+	return 0
 }
 
 // add accumulates one compound-event contribution (same semantics as the
@@ -198,21 +200,10 @@ func (a *StreamAnalyzer) Add(ev *trace.Event) {
 		}
 	case trace.KindColl:
 		k := collKey{ev.Coll, ev.Match}
-		ck := commKey{ev.Comm, ev.Coll}
 		parts := a.groups[k]
-		if parts == nil {
-			// Every instance of one communicator has the same
-			// participant count: give a new one the room of the
-			// latest that outgrew presizeParts.
-			if last, ok := a.comms[ck]; ok {
-				parts = make([]collPart, 0, len(a.groups[last]))
-			}
-		}
-		if len(parts) == cap(parts) && len(parts) >= presizeParts {
-			if a.comms == nil {
-				a.comms = make(map[commKey]collKey)
-			}
-			a.comms[ck] = k
+		if parts == nil && ev.Parts > 0 {
+			// The instance's first part brings its participant count.
+			parts = make([]collPart, 0, min(int(ev.Parts), a.maxParts))
 		}
 		a.groups[k] = append(parts, collPart{
 			time: ev.Time, aux: ev.Aux, path: ev.Path, loc: ev.Loc,

@@ -648,7 +648,7 @@ func (c *Comm) recordColl(kind trace.CollKind, root int, bytes int, id uint64, e
 	c.p.ctx.Record(trace.Event{
 		Time: c.p.ctx.Now(), Aux: enter, Kind: trace.KindColl,
 		Coll: kind, Root: int32(root), CRank: int32(c.myRank),
-		Comm: c.core.cid, Bytes: int64(bytes), Match: id, Flags: flags,
+		Comm: c.core.cid, Parts: int32(c.Size()), Bytes: int64(bytes), Match: id, Flags: flags,
 	})
 }
 

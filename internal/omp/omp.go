@@ -251,7 +251,7 @@ func Parallel(ctx *xctx.Ctx, opt Options, body func(tc *TC)) {
 		tc.ctx.Record(trace.Event{
 			Time: tc.ctx.Now(), Aux: finish[i], Kind: trace.KindColl,
 			Coll: trace.CollOMPJoin, CRank: int32(i), Root: -1,
-			Comm: tm.id, Match: opID,
+			Comm: tm.id, Parts: int32(n), Match: opID,
 		})
 		if i > 0 {
 			tc.ctx.Exit() // close the child's "omp parallel" region

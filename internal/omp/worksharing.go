@@ -162,7 +162,7 @@ func (tc *TC) barrierInternal(collKind trace.CollKind, record bool) {
 		tc.ctx.Record(trace.Event{
 			Time: tc.ctx.Now(), Aux: enter, Kind: trace.KindColl,
 			Coll: collKind, CRank: int32(tc.id), Root: -1,
-			Comm: tm.id, Match: id,
+			Comm: tm.id, Parts: int32(tm.size), Match: id,
 		})
 	}
 }
@@ -408,7 +408,7 @@ func (tc *TC) Single(f func()) {
 	tc.ctx.Record(trace.Event{
 		Time: tc.ctx.Now(), Aux: enter, Kind: trace.KindColl,
 		Coll: trace.CollOMPSingle, CRank: int32(tc.id), Root: int32(op.chosen),
-		Comm: tm.id, Match: id,
+		Comm: tm.id, Parts: int32(tm.size), Match: id,
 	})
 	tc.ctx.Exit()
 }
@@ -465,7 +465,7 @@ func (tc *TC) Reduce(combine func(a, b float64) float64, v float64) float64 {
 	tc.ctx.Record(trace.Event{
 		Time: tc.ctx.Now(), Aux: enter, Kind: trace.KindColl,
 		Coll: trace.CollOMPBarrier, CRank: int32(tc.id), Root: -1,
-		Comm: tm.id, Match: id,
+		Comm: tm.id, Parts: int32(tm.size), Match: id,
 	})
 	tc.ctx.Exit()
 	return acc

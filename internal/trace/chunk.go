@@ -22,7 +22,7 @@ import (
 // index footer lets readers walk each location's frames independently
 // via ReadAt.
 //
-//	header   magic "ATSC", version byte (1)
+//	header   magic "ATSC", version byte (2)
 //	frames   frame*
 //	frame    tag 0x01, uvarint bodyLen, body
 //	         tag 0x00 ends the frame section
@@ -48,7 +48,7 @@ var (
 )
 
 const (
-	chunkVersion    = 1
+	chunkVersion    = 2
 	chunkHeaderLen  = 5  // magic + version
 	chunkTrailerLen = 12 // index offset + trailer magic
 	chunkTagEnd     = 0x00
@@ -65,7 +65,7 @@ const (
 // flush when a Buffer is attached to a ChunkWriter.  A streamed buffer
 // holds its pending events encoded, so its pending frame takes at most
 // DefaultSpillEvents × max(frameEventBytes, the largest encoded event):
-// 640 bytes per location unless a frame's events average more than 40 B.
+// 256 bytes per location unless a frame's events average more than 16 B.
 // A merge cursor holds one such frame raw.  The frame index is not
 // bounded by locations: the writer keeps a 16-byte frameRef per frame
 // until Close and the reader parses the same refs until its stream is
@@ -76,10 +76,10 @@ const (
 const DefaultSpillEvents = 16
 
 // frameEventBytes is the encoded event size a fresh frame makes room for.
-// Events take 30 B at least and 34 B on average at 16384 ranks, so most
-// frames never grow: none of the 98,304 frames of a 16384-rank scale
-// world at the default threshold did.
-const frameEventBytes = 40
+// An enter or exit event takes 10 B and the events of a 16384-rank scale
+// world 13.6 B on average, so most frames never grow: none of the 98,304
+// frames of such a world at the default threshold did.
+const frameEventBytes = 16
 
 // chunkStream is the writer-side state of one location's frame sequence.
 type chunkStream struct {
@@ -521,8 +521,8 @@ func NewChunkFileReader(f *os.File, lim Limits) (*ChunkReader, error) {
 }
 
 // readWindow is the size of a spool file's read-ahead window.  A frame
-// of a 16384-rank scale world is ~550 bytes, so one window read serves
-// about a hundred frame reads.
+// of a 16384-rank scale world is ~240 bytes, so one window read serves
+// over 250 frame reads.
 const readWindow = 64 << 10
 
 // windowReader serves reads from one window of its source: a read inside
@@ -895,22 +895,24 @@ func (c *chunkCursor) readFrame(buf []byte) error {
 }
 
 // pop decodes the event ready positioned the cursor at into ev (locally
-// interned) and validates it against the location and its tables.
+// interned), gives it the frame's location and, for an enter or exit,
+// its path's region, and validates it against the location's tables.
 func (c *chunkCursor) pop(ev *Event) error {
 	n, err := decodeEvent(c.buf[c.off:], ev)
 	if err != nil {
 		return c.corrupt("event %d: %v", c.evIdx, err)
 	}
 	c.off += n
-	if ev.Loc != c.ent.loc {
-		return c.corrupt("event %d belongs to %v", c.evIdx, ev.Loc)
-	}
+	ev.Loc = c.ent.loc
 	if ev.Path < 0 || int(ev.Path) >= len(c.pathParent) {
 		return c.corrupt("event %d references unknown path %d", c.evIdx, ev.Path)
 	}
-	if (ev.Kind == KindEnter || ev.Kind == KindExit) &&
-		(ev.Region < 0 || int(ev.Region) >= len(c.regions)) {
-		return c.corrupt("event %d references unknown region %d", c.evIdx, ev.Region)
+	// An enter or exit event's region is its path's leaf; only the root
+	// path has none.
+	if ev.Kind == KindEnter || ev.Kind == KindExit {
+		if ev.Region = c.pathRegion[ev.Path]; ev.Region < 0 {
+			return c.corrupt("event %d references unknown region %d", c.evIdx, ev.Region)
+		}
 	}
 	c.evIdx++
 	c.left--

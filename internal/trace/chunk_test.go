@@ -28,7 +28,7 @@ func fillBuffer(b *Buffer, rank int32, n int) {
 			Bytes: 1024, Match: uint64(rank)*1000 + uint64(i), Flags: FlagSync})
 		t += 0.001
 		b.Record(Event{Time: t, Aux: t - 0.0005, Kind: KindColl, Coll: CollBarrier,
-			Root: -1, Comm: 0, Match: uint64(i)})
+			Root: -1, Comm: 0, Parts: 3, Match: uint64(i)})
 		t += 0.001
 		b.Exit(t)
 	}
@@ -700,8 +700,22 @@ func FuzzChunkReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
+	v1 := bytes.Clone(valid.Bytes())
+	v1[chunkHeaderLen-1] = 1
+	f.Add(v1) // the previous format version
 	f.Add(handSpool([][]byte{handFrame(true, 0, 3), handFrame(false, 3, 2)}, 5))
 	f.Add(handSpool([][]byte{handFrame(true, 0, 9)}, 4)) // frames hold more than the index
+	// An enter at the root path, which has no region.
+	root := handFrame(true, 0, 0)
+	root = binary.AppendUvarint(root[:len(root)-1], 1)
+	f.Add(handSpool([][]byte{appendEvent(root, &Event{Kind: KindEnter})}, 1))
+	// Every field set, and a kind whose high bits take a field.
+	all := handFrame(true, 0, 0)
+	all = binary.AppendUvarint(all[:len(all)-1], 2)
+	all = appendEvent(all, &Event{Time: 1, Aux: 0.5, Kind: KindColl, Coll: CollAllreduce, Flags: FlagRoot,
+		Path: 1, Peer: 2, CRank: 3, Tag: 4, Bytes: 5, Match: 6, Root: 7, Comm: 8, Parts: 9, Region: 10})
+	all = appendEvent(all, &Event{Time: 2, Kind: 0x10 | KindMarker, Path: 1})
+	f.Add(handSpool([][]byte{all}, 2))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		r, err := NewChunkReader(bytes.NewReader(blob), int64(len(blob)), Limits{})
 		if err != nil {
@@ -824,12 +838,17 @@ func TestStreamRendersPathsOnDemand(t *testing.T) {
 // delivered, since the merge decodes an event only to deliver it.  An
 // event too short to hold its time cannot be ordered, so it is reported
 // when the event before it is merged, and that event is not delivered.
+// A frame claimed by another location is reported when the merge reads
+// it, which it does to order the event before it, so that event is not
+// delivered either.
 func TestChunkCorruptEvent(t *testing.T) {
 	const n = 12
 	cases := []struct {
 		name      string
 		mutate    func(i int, ev *Event)
 		cut       int // bytes cut from the frame's end
+		frameAt   int // if > 0, events from here on go in a second frame
+		frameLoc  Location
 		delivered int
 		want      string
 	}{
@@ -837,24 +856,24 @@ func TestChunkCorruptEvent(t *testing.T) {
 			if i == 5 {
 				ev.Path = 7
 			}
-		}, 0, 5, "event 5 references unknown path 7"},
+		}, 0, 0, Location{}, 5, "event 5 references unknown path 7"},
+		// An enter or exit takes its region from its path; the root
+		// path has none.
 		{"unknown region", func(i int, ev *Event) {
 			if i == 5 {
-				ev.Region = 3
+				ev.Path = PathRoot
 			}
-		}, 0, 5, "event 5 references unknown region 3"},
-		{"foreign location", func(i int, ev *Event) {
-			if i == 5 {
-				ev.Loc = Location{Rank: 1}
-			}
-		}, 0, 5, "event 5 belongs to 1.0"},
-		{"truncated event", nil, 3, n - 1, "event 11: unexpected EOF"},
-		{"truncated time", nil, 30, n - 2, "event 11: unexpected EOF"},
+		}, 0, 0, Location{}, 5, "event 5 references unknown region -1"},
+		// The frame supplies every event's location.
+		{"foreign location", nil, 0, 5, Location{Rank: 1}, 4, "frame belongs to 1.0"},
+		{"truncated event", nil, 3, 0, Location{}, n - 1, "event 11: unexpected EOF"},
+		// Each event takes 17 bytes: cutting 15 leaves 2 of the last
+		// one's time.
+		{"truncated time", nil, 15, 0, Location{}, n - 2, "event 11: unexpected EOF"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			body := handFrame(true, 0, 0)
-			body = binary.AppendUvarint(body[:len(body)-1], n)
+			var evs [][]byte
 			for i := 0; i < n; i++ {
 				// Large payloads make every event longer than the
 				// frame's count check assumes, so a cut frame still
@@ -863,10 +882,33 @@ func TestChunkCorruptEvent(t *testing.T) {
 				if tc.mutate != nil {
 					tc.mutate(i, &ev)
 				}
-				body = appendEvent(body, &ev)
+				enc := appendEvent(nil, &ev)
+				if len(enc) != 17 {
+					t.Fatalf("event %d takes %d bytes, want 17", i, len(enc))
+				}
+				evs = append(evs, enc)
 			}
-			body = body[:len(body)-tc.cut]
-			forEachBacking(t, handSpool([][]byte{body}, n), func(t *testing.T, r *ChunkReader, err error) {
+			frame := func(loc Location, first bool, evs [][]byte) []byte {
+				body := handFrame(first, 0, 0)
+				body = binary.AppendUvarint(body[:len(body)-1], uint64(len(evs)))
+				if loc != (Location{}) {
+					hdr := binary.AppendVarint(binary.AppendVarint(nil, int64(loc.Rank)), int64(loc.Thread))
+					body = append(hdr, body[2:]...)
+				}
+				for _, enc := range evs {
+					body = append(body, enc...)
+				}
+				return body
+			}
+			var bodies [][]byte
+			if tc.frameAt > 0 {
+				bodies = [][]byte{frame(Location{}, true, evs[:tc.frameAt]), frame(tc.frameLoc, false, evs[tc.frameAt:])}
+			} else {
+				bodies = [][]byte{frame(Location{}, true, evs)}
+			}
+			last := bodies[len(bodies)-1]
+			bodies[len(bodies)-1] = last[:len(last)-tc.cut]
+			forEachBacking(t, handSpool(bodies, n), func(t *testing.T, r *ChunkReader, err error) {
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -24,15 +24,15 @@ import (
 // goldenFig35Write is Trace.Write of the materialized run.  It differs
 // from the streamed spool at the default threshold only in frame order:
 // Write spools location by location, a run as its executors spill.
-const goldenFig35Write = "47d0bb68029adc9462fea27da6699faf9c852c97036f6b84a4269a961d3a3600"
+const goldenFig35Write = "26a560fdf30fd9b3bb1e3b7889f359a57f6f46e5d4c77c7930b13fd5424ceb7d"
 
 // goldenFig35ATSC maps a spill threshold to the sha256 of the spool; the
 // small threshold splits every location into many frames, and the entry
 // at 64 pins the encoder at a threshold that does not follow the default.
 var goldenFig35ATSC = map[int]string{
-	trace.DefaultSpillEvents: "1fc841f16df62e3c41273b5a09d0d099f23c519974d4c5d76f89e3caabff5b9a",
-	64:                       "8dcfc42f04f66b15a79c18f90e6a36b769afa8b03ad77d41b3ca2c691fae9db3",
-	5:                        "60d9a7fd89e87baaf4e5ad2a338104ff39f3220880ea78ca880e2d796ed524b7",
+	trace.DefaultSpillEvents: "86e7528445bd29d626ed4915b19f4e00716cbc199ceba81936c638b71565dc11",
+	64:                       "7856d2c2aaece840f70215e8ff05baadcfa50cbb639278904b38886a9262b01d",
+	5:                        "92a46aeae089ff1325c5e2e879c5a36dd6b66176402d2c30e8d0d011bd8539bc",
 }
 
 func fig35Body(c *mpi.Comm) { core.TwoCommunicators(c, core.DefaultComposite()) }

@@ -22,90 +22,302 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// fixedEventBytes is the fixed-width prefix of an encoded event: Time and
-// Aux as little-endian IEEE-754 bits, then the Kind, Coll and Flags bytes.
-const fixedEventBytes = 19
+// Event fields past the time, kind and path, in the order an event
+// encodes them: bit i of an event's field mask is set when field i is
+// non-zero and follows in the encoding (doc/FORMATS.md §1.1).  The
+// location is the frame's, and an enter or exit event's region is its
+// path's leaf, so neither is a field.
+const (
+	fieldAux    = 1 << iota // float64
+	fieldMatch              // uvarint
+	fieldCRank              // varint
+	fieldPeer               // varint
+	fieldBytes              // varint
+	fieldTag                // varint
+	fieldColl               // byte
+	fieldRoot               // varint
+	fieldParts              // varint
+	fieldComm               // varint
+	fieldFlags              // byte
+	fieldRegion             // varint; never on an enter or exit event
+	fieldKindHi             // byte: the kind's high four bits
+	fieldsEnd
+)
 
-// maxEventBytes bounds an encoded event: the fixed prefix, nine varints
-// of int32 fields, and the int64 Bytes and uint64 Match.
-const maxEventBytes = fixedEventBytes + 9*binary.MaxVarintLen32 + 2*binary.MaxVarintLen64
+// kindBits is the width of the kind's low bits in an event's header; the
+// field mask sits above them.
+const kindBits = 4
+
+// maxEventBytes bounds an encoded event: the time, a header of kindBits
+// and 13 mask bits (3 bytes), the path, the Aux float, the Match and
+// Bytes 64-bit varints, seven int32 varints and three bytes.
+const maxEventBytes = 8 + 3 + binary.MaxVarintLen32 + 8 + 2*binary.MaxVarintLen64 + 7*binary.MaxVarintLen32 + 3
 
 // appendEvent appends ev in the event encoding (doc/FORMATS.md §1.1):
-// the fixed prefix, varints rank, thread, region, path, peer, crank, tag,
-// bytes, root, comm, and the uvarint match id.  It encodes into room for
-// maxEventBytes at dst's end, so it grows dst only when that room is
-// missing.
+// the time, a uvarint header holding the kind's low bits and the mask of
+// non-zero fields, the uvarint path, then the fields the mask names.  It
+// encodes into room for maxEventBytes at dst's end, so it grows dst only
+// when that room is missing.  ev.Loc is not encoded, nor an enter or exit
+// event's Region.
 func appendEvent(dst []byte, ev *Event) []byte {
 	dst = slices.Grow(dst, maxEventBytes)
 	n := len(dst)
 	b := dst[n : n+maxEventBytes]
 	binary.LittleEndian.PutUint64(b, math.Float64bits(ev.Time))
-	binary.LittleEndian.PutUint64(b[8:], math.Float64bits(ev.Aux))
-	b[16], b[17], b[18] = byte(ev.Kind), byte(ev.Coll), ev.Flags
-	k := fixedEventBytes
-	k += binary.PutVarint(b[k:], int64(ev.Loc.Rank))
-	k += binary.PutVarint(b[k:], int64(ev.Loc.Thread))
-	k += binary.PutVarint(b[k:], int64(ev.Region))
-	k += binary.PutVarint(b[k:], int64(ev.Path))
-	k += binary.PutVarint(b[k:], int64(ev.Peer))
-	k += binary.PutVarint(b[k:], int64(ev.CRank))
-	k += binary.PutVarint(b[k:], int64(ev.Tag))
-	k += binary.PutVarint(b[k:], ev.Bytes)
-	k += binary.PutVarint(b[k:], int64(ev.Root))
-	k += binary.PutVarint(b[k:], int64(ev.Comm))
-	k += binary.PutUvarint(b[k:], ev.Match)
+	mask := eventMask(ev)
+	k := 8
+	k += binary.PutUvarint(b[k:], mask<<kindBits|uint64(ev.Kind&(1<<kindBits-1)))
+	k += binary.PutUvarint(b[k:], uint64(uint32(ev.Path)))
+	if mask == 0 {
+		return dst[:n+k]
+	}
+	if mask&fieldAux != 0 {
+		binary.LittleEndian.PutUint64(b[k:], math.Float64bits(ev.Aux))
+		k += 8
+	}
+	if mask&fieldMatch != 0 {
+		k += binary.PutUvarint(b[k:], ev.Match)
+	}
+	if mask&fieldCRank != 0 {
+		k += binary.PutVarint(b[k:], int64(ev.CRank))
+	}
+	if mask&fieldPeer != 0 {
+		k += binary.PutVarint(b[k:], int64(ev.Peer))
+	}
+	if mask&fieldBytes != 0 {
+		k += binary.PutVarint(b[k:], ev.Bytes)
+	}
+	if mask&fieldTag != 0 {
+		k += binary.PutVarint(b[k:], int64(ev.Tag))
+	}
+	if mask&fieldColl != 0 {
+		b[k] = byte(ev.Coll)
+		k++
+	}
+	if mask&fieldRoot != 0 {
+		k += binary.PutVarint(b[k:], int64(ev.Root))
+	}
+	if mask&fieldParts != 0 {
+		k += binary.PutVarint(b[k:], int64(ev.Parts))
+	}
+	if mask&fieldComm != 0 {
+		k += binary.PutVarint(b[k:], int64(ev.Comm))
+	}
+	if mask&fieldFlags != 0 {
+		b[k] = ev.Flags
+		k++
+	}
+	if mask&fieldRegion != 0 {
+		k += binary.PutVarint(b[k:], int64(ev.Region))
+	}
+	if mask&fieldKindHi != 0 {
+		b[k] = byte(ev.Kind >> kindBits)
+		k++
+	}
 	return dst[:n+k]
 }
 
-var errVarintOverflow = errors.New("trace: varint overflows a 64-bit integer")
+// eventMask returns the mask of ev's non-zero fields.  Aux counts as
+// non-zero by its bits, so -0 and every NaN survive the round trip.
+func eventMask(ev *Event) uint64 {
+	var m uint64
+	if math.Float64bits(ev.Aux) != 0 {
+		m |= fieldAux
+	}
+	if ev.Match != 0 {
+		m |= fieldMatch
+	}
+	if ev.CRank != 0 {
+		m |= fieldCRank
+	}
+	if ev.Peer != 0 {
+		m |= fieldPeer
+	}
+	if ev.Bytes != 0 {
+		m |= fieldBytes
+	}
+	if ev.Tag != 0 {
+		m |= fieldTag
+	}
+	if ev.Coll != 0 {
+		m |= fieldColl
+	}
+	if ev.Root != 0 {
+		m |= fieldRoot
+	}
+	if ev.Parts != 0 {
+		m |= fieldParts
+	}
+	if ev.Comm != 0 {
+		m |= fieldComm
+	}
+	if ev.Flags != 0 {
+		m |= fieldFlags
+	}
+	if ev.Region != 0 && ev.Kind != KindEnter && ev.Kind != KindExit {
+		m |= fieldRegion
+	}
+	if ev.Kind>>kindBits != 0 {
+		m |= fieldKindHi
+	}
+	return m
+}
+
+var (
+	errVarintOverflow = errors.New("trace: varint overflows a 64-bit integer")
+	errUnknownFields  = errors.New("trace: event names unknown fields")
+	errEnterRegion    = errors.New("trace: enter/exit event carries a region field")
+)
 
 // decodeEvent decodes the event at the front of b (the appendEvent
-// encoding) into ev and returns the number of bytes it took.  A buffer
-// that ends inside the event yields io.ErrUnexpectedEOF.  Callers validate
-// the decoded ids against their own tables.
+// encoding) into ev and returns the number of bytes it took.  Every field
+// the encoding omits is zero in ev: the caller sets the location, and an
+// enter or exit event's region, from the frame.  A buffer that ends
+// inside the event yields io.ErrUnexpectedEOF.  Callers validate the
+// decoded ids against their own tables.
 func decodeEvent(b []byte, ev *Event) (int, error) {
-	if len(b) < fixedEventBytes {
+	if len(b) < minEventBytes {
 		return 0, io.ErrUnexpectedEOF
 	}
-	ev.Time = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	ev.Aux = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	ev.Kind, ev.Coll, ev.Flags = Kind(b[16]), CollKind(b[17]), b[18]
-	n := fixedEventBytes
-	var ints [10]int64
-	for j := range ints {
-		// Most fields are small ids that fit one varint byte; decode
-		// those inline (zigzag, as binary.Varint does).
-		if n < len(b) && b[n] < 0x80 {
-			x := int64(b[n])
-			ints[j] = x>>1 ^ -(x & 1)
-			n++
-			continue
-		}
-		v, k := binary.Varint(b[n:])
-		if k <= 0 {
-			return 0, varintErr(k)
-		}
-		ints[j] = v
-		n += k
-	}
-	if n < len(b) && b[n] < 0x80 {
-		ev.Match = uint64(b[n])
+	t := math.Float64frombits(binary.LittleEndian.Uint64(b))
+	// The header and the path are a byte each in most events.
+	n := 8
+	h := uint64(b[n])
+	if h < 0x80 {
 		n++
 	} else {
-		match, k := binary.Uvarint(b[n:])
-		if k <= 0 {
+		var k int
+		if h, k = binary.Uvarint(b[n:]); k <= 0 {
 			return 0, varintErr(k)
 		}
-		ev.Match = match
 		n += k
 	}
-	ev.Loc = Location{Rank: int32(ints[0]), Thread: int32(ints[1])}
-	ev.Region = RegionID(ints[2])
-	ev.Path = PathID(ints[3])
-	ev.Peer, ev.CRank, ev.Tag = int32(ints[4]), int32(ints[5]), int32(ints[6])
-	ev.Bytes = ints[7]
-	ev.Root, ev.Comm = int32(ints[8]), int32(ints[9])
-	return n, nil
+	var p uint64
+	if n < len(b) && b[n] < 0x80 {
+		p = uint64(b[n])
+		n++
+	} else {
+		var k int
+		if p, k = binary.Uvarint(b[n:]); k <= 0 {
+			return 0, varintErr(k)
+		}
+		n += k
+	}
+	*ev = Event{Time: t, Kind: Kind(h & (1<<kindBits - 1)), Path: PathID(int32(uint32(p)))}
+	mask := h >> kindBits
+	if mask == 0 {
+		return n, nil
+	}
+	if mask >= fieldsEnd {
+		return 0, errUnknownFields
+	}
+	f := fieldReader{b: b, n: n}
+	if mask&fieldAux != 0 {
+		ev.Aux = math.Float64frombits(f.fixed64())
+	}
+	if mask&fieldMatch != 0 {
+		ev.Match = f.uvarint()
+	}
+	if mask&fieldCRank != 0 {
+		ev.CRank = int32(f.varint())
+	}
+	if mask&fieldPeer != 0 {
+		ev.Peer = int32(f.varint())
+	}
+	if mask&fieldBytes != 0 {
+		ev.Bytes = f.varint()
+	}
+	if mask&fieldTag != 0 {
+		ev.Tag = int32(f.varint())
+	}
+	if mask&fieldColl != 0 {
+		ev.Coll = CollKind(f.u8())
+	}
+	if mask&fieldRoot != 0 {
+		ev.Root = int32(f.varint())
+	}
+	if mask&fieldParts != 0 {
+		ev.Parts = int32(f.varint())
+	}
+	if mask&fieldComm != 0 {
+		ev.Comm = int32(f.varint())
+	}
+	if mask&fieldFlags != 0 {
+		ev.Flags = f.u8()
+	}
+	if mask&fieldRegion != 0 {
+		ev.Region = RegionID(f.varint())
+	}
+	if mask&fieldKindHi != 0 {
+		ev.Kind |= Kind(f.u8() << kindBits)
+	}
+	if f.err != nil {
+		return 0, f.err
+	}
+	if mask&fieldRegion != 0 && (ev.Kind == KindEnter || ev.Kind == KindExit) {
+		return 0, errEnterRegion
+	}
+	return f.n, nil
+}
+
+// fieldReader reads an event's fields from b at n.  Its first error is
+// sticky: every later read returns zero, and err reports it.
+type fieldReader struct {
+	b   []byte
+	n   int
+	err error
+}
+
+func (f *fieldReader) fixed64() uint64 {
+	if f.err != nil || len(f.b)-f.n < 8 {
+		f.fail(0)
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(f.b[f.n:])
+	f.n += 8
+	return v
+}
+
+func (f *fieldReader) u8() byte {
+	if f.err != nil || f.n >= len(f.b) {
+		f.fail(0)
+		return 0
+	}
+	f.n++
+	return f.b[f.n-1]
+}
+
+func (f *fieldReader) uvarint() uint64 {
+	if f.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(f.b[f.n:])
+	if k <= 0 {
+		f.fail(k)
+		return 0
+	}
+	f.n += k
+	return v
+}
+
+func (f *fieldReader) varint() int64 {
+	if f.err != nil {
+		return 0
+	}
+	v, k := binary.Varint(f.b[f.n:])
+	if k <= 0 {
+		f.fail(k)
+		return 0
+	}
+	f.n += k
+	return v
+}
+
+// fail records the error of a read that found k bytes (see varintErr).
+func (f *fieldReader) fail(k int) {
+	if f.err == nil {
+		f.err = varintErr(k)
+	}
 }
 
 // varintErr maps a non-positive binary.Varint/Uvarint length to an error:
@@ -178,6 +390,10 @@ func (t *Trace) spoolLocations(w *ChunkWriter) error {
 			return fmt.Errorf("trace: event %d references unknown path %d", i, ev.Path)
 		case (ev.Kind == KindEnter || ev.Kind == KindExit) && (ev.Region < 0 || int(ev.Region) >= len(t.Regions)):
 			return fmt.Errorf("trace: event %d references unknown region %d", i, ev.Region)
+		case (ev.Kind == KindEnter || ev.Kind == KindExit) && (ev.Path == PathRoot || t.PathRegion[ev.Path] != ev.Region):
+			// The encoding takes an enter or exit event's region from
+			// its path, as Buffer.Enter and Exit record it.
+			return fmt.Errorf("trace: %v event %d: region %d is not the leaf of its path %d", ev.Kind, i, ev.Region, ev.Path)
 		}
 		slots[i] = int32(s)
 		start[s+1]++
@@ -218,11 +434,10 @@ func (t *Trace) spoolLocations(w *ChunkWriter) error {
 		b = NewBuffer(loc)
 		w.Attach(b)
 		for _, i := range order[start[s]:start[s+1]] {
+			// An enter or exit event's region is its path's leaf, which
+			// localPath interns; the encoding carries no other.
 			ev := t.Events[i]
 			ev.Path = localPath(ev.Path)
-			if ev.Kind == KindEnter || ev.Kind == KindExit {
-				ev.Region = localRegion(ev.Region)
-			}
 			b.add(&ev)
 		}
 		err := w.Finish(b)
@@ -275,7 +490,7 @@ func readChunks(cr *ChunkReader) (*Trace, error) {
 const (
 	minRegionBytes = 1  // uvarint length (zero-length string)
 	minPathBytes   = 2  // uvarint parent + uvarint region
-	minEventBytes  = 30 // 2 floats + 3 fixed bytes + 10 varints + 1 uvarint
+	minEventBytes  = 10 // time + one-byte header + one-byte path
 )
 
 // checkCount validates an untrusted element count against the size of

@@ -3,10 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // indexOnlySpool assembles a spool with no frames around the raw index
@@ -154,4 +157,137 @@ func TestWriteFileAtomic(t *testing.T) {
 	if len(got.Events) != 2 {
 		t.Fatalf("got %d events", len(got.Events))
 	}
+}
+
+// TestEventSize pins the Event layout: the byte-sized fields share one
+// word after the times, so the participant count fills what was padding.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 80 {
+		t.Fatalf("Event takes %d bytes, want 80", n)
+	}
+}
+
+// TestRejectsVersion1Spool: a spool of the previous format version fails
+// at open with an error that names its version, however it is read.
+func TestRejectsVersion1Spool(t *testing.T) {
+	bufs := buildBuffers(2, 3)
+	tr := Merge(bufs...)
+	for _, b := range bufs {
+		b.Release()
+	}
+	var out bytes.Buffer
+	if _, err := tr.Write(&out); err != nil {
+		t.Fatal(err)
+	}
+	blob := out.Bytes()
+	blob[chunkHeaderLen-1] = 1
+	const want = "trace: unsupported chunk version 1 (want 2)"
+	if _, err := Read(bytes.NewReader(blob)); err == nil || err.Error() != want {
+		t.Errorf("Read: err %v, want %q", err, want)
+	}
+	forEachBacking(t, blob, func(t *testing.T, r *ChunkReader, err error) {
+		if err == nil || !strings.HasSuffix(err.Error(), want) {
+			t.Errorf("open: err %v, want %q", err, want)
+		}
+	})
+}
+
+// TestWriteRejectsEnterOffItsPath: the encoding takes an enter or exit
+// event's region from its path, so Trace.Write rejects one whose region
+// is not its path's leaf, or that sits at the root path, rather than
+// write a spool that reads back another region.
+func TestWriteRejectsEnterOffItsPath(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(tr *Trace)
+		want   string
+	}{
+		{"region of the parent", func(tr *Trace) { tr.Events[1].Region = tr.Events[0].Region },
+			"enter event 1: region 0 is not the leaf of its path 2"},
+		{"exit at the root", func(tr *Trace) { tr.Events[3].Path = PathRoot },
+			"exit event 3: region 0 is not the leaf of its path 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuffer(loc(0, 0))
+			b.Enter("outer", 0)
+			b.Enter("inner", 1)
+			b.Exit(2)
+			b.Exit(3)
+			tr := Merge(b)
+			b.Release()
+			if _, err := tr.Write(io.Discard); err != nil {
+				t.Fatalf("unmutated trace: %v", err)
+			}
+			tc.mutate(tr)
+			_, err := tr.Write(io.Discard)
+			if err == nil || err.Error() != "trace: "+tc.want {
+				t.Fatalf("Write: err %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestHostileEventCountAllocBound: an index may claim as many events as
+// its frame section could hold at minEventBytes each, whatever the frames
+// hold.  Such a spool, here one frame of two events behind a long region
+// name, fails on its frames, and reading it allocates at most linearly in
+// its size.  The claim sizes an event slab of 80 bytes per claimed event,
+// 8 bytes per spool byte: ForEach's batches in flight (three batches at
+// most) and Read's drain.  The spool's bytes are held at most once more
+// as a frame buffer and once as region names, and Read copies them once.
+// So NewStream + ForEach stays within 10 bytes per spool byte and Read
+// within 11, each plus 64 KiB.
+func TestHostileEventCountAllocBound(t *testing.T) {
+	body := binary.AppendVarint(nil, 0)
+	body = binary.AppendVarint(body, 0)
+	body = binary.AppendUvarint(body, 2)
+	body = appendString(body, "r")
+	body = appendString(body, strings.Repeat("x", 200<<10))
+	body = binary.AppendUvarint(body, 1)
+	body = binary.AppendUvarint(body, 0) // parent: root
+	body = binary.AppendUvarint(body, 0) // region "r"
+	body = binary.AppendUvarint(body, 2)
+	body = appendEvent(body, &Event{Time: 0, Kind: KindEnter, Path: 1})
+	body = appendEvent(body, &Event{Time: 1, Kind: KindExit, Path: 1})
+	// The index follows the frames, so the count it claims moves none.
+	b0 := handSpool([][]byte{body}, 0)
+	indexOff := int64(binary.LittleEndian.Uint64(b0[len(b0)-chunkTrailerLen:]))
+	claim := uint64(indexOff-chunkHeaderLen) / minEventBytes
+	blob := handSpool([][]byte{body}, claim)
+	if err := checkCount(claim+1, minEventBytes, indexOff-chunkHeaderLen, "chunk event"); err == nil {
+		t.Fatalf("the index claims %d events, not the most %d spool bytes allow", claim, len(blob))
+	}
+	size := uint64(len(blob))
+	measure := func(name string, bound uint64, read func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "frames hold 2") {
+			t.Errorf("%s: err %v, want the frames' count", name, err)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d bytes for a %d-byte spool (%.1f per byte)", name, got, size, float64(got)/float64(size))
+		if got > bound {
+			t.Errorf("%s of a %d-byte spool claiming %d events allocated %d bytes, bound %d", name, size, claim, got, bound)
+		}
+	}
+	measure("NewStream + ForEach", 10*size+64<<10, func() error {
+		r, err := NewChunkReader(bytes.NewReader(blob), int64(size), Limits{})
+		if err != nil {
+			return err
+		}
+		st, err := NewStream(r)
+		if err != nil {
+			return err
+		}
+		defer st.Close()
+		return st.ForEach(func(*Event) {})
+	})
+	measure("Read", 11*size+64<<10, func() error {
+		_, err := Read(bytes.NewReader(blob))
+		return err
+	})
 }

@@ -147,7 +147,7 @@ func recordRun(nLocs, events int, skew int32) func(*ChunkWriter) error {
 // spool of the same run holds, which read back to the same trace.
 func TestCompareRerun(t *testing.T) {
 	held := spoolsHeld.Load()
-	const nLocs, events = 6, 40
+	const nLocs, events = 6, 60
 	ref, err := SpoolInMemory(recordRun(nLocs, events, -1))
 	if err != nil {
 		t.Fatal(err)

@@ -176,8 +176,12 @@ func TestForEachMatchesNext(t *testing.T) {
 }
 
 // TestForEachSmallStreamInline: a stream of at most one batch is drained
-// on the caller's goroutine without a batch: ForEach allocates what the
-// merge allocates under Next, and nothing more.
+// on the caller's goroutine without a batch.  NewStream reads no frame,
+// so each order allocates, besides the intern tables both build, exactly
+// the frame buffers it reads into: Next one per location, grown whenever
+// a frame is larger than any before it of that location, ForEach one
+// for the stream, grown whenever a frame is larger than any before it in
+// the file.
 func TestForEachSmallStreamInline(t *testing.T) {
 	spool := memSpool(t, 4, 10)
 	const runs = 10
@@ -193,6 +197,12 @@ func TestForEachSmallStreamInline(t *testing.T) {
 	if total := memStream(t, spool).total; total > pipelineBatch {
 		t.Fatalf("spool holds %d events, want at most %d", total, pipelineBatch)
 	}
+	nextFrames, eachFrames := frameBufferAllocs(t, spool)
+	// The 5 regions and 6 paths of the stream's tables take 4 + 3 + 3
+	// slice growths and a map group each for their ids; the readers'
+	// region names take 5 strings and their map's group.  The per-source
+	// id maps and the cursors' tables fit the slabs they are carved from.
+	const tableAllocs = 4 + 3 + 3 + 2 + 5 + 1
 	seq, sts := streams(), streams()
 	i, j := 0, 0
 	seqAllocs := testing.AllocsPerRun(runs, func() {
@@ -211,9 +221,46 @@ func TestForEachSmallStreamInline(t *testing.T) {
 			t.Fatalf("ForEach delivered %d events, Next %d", sts[k].Events(), seq[k].Events())
 		}
 	}
-	if allocs != seqAllocs {
-		t.Errorf("ForEach drained a stream with %v allocations, Next with %v", allocs, seqAllocs)
+	if seqAllocs != tableAllocs+nextFrames {
+		t.Errorf("Next drained a stream with %v allocations, want %d tables + %v frame buffers", seqAllocs, tableAllocs, nextFrames)
 	}
+	if allocs != tableAllocs+eachFrames {
+		t.Errorf("ForEach drained a stream with %v allocations, want %d tables + %v frame buffers", allocs, tableAllocs, eachFrames)
+	}
+	if eachFrames >= nextFrames {
+		t.Errorf("ForEach allocates %v frame buffers, Next %v: the shared buffer saves nothing", eachFrames, nextFrames)
+	}
+}
+
+// frameBufferAllocs returns the frame buffers Next and ForEach allocate
+// to drain spool: every frame that is larger than any frame the same
+// buffer read before it.
+func frameBufferAllocs(t *testing.T, spool []byte) (next, each float64) {
+	t.Helper()
+	r, err := NewChunkReader(bytes.NewReader(spool), int64(len(spool)), Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []frameRef
+	for _, ent := range r.streams {
+		var largest int64
+		for _, fr := range ent.frames {
+			if fr.len > largest {
+				largest = fr.len
+				next++
+			}
+		}
+		all = append(all, ent.frames...)
+	}
+	slices.SortFunc(all, func(a, b frameRef) int { return int(a.off - b.off) })
+	var largest int64
+	for _, fr := range all {
+		if fr.len > largest {
+			largest = fr.len
+			each++
+		}
+	}
+	return next, each
 }
 
 // TestForEachCorruptAfterFirstBatch: a frame that fails to decode after

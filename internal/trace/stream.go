@@ -64,12 +64,13 @@ func (a *heapEntry) less(b *heapEntry) bool {
 // each location's frames, so a Stream implements View and the analyzer
 // can consume it in place of a Trace while holding only O(locations +
 // intern tables) memory of its own: per location its read position and a
-// heap key, and one raw frame per location that NewStream primed and the
-// stream has not yet delivered.  Next keeps one raw frame per location
-// throughout; ForEach reads each later frame into one shared buffer.  An
-// event is decoded, remapped to global ids and validated only when it is
-// delivered, so on a corrupt spool a bad event is reported when it would
-// be delivered, after every event that precedes it in the stream's order.
+// heap key.  NewStream reads no frame: the first call of Next reads each
+// location's first frame into a buffer of its own, and Next keeps one
+// raw frame per location throughout, while ForEach reads every frame
+// into one shared buffer.  An event is decoded, remapped to global ids
+// and validated only when it is delivered, so on a corrupt spool a bad
+// event is reported when it would be delivered, after every event that
+// precedes it in the stream's order.
 // Until the stream is drained the readers' frame indexes add O(events /
 // spill) (see ChunkReader), and ForEach the batches it has in flight when
 // it reads on a second goroutine (~1 MiB).  Once the last event is
@@ -79,10 +80,10 @@ func (a *heapEntry) less(b *heapEntry) bool {
 type Stream struct {
 	srcs []sourceState
 	heap []heapEntry
-	// byOffset is set once ForEach has keyed the heap by frame offset;
-	// frame is the raw frame buffer it reads into.
-	byOffset bool
-	frame    []byte
+	// order is how the heap is keyed, set by the first Next or ForEach;
+	// frame is the raw frame buffer ForEach reads into.
+	order streamOrder
+	frame []byte
 
 	tab       tables // the stream's intern tables
 	regionIDs map[string]RegionID
@@ -103,6 +104,15 @@ type Stream struct {
 	readers []*ChunkReader
 }
 
+// streamOrder is the key of a stream's heap.
+type streamOrder uint8
+
+const (
+	unkeyed  streamOrder = iota // no source in the heap yet
+	byTime                      // next event time (Next)
+	byOffset                    // next frame's file offset (ForEach)
+)
+
 // tables are the global intern tables' slice headers.  The stream only
 // appends to them, so a copy taken after some event keeps resolving every
 // id interned up to that event while the stream reads on.
@@ -113,9 +123,9 @@ type tables struct {
 }
 
 // NewStream opens one event stream over the per-location streams of one
-// or more chunk spools, reading each location's first frame.  The
-// readers' locations must be pairwise distinct.  Closing the stream
-// closes the readers.
+// or more chunk spools.  It reads no frame: a corrupt frame is reported
+// by the Next or ForEach that reaches it.  The readers' locations must be
+// pairwise distinct.  Closing the stream closes the readers.
 func NewStream(readers ...*ChunkReader) (*Stream, error) {
 	var cursors []*chunkCursor
 	total := 0
@@ -158,11 +168,17 @@ func NewStream(readers ...*ChunkReader) (*Stream, error) {
 		st.locs = append(st.locs, c.loc())
 		st.srcs = append(st.srcs, sourceState{src: c, regionMap: regionMaps[lo:lo:hi], pathMap: pathMaps[lo:lo:hi]})
 	}
+	return st, nil
+}
+
+// keyByTime primes the merge: it reads each source's first frame that
+// holds an event and keys the heap by that event's time.
+func (st *Stream) keyByTime() error {
+	st.order = byTime
 	for i := range st.srcs {
 		t, ok, err := st.advance(i)
 		if err != nil {
-			st.Close()
-			return nil, err
+			return err
 		}
 		if ok {
 			st.heap = append(st.heap, heapEntry{key: t, src: i})
@@ -170,7 +186,7 @@ func NewStream(readers ...*ChunkReader) (*Stream, error) {
 	}
 	st.heapify()
 	st.dropSourcesIfDrained()
-	return st, nil
+	return nil
 }
 
 // intern maps a region name to its global id.
@@ -314,6 +330,12 @@ func (st *Stream) next(dst *Event) (bool, error) {
 	if st.err != nil {
 		return false, st.err
 	}
+	if st.order == unkeyed {
+		if err := st.keyByTime(); err != nil {
+			st.err = err
+			return false, err
+		}
+	}
 	if len(st.heap) == 0 {
 		return false, nil
 	}
@@ -342,19 +364,37 @@ func (st *Stream) next(dst *Event) (bool, error) {
 	return true, nil
 }
 
-// keyByOffset re-keys the heap from next event times to frame offsets.
-// Every source in the heap holds the frame its next event lies in, the
-// last frame its cursor read.
-func (st *Stream) keyByOffset() {
-	if st.byOffset {
-		return
+// keyByOffset keys the heap by frame offset.  An unkeyed stream enters
+// each source at its first frame, which step reads when the source is on
+// top, and checks that a source without frames records no events.  A
+// stream Next has keyed is re-keyed from next event times: every source
+// in the heap holds the frame its next event lies in, the last frame its
+// cursor read.
+func (st *Stream) keyByOffset() error {
+	switch st.order {
+	case byOffset:
+		return nil
+	case byTime:
+		for i := range st.heap {
+			c := st.srcs[st.heap[i].src].src
+			st.heap[i].key = float64(c.ent.frames[c.fi-1].off)
+		}
+	case unkeyed:
+		for i := range st.srcs {
+			c := st.srcs[i].src
+			if len(c.ent.frames) == 0 {
+				if _, err := c.exhausted(); err != nil {
+					return err
+				}
+				continue
+			}
+			st.heap = append(st.heap, heapEntry{key: float64(c.ent.frames[0].off), src: i})
+		}
 	}
-	st.byOffset = true
-	for i := range st.heap {
-		c := st.srcs[st.heap[i].src].src
-		st.heap[i].key = float64(c.ent.frames[c.fi-1].off)
-	}
+	st.order = byOffset
 	st.heapify()
+	st.dropSourcesIfDrained()
+	return nil
 }
 
 // fill reads events into dst in spool order until it is full or the
@@ -407,7 +447,7 @@ func (st *Stream) step() error {
 		return err
 	}
 	// The largest frame buffer released so far serves every later read,
-	// whether NewStream primed it or an earlier read grew it.
+	// whether Next primed it or an earlier read grew it.
 	if cap(c.buf) > cap(st.frame) {
 		st.frame = c.buf
 	}
@@ -462,7 +502,12 @@ type eventBatch struct {
 // be called until ForEach returns, by which time the reading goroutine
 // has exited.
 func (st *Stream) ForEach(fn func(*Event)) error {
-	st.keyByOffset()
+	if st.err == nil {
+		st.err = st.keyByOffset()
+	}
+	if st.err != nil {
+		return st.err
+	}
 	left := st.total - st.events
 	if left <= pipelineBatch {
 		for {

@@ -189,14 +189,17 @@ type PathID int32
 const PathRoot PathID = 0
 
 // Event is one trace record.  The meaning of the payload fields depends on
-// Kind; unused fields are zero.
+// Kind; unused fields are zero.  The byte-sized fields sit together after
+// the times, so the struct takes 80 bytes without padding holes.
 type Event struct {
-	Time float64  // event timestamp (seconds since run epoch)
-	Aux  float64  // secondary timestamp or duration (see Kind docs)
-	Kind Kind     //
-	Loc  Location // where the event happened
+	Time  float64  // event timestamp (seconds since run epoch)
+	Aux   float64  // secondary timestamp or duration (see Kind docs)
+	Kind  Kind     //
+	Coll  CollKind // Coll: the collective operation
+	Flags uint8
+	Loc   Location // where the event happened
 
-	Region RegionID // Enter/Exit: region; Coll: unused
+	Region RegionID // Enter/Exit: region, the leaf of Path; Coll: unused
 	Path   PathID   // call path at event time (after Enter / before Exit)
 
 	// Point-to-point payload.
@@ -207,10 +210,9 @@ type Event struct {
 	Match uint64 // match id linking Send↔Recv, or collective instance id
 
 	// Collective payload.
-	Coll  CollKind
 	Root  int32 // comm-local root rank (rooted collectives), else -1
 	Comm  int32 // communicator context id (MPI) or team id (OMP)
-	Flags uint8
+	Parts int32 // participant count of the instance (communicator or team size); 0 if unknown
 }
 
 // Buffer collects the events of a single location.  It is owned by exactly
@@ -476,7 +478,9 @@ func (b *Buffer) Depth() int {
 	return len(b.stack) - b.seeded
 }
 
-// Record appends ev, filling in Loc and the current call path.
+// Record appends ev, filling in Loc and the current call path.  An Enter
+// or Exit recorded this way takes its region from that path, as the
+// encoding carries no other; Enter and Exit are the way to record them.
 func (b *Buffer) Record(ev Event) {
 	if b == nil {
 		return
